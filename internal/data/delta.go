@@ -223,14 +223,12 @@ func (r *Relation) logDeltaLocked(e DeltaEntry) {
 	}
 }
 
-// mutated invalidates row-content-derived caches after an in-place change
-// (the sort order no longer holds, distinct counts may have shifted) and
-// commits the version bump plus log entry in one critical section, so a
-// concurrent log reader never observes a version whose entry is missing.
-// makeEntry builds the entry for the already-bumped version (nil for
-// unlogged mutations).
+// mutated commits an in-place change of the rows: distinct counts may have
+// shifted, and the version bump plus log entry land in one critical section,
+// so a concurrent log reader never observes a version whose entry is
+// missing. makeEntry builds the entry for the already-bumped version (nil
+// for unlogged mutations).
 func (r *Relation) mutated(makeEntry func(seq int64) DeltaEntry) {
-	r.sortOrder = nil
 	r.distinctMu.Lock()
 	r.distinct = nil
 	r.distinctMu.Unlock()
@@ -266,7 +264,9 @@ func (r *Relation) checkBlock(cols []Column) (int, error) {
 }
 
 // Append appends a block of tuples to the relation and records the change in
-// its delta log. The appended rows break any previous sort order.
+// its delta log. The appended rows break any previous sort order; the
+// relation's key indexes are patched in place (see mutate), and the columns
+// keep capacity headroom, so a stream of balanced deltas stops reallocating.
 func (r *Relation) Append(cols []Column) error {
 	n, err := r.checkBlock(cols)
 	if err != nil {
@@ -275,14 +275,9 @@ func (r *Relation) Append(cols []Column) error {
 	if n == 0 {
 		return nil
 	}
-	for i := range r.Cols {
-		if r.Cols[i].IsInt() {
-			r.Cols[i].Ints = append(r.Cols[i].Ints, cols[i].Ints...)
-		} else {
-			r.Cols[i].Floats = append(r.Cols[i].Floats, cols[i].Floats...)
-		}
+	if err := r.mutate(nil, cols, false); err != nil {
+		return err
 	}
-	r.n += n
 	ins := copyBlock(cols)
 	r.mutated(func(seq int64) DeltaEntry { return DeltaEntry{Seq: seq, Inserts: ins} })
 	return nil
@@ -290,8 +285,11 @@ func (r *Relation) Append(cols []Column) error {
 
 // DeleteRows removes one matching tuple per row of the block, matching by
 // full-row value equality. If any tuple has no remaining match the relation
-// is left untouched and an error is returned, so a failed delete cannot leave
-// base data and maintained views inconsistent.
+// is left untouched — rows, version, delta log and key indexes — and an
+// error is returned, so a failed delete cannot leave base data and
+// maintained views inconsistent. Victims are found through a key index
+// probe plus row match (building the index on the first delete), and the
+// surviving rows close the gaps in place, keeping their order.
 func (r *Relation) DeleteRows(cols []Column) error {
 	n, err := r.checkBlock(cols)
 	if err != nil {
@@ -300,37 +298,9 @@ func (r *Relation) DeleteRows(cols []Column) error {
 	if n == 0 {
 		return nil
 	}
-	// Hash the (small) delete block, then stream the base rows against it —
-	// indexing the full relation would dominate small-delta maintenance.
-	want := make(map[string]int, n)
-	buf := make([]byte, 0, 8*len(r.Cols))
-	for i := 0; i < n; i++ {
-		buf = packRow(buf[:0], cols, i)
-		want[string(buf)]++
+	if err := r.mutate(cols, nil, false); err != nil {
+		return err
 	}
-	drop := make([]bool, r.n)
-	remaining := n
-	for i := 0; i < r.n && remaining > 0; i++ {
-		buf = packRow(buf[:0], r.Cols, i)
-		if c := want[string(buf)]; c > 0 {
-			want[string(buf)] = c - 1
-			drop[i] = true
-			remaining--
-		}
-	}
-	if remaining > 0 {
-		return fmt.Errorf("data: relation %q: %d delete tuples have no matching row", r.Name, remaining)
-	}
-	keep := make([]int32, 0, r.n-n)
-	for i := 0; i < r.n; i++ {
-		if !drop[i] {
-			keep = append(keep, int32(i))
-		}
-	}
-	for i := range r.Cols {
-		r.Cols[i] = r.Cols[i].gather(keep)
-	}
-	r.n = len(keep)
 	del := copyBlock(cols)
 	r.mutated(func(seq int64) DeltaEntry { return DeltaEntry{Seq: seq, Deletes: del} })
 	return nil

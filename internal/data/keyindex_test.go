@@ -56,7 +56,7 @@ func TestKeyIndexLookup(t *testing.T) {
 	}
 }
 
-func TestKeyIndexCacheAndInvalidation(t *testing.T) {
+func TestKeyIndexCacheAndPatch(t *testing.T) {
 	rel := keyIndexFixture(t)
 	a := rel.Attrs[0]
 
@@ -72,21 +72,50 @@ func TestKeyIndexCacheAndInvalidation(t *testing.T) {
 		t.Fatal("unchanged relation must reuse the cached index")
 	}
 
-	// Mutate: the next fetch must rebuild and see the new row.
+	// Mutate: the index is patched in place — the same index, now seeing the
+	// new row — instead of being rebuilt on the next fetch.
 	if err := rel.Append([]Column{
 		NewIntColumn([]int64{7}), NewIntColumn([]int64{70}), NewFloatColumn([]float64{7.5}),
 	}); err != nil {
 		t.Fatal(err)
 	}
+	if got := ix1.Rows(PackKey(7)); !reflect.DeepEqual(got, []int32{6}) {
+		t.Fatalf("rows for appended key through the patched index: got %v", got)
+	}
 	ix3, err := rel.KeyIndex([]AttrID{a})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix3 == ix1 {
-		t.Fatal("mutation must invalidate the cached index")
+	if ix3 != ix1 {
+		t.Fatal("a mutation must bring the index forward, not replace it")
 	}
-	if got := ix3.Rows(PackKey(7)); !reflect.DeepEqual(got, []int32{6}) {
-		t.Fatalf("rows for appended key: got %v", got)
+	if ix3.Count(PackKey(1)) != 3 || ix3.NumKeys() != 4 {
+		t.Fatalf("patched index: Count(1) = %d, NumKeys = %d", ix3.Count(PackKey(1)), ix3.NumKeys())
+	}
+}
+
+// TestKeyIndexLookupAllocatesNothing: the probe path of every maintenance
+// step — fetch the index, count a key, append its rows — is allocation-free,
+// for postings-backed and positional indexes alike.
+func TestKeyIndexLookupAllocatesNothing(t *testing.T) {
+	rel := keyIndexFixture(t)
+	sorted, err := rel.SortedCopy([]AttrID{rel.Attrs[0], rel.Attrs[1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []*Relation{rel, sorted} {
+		attrs := []AttrID{r.Attrs[0]}
+		key := PackKey(1)
+		dst := make([]int32, 0, 8)
+		n := testing.AllocsPerRun(100, func() {
+			ix, err := r.KeyIndex(attrs)
+			if err != nil || ix.Count(key) != 3 || len(ix.AppendRows(dst[:0], key)) != 3 {
+				t.Fatal("lookup failed")
+			}
+		})
+		if n != 0 {
+			t.Fatalf("lookup allocates %v times (sorted=%v)", n, r == sorted)
+		}
 	}
 }
 

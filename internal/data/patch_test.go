@@ -1,0 +1,546 @@
+package data
+
+import (
+	"math"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+)
+
+// patchWorld is a base relation plus the followers a maintained session
+// keeps over it: sorted copies per scan order, and key indexes on the base
+// and on the copies. check brings every follower forward and compares it,
+// element for element, with a structure freshly built from the base.
+type patchWorld struct {
+	t      *testing.T
+	base   *Relation
+	orders [][]AttrID
+	keys   [][]AttrID // index attribute lists (discrete attrs only)
+	copies []*Relation
+	since  []int64
+}
+
+func newPatchWorld(t *testing.T, nInt, nFloat int, logCap int) *patchWorld {
+	t.Helper()
+	w := &patchWorld{t: t}
+	var attrs []AttrID
+	var cols []Column
+	for i := 0; i < nInt; i++ {
+		attrs = append(attrs, AttrID(len(attrs)))
+		cols = append(cols, NewIntColumn(nil))
+	}
+	for i := 0; i < nFloat; i++ {
+		attrs = append(attrs, AttrID(len(attrs)))
+		cols = append(cols, NewFloatColumn(nil))
+	}
+	w.base = NewRelation("r", attrs, cols)
+	if logCap > 0 {
+		w.base.SetDeltaLogCap(logCap)
+	}
+	ints := attrs[:nInt]
+	switch nInt {
+	case 0:
+	case 1:
+		w.orders = [][]AttrID{{ints[0]}}
+		w.keys = [][]AttrID{{ints[0]}}
+	case 2:
+		w.orders = [][]AttrID{{ints[0]}, {ints[1], ints[0]}}
+		w.keys = [][]AttrID{{ints[0]}, {ints[1]}, {ints[1], ints[0]}}
+	default:
+		w.orders = [][]AttrID{{ints[0], ints[1]}, {ints[2], ints[0], ints[1]}}
+		w.keys = [][]AttrID{{ints[0]}, {ints[1]}, {ints[2], ints[1]}, {ints[0], ints[1], ints[2]}}
+	}
+	w.copies = make([]*Relation, len(w.orders))
+	w.since = make([]int64, len(w.orders))
+	return w
+}
+
+// block builds a tuple block in the base's schema from small value codes, so
+// that duplicates (of keys and of whole rows) are common.
+func (w *patchWorld) block(codes []byte) []Column {
+	nc := len(w.base.Cols)
+	n := len(codes)
+	cols := make([]Column, nc)
+	for c := range cols {
+		if w.base.Cols[c].IsInt() {
+			v := make([]int64, n)
+			for i, code := range codes {
+				v[i] = int64((int(code) >> (2 * (c % 3))) % 4)
+			}
+			cols[c] = NewIntColumn(v)
+		} else {
+			v := make([]float64, n)
+			for i, code := range codes {
+				v[i] = float64(int(code)>>6) / 2
+			}
+			cols[c] = NewFloatColumn(v)
+		}
+	}
+	return cols
+}
+
+// liveRows returns the block of the base rows at the given positions (mod
+// the row count); nil when the base is empty.
+func (w *patchWorld) liveRows(picks []byte) []Column {
+	if w.base.Len() == 0 {
+		return nil
+	}
+	idx := make([]int32, len(picks))
+	for i, p := range picks {
+		idx[i] = int32(int(p) % w.base.Len())
+	}
+	// Distinct positions: a block deleting the same row twice needs two
+	// copies of it to exist.
+	slices.Sort(idx)
+	idx = slices.Compact(idx)
+	return w.base.GatherRows(idx).Cols
+}
+
+func blocksEqual(a, b []Column) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for c := range a {
+		if a[c].IsInt() != b[c].IsInt() || a[c].Len() != b[c].Len() {
+			return false
+		}
+		if a[c].IsInt() {
+			if !slices.Equal(a[c].Ints, b[c].Ints) {
+				return false
+			}
+		} else {
+			for i := range a[c].Floats {
+				if math.Float64bits(a[c].Floats[i]) != math.Float64bits(b[c].Floats[i]) {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// freshIndex builds the index a relation with rel's rows and sort order
+// would build from nothing.
+func freshIndex(t *testing.T, rel *Relation, attrs []AttrID) *KeyIndex {
+	t.Helper()
+	clone := rel.clone()
+	clone.sortOrder = rel.sortOrder
+	ix, err := clone.KeyIndex(attrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
+
+func (w *patchWorld) checkIndexes(rel *Relation, what string) {
+	for _, attrs := range w.keys {
+		got, err := rel.KeyIndex(attrs)
+		if err != nil {
+			w.t.Fatal(err)
+		}
+		want := freshIndex(w.t, rel, attrs)
+		if got.positional != want.positional {
+			w.t.Fatalf("%s index %v: positional %v, fresh build %v", what, attrs, got.positional, want.positional)
+		}
+		if !slices.Equal(got.perm, want.perm) {
+			w.t.Fatalf("%s index %v: patched postings %v, fresh build %v", what, attrs, got.perm, want.perm)
+		}
+		if got.NumKeys() != want.NumKeys() {
+			w.t.Fatalf("%s index %v: NumKeys %d, fresh build %d", what, attrs, got.NumKeys(), want.NumKeys())
+		}
+	}
+}
+
+func (w *patchWorld) check() {
+	for _, c := range w.base.Cols {
+		if c.Len() != w.base.Len() {
+			w.t.Fatalf("ragged base: column of %d rows, relation of %d", c.Len(), w.base.Len())
+		}
+	}
+	w.checkIndexes(w.base, "base")
+	for i, order := range w.orders {
+		cp, version, err := w.base.CatchUpSorted(w.copies[i], w.since[i], order)
+		if err != nil {
+			w.t.Fatal(err)
+		}
+		w.copies[i], w.since[i] = cp, version
+		fresh, err := w.base.SortedCopy(order)
+		if err != nil {
+			w.t.Fatal(err)
+		}
+		if cp.Len() != fresh.Len() || !blocksEqual(cp.Cols, fresh.Cols) {
+			w.t.Fatalf("order %v: patched copy differs from a fresh SortedCopy\npatched %v\nfresh   %v", order, cp.Cols, fresh.Cols)
+		}
+		w.checkIndexes(cp, "copy")
+	}
+}
+
+// step applies one operation of a delta tape and reports how many tape bytes
+// it consumed.
+func (w *patchWorld) step(tape []byte) int {
+	t := w.t
+	op, n := tape[0]%7, 1+int(tape[0]>>5)
+	args := tape[1:]
+	if n > len(args) {
+		n = len(args)
+	}
+	args = args[:n]
+	if n == 0 {
+		return 1
+	}
+	switch op {
+	case 0, 1: // insert
+		if err := w.base.Append(w.block(args)); err != nil {
+			t.Fatal(err)
+		}
+	case 2: // delete live rows (one of k duplicates, whenever duplicates exist)
+		if blk := w.liveRows(args); blk != nil {
+			if err := w.base.DeleteRows(blk); err != nil {
+				t.Fatal(err)
+			}
+		}
+	case 3: // delete everything
+		if w.base.Len() > 0 {
+			if err := w.base.DeleteRows(copyBlock(w.base.Cols)); err != nil {
+				t.Fatal(err)
+			}
+			if w.base.Len() != 0 {
+				t.Fatalf("delete of every row left %d", w.base.Len())
+			}
+		}
+	case 4: // insert then delete the same rows within one round
+		blk := w.block(args)
+		if err := w.base.Append(blk); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.base.DeleteRows(blk); err != nil {
+			t.Fatal(err)
+		}
+	case 5: // a delete with one unmatched tuple touches nothing
+		blk := w.block(args)
+		for c := range blk {
+			if blk[c].IsInt() {
+				blk[c].Ints[0] = 99
+			} else {
+				blk[c].Floats[0] = 99
+			}
+		}
+		before, version, logLen := copyBlock(w.base.Cols), w.base.Version(), len(w.base.DeltaLog(0))
+		if err := w.base.DeleteRows(blk); err == nil {
+			t.Fatal("delete of an absent tuple succeeded")
+		}
+		if !blocksEqual(before, w.base.Cols) || w.base.Version() != version || len(w.base.DeltaLog(0)) != logLen {
+			t.Fatal("failed delete touched the relation")
+		}
+	case 6: // several mutations between two looks at the followers
+		half := (n + 1) / 2
+		if blk := w.liveRows(args[:half]); blk != nil {
+			if err := w.base.DeleteRows(blk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.base.Append(w.block(args[half:])); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.base.Append(w.block(args[:half])); err != nil {
+			t.Fatal(err)
+		}
+		return 1 + n // checked by the caller, after all three
+	}
+	return 1 + n
+}
+
+// FuzzPhysicalPatch drives random schemas through random delta tapes —
+// duplicate rows, deletes of one of k duplicates, deletes that empty the
+// relation, insert-then-delete of the same row in one round, failed deletes,
+// and a delta-log cap small enough that eviction forces the rebuild base
+// case — and after every step requires each patched sorted copy and each
+// patched key index to equal, element for element, a fresh SortedCopy and
+// KeyIndex of the mutated relation.
+func FuzzPhysicalPatch(f *testing.F) {
+	f.Add(byte(0x00), []byte{0x60, 1, 2, 3, 0x42, 0, 1, 0x43, 0x64, 7, 7, 9})
+	f.Add(byte(0x16), []byte{0xe0, 1, 1, 1, 1, 5, 5, 5, 0x22, 0, 0x22, 0, 0x22, 0})
+	f.Add(byte(0x2b), []byte{0x86, 9, 8, 7, 6, 5, 0x03, 0x60, 1, 2, 3, 0x25, 4})
+	f.Add(byte(0x37), []byte{0xc0, 3, 3, 3, 3, 3, 3, 0xc6, 0, 1, 2, 3, 4, 5, 0xa4, 200, 100, 50, 25, 12})
+	f.Add(byte(0xf3), []byte{0x20, 255, 0x46, 0, 200, 0x03, 0x20, 1})
+	f.Fuzz(func(t *testing.T, schema byte, tape []byte) {
+		nInt, nFloat := int(schema&3), int(schema>>2&1)
+		if nInt == 0 {
+			nFloat = 1 + int(schema>>2&1)
+		}
+		logCap := 0
+		if schema&0x10 != 0 {
+			logCap = 1 + int(schema>>5) // 1..8: evictions between looks
+		}
+		if len(tape) > 256 {
+			tape = tape[:256] // every step re-sorts for the comparison: keep execs cheap
+		}
+		w := newPatchWorld(t, nInt, nFloat, logCap)
+		w.check()
+		for len(tape) > 0 {
+			tape = tape[w.step(tape):]
+			w.check()
+		}
+	})
+}
+
+// TestPhysicalPatchRandom is the fuzz property under go test: long random
+// tapes over every schema shape, with and without delta-log eviction.
+func TestPhysicalPatchRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for schema := 0; schema < 256; schema += 5 {
+		tape := make([]byte, 120)
+		rng.Read(tape)
+		nInt, nFloat := schema&3, schema>>2&1
+		if nInt == 0 {
+			nFloat = 1 + schema>>2&1
+		}
+		logCap := 0
+		if schema&0x10 != 0 {
+			logCap = 1 + schema>>5
+		}
+		w := newPatchWorld(t, nInt, nFloat, logCap)
+		for len(tape) > 0 {
+			tape = tape[w.step(tape):]
+			w.check()
+		}
+	}
+}
+
+// TestFailedDeleteTouchesNothing is the mutation contract's atomic half: a
+// delete block with one unmatched tuple leaves rows, version, delta log,
+// sorted copies and indexes exactly as they were.
+func TestFailedDeleteTouchesNothing(t *testing.T) {
+	cases := []struct {
+		name string
+		del  [][]int64 // per int column a, b
+		x    []float64
+	}{
+		{"absent key", [][]int64{{1, 9}, {10, 90}}, []float64{0.5, 9}},
+		{"key present, payload differs", [][]int64{{1, 2}, {10, 20}}, []float64{0.5, 7.25}},
+		{"one duplicate too many", [][]int64{{3, 3}, {30, 30}}, []float64{3.5, 3.5}},
+		{"only the last tuple misses", [][]int64{{1, 2, 2, 4}, {10, 20, 21, 40}}, []float64{0.5, 1.5, 4.5, 4.5}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rel := keyIndexFixture(t)
+			order := []AttrID{rel.Attrs[1], rel.Attrs[0]}
+			ix, err := rel.KeyIndex([]AttrID{rel.Attrs[1]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A logged prefix the failed delete must preserve.
+			if err := rel.Append([]Column{NewIntColumn([]int64{4}), NewIntColumn([]int64{40}), NewFloatColumn([]float64{4})}); err != nil {
+				t.Fatal(err)
+			}
+			cp, since, err := rel.CatchUpSorted(nil, 0, order)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, perm, cpRows := copyBlock(rel.Cols), slices.Clone(ix.perm), copyBlock(cp.Cols)
+			version, log := rel.Version(), rel.DeltaLog(0)
+
+			err = rel.DeleteRows([]Column{NewIntColumn(tc.del[0]), NewIntColumn(tc.del[1]), NewFloatColumn(tc.x)})
+			if err == nil {
+				t.Fatal("delete with an unmatched tuple succeeded")
+			}
+			if !blocksEqual(rows, rel.Cols) || rel.Len() != rows[0].Len() {
+				t.Fatal("rows changed")
+			}
+			if rel.Version() != version || !reflect.DeepEqual(rel.DeltaLog(0), log) {
+				t.Fatal("version or delta log changed")
+			}
+			if !slices.Equal(perm, ix.perm) {
+				t.Fatal("key index changed")
+			}
+			cp2, since2, err := rel.CatchUpSorted(cp, since, order)
+			if err != nil || cp2 != cp || since2 != since || !blocksEqual(cpRows, cp.Cols) {
+				t.Fatalf("sorted copy changed (err %v)", err)
+			}
+		})
+	}
+}
+
+// TestRelayoutDropsPatchedState: Restore and SortBy re-lay the rows, so the
+// patched indexes go; PartitionBy's shards are new relations that start with
+// none, whatever the source carried.
+func TestRelayoutDropsPatchedState(t *testing.T) {
+	rel := keyIndexFixture(t)
+	a := rel.Attrs[0]
+	ix, err := rel.KeyIndex([]AttrID{a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rel.DeleteRows(rel.GatherRows([]int32{0}).Cols); err != nil {
+		t.Fatal(err)
+	}
+	shards, err := rel.PartitionBy([]AttrID{a}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range shards {
+		if len(s.keyIdx) != 0 || s.Version() != 0 || len(s.DeltaLog(0)) != 0 {
+			t.Fatal("a shard inherited patched state")
+		}
+	}
+	if err := rel.Restore([]Column{
+		NewIntColumn([]int64{5, 4}), NewIntColumn([]int64{50, 40}), NewFloatColumn([]float64{5, 4}),
+	}, 7); err != nil {
+		t.Fatal(err)
+	}
+	if len(rel.keyIdx) != 0 {
+		t.Fatal("Restore kept a key index")
+	}
+	ix2, err := rel.KeyIndex([]AttrID{a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix2 == ix || !slices.Equal(ix2.Rows(PackKey(4)), []int32{1}) {
+		t.Fatal("index after Restore does not describe the restored rows")
+	}
+	// A sorted copy from before the Restore cannot be caught up from the log.
+	cp, since, err := rel.CatchUpSorted(nil, 0, []AttrID{a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rel.Restore([]Column{
+		NewIntColumn([]int64{9}), NewIntColumn([]int64{90}), NewFloatColumn([]float64{9}),
+	}, 9); err != nil {
+		t.Fatal(err)
+	}
+	cp2, _, err := rel.CatchUpSorted(cp, since, []AttrID{a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp2 == cp || cp2.Len() != 1 {
+		t.Fatal("a copy older than a Restore must be rebuilt")
+	}
+	if err := rel.SortBy([]AttrID{rel.Attrs[1]}); err != nil {
+		t.Fatal(err)
+	}
+	if len(rel.keyIdx) != 0 {
+		t.Fatal("SortBy kept a key index")
+	}
+}
+
+// benchFact builds a fact-shaped relation: three discrete columns of
+// distinct domain sizes and one numeric, n rows.
+func benchFact(n int) *Relation {
+	rng := rand.New(rand.NewSource(1))
+	a, b, c, x := make([]int64, n), make([]int64, n), make([]int64, n), make([]float64, n)
+	for i := 0; i < n; i++ {
+		a[i], b[i], c[i], x[i] = int64(rng.Intn(1300)), int64(rng.Intn(120)), int64(rng.Intn(5000)), float64(rng.Intn(100))
+	}
+	return NewRelation("fact", []AttrID{0, 1, 2, 3},
+		[]Column{NewIntColumn(a), NewIntColumn(b), NewIntColumn(c), NewFloatColumn(x)})
+}
+
+const (
+	benchRows  = 200_000
+	benchDelta = 512
+)
+
+// benchDeltaOf returns a delta deleting benchDelta live rows of rel and
+// inserting as many new ones.
+func benchDeltaOf(rng *rand.Rand, rel *Relation) Delta {
+	picks := rng.Perm(rel.Len())[:benchDelta]
+	idx := make([]int32, benchDelta)
+	for i, p := range picks {
+		idx[i] = int32(p)
+	}
+	slices.Sort(idx)
+	dels := rel.GatherRows(idx).Cols
+	ins := copyBlock(dels)
+	for i := range ins[2].Ints {
+		ins[2].Ints[i] = int64(rng.Intn(5000))
+	}
+	return Delta{Relation: rel.Name, Inserts: ins, Deletes: dels}
+}
+
+// The three benchmarks below are CI's allocation smoke: B/op must stay
+// proportional to the delta (tens of kB), never to the relation (MBs).
+
+func BenchmarkApplyDelta(b *testing.B) {
+	db := NewDatabase()
+	for _, n := range []string{"a", "b", "c"} {
+		db.Attr(n, Key)
+	}
+	db.Attr("x", Numeric)
+	rel := benchFact(benchRows)
+	if err := db.AddRelation(rel); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(2))
+	if err := db.ApplyDelta(benchDeltaOf(rng, rel)); err != nil { // builds the locator, grows the columns
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		d := benchDeltaOf(rng, rel)
+		b.StartTimer()
+		if err := db.ApplyDelta(d); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkSortedCopyPatch(b *testing.B) {
+	rel := benchFact(benchRows)
+	rng := rand.New(rand.NewSource(3))
+	order := []AttrID{0, 1, 2}
+	cp, since, err := rel.CatchUpSorted(nil, 0, order)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		d := benchDeltaOf(rng, rel)
+		if err := rel.DeleteRows(d.Deletes); err != nil {
+			b.Fatal(err)
+		}
+		if err := rel.Append(d.Inserts); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if cp, since, err = rel.CatchUpSorted(cp, since, order); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkKeyIndexPatch(b *testing.B) {
+	rel := benchFact(benchRows)
+	rng := rand.New(rand.NewSource(4))
+	order := []AttrID{0, 1, 2}
+	cp, since, err := rel.CatchUpSorted(nil, 0, order)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := cp.KeyIndex([]AttrID{2}); err != nil { // not a prefix of the order: real postings
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		d := benchDeltaOf(rng, rel)
+		if err := rel.DeleteRows(d.Deletes); err != nil {
+			b.Fatal(err)
+		}
+		if err := rel.Append(d.Inserts); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if cp, since, err = rel.CatchUpSorted(cp, since, order); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := cp.KeyIndex([]AttrID{2}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

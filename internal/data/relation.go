@@ -2,7 +2,6 @@ package data
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -47,11 +46,16 @@ type Relation struct {
 	logPin    int64
 	logPinned bool
 
-	// keyIdx caches join-key indexes per attribute list (see KeyIndex);
-	// keyIdxMu guards it because maintenance passes may overlap with
-	// concurrent plan compilation reads.
+	// keyIdx holds the relation's key indexes, one per attribute list (see
+	// KeyIndex) — a handful, found by a linear scan. Mutations patch them in
+	// place; keyIdxMu guards the list because maintenance passes may overlap
+	// with concurrent plan compilation reads.
 	keyIdxMu sync.Mutex
-	keyIdx   map[string]keyIndexEntry
+	keyIdx   []*KeyIndex
+	// remap is the writer's scratch for bringing postings forward (see
+	// remapTable), kept so that a patch allocates nothing proportional to
+	// the relation.
+	remap []int32
 }
 
 // NewRelation constructs a relation over the given attributes and columns.
@@ -152,6 +156,7 @@ func (r *Relation) SortBy(order []AttrID) error {
 		r.Cols[i] = r.Cols[i].gather(perm)
 	}
 	r.sortOrder = append([]AttrID(nil), order...)
+	r.dropIndexes() // every row moved
 	return nil
 }
 
@@ -181,54 +186,31 @@ func (r *Relation) SortPerm(order []AttrID) ([]int32, error) {
 	if err != nil {
 		return nil, err
 	}
-	perm := make([]int32, r.n)
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	sort.SliceStable(perm, func(x, y int) bool {
-		px, py := perm[x], perm[y]
-		for _, k := range keys {
-			if k[px] != k[py] {
-				return k[px] < k[py]
-			}
-		}
-		return false
-	})
+	perm := identityIDs(r.n)
+	SortIDs(perm, keys)
 	return perm, nil
 }
 
-// SortIDsBy stably sorts row ids in place, lexicographically by the given
-// discrete attributes. Starting from ascending ids this applies exactly the
-// permutation SortBy would, restricted to the id subset — a scan visiting
-// rows through the sorted ids sees them in the sequence a SortedCopy of the
-// gathered subset would produce, which keeps float accumulation orders (and
-// thus bit-exact results) identical between the two scan strategies.
+// SortIDsBy sorts row ids in place, lexicographically by the given discrete
+// attributes, ids of equal keys ascending (see SortIDs). Starting from
+// ascending ids this applies exactly the permutation SortBy would,
+// restricted to the id subset — a scan visiting rows through the sorted ids
+// sees them in the sequence a SortedCopy of the gathered subset would
+// produce, which keeps float accumulation orders (and thus bit-exact
+// results) identical between the two scan strategies.
 func (r *Relation) SortIDsBy(order []AttrID, ids []int32) error {
-	keys := make([][]int64, len(order))
-	for i, a := range order {
-		c, ok := r.Col(a)
-		if !ok {
-			return fmt.Errorf("data: id sort of %q: missing attribute %d", r.Name, a)
-		}
-		if !c.IsInt() {
-			return fmt.Errorf("data: id sort of %q: attribute %d is numeric", r.Name, a)
-		}
-		keys[i] = c.Ints
+	keys, err := r.sortKeys(order)
+	if err != nil {
+		return err
 	}
-	sort.SliceStable(ids, func(x, y int) bool {
-		px, py := ids[x], ids[y]
-		for _, k := range keys {
-			if k[px] != k[py] {
-				return k[px] < k[py]
-			}
-		}
-		return false
-	})
+	SortIDs(ids, keys)
 	return nil
 }
 
 // SortedCopy returns a copy of the relation sorted by order, sharing no row
-// storage with the receiver. The receiver is left untouched.
+// storage with the receiver. The receiver is left untouched. This full sort
+// is the base case of the copy's life: patchSorted brings it forward from
+// the receiver's delta log afterwards.
 func (r *Relation) SortedCopy(order []AttrID) (*Relation, error) {
 	cp := &Relation{Name: r.Name, Attrs: append([]AttrID(nil), r.Attrs...), n: r.n}
 	cp.Cols = make([]Column, len(r.Cols))
@@ -265,9 +247,7 @@ func (r *Relation) Restore(cols []Column, version int64) error {
 	r.distinctMu.Lock()
 	r.distinct = nil
 	r.distinctMu.Unlock()
-	r.keyIdxMu.Lock()
-	r.keyIdx = nil
-	r.keyIdxMu.Unlock()
+	r.dropIndexes()
 	r.logMu.Lock()
 	r.version = version
 	for i := range r.log {

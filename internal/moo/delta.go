@@ -3,6 +3,7 @@ package moo
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -64,8 +65,8 @@ type ApplyStats struct {
 // cached views, returning a new BatchResult; prev is left untouched.
 //
 // With Options.SemiJoin, scans at unchanged nodes cover only the base rows
-// that join the delta's keys (gathered through lazily built data.KeyIndex
-// indexes) instead of the full relation.
+// that join the delta's keys (gathered through data.KeyIndex indexes, built
+// on first use and patched under later deltas) instead of the full relation.
 //
 // A delta against a base relation folded into a materialized hypertree bag
 // is expanded into the bag's delta (joined with the bag's other members) and
@@ -134,7 +135,7 @@ func (e *Engine) Apply(prev *BatchResult, d data.Delta) (*BatchResult, *ApplySta
 	if e.opts.CompiledKernels {
 		// Shared across every kernel of this Apply round: sorted delta blocks
 		// and semi-join row-id batches. Never outlives the round.
-		sc = newScanCache()
+		sc = newScanCache(e)
 	}
 	for _, st := range sched.Steps {
 		sub := &core.Group{ID: st.Group, Node: st.Node, Views: st.Dirty}
@@ -356,13 +357,13 @@ func (e *Engine) semiJoinSubset(rel *data.Relation, st ivm.Step, deltas []*ViewD
 				continue
 			}
 			seen[string(buf)] = struct{}{}
-			rows = append(rows, ix.Rows(string(buf))...)
+			rows = ix.AppendRows(rows, string(buf))
 		}
 	}
 	if len(rows) == 0 {
 		return rel.GatherRows(nil), nil
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i] < rows[j] })
+	slices.Sort(rows)
 	uniq := rows[:1]
 	for _, r := range rows[1:] {
 		if r != uniq[len(uniq)-1] {
@@ -413,10 +414,14 @@ func (e *Engine) foldBagDelta(bag *jointree.Node, d data.Delta) (data.Delta, err
 			return data.Delta{}, err
 		}
 	}
-	// The bag relation lives only in the join tree — no consumer ever reads
-	// its delta log — so reclaim the expanded tuple snapshots the mutations
+	// The bag relation lives only in the join tree, and the one consumer of
+	// its delta log is the engine's own sorted copies of it: bring those
+	// forward now, then reclaim the expanded tuple snapshots the mutations
 	// above just logged instead of pinning up to a full retention cap of
 	// join blocks per bag.
+	if err := e.syncSortedCopies(bag.Rel); err != nil {
+		return data.Delta{}, err
+	}
 	bag.Rel.TruncateDeltaLog(bag.Rel.Version())
 	return expanded, nil
 }

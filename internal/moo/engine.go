@@ -3,8 +3,8 @@ package moo
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -40,8 +40,9 @@ type Options struct {
 	// Output views gain a trailing core.CountColName column.
 	TrackCounts bool
 	// SemiJoin restricts Apply's maintenance scans at unchanged join-tree
-	// nodes to the base rows that join the delta's keys, using lazily built
-	// join-key indexes (data.KeyIndex) instead of full base scans. Run is
+	// nodes to the base rows that join the delta's keys, using join-key
+	// indexes (data.KeyIndex: built on first use, patched under every later
+	// delta) instead of full base scans. Run is
 	// unaffected. Off, Apply reproduces the full-scan maintenance of the
 	// pre-semi-join engine — the ablation baseline for the -update bench.
 	SemiJoin bool
@@ -90,8 +91,12 @@ type Engine struct {
 	tree *jointree.Tree
 	opts Options
 
-	mu        sync.Mutex
-	sortCache map[string]sortEntry
+	mu sync.Mutex
+	// sortCache holds the engine's persistent sorted copies, one per (base
+	// relation, scan order); orders interns the scan orders so the cache key
+	// is a comparable struct and a hit allocates nothing.
+	sortCache map[sortKey]*sortEntry
+	orders    [][]data.AttrID
 	// gpCache caches compiled group plans for the maintenance path, which
 	// recompiles the same (sub)groups on every Apply. Run's own scans stay
 	// uncached: a compiled plan carries per-execution state (the bound scan
@@ -104,12 +109,23 @@ type Engine struct {
 	kernels *kernel.Cache
 }
 
-// sortEntry is a cached sorted copy of a base relation; version pins the
-// relation content it was built from, so in-place base mutations (deltas)
-// invalidate it. The copy's own caches (join-key indexes, distinct counts)
-// persist with it — compiled kernels lean on that to resolve semi-join
-// probes against the sorted copy across Apply calls.
+// sortKey identifies a sorted copy: the base relation and the interned id of
+// the scan order (Engine.orderID).
+type sortKey struct {
+	rel   *data.Relation
+	order int
+}
+
+// sortEntry is a persistent sorted copy of a base relation; version is the
+// base version it reflects. When the base has moved on, the copy is brought
+// forward from the base's delta log (data.Relation.CatchUpSorted) — patched
+// in place at a cost proportional to the delta, never re-sorted while the
+// log explains the change. The copy's join-key indexes are patched with it,
+// so compiled kernels resolve semi-join probes against the same copy and the
+// same indexes across Apply calls. mu serializes bringing the copy forward:
+// Run's worker pool may ask for one copy from several goroutines.
 type sortEntry struct {
+	mu      sync.Mutex
 	version int64
 	rel     *data.Relation
 }
@@ -134,7 +150,7 @@ func NewEngineWithTree(db *data.Database, tree *jointree.Tree, opts Options) *En
 		opts.DomainParallelRows = 65536
 	}
 	return &Engine{db: db, tree: tree, opts: opts,
-		sortCache: map[string]sortEntry{}, gpCache: map[string]*groupPlan{},
+		sortCache: map[sortKey]*sortEntry{}, gpCache: map[string]*groupPlan{},
 		kernels: kernel.NewCache()}
 }
 
@@ -435,37 +451,70 @@ func (e *Engine) runDomainParallel(gp *groupPlan, produced []*ViewData, n int, s
 	return out, nil
 }
 
-// sortedRel returns rel sorted by order, using the base relation when
-// already compatible and caching sorted copies otherwise. The entry persists
-// across Apply calls until the base relation's version changes.
+// orderID interns a scan order: equal orders get the same small id, so
+// caches keyed by (relation, order) use comparable struct keys. An engine
+// sees a handful of distinct orders, found by a linear scan.
+func (e *Engine) orderID(order []data.AttrID) int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for id, o := range e.orders {
+		if slices.Equal(o, order) {
+			return id
+		}
+	}
+	e.orders = append(e.orders, append([]data.AttrID(nil), order...))
+	return len(e.orders) - 1
+}
+
+// sortedRel returns rel sorted by order: the base relation itself when it is
+// already compatible, else the engine's persistent sorted copy, brought
+// forward to the base's current version. Only the first request for a
+// (relation, order) pair — or a gap in the base's delta log — pays a full
+// sort; after a delta the copy and its key indexes are patched in place.
+// The returned relation is therefore only valid until the next base
+// mutation: callers on the write side rebind per round (maintKernel.bind
+// watches the copy's Version).
 func (e *Engine) sortedRel(rel *data.Relation, order []data.AttrID) (*data.Relation, error) {
 	if len(order) == 0 || rel.SortedBy(order) {
 		return rel, nil
 	}
-	parts := make([]string, len(order))
-	for i, a := range order {
-		parts[i] = fmt.Sprint(a)
-	}
-	key := rel.Name + "|" + strings.Join(parts, ",")
-	version := rel.Version()
+	key := sortKey{rel: rel, order: e.orderID(order)}
 	e.mu.Lock()
-	cached, ok := e.sortCache[key]
-	e.mu.Unlock()
-	if ok && cached.version == version {
-		return cached.rel, nil
+	ent := e.sortCache[key]
+	if ent == nil {
+		ent = &sortEntry{}
+		e.sortCache[key] = ent
 	}
-	cp, err := rel.SortedCopy(order)
+	e.mu.Unlock()
+	ent.mu.Lock()
+	defer ent.mu.Unlock()
+	cp, version, err := rel.CatchUpSorted(ent.rel, ent.version, order)
 	if err != nil {
+		ent.rel = nil // possibly patched halfway: rebuild on the next request
 		return nil, err
 	}
-	// Carry over distinct counts (identical row multiset).
-	for _, a := range order {
-		cp.DistinctCount(a)
-	}
-	e.mu.Lock()
-	e.sortCache[key] = sortEntry{version: version, rel: cp}
-	e.mu.Unlock()
+	ent.rel, ent.version = cp, version
 	return cp, nil
+}
+
+// syncSortedCopies brings every persistent sorted copy of rel forward to its
+// current version — for a relation whose delta log is about to be truncated
+// (materialized bags), so that the copies never meet a gap in it.
+func (e *Engine) syncSortedCopies(rel *data.Relation) error {
+	e.mu.Lock()
+	var orders [][]data.AttrID
+	for key := range e.sortCache {
+		if key.rel == rel {
+			orders = append(orders, e.orders[key.order])
+		}
+	}
+	e.mu.Unlock()
+	for _, order := range orders {
+		if _, err := e.sortedRel(rel, order); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // SortAttrIDs is a helper for deterministic attribute ordering in callers.

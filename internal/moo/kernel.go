@@ -172,27 +172,46 @@ const idScanMaxRows = 256
 // work once per group; sharing it is where kernel compilation pays on
 // multi-group plans. The cache lives for a single Apply call on the engine's
 // single-writer path — entries never survive a base-relation mutation.
+//
+// Every map is keyed by a comparable struct (pointers, an interned order id,
+// the probe-set string the round already built), so a hit allocates nothing.
 type scanCache struct {
-	sorted  map[string]*data.Relation
-	subsets map[string]*subsetEntry
+	e       *Engine
+	sorted  map[sortKey]*data.Relation
+	subsets map[subsetKey]*subsetEntry
 	// positions memoizes a subset's sorted scan positions per (subset,
 	// sorted copy): kernels at the same node share one scan order, so the
 	// probe resolution and integer sort run once, not per group.
-	positions map[string][]int32
+	positions map[positionsKey][]int32
 }
 
-func newScanCache() *scanCache {
+// subsetKey identifies a semi-join row-id batch: the scanned relation and
+// the canonical encoding of the probe set (maintKernel.probeSet).
+type subsetKey struct {
+	rel    *data.Relation
+	probes string
+}
+
+// positionsKey identifies a batch's resolved scan positions on one sorted
+// copy.
+type positionsKey struct {
+	se     *subsetEntry
+	sorted *data.Relation
+}
+
+func newScanCache(e *Engine) *scanCache {
 	return &scanCache{
-		sorted:    map[string]*data.Relation{},
-		subsets:   map[string]*subsetEntry{},
-		positions: map[string][]int32{},
+		e:         e,
+		sorted:    map[sortKey]*data.Relation{},
+		subsets:   map[subsetKey]*subsetEntry{},
+		positions: map[positionsKey][]int32{},
 	}
 }
 
 // sortedBlock memoizes rel.SortedCopy(order) per (relation, order) so kernels
 // with the same scan order share one stable sort.
 func (sc *scanCache) sortedBlock(rel *data.Relation, order []data.AttrID) (*data.Relation, error) {
-	key := fmt.Sprintf("%p|%v", rel, order)
+	key := sortKey{rel: rel, order: sc.e.orderID(order)}
 	if s, ok := sc.sorted[key]; ok {
 		return s, nil
 	}
@@ -273,14 +292,21 @@ func (k *maintKernel) probeSet(deltas []*ViewData) ([]probeReq, string) {
 }
 
 // subsetFor resolves the shared row-id batch for k's step against rel,
-// probing the join-key index only on the first request per probe set.
+// probing the join-key index only on the first request per probe set. The
+// probes are sized against the persistent sorted copy k scans — the same
+// rows as rel, whose indexes the restricted scan uses anyway — so the base
+// relation needs no join-key index of its own.
 func (sc *scanCache) subsetFor(k *maintKernel, rel *data.Relation, deltas []*ViewData) (*subsetEntry, error) {
 	probes, ckey := k.probeSet(deltas)
-	key := fmt.Sprintf("%p|", rel) + ckey
+	key := subsetKey{rel: rel, probes: ckey}
 	if se, ok := sc.subsets[key]; ok {
 		return se, nil
 	}
-	se, err := gatherIDs(rel, probes)
+	sorted, err := sc.e.sortedRel(rel, k.gp.order)
+	if err != nil {
+		return nil, err
+	}
+	se, err := gatherIDs(sorted, probes)
 	if err != nil {
 		return nil, err
 	}
@@ -298,9 +324,11 @@ func (k *maintKernel) runIDs(produced []*ViewData, rel *data.Relation, ids []int
 
 // runIDBatch executes the restricted scan over a shared row-id batch against
 // the engine's persistent sorted copy of the base: the batch's probes
-// resolve against the sorted copy's own join-key index (persistent, like the
-// copy) to scan positions, which one integer sort plus a dedup pass put in
-// scan order — no per-delta gather, stable sort or subset copy. Selecting a
+// resolve against the sorted copy's own join-key index (persistent and
+// patched under deltas, like the copy; a plain binary search when the probe
+// attributes lead the scan order) to scan positions, which one integer sort
+// plus a dedup pass put in scan order — no per-delta gather, stable sort or
+// subset copy. Selecting a
 // subset of a stably sorted sequence preserves the relative order stable
 // id-sorting would produce, so the row visit order (and every accumulated
 // bit) matches the interpreted gather-and-sort path exactly.
@@ -309,7 +337,7 @@ func (k *maintKernel) runIDBatch(e *Engine, sc *scanCache, produced []*ViewData,
 	if err != nil {
 		return err
 	}
-	key := fmt.Sprintf("%p|%p", se, sorted)
+	key := positionsKey{se: se, sorted: sorted}
 	pos, ok := sc.positions[key]
 	if !ok {
 		pos = make([]int32, 0, se.total)
@@ -318,7 +346,7 @@ func (k *maintKernel) runIDBatch(e *Engine, sc *scanCache, produced []*ViewData,
 			if err != nil {
 				return err
 			}
-			pos = append(pos, ix.Rows(p.key)...)
+			pos = ix.AppendRows(pos, p.key)
 		}
 		slices.Sort(pos)
 		// Probes with distinct attr signatures can match the same row; the
@@ -403,8 +431,8 @@ func (k *maintKernel) runDeltaBlock(sc *scanCache, produced []*ViewData, rel *da
 
 // gatherIDs sizes the probe set against rel's join-key index and decides
 // between the restricted and full-scan strategy. No row ids are materialized
-// here: consumers re-resolve the probes against the sorted copy they scan
-// (runIDBatch), whose own key index persists across Apply calls. fallback is
+// here: consumers resolve the probes against the sorted copy they scan
+// (runIDBatch), whose key indexes persist across Apply calls. fallback is
 // set when the subset would cover most of the relation (same threshold as
 // the interpreted path, counting pre-dedup matches): callers should
 // full-scan instead.
@@ -415,7 +443,7 @@ func gatherIDs(rel *data.Relation, probes []probeReq) (*subsetEntry, error) {
 		if err != nil {
 			return nil, err
 		}
-		total += len(ix.Rows(p.key))
+		total += ix.Count(p.key)
 	}
 	if 2*total > rel.Len() {
 		return &subsetEntry{fallback: true}, nil

@@ -56,7 +56,7 @@ package main
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 var _ = math.Log
@@ -136,13 +136,16 @@ func buildIndex(v *View, skeyPos []int) {
 		perm[i] = i
 	}
 	cmpPos := append(append([]int{}, skeyPos...), otherPos(len(v.Keys), skeyPos)...)
-	sort.SliceStable(perm, func(x, y int) bool {
+	slices.SortStableFunc(perm, func(x, y int) int {
 		for _, c := range cmpPos {
-			if v.Keys[c][perm[x]] != v.Keys[c][perm[y]] {
-				return v.Keys[c][perm[x]] < v.Keys[c][perm[y]]
+			if a, b := v.Keys[c][x], v.Keys[c][y]; a != b {
+				if a < b {
+					return -1
+				}
+				return 1
 			}
 		}
-		return false
+		return 0
 	})
 	keys := make([][]int64, len(v.Keys))
 	for c := range v.Keys {

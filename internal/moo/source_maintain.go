@@ -207,13 +207,16 @@ func sortRelBy(rel *Relation, keys []string) *Relation {
 	for i, k := range keys {
 		cols[i] = rel.Ints[k]
 	}
-	sort.SliceStable(perm, func(x, y int) bool {
+	slices.SortStableFunc(perm, func(x, y int) int {
 		for _, c := range cols {
-			if c[perm[x]] != c[perm[y]] {
-				return c[perm[x]] < c[perm[y]]
+			if a, b := c[x], c[y]; a != b {
+				if a < b {
+					return -1
+				}
+				return 1
 			}
 		}
-		return false
+		return 0
 	})
 	out := &Relation{N: rel.N, Ints: map[string][]int64{}, Flts: map[string][]float64{}}
 	for name, c := range rel.Ints {

@@ -6,7 +6,6 @@ package moo
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"repro/internal/data"
@@ -250,16 +249,14 @@ func (b *viewBuilder) finalize(targetAttrs []data.AttrID) *ViewData {
 	for i := range perm {
 		perm[i] = int32(i)
 	}
-	cmpPos := append(append([]int(nil), v.skeyPos...), v.extraPos...)
-	sort.SliceStable(perm, func(x, y int) bool {
-		px, py := perm[x], perm[y]
-		for _, c := range cmpPos {
-			if v.Keys[c][px] != v.Keys[c][py] {
-				return v.Keys[c][px] < v.Keys[c][py]
-			}
-		}
-		return false
-	})
+	sortKeys := make([][]int64, 0, len(v.Keys))
+	for _, c := range v.skeyPos {
+		sortKeys = append(sortKeys, v.Keys[c])
+	}
+	for _, c := range v.extraPos {
+		sortKeys = append(sortKeys, v.Keys[c])
+	}
+	data.SortIDs(perm, sortKeys)
 	newKeys := make([][]int64, len(v.Keys))
 	for c := range v.Keys {
 		col := make([]int64, v.rows)

@@ -132,7 +132,8 @@ type ApplyResult struct {
 // of the DAG, with deletes handled as negative-weight inserts — instead of
 // recomputing from scratch. With Options.SemiJoin (on in DefaultOptions),
 // maintenance scans at unchanged join-tree nodes touch only the base rows
-// that join the delta's keys, via lazily built join-key indexes.
+// that join the delta's keys, via join-key indexes that are built on first
+// use and patched, like the engine's sorted copies, under every later delta.
 //
 // Updates against a relation folded into a materialized hypertree bag are
 // maintained incrementally too: the delta is joined with the bag's other
