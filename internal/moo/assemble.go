@@ -58,6 +58,8 @@ func assembleQuery(plan *core.Plan, qi int, raw *ViewData, mat []*ViewData, prev
 		Vals:    make([]float64, rows*stride),
 		Stride:  stride,
 		rows:    rows,
+		order:   raw.order,
+		nskey:   raw.nskey,
 	}
 	for i := 0; i < rows; i++ {
 		dst := out.Vals[i*stride:]
@@ -69,18 +71,28 @@ func assembleQuery(plan *core.Plan, qi int, raw *ViewData, mat []*ViewData, prev
 		}
 	}
 
-	rawIdx := raw.fullKeyIndex()
-	var prevIdx map[string]int32
-	if prev != nil {
-		prevIdx = prev.fullKeyIndex()
-	}
 	// refold[i] reports row i's monoid columns must be folded from support;
-	// otherwise they copy from prev. With no prev everything re-folds.
+	// otherwise they copy from prev row prevRow[i]. With no prev everything
+	// re-folds. prev shares raw's sort layout, so one forward walk pairs
+	// their rows.
 	refold := make([]bool, rows)
 	prevRow := make([]int32, rows)
 	buf := make([]byte, 0, 8*len(raw.GroupBy))
+	p := 0
 	for i := 0; i < rows; i++ {
-		if prevIdx == nil {
+		if prev == nil {
+			refold[i] = true
+			continue
+		}
+		for p < prev.rows && cmpRows(raw, i, prev, p) > 0 {
+			p++
+		}
+		if p == prev.rows || cmpRows(raw, i, prev, p) != 0 {
+			refold[i] = true // new group: nothing to copy from
+			continue
+		}
+		prevRow[i] = int32(p)
+		if affected == nil {
 			refold[i] = true
 			continue
 		}
@@ -88,15 +100,7 @@ func assembleQuery(plan *core.Plan, qi int, raw *ViewData, mat []*ViewData, prev
 		for c := range raw.GroupBy {
 			buf = data.AppendKey(buf, raw.Keys[c][i])
 		}
-		r, ok := prevIdx[string(buf)]
-		if !ok {
-			refold[i] = true // new group: nothing to copy from
-			continue
-		}
-		prevRow[i] = r
-		if affected == nil {
-			refold[i] = true
-		} else if _, hit := affected[string(buf)]; hit {
+		if _, hit := affected[string(buf)]; hit {
 			refold[i] = true
 		}
 	}
@@ -125,17 +129,16 @@ func assembleQuery(plan *core.Plan, qi int, raw *ViewData, mat []*ViewData, prev
 			return nil, fmt.Errorf("moo: support view for query %d not materialized", qi)
 		}
 		lead := spec.Cols[cols[0]]
-		kbuf := make([]byte, 0, 8*len(lead.KeyPos))
+		key := make([]int64, len(lead.KeyPos))
 		for j := 0; j < sv.NumRows(); j++ {
 			if sv.Val(j, 0) == 0 {
 				continue
 			}
-			kbuf = kbuf[:0]
-			for _, kp := range lead.KeyPos {
-				kbuf = data.AppendKey(kbuf, sv.KeyAt(j, kp))
+			for k, kp := range lead.KeyPos {
+				key[k] = sv.KeyAt(j, kp)
 			}
-			r, ok := rawIdx[string(kbuf)]
-			if !ok || !refold[r] {
+			r := raw.Lookup(key...)
+			if r < 0 || !refold[r] {
 				continue
 			}
 			val := sv.KeyAt(j, lead.ValPos)

@@ -1,6 +1,9 @@
 package moo
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // CombineViews merges the materialized views of disjoint data partitions
 // into one: the group sets union and the aggregate values of shared groups
@@ -13,10 +16,11 @@ import "fmt"
 // over the unioned group set reconstructs the unsharded result.
 //
 // All parts must share one schema (same group-by attributes in the same
-// order, same stride); nil or empty parts are skipped. The inputs are not
-// mutated and share no storage with the result. Groups are emitted in
-// first-seen order across parts (part order, then row order) — like any
-// freshly built ViewData, row order is not part of the result contract.
+// order, same stride, same sort layout); nil or empty parts are skipped.
+// The inputs are not mutated and share no storage with the result. The
+// parts are sorted, so the merge is one linear pass over them and the
+// result is sorted in their layout; a shared group's values sum in part
+// order, starting from zero, as a builder would sum them.
 //
 // Correctness note for partitioned aggregation: per-part tuple counts are
 // non-negative, so a group's merged count is zero only when every part
@@ -24,6 +28,8 @@ import "fmt"
 // zero-count rows never arise here (parts drop them before publication).
 // Scalar (empty group-by) views stay single-row by construction: every part
 // contributes the same empty key.
+//
+// lmfao:pre-publish
 func CombineViews(parts []*ViewData) (*ViewData, error) {
 	var ref *ViewData
 	for _, p := range parts {
@@ -41,16 +47,60 @@ func CombineViews(parts []*ViewData) (*ViewData, error) {
 	if ref == nil {
 		return nil, fmt.Errorf("moo: CombineViews over no views")
 	}
-	b := newViewBuilder(ref.GroupBy, ref.Stride, false)
+	total := 0
+	var live []*ViewData
 	for _, p := range parts {
-		addViewInto(b, p, 1)
+		if p != nil && p.rows > 0 {
+			total += p.rows
+			live = append(live, p)
+		}
 	}
-	return b.finalize(nil), nil
+	out := &ViewData{
+		GroupBy: ref.GroupBy,
+		Keys:    make([][]int64, len(ref.GroupBy)),
+		Vals:    make([]float64, 0, total*ref.Stride),
+		Stride:  ref.Stride,
+		order:   slices.Clone(ref.order),
+		nskey:   ref.nskey,
+	}
+	for c := range out.Keys {
+		out.Keys[c] = make([]int64, 0, total)
+	}
+	next := make([]int, len(live))
+	for {
+		// The smallest head row among the parts is the next output row.
+		var low *ViewData
+		lowRow := 0
+		for i, p := range live {
+			if next[i] < p.rows && (low == nil || cmpRows(p, next[i], low, lowRow) < 0) {
+				low, lowRow = p, next[i]
+			}
+		}
+		if low == nil {
+			return out, nil
+		}
+		for c := range out.Keys {
+			out.Keys[c] = append(out.Keys[c], low.Keys[c][lowRow])
+		}
+		out.Vals = append(out.Vals, make([]float64, out.Stride)...)
+		dst := out.Vals[out.rows*out.Stride:]
+		for i, p := range live {
+			if r := next[i]; r < p.rows && cmpRows(p, r, low, lowRow) == 0 {
+				for col, v := range p.Vals[r*p.Stride : (r+1)*p.Stride] {
+					dst[col] += v
+				}
+				next[i]++
+			}
+		}
+		out.rows++
+	}
 }
 
-// sameViewSchema checks two views agree on group-by attributes and stride.
+// sameViewSchema checks two views agree on group-by attributes, stride and
+// sort layout.
 func sameViewSchema(a, b *ViewData) error {
-	if a.Stride != b.Stride || len(a.GroupBy) != len(b.GroupBy) {
+	if a.Stride != b.Stride || len(a.GroupBy) != len(b.GroupBy) ||
+		a.nskey != b.nskey || !slices.Equal(a.order, b.order) {
 		return fmt.Errorf("moo: CombineViews schema mismatch: %v vs %v", a, b)
 	}
 	for i := range a.GroupBy {

@@ -1,6 +1,8 @@
 package moo
 
 import (
+	"math"
+	"math/rand/v2"
 	"testing"
 
 	"repro/internal/data"
@@ -62,6 +64,52 @@ func TestCombineViewsUnionAndSum(t *testing.T) {
 	}
 }
 
+// TestCombineViewsRandomParts merges random sorted parts and checks the
+// result against a map sum in part order: same groups, bit-identical sums,
+// rows strictly increasing.
+func TestCombineViewsRandomParts(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 11))
+	gb := []data.AttrID{0, 1}
+	for trial := 0; trial < 100; trial++ {
+		parts := make([]*ViewData, 1+rng.IntN(4))
+		want := map[[2]int64][]float64{}
+		for i := range parts {
+			rows := map[[2]int64][]float64{}
+			for n := rng.IntN(30); n > 0; n-- {
+				rows[[2]int64{rng.Int64N(5) - 2, rng.Int64N(5)}] = []float64{rng.Float64(), rng.NormFloat64()}
+			}
+			parts[i] = buildView(t, gb, 2, rows)
+			for r := 0; r < parts[i].NumRows(); r++ {
+				key := [2]int64{parts[i].KeyAt(r, 0), parts[i].KeyAt(r, 1)}
+				if want[key] == nil {
+					want[key] = make([]float64, 2)
+				}
+				for c := range want[key] {
+					want[key][c] += parts[i].Val(r, c)
+				}
+			}
+		}
+		merged, err := CombineViews(parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if merged.NumRows() != len(want) {
+			t.Fatalf("trial %d: %d rows, want %d", trial, merged.NumRows(), len(want))
+		}
+		for r := 0; r < merged.NumRows(); r++ {
+			if r > 0 && cmpRows(merged, r-1, merged, r) >= 0 {
+				t.Fatalf("trial %d: rows %d and %d out of order", trial, r-1, r)
+			}
+			key := [2]int64{merged.KeyAt(r, 0), merged.KeyAt(r, 1)}
+			for c, w := range want[key] {
+				if got := merged.Val(r, c); math.Float64bits(got) != math.Float64bits(w) {
+					t.Fatalf("trial %d: group %v col %d: got %v want %v", trial, key, c, got, w)
+				}
+			}
+		}
+	}
+}
+
 func TestCombineViewsScalar(t *testing.T) {
 	a := buildView(t, nil, 1, map[[2]int64][]float64{{}: {4}})
 	b := buildView(t, nil, 1, map[[2]int64][]float64{{}: {-1.5}})
@@ -89,5 +137,11 @@ func TestCombineViewsErrors(t *testing.T) {
 	c := buildView(t, []data.AttrID{0}, 2, map[[2]int64][]float64{{1}: {1, 2}})
 	if _, err := CombineViews([]*ViewData{a, c}); err == nil {
 		t.Fatal("stride mismatch must error")
+	}
+	gb := []data.AttrID{0, 1}
+	out := buildView(t, gb, 1, map[[2]int64][]float64{{1, 2}: {1}})
+	inner := newViewBuilder(gb, 1, false).finalize([]data.AttrID{1})
+	if _, err := CombineViews([]*ViewData{out, inner}); err == nil {
+		t.Fatal("sort layout mismatch must error")
 	}
 }

@@ -1,10 +1,10 @@
 package moo
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -246,7 +246,7 @@ func (e *Engine) Apply(prev *BatchResult, d data.Delta) (*BatchResult, *ApplySta
 	for _, vid := range sched.DirtyViews {
 		v := plan.Views[vid]
 		keepScalar := v.IsOutput() && len(v.GroupBy) == 0
-		mat[vid] = mergeDelta(prev.Materialized[vid], deltas[vid], plan.CountCol[vid], viewTarget(plan, v), keepScalar)
+		mat[vid] = mergeDelta(prev.Materialized[vid], deltas[vid], plan.CountCol[vid], keepScalar)
 	}
 	stats.MergeElapsed = time.Since(mergeStart)
 	res := &BatchResult{
@@ -346,17 +346,19 @@ func (e *Engine) semiJoinSubset(rel *data.Relation, st ivm.Step, deltas []*ViewD
 			}
 			pos[j] = p
 		}
-		seen := make(map[string]struct{}, dv.NumRows())
-		buf := make([]byte, 0, 8*len(attrs))
+		// The attributes are the delta view's consumer key, which leads its
+		// sort order: equal probe keys are adjacent, so comparing with the
+		// previous one dedups them.
+		var buf, prevKey []byte
 		for r := 0; r < dv.NumRows(); r++ {
 			buf = buf[:0]
 			for _, p := range pos {
 				buf = data.AppendKey(buf, dv.KeyAt(r, p))
 			}
-			if _, dup := seen[string(buf)]; dup {
+			if r > 0 && bytes.Equal(buf, prevKey) {
 				continue
 			}
-			seen[string(buf)] = struct{}{}
+			prevKey = append(prevKey[:0], buf...)
 			rows = ix.AppendRows(rows, string(buf))
 		}
 	}
@@ -531,23 +533,6 @@ func viewTarget(plan *core.Plan, v *core.View) []data.AttrID {
 	return plan.Tree.Nodes[v.To].Attrs
 }
 
-// addViewInto folds src's rows into b, scaling every aggregate by sign.
-func addViewInto(b *viewBuilder, src *ViewData, sign float64) {
-	if src == nil {
-		return
-	}
-	key := make([]int64, len(src.GroupBy))
-	for i := 0; i < src.rows; i++ {
-		for c := range key {
-			key[c] = src.Keys[c][i]
-		}
-		r := b.row(key)
-		for col := 0; col < src.Stride; col++ {
-			b.add(r, col, sign*src.Val(i, col))
-		}
-	}
-}
-
 // diffViews combines the insert-scan and delete-scan results of one view
 // into its delta: deletes are negative-weight inserts in the sum-product
 // semiring.
@@ -558,274 +543,88 @@ func diffViews(v *core.View, ins, del *ViewData, target []data.AttrID) *ViewData
 	return b.finalize(target)
 }
 
-// mergeDelta folds a view's delta into its cached data and re-finalizes.
-// Rows whose tuple count reaches zero are dropped: every join tuple behind
-// the key was deleted, so a full recompute would not emit it. Counts are
-// integer-valued, so the float64 zero test is exact. Scalar application
-// outputs always keep their single row (SQL semantics).
-func mergeDelta(old, delta *ViewData, countCol int, target []data.AttrID, keepScalar bool) *ViewData {
-	if delta == nil || delta.NumRows() == 0 {
-		return old
-	}
-	// Common case first: every delta key exists and none vanishes, so the
-	// aggregate values are patched in place, sharing the cached key columns
-	// and indexes. Row-set changes fall to the sorted splice-merge (internal
-	// views) or the hash-and-rebuild path (application outputs).
-	if fast := mergeFast(old, delta, countCol); fast != nil {
-		return fast
-	}
-	if merged := mergeSorted(old, delta, countCol); merged != nil {
-		return merged
-	}
-	b := newViewBuilder(old.GroupBy, old.Stride, false)
-	addViewInto(b, old, 1)
-	addViewInto(b, delta, 1)
-	merged := b.vd
-	if !keepScalar {
-		merged = dropZeroCountRows(merged, countCol)
-	}
-	return (&viewBuilder{vd: merged}).finalize(target)
-}
-
-// mergeSorted merges a finalized internal view with its (identically
-// finalized, hence identically sorted) delta by a two-pointer walk: no
-// hashing, no re-sort. Rows whose merged tuple count is zero are dropped;
-// the consumer range index is rebuilt in the same pass. Returns nil for
-// application outputs (not sorted; the builder path handles them).
+// mergeDelta folds a view's delta into its cached data by one linear merge
+// of the two identically sorted row sets, galloping over the untouched old
+// rows between delta keys and bulk-copying them. Rows whose tuple count
+// reaches zero are dropped: every join tuple behind the key was deleted, so
+// a full recompute would not emit it. Counts are integer-valued, so the
+// float64 zero test is exact. Scalar application outputs always keep their
+// single row (SQL semantics). While the row set is unchanged — every delta
+// key exists and none vanishes, the common case — the result shares the
+// cached key columns and only the aggregate values are copied.
 //
 // lmfao:pre-publish — every write lands in the fresh out view; old and
 // delta are only read.
-func mergeSorted(old, delta *ViewData, countCol int) *ViewData {
-	if old.index == nil || delta.index == nil {
-		return nil
-	}
-	cmpPos := append(append([]int(nil), old.skeyPos...), old.extraPos...)
-	cmp := func(i, j int) int { // old row i vs delta row j
-		for _, c := range cmpPos {
-			a, b := old.Keys[c][i], delta.Keys[c][j]
-			if a != b {
-				if a < b {
-					return -1
-				}
-				return 1
-			}
-		}
-		return 0
+func mergeDelta(old, delta *ViewData, countCol int, keepScalar bool) *ViewData {
+	if delta == nil || delta.rows == 0 {
+		return old
 	}
 	out := &ViewData{
-		GroupBy:  old.GroupBy,
-		Keys:     make([][]int64, len(old.GroupBy)),
-		Vals:     make([]float64, 0, len(old.Vals)+len(delta.Vals)),
-		Stride:   old.Stride,
-		skeyPos:  old.skeyPos,
-		extraPos: old.extraPos,
+		GroupBy: old.GroupBy,
+		Keys:    old.Keys,
+		Vals:    make([]float64, 0, len(old.Vals)+len(delta.Vals)),
+		Stride:  old.Stride,
+		order:   old.order,
+		nskey:   old.nskey,
 	}
-	for c := range out.Keys {
-		out.Keys[c] = make([]int64, 0, old.rows+delta.rows)
-	}
-	appendRow := func(src *ViewData, i int, add *ViewData, j int) {
-		for c := range out.Keys {
-			out.Keys[c] = append(out.Keys[c], src.Keys[c][i])
-		}
-		base := len(out.Vals)
-		out.Vals = append(out.Vals, src.Vals[i*src.Stride:(i+1)*src.Stride]...)
-		if add != nil {
-			dst := out.Vals[base:]
-			src2 := add.Vals[j*add.Stride : (j+1)*add.Stride]
-			for c := range dst {
-				dst[c] += src2[c]
-			}
-		}
-		out.rows++
-	}
-	// The delta has few rows relative to the cached view, so the merge walks
-	// the delta and bulk-copies the untouched old-row runs between splice
-	// points (binary-searched) instead of appending row by row — the
-	// dominant cost is moving the old view's arrays, which this leaves to
-	// memmove.
-	copyRun := func(lo, hi int) {
-		if lo >= hi {
+	shared := true // out.Keys aliases old.Keys: no row inserted or dropped yet
+	unshare := func() {
+		if !shared {
 			return
 		}
+		shared = false
+		out.Keys = make([][]int64, len(old.Keys))
 		for c := range out.Keys {
-			out.Keys[c] = append(out.Keys[c], old.Keys[c][lo:hi]...)
+			out.Keys[c] = append(make([]int64, 0, old.rows+delta.rows), old.Keys[c][:out.rows]...)
+		}
+	}
+	copyRun := func(lo, hi int) {
+		if !shared {
+			for c := range out.Keys {
+				out.Keys[c] = append(out.Keys[c], old.Keys[c][lo:hi]...)
+			}
 		}
 		out.Vals = append(out.Vals, old.Vals[lo*old.Stride:hi*old.Stride]...)
 		out.rows += hi - lo
 	}
+	key := make([]int64, len(old.order)) // delta row j in sort order
 	i := 0
 	for j := 0; j < delta.rows; j++ {
-		// First old row not before delta row j. Group-by keys are unique per
-		// view, so at most one old row matches.
-		k := i + sort.Search(old.rows-i, func(m int) bool { return cmp(i+m, j) >= 0 })
+		for jj, p := range old.order {
+			key[jj] = delta.Keys[p][j]
+		}
+		// Group-by keys are unique per view, so at most one old row matches.
+		k := old.gallop(i, key, 0)
 		copyRun(i, k)
 		i = k
-		if i < old.rows && cmp(i, j) == 0 {
-			if old.Val(i, countCol)+delta.Val(j, countCol) != 0 {
-				appendRow(old, i, delta, j)
+		hit := i < old.rows && old.cmpPrefix(i, key) == 0
+		count := delta.Val(j, countCol)
+		if hit {
+			count += old.Val(i, countCol)
+		}
+		if count == 0 && !keepScalar {
+			if hit {
+				unshare()
+				i++
 			}
+			continue
+		}
+		if hit {
+			copyRun(i, i+1)
 			i++
-		} else if delta.Val(j, countCol) != 0 {
-			appendRow(delta, j, nil, 0)
+		} else {
+			unshare()
+			for c := range out.Keys {
+				out.Keys[c] = append(out.Keys[c], delta.Keys[c][j])
+			}
+			out.Vals = append(out.Vals, make([]float64, out.Stride)...)
+			out.rows++
+		}
+		dst := out.Vals[len(out.Vals)-out.Stride:]
+		for c, x := range delta.Vals[j*delta.Stride : (j+1)*delta.Stride] {
+			dst[c] += x
 		}
 	}
 	copyRun(i, old.rows)
-	// Rebuild the consumer-key range index over the (still sorted) rows.
-	// Sized by the old range count, not the row count: pre-sizing a map by
-	// rows costs more than the merge itself on wide-keyed views.
-	out.index = make(map[string][2]int32, len(old.index)+delta.rows)
-	buf := make([]byte, 0, 8*len(out.skeyPos))
-	start := 0
-	for i := 1; i <= out.rows; i++ {
-		if i < out.rows && sameSKey(out, i-1, i) {
-			continue
-		}
-		buf = buf[:0]
-		for _, c := range out.skeyPos {
-			buf = data.AppendKey(buf, out.Keys[c][start])
-		}
-		out.index[string(buf)] = [2]int32{int32(start), int32(i)}
-		start = i
-	}
-	return out
-}
-
-// mergeFast is the common-case merge: every delta key already exists in the
-// cached view and no tuple count reaches zero, so the row set is unchanged.
-// The result shares the cached view's key columns, range index and full-key
-// index; only the aggregate values are copied and patched — skipping the
-// re-hash, re-sort and re-index of the general path. Finalized internal
-// views are probed through their consumer-key range index plus a binary
-// search over the extras (no per-row hash map to build); unsorted
-// application outputs fall back to the lazily built full-key index. Returns
-// nil when the preconditions fail.
-func mergeFast(old, delta *ViewData, countCol int) *ViewData {
-	if old.rows == 0 || delta.rows > old.rows {
-		return nil
-	}
-	rows := make([]int32, delta.rows)
-	if old.index != nil {
-		if !locateSorted(old, delta, rows) {
-			return nil // new group-by key: general path inserts it
-		}
-	} else if !locateHashed(old, delta, rows) {
-		return nil
-	}
-	for i, r := range rows {
-		if old.Val(int(r), countCol)+delta.Val(i, countCol) == 0 {
-			return nil // key vanishes: general path drops it
-		}
-	}
-	out := &ViewData{
-		GroupBy:  old.GroupBy,
-		Keys:     old.Keys,
-		Vals:     append([]float64(nil), old.Vals...),
-		Stride:   old.Stride,
-		rows:     old.rows,
-		skeyPos:  old.skeyPos,
-		extraPos: old.extraPos,
-		index:    old.index,
-	}
-	// The row set is unchanged, so the cached full-key index (an immutable
-	// map once built) carries over to the successor view.
-	out.fullIdx.Store(old.fullIdx.Load())
-	for i, r := range rows {
-		dst := out.Vals[int(r)*out.Stride : (int(r)+1)*out.Stride]
-		src := delta.Vals[i*delta.Stride : (i+1)*delta.Stride]
-		for c := range dst {
-			dst[c] += src[c]
-		}
-	}
-	return out
-}
-
-// locateSorted resolves each delta row to its row in a finalized view via
-// the consumer-key range index and a binary search over the extras (the
-// rows of a range are sorted by them). The delta is finalized identically,
-// so key positions line up. Returns false if any delta key is absent.
-func locateSorted(old, delta *ViewData, rows []int32) bool {
-	buf := make([]byte, 0, 8*len(old.skeyPos))
-	for i := 0; i < delta.rows; i++ {
-		buf = buf[:0]
-		for _, c := range old.skeyPos {
-			buf = data.AppendKey(buf, delta.Keys[c][i])
-		}
-		rng, ok := old.index[string(buf)]
-		if !ok {
-			return false
-		}
-		lo, hi := int(rng[0]), int(rng[1])
-		k := sort.Search(hi-lo, func(m int) bool {
-			r := lo + m
-			for _, c := range old.extraPos {
-				if old.Keys[c][r] != delta.Keys[c][i] {
-					return old.Keys[c][r] > delta.Keys[c][i]
-				}
-			}
-			return true
-		})
-		r := lo + k
-		if r == hi {
-			return false
-		}
-		for _, c := range old.extraPos {
-			if old.Keys[c][r] != delta.Keys[c][i] {
-				return false
-			}
-		}
-		rows[i] = int32(r)
-	}
-	return true
-}
-
-// locateHashed resolves delta rows through the full-key hash index (built
-// lazily, cached on the view) — the path for unsorted application outputs.
-func locateHashed(old, delta *ViewData, rows []int32) bool {
-	idx := old.fullKeyIndex()
-	buf := make([]byte, 0, 8*len(delta.GroupBy))
-	for i := 0; i < delta.rows; i++ {
-		buf = buf[:0]
-		for c := range delta.GroupBy {
-			buf = data.AppendKey(buf, delta.Keys[c][i])
-		}
-		r, ok := idx[string(buf)]
-		if !ok {
-			return false
-		}
-		rows[i] = r
-	}
-	return true
-}
-
-// dropZeroCountRows filters rows whose tuple count is exactly zero.
-//
-// lmfao:pre-publish — writes build the fresh out view; v is only read.
-func dropZeroCountRows(v *ViewData, countCol int) *ViewData {
-	keep := make([]int, 0, v.rows)
-	for i := 0; i < v.rows; i++ {
-		if v.Val(i, countCol) != 0 {
-			keep = append(keep, i)
-		}
-	}
-	if len(keep) == v.rows {
-		return v
-	}
-	out := &ViewData{
-		GroupBy: v.GroupBy,
-		Keys:    make([][]int64, len(v.GroupBy)),
-		Vals:    make([]float64, 0, len(keep)*v.Stride),
-		Stride:  v.Stride,
-		rows:    len(keep),
-	}
-	for c := range out.Keys {
-		col := make([]int64, len(keep))
-		for j, i := range keep {
-			col[j] = v.Keys[c][i]
-		}
-		out.Keys[c] = col
-	}
-	for _, i := range keep {
-		out.Vals = append(out.Vals, v.Vals[i*v.Stride:(i+1)*v.Stride]...)
-	}
 	return out
 }

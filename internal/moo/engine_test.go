@@ -453,11 +453,11 @@ func TestViewDataAccessors(t *testing.T) {
 	if got := vd.SKeyAttrs(); len(got) != 1 || got[0] != 3 {
 		t.Fatalf("skey = %v", got)
 	}
-	lo, hi, ok := vd.bind(data.PackKey(1))
+	lo, hi, ok := vd.bind([]int64{1})
 	if !ok || hi-lo != 2 {
 		t.Fatalf("bind = %d..%d ok=%v", lo, hi, ok)
 	}
-	if _, _, ok := vd.bind(data.PackKey(9)); ok {
+	if _, _, ok := vd.bind([]int64{9}); ok {
 		t.Fatal("bind found absent key")
 	}
 	if i := vd.Lookup(1, 2); i < 0 || vd.Val(i, 0) != 5 || vd.Val(i, 1) != 7 {

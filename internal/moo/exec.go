@@ -25,6 +25,7 @@ type execCtx struct {
 	globalOK   []bool
 	binds      [][2]int32 // per input: current entry range
 	bindOK     []bool
+	bindKey    []int64 // consumer-key values of the bind in progress
 
 	// R[d][sid] are the running sums (paper's r_d); R[L] aliases the leaf
 	// slot values. P is the parallel join-presence flag: a group-by key
@@ -34,7 +35,6 @@ type execCtx struct {
 	P [][]bool
 
 	builders   []*viewBuilder
-	keybuf     []byte
 	keyvals    []int64
 	carriedRow []int32 // current entry row per carried input during emission
 }
@@ -80,7 +80,7 @@ func newExecCtx(gp *groupPlan, produced []*ViewData, scalarInit bool) (*execCtx,
 		}
 	}
 	c.keyvals = make([]int64, maxKey)
-	c.keybuf = make([]byte, 0, 8*(gp.L+maxKey))
+	c.bindKey = make([]int64, gp.L)
 	c.carriedRow = make([]int32, len(gp.inputs))
 	c.builders = make([]*viewBuilder, len(gp.views))
 	for i, v := range gp.views {
@@ -189,14 +189,15 @@ func (c *execCtx) scan(d, lo, hi int) {
 }
 
 // bindInput resolves the entry range of input ii for the currently bound
-// consumer-key values.
+// consumer-key values: a binary search over the input view's sorted
+// consumer-key columns.
 func (c *execCtx) bindInput(ii int) {
 	in := &c.gp.inputs[ii]
-	c.keybuf = c.keybuf[:0]
-	for _, d := range in.keyDepths {
-		c.keybuf = data.AppendKey(c.keybuf, c.curVals[d])
+	key := c.bindKey[:len(in.keyDepths)]
+	for j, d := range in.keyDepths {
+		key[j] = c.curVals[d]
 	}
-	lo, hi, ok := c.inViews[ii].bind(string(c.keybuf))
+	lo, hi, ok := c.inViews[ii].bind(key)
 	c.binds[ii] = [2]int32{lo, hi}
 	c.bindOK[ii] = ok
 }

@@ -1,0 +1,260 @@
+package moo
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/data"
+)
+
+// keyPool mixes a small colliding domain with signed extremes and values
+// that differ only in their high bits, so tuples repeat, share prefixes and
+// stress the hash's high-bit indexing.
+var keyPool = []int64{0, 1, -1, 2, 3, -7, 1 << 32, 1<<32 + 1, -1 << 40, 1 << 62,
+	math.MinInt64, math.MinInt64 + 1, math.MaxInt64, math.MaxInt64 - 1}
+
+func randKey(rng *rand.Rand, arity int) []int64 {
+	k := make([]int64, arity)
+	for c := range k {
+		k[c] = keyPool[rng.Intn(len(keyPool))]
+	}
+	return k
+}
+
+// TestViewBuilderBindLookupProperty checks the hash-table builder, bind and
+// Lookup against a map[string] reference on random key
+// tuples of arity 0–4: identical row ids in first-seen order, bit-identical
+// sums, strictly sorted finalized rows, and bind ranges equal to the
+// reference's contiguous consumer-key runs.
+func TestViewBuilderBindLookupProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(2019))
+	for trial := 0; trial < 300; trial++ {
+		arity := trial % 5
+		groupBy := make([]data.AttrID, arity)
+		for c := range groupBy {
+			groupBy[c] = data.AttrID(10 + c)
+		}
+		const stride = 2
+		b := newViewBuilder(groupBy, stride, false)
+		ref := map[string]int32{}
+		var refKeys [][]int64
+		var refVals []float64
+		for op := 0; op < 1+rng.Intn(400); op++ {
+			key := randKey(rng, arity)
+			if len(refKeys) > 0 && rng.Intn(3) == 0 {
+				key = append([]int64(nil), refKeys[rng.Intn(len(refKeys))]...) // revisit
+			}
+			pk := data.PackKey(key...)
+			want, ok := ref[pk]
+			if !ok {
+				want = int32(len(refKeys))
+				ref[pk] = want
+				refKeys = append(refKeys, key)
+				refVals = append(refVals, make([]float64, stride)...)
+			}
+			if got := b.row(key); got != want {
+				t.Fatalf("trial %d op %d: row(%v) = %d, want %d", trial, op, key, got, want)
+			}
+			col, val := rng.Intn(stride), rng.NormFloat64()
+			b.add(want, col, val)
+			refVals[int(want)*stride+col] += val
+		}
+
+		// Finalize against a random consumer (nil: an application output).
+		var target []data.AttrID
+		if rng.Intn(3) > 0 {
+			target = []data.AttrID{999}
+			for _, a := range groupBy {
+				if rng.Intn(2) == 0 {
+					target = append(target, a)
+				}
+			}
+		}
+		v := b.finalize(target)
+		if v.NumRows() != len(refKeys) {
+			t.Fatalf("trial %d: %d rows, want %d", trial, v.NumRows(), len(refKeys))
+		}
+		for i := 1; i < v.rows; i++ {
+			if cmpRows(v, i-1, v, i) >= 0 {
+				t.Fatalf("trial %d: rows %d,%d not strictly increasing", trial, i-1, i)
+			}
+		}
+		for r, key := range refKeys {
+			i := v.Lookup(key...)
+			if i < 0 {
+				t.Fatalf("trial %d: Lookup(%v) missed", trial, key)
+			}
+			for c := 0; c < stride; c++ {
+				if math.Float64bits(v.Val(i, c)) != math.Float64bits(refVals[r*stride+c]) {
+					t.Fatalf("trial %d: key %v col %d = %v, want %v", trial, key, c, v.Val(i, c), refVals[r*stride+c])
+				}
+			}
+		}
+		for probe := 0; probe < 20; probe++ {
+			key := randKey(rng, arity)
+			if _, ok := ref[data.PackKey(key...)]; !ok && v.Lookup(key...) >= 0 {
+				t.Fatalf("trial %d: Lookup(%v) hit an absent key", trial, key)
+			}
+		}
+
+		// Bind: reference ranges are the runs of equal consumer key in the
+		// sorted rows, found by a linear scan.
+		skey := func(r int) []int64 {
+			k := make([]int64, v.nskey)
+			for j := range k {
+				k[j] = v.Keys[v.order[j]][r]
+			}
+			return k
+		}
+		refRange := func(key []int64) (int32, int32) {
+			lo, hi := -1, -1
+			for r := 0; r < v.rows; r++ {
+				if data.PackKey(skey(r)...) == data.PackKey(key...) {
+					if lo < 0 {
+						lo = r
+					}
+					hi = r + 1
+				}
+			}
+			if lo < 0 {
+				return 0, 0
+			}
+			return int32(lo), int32(hi)
+		}
+		var probes [][]int64
+		for r := 0; r < v.rows; r++ {
+			probes = append(probes, skey(r)) // ascending, with repeats
+		}
+		for p := 0; p < 30; p++ {
+			probes = append(probes, randKey(rng, v.nskey)) // any order, mostly absent
+		}
+		for _, key := range probes {
+			lo, hi, ok := v.bind(key)
+			wlo, whi := refRange(key)
+			if ok != (whi > wlo) || (ok && (lo != wlo || hi != whi)) {
+				t.Fatalf("trial %d: bind(%v) = [%d,%d) %v, want [%d,%d)", trial, key, lo, hi, ok, wlo, whi)
+			}
+		}
+	}
+}
+
+// benchView builds a two-key view of n rows emitted in a scattered order and
+// finalizes it against a consumer keyed on its first attribute.
+func benchView(n int) *ViewData {
+	b := newViewBuilder([]data.AttrID{1, 2}, 4, false)
+	for i := 0; i < n; i++ {
+		j := int64(i * 7919 % n)
+		r := b.row([]int64{j / 4, j % 4})
+		b.add(r, 0, 1)
+	}
+	return b.finalize([]data.AttrID{1})
+}
+
+// TestViewHotPathsAllocateNothing: a builder row hit, a bind and a Lookup
+// read and compare int64 columns in place — no packed keys, no allocation.
+func TestViewHotPathsAllocateNothing(t *testing.T) {
+	b := newViewBuilder([]data.AttrID{1, 2}, 1, false)
+	for i := int64(0); i < 100; i++ {
+		b.row([]int64{i, -i})
+	}
+	hit := []int64{42, -42}
+	b.row([]int64{0, 0}) // the probe below misses the last-row check
+	if n := testing.AllocsPerRun(100, func() { b.row(hit) }); n != 0 {
+		t.Fatalf("row hit allocates %v times", n)
+	}
+	v := benchView(1000)
+	key, full := []int64{100}, []int64{100, 2}
+	if n := testing.AllocsPerRun(100, func() { v.bind(key) }); n != 0 {
+		t.Fatalf("bind allocates %v times", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { v.Lookup(full...) }); n != 0 {
+		t.Fatalf("Lookup allocates %v times", n)
+	}
+}
+
+func BenchmarkViewBuild(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchView(1 << 16)
+	}
+}
+
+func BenchmarkViewBind(b *testing.B) {
+	v := benchView(1 << 16)
+	key := []int64{0}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := int64(0); k < 1<<14; k++ {
+			key[0] = k
+			v.bind(key)
+		}
+	}
+}
+
+func BenchmarkViewLookup(b *testing.B) {
+	v := benchView(1 << 16)
+	key := []int64{0, 0}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := int64(0); k < 1<<14; k++ {
+			key[0], key[1] = k, k%4
+			v.Lookup(key...)
+		}
+	}
+}
+
+// longestRun returns the longest run of occupied slots in b's table: the
+// most a probe can walk.
+func longestRun(b *viewBuilder) int {
+	best, run := 0, 0
+	for _, s := range b.slots {
+		if s == 0 {
+			run = 0
+			continue
+		}
+		run++
+		best = max(best, run)
+	}
+	return best
+}
+
+// TestViewBuilderResistsCollidingKeys: the hash is invertible, so keys can be
+// chosen to share one slot under a known seed — here the first builder's.
+// Built by that builder they form one probe run as long as the key set; a
+// second builder draws its own seed and spreads them out.
+func TestViewBuilderResistsCollidingKeys(t *testing.T) {
+	inv := uint64(hashMul) // inverse of hashMul mod 2^64, by Newton's iteration
+	for i := 0; i < 6; i++ {
+		inv *= 2 - hashMul*inv
+	}
+	first := newViewBuilder([]data.AttrID{1}, 1, false)
+	const n = 3000
+	keys := make([]int64, n)
+	for j := range keys {
+		keys[j] = int64(first.seed ^ uint64(j)*inv) // hashes to j: top bits all zero
+	}
+	second := newViewBuilder([]data.AttrID{1}, 1, false)
+	if second.seed == first.seed {
+		t.Fatal("two builders drew the same seed")
+	}
+	for _, b := range []*viewBuilder{first, second} {
+		for _, k := range keys {
+			b.add(b.row([]int64{k}), 0, float64(k))
+		}
+	}
+	if got := longestRun(first); got != n {
+		t.Fatalf("keys chosen for the first seed: longest probe run %d, want %d", got, n)
+	}
+	if got := longestRun(second); got > 100 {
+		t.Fatalf("another seed: longest probe run %d of %d keys", got, n)
+	}
+	v := second.finalize(nil)
+	for _, k := range keys {
+		if r := v.Lookup(k); r < 0 || v.Val(r, 0) != float64(k) {
+			t.Fatalf("Lookup(%d) = %d", k, r)
+		}
+	}
+}

@@ -10,12 +10,16 @@ import (
 
 // Binary codec for ViewData, used by the WAL checkpoint format
 // (internal/wal). The encoding captures everything a recovered session
-// needs to resume maintenance bit-exactly: group-by schema, the consumer
-// layout established by finalize (skey/extra positions), and the sorted
-// keys and aggregates verbatim (float64 bits, so no value is perturbed).
-// The consumer-key range index is rebuilt on decode rather than stored; the
-// lazy full-key index starts empty and is rebuilt on demand, exactly as
-// after a fresh evaluation.
+// needs to resume maintenance bit-exactly: group-by schema, the sort layout
+// established by finalize (consumer-key and extra positions), and the
+// sorted keys and aggregates verbatim (float64 bits, so no value is
+// perturbed). Every read of a view is a binary search or a merge over its
+// sort order, so decode verifies the order instead of trusting it.
+//
+// The layout byte is 1. Encodings from before views were all sorted carry 0
+// for an application output, with no position lists and the rows in
+// insertion order; decode sorts those by the whole group-by, so checkpoints
+// written then still recover.
 
 // ErrViewCorrupt is returned by DecodeViewData for structurally invalid
 // encodings.
@@ -32,16 +36,11 @@ func (v *ViewData) AppendBinary(buf []byte) []byte {
 	for _, a := range v.GroupBy {
 		buf = binary.AppendUvarint(buf, uint64(uint32(a)))
 	}
-	if v.index == nil {
-		buf = append(buf, 0)
-	} else {
-		buf = append(buf, 1)
-		buf = binary.AppendUvarint(buf, uint64(len(v.skeyPos)))
-		for _, p := range v.skeyPos {
-			buf = binary.AppendUvarint(buf, uint64(p))
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(v.extraPos)))
-		for _, p := range v.extraPos {
+	// Sort layout: format byte 1, consumer-key positions, extra positions.
+	buf = append(buf, 1)
+	for _, pos := range [][]int{v.order[:v.nskey], v.order[v.nskey:]} {
+		buf = binary.AppendUvarint(buf, uint64(len(pos)))
+		for _, p := range pos {
 			buf = binary.AppendUvarint(buf, uint64(p))
 		}
 	}
@@ -59,9 +58,11 @@ func (v *ViewData) AppendBinary(buf []byte) []byte {
 }
 
 // DecodeViewData decodes one AppendBinary encoding from the front of b,
-// returning the view and the number of bytes consumed. Finalized views get
-// their consumer-key range index rebuilt; the lazy full-key index is left
-// unbuilt (EnsureIndex re-creates it before snapshot publication).
+// returning the view and the number of bytes consumed. A view whose layout
+// is not a permutation of its group-by positions, or whose rows are not
+// strictly increasing in its sort order (after sorting, for layout 0), is
+// rejected with ErrViewCorrupt: binary-search reads would silently miss rows
+// of it.
 //
 // lmfao:pre-publish — recovery-side construction of a view no reader holds
 // yet.
@@ -75,10 +76,20 @@ func DecodeViewData(b []byte) (*ViewData, int, error) {
 	for i := range v.GroupBy {
 		v.GroupBy[i] = data.AttrID(int32(d.uvarint()))
 	}
-	finalized := d.byte() == 1
-	if finalized {
-		v.skeyPos = d.posList(int(ncols))
-		v.extraPos = d.posList(int(ncols))
+	layout := d.byte()
+	switch layout {
+	case 0:
+		v.order = make([]int, ncols)
+		for p := range v.order {
+			v.order[p] = p
+		}
+		v.nskey = int(ncols)
+	case 1:
+		v.order = d.posList(int(ncols))
+		v.nskey = len(v.order)
+		v.order = append(v.order, d.posList(int(ncols))...)
+	default:
+		d.err = ErrViewCorrupt
 	}
 	rows := d.uvarint()
 	stride := d.uvarint()
@@ -106,34 +117,25 @@ func DecodeViewData(b []byte) (*ViewData, int, error) {
 	if d.err != nil {
 		return nil, 0, ErrViewCorrupt
 	}
-	if finalized {
-		if len(v.skeyPos)+len(v.extraPos) != int(ncols) {
+	seen := make([]bool, ncols)
+	for _, p := range v.order {
+		if seen[p] {
 			return nil, 0, ErrViewCorrupt
 		}
-		v.buildRangeIndex()
+		seen[p] = true
+	}
+	if len(v.order) != int(ncols) {
+		return nil, 0, ErrViewCorrupt
+	}
+	if layout == 0 {
+		v.sortRows()
+	}
+	for i := 1; i < v.rows; i++ {
+		if cmpRows(v, i-1, v, i) >= 0 {
+			return nil, 0, ErrViewCorrupt
+		}
 	}
 	return v, len(b) - len(d.b), nil
-}
-
-// buildRangeIndex (re)builds the consumer-key → entry-range index from the
-// already-sorted rows, mirroring the index construction in finalize.
-//
-// lmfao:pre-publish — called only on views under construction (decode).
-func (v *ViewData) buildRangeIndex() {
-	v.index = make(map[string][2]int32, v.rows)
-	buf := make([]byte, 0, 8*len(v.skeyPos))
-	start := 0
-	for i := 1; i <= v.rows; i++ {
-		if i < v.rows && sameSKey(v, i-1, i) {
-			continue
-		}
-		buf = buf[:0]
-		for _, c := range v.skeyPos {
-			buf = data.AppendKey(buf, v.Keys[c][start])
-		}
-		v.index[string(buf)] = [2]int32{int32(start), int32(i)}
-		start = i
-	}
 }
 
 // viewDecoder is a cursor over an encoded view; the first malformed read

@@ -1,6 +1,9 @@
 package moo
 
 import (
+	"encoding/binary"
+	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -9,8 +12,8 @@ import (
 )
 
 // codecViews runs a grouped batch and returns every materialized view: the
-// mix includes finalized internal views (range index, carried extras) and
-// non-finalized application outputs.
+// mix includes internal views (consumer key plus carried extras) and
+// application outputs (keyed by their whole group-by).
 func codecViews(t *testing.T) []*ViewData {
 	t.Helper()
 	db, keys, nums := chainDB(t, 60, 11, 4)
@@ -62,8 +65,8 @@ func sameView(t *testing.T, label string, got, want *ViewData) {
 			t.Fatalf("%s: GroupBy %v, want %v", label, got.GroupBy, want.GroupBy)
 		}
 	}
-	if !posEqual(got.skeyPos, want.skeyPos) || !posEqual(got.extraPos, want.extraPos) {
-		t.Fatalf("%s: positions (%v,%v), want (%v,%v)", label, got.skeyPos, got.extraPos, want.skeyPos, want.extraPos)
+	if !posEqual(got.order, want.order) || got.nskey != want.nskey {
+		t.Fatalf("%s: layout (%v,%d), want (%v,%d)", label, got.order, got.nskey, want.order, want.nskey)
 	}
 	if len(got.Keys) != len(want.Keys) {
 		t.Fatalf("%s: %d key columns, want %d", label, len(got.Keys), len(want.Keys))
@@ -78,12 +81,6 @@ func sameView(t *testing.T, label string, got, want *ViewData) {
 			t.Fatalf("%s: value %d differs: %g vs %g", label, i, got.Vals[i], want.Vals[i])
 		}
 	}
-	if (got.index == nil) != (want.index == nil) {
-		t.Fatalf("%s: index presence %v, want %v", label, got.index != nil, want.index != nil)
-	}
-	if want.index != nil && !reflect.DeepEqual(got.index, want.index) {
-		t.Fatalf("%s: rebuilt range index differs: %v vs %v", label, got.index, want.index)
-	}
 }
 
 func TestViewCodecRoundTrip(t *testing.T) {
@@ -97,10 +94,10 @@ func TestViewCodecRoundTrip(t *testing.T) {
 			t.Fatalf("view %d: consumed %d of %d bytes", i, n, len(buf))
 		}
 		sameView(t, viewLabel(i), got, v)
-		// Lookup must work on the decoded copy (exercises the lazily built
-		// full-key index on top of the rebuilt range index).
+		// Lookup must work on the decoded copy (a binary search in its
+		// decoded sort order).
 		for r := 0; r < v.NumRows(); r++ {
-			if got.Lookup(v.Key(r)...) < 0 {
+			if got.Lookup(v.Key(r)...) != r {
 				t.Fatalf("view %d (%s): decoded copy cannot find row %d", i, viewLabel(i), r)
 			}
 		}
@@ -147,5 +144,95 @@ func TestViewCodecRejectsCorrupt(t *testing.T) {
 	}
 	if _, _, err := DecodeViewData(huge); err == nil {
 		t.Fatal("decoded frame with corrupted header")
+	}
+}
+
+// rawView builds a view from explicit columns and sort layout, unchecked,
+// so a test can hand the codec any row order.
+//
+// lmfao:pre-publish
+func rawView(order []int, nskey int, keys ...[]int64) *ViewData {
+	v := &ViewData{Keys: keys, Stride: 1, order: order, nskey: nskey}
+	for c := range keys {
+		v.GroupBy = append(v.GroupBy, data.AttrID(c+1))
+	}
+	v.rows = len(keys[0])
+	v.Vals = make([]float64, v.rows)
+	return v
+}
+
+// TestViewCodecRejectsUnsorted: binary-search reads over a view whose rows
+// are out of order, or repeat a key, would silently miss rows, so decode
+// refuses both — and a layout that is not a permutation of the group-by.
+func TestViewCodecRejectsUnsorted(t *testing.T) {
+	// Consumer key is group-by position 1, the carried extra position 0:
+	// rows sort by column 1, then column 0.
+	sorted := rawView([]int{1, 0}, 1, []int64{5, 7, 3}, []int64{1, 1, 2})
+	got, _, err := DecodeViewData(sorted.AppendBinary(nil))
+	if err != nil {
+		t.Fatalf("sorted view rejected: %v", err)
+	}
+	if r := got.Lookup(7, 1); r != 1 {
+		t.Fatalf("Lookup(7, 1) = %d, want 1", r)
+	}
+	for name, v := range map[string]*ViewData{
+		"extras out of order":       rawView([]int{1, 0}, 1, []int64{7, 5, 3}, []int64{1, 1, 2}),
+		"consumer key out of order": rawView([]int{1, 0}, 1, []int64{3, 5, 7}, []int64{2, 1, 1}),
+		"duplicate key":             rawView([]int{1, 0}, 1, []int64{5, 5, 3}, []int64{1, 1, 2}),
+		"sorted by the wrong order": rawView([]int{0, 1}, 2, []int64{5, 7, 3}, []int64{1, 1, 2}),
+		"repeated layout position":  rawView([]int{1, 1}, 1, []int64{5, 7, 3}, []int64{1, 1, 2}),
+	} {
+		if _, _, err := DecodeViewData(v.AppendBinary(nil)); !errors.Is(err, ErrViewCorrupt) {
+			t.Errorf("%s: decode err = %v, want ErrViewCorrupt", name, err)
+		}
+	}
+}
+
+// legacyOutput encodes an application output the way checkpoints did before
+// every view was sorted: layout byte 0, no position lists, rows in the
+// order given.
+func legacyOutput(keys [][]int64, vals []float64) []byte {
+	buf := binary.AppendUvarint(nil, uint64(len(keys)))
+	for c := range keys {
+		buf = binary.AppendUvarint(buf, uint64(c+1))
+	}
+	buf = append(buf, 0)
+	buf = binary.AppendUvarint(buf, uint64(len(vals)))
+	buf = binary.AppendUvarint(buf, 1)
+	for _, col := range keys {
+		for _, k := range col {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(k))
+		}
+	}
+	for _, x := range vals {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
+	}
+	return buf
+}
+
+// TestViewCodecSortsLegacyOutputs: an unsorted application output from an
+// older checkpoint decodes sorted by its whole group-by, each row keeping
+// its values; a repeated key or an unknown layout byte is still corrupt.
+func TestViewCodecSortsLegacyOutputs(t *testing.T) {
+	buf := legacyOutput([][]int64{{3, 1, 2, 1}, {0, 9, 5, -4}}, []float64{30, 19, 25, 14})
+	v, n, err := DecodeViewData(buf)
+	if err != nil || n != len(buf) {
+		t.Fatalf("decode: n=%d err=%v", n, err)
+	}
+	want := rawView([]int{0, 1}, 2, []int64{1, 1, 2, 3}, []int64{-4, 9, 5, 0})
+	copy(want.Vals, []float64{14, 19, 25, 30})
+	sameView(t, "legacy", v, want)
+	if r := v.Lookup(2, 5); r != 2 {
+		t.Fatalf("Lookup(2, 5) = %d, want 2", r)
+	}
+
+	dup := legacyOutput([][]int64{{1, 2, 1}}, []float64{1, 2, 3})
+	if _, _, err := DecodeViewData(dup); !errors.Is(err, ErrViewCorrupt) {
+		t.Fatalf("duplicate key: decode err = %v, want ErrViewCorrupt", err)
+	}
+	bad := append([]byte(nil), buf...)
+	bad[3] = 2 // layout byte: after ncols and two attribute ids
+	if _, _, err := DecodeViewData(bad); !errors.Is(err, ErrViewCorrupt) {
+		t.Fatalf("layout byte 2: decode err = %v, want ErrViewCorrupt", err)
 	}
 }

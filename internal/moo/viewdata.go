@@ -6,22 +6,26 @@ package moo
 
 import (
 	"fmt"
-	"sync/atomic"
+	"math/rand/v2"
+	"slices"
 
 	"repro/internal/data"
 )
 
 // ViewData is a materialized view: group-by key columns plus row-major
-// aggregate values. After finalization against its target node's schema it
-// carries an index from the "consumer key" (group-by attributes shared with
-// the target) to the contiguous range of entries for that key; the remaining
-// group-by attributes are the view's extras, carried into consumer outputs.
+// aggregate values. A finalized view is sorted: its rows are strictly
+// increasing in the key columns taken in its sort order. For a view feeding
+// a join-tree node that order is the consumer key (group-by attributes
+// shared with the target) followed by the extras (the remaining group-by
+// attributes, carried into consumer outputs); an application output is
+// keyed and sorted by its whole group-by in GroupBy order. Binding a
+// consumer key, Lookup and the maintenance merge are binary searches or
+// linear merges over that order; no view carries a hash index.
 //
 // Published views are frozen: snapshot readers walk them with no locking,
 // so every in-place mutation happens in builder/maintenance code that runs
 // before the view is reachable from a snapshot (annotated
-// lmfao:pre-publish); the sole post-publication write is the fullIdx
-// atomic, which publishes a whole immutable map.
+// lmfao:pre-publish), and nothing is written after publication.
 //
 // lmfao:immutable-after-publish
 type ViewData struct {
@@ -34,47 +38,11 @@ type ViewData struct {
 
 	rows int
 
-	// Consumer-side layout (set by finalize):
-	skeyPos  []int // positions in GroupBy of the consumer-key attributes
-	extraPos []int // positions in GroupBy of the carried attributes
-	index    map[string][2]int32
-
-	// fullIdx lazily maps packed full group-by keys to row indices; built by
-	// the maintenance fast path (and by EnsureIndex before snapshot
-	// publication) and shared across merges while the key columns are
-	// shared. The pointer is atomic because the single writer may build the
-	// index on a view concurrent readers already hold through a published
-	// snapshot: a reader's Lookup observes either nil (and scans linearly)
-	// or a fully built, immutable map. Only the writer ever builds.
-	fullIdx atomic.Pointer[map[string]int32]
+	// Sort layout (set by finalize): order lists GroupBy positions in sort
+	// order, the first nskey of them the consumer key.
+	order []int
+	nskey int
 }
-
-// fullKeyIndex returns (building on first use) the packed-full-key → row map.
-// Building is writer-side only; a duplicate build is wasted work, never a
-// torn read, because the map is published whole via the atomic pointer and
-// never mutated afterwards.
-func (v *ViewData) fullKeyIndex() map[string]int32 {
-	if p := v.fullIdx.Load(); p != nil {
-		return *p
-	}
-	idx := make(map[string]int32, v.rows)
-	buf := make([]byte, 0, 8*len(v.GroupBy))
-	for i := 0; i < v.rows; i++ {
-		buf = buf[:0]
-		for c := range v.GroupBy {
-			buf = data.AppendKey(buf, v.Keys[c][i])
-		}
-		idx[string(buf)] = int32(i)
-	}
-	v.fullIdx.Store(&idx)
-	return idx
-}
-
-// EnsureIndex pre-builds the full-key lookup index so subsequent Lookup
-// calls are O(1) map probes. Sessions call it on every output view before
-// publishing a snapshot: concurrent snapshot readers then share the
-// immutable index and never build (or mutate) anything on the read path.
-func (v *ViewData) EnsureIndex() { v.fullKeyIndex() }
 
 // NumRows returns the number of result tuples.
 func (v *ViewData) NumRows() int { return v.rows }
@@ -95,9 +63,14 @@ func (v *ViewData) Key(i int) []int64 {
 func (v *ViewData) KeyAt(i, c int) int64 { return v.Keys[c][i] }
 
 // Extras returns the carried group-by attributes (set after finalize).
-func (v *ViewData) Extras() []data.AttrID {
-	out := make([]data.AttrID, len(v.extraPos))
-	for i, p := range v.extraPos {
+func (v *ViewData) Extras() []data.AttrID { return v.attrsAt(v.order[v.nskey:]) }
+
+// SKeyAttrs returns the consumer-key attributes in sort order.
+func (v *ViewData) SKeyAttrs() []data.AttrID { return v.attrsAt(v.order[:v.nskey]) }
+
+func (v *ViewData) attrsAt(pos []int) []data.AttrID {
+	out := make([]data.AttrID, len(pos))
+	for i, p := range pos {
 		out[i] = v.GroupBy[p]
 	}
 	return out
@@ -108,47 +81,116 @@ func (v *ViewData) SizeBytes() int64 {
 	return int64(v.rows)*int64(len(v.GroupBy))*8 + int64(len(v.Vals))*8
 }
 
-// Lookup returns the row index for an exact full group-by key, or -1. It
-// probes the full-key index when one has been built (EnsureIndex, or the
-// maintenance fast path) and falls back to a linear scan otherwise — never
-// building on the lookup path, so it is safe for concurrent readers of a
-// published snapshot.
+// Lookup returns the row index for an exact full group-by key (GroupBy
+// order), or -1: a binary search in the view's sort order. It reads only
+// frozen columns, so concurrent readers of a published snapshot share it.
 func (v *ViewData) Lookup(key ...int64) int {
 	if len(key) != len(v.GroupBy) {
 		return -1
 	}
-	if p := v.fullIdx.Load(); p != nil {
-		buf := data.AppendKey(make([]byte, 0, 8*len(key)), key...)
-		if r, ok := (*p)[string(buf)]; ok {
-			return int(r)
-		}
-		return -1
+	var buf [8]int64
+	sk := buf[:0]
+	for _, p := range v.order {
+		sk = append(sk, key[p])
 	}
-	for i := 0; i < v.rows; i++ {
-		match := true
-		for c := range key {
-			if v.Keys[c][i] != key[c] {
-				match = false
-				break
-			}
-		}
-		if match {
-			return i
-		}
+	if r := v.search(0, v.rows, sk, 0); r < v.rows && v.cmpPrefix(r, sk) == 0 {
+		return r
 	}
 	return -1
 }
 
-// viewBuilder accumulates rows during group execution. Emission keys arrive
-// clustered by the scan order, so the last key/row pair is cached to skip
-// the hash lookup on runs of equal keys.
+// cmpRows compares row i of a with row j of b in a's sort order (b must
+// share a's layout).
+func cmpRows(a *ViewData, i int, b *ViewData, j int) int {
+	for _, p := range a.order {
+		if x, y := a.Keys[p][i], b.Keys[p][j]; x != y {
+			return cmpNe(x, y)
+		}
+	}
+	return 0
+}
+
+// cmpNe orders two values known to differ. It takes one branch where
+// cmp.Compare takes two, which made binds half again slower.
+func cmpNe(a, b int64) int {
+	if a < b {
+		return -1
+	}
+	return 1
+}
+
+// cmpPrefix compares row r's leading sort-order columns with key.
+func (v *ViewData) cmpPrefix(r int, key []int64) int {
+	for j, k := range key {
+		if x := v.Keys[v.order[j]][r]; x != k {
+			return cmpNe(x, k)
+		}
+	}
+	return 0
+}
+
+// search returns the first row r in [lo, hi) whose sort-order prefix
+// compares ≥ t against key (t = 0: lower bound; t = 1: end of the equal
+// run), or hi.
+func (v *ViewData) search(lo, hi int, key []int64, t int) int {
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if v.cmpPrefix(mid, key) < t {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// gallop is search over [lo, NumRows()) for a target expected near lo: it
+// probes lo, lo+1, lo+3, lo+7, … before bisecting the last bracket.
+func (v *ViewData) gallop(lo int, key []int64, t int) int {
+	hi, step := lo, 1
+	for hi < v.rows && v.cmpPrefix(hi, key) < t {
+		lo = hi + 1
+		hi = lo + step
+		step <<= 1
+	}
+	return v.search(lo, min(hi, v.rows), key, t)
+}
+
+// bind returns the entry range of the rows whose consumer key equals key
+// (consumer-key values in sort order); ok is false when there are none.
+func (v *ViewData) bind(key []int64) (lo, hi int32, ok bool) {
+	l := v.search(0, v.rows, key, 0)
+	h := v.gallop(l, key, 1)
+	return int32(l), int32(h), h > l
+}
+
+// String summarizes the view for debugging.
+func (v *ViewData) String() string {
+	return fmt.Sprintf("view[groupby=%v rows=%d cols=%d]", v.GroupBy, v.rows, v.Stride)
+}
+
+// viewBuilder accumulates rows during group execution in an open-addressing
+// table of row ids hashed from the int64 key tuple. A probe compares the key
+// in place against the builder's own key columns, so building packs no keys
+// and allocates nothing per probe. Emission keys arrive clustered by the
+// scan order, so the last row is checked before the table.
+//
+// Keys reach the builder from outside (update deltas, WAL replay), and the
+// multiplicative hash is invertible, so each builder draws its own random
+// seed: keys chosen to share one slot under a known seed would make every
+// probe walk them all. Row ids come in first-seen order whatever the seed,
+// so results do not depend on it.
 type viewBuilder struct {
-	vd      *ViewData
-	lookup  map[string]int32
-	keybuf  []byte
-	lastKey string
+	vd *ViewData
+	// slots holds row id + 1 per slot (0 = empty), linearly probed; its
+	// length is 1<<(64-shift) and kept at least twice the row count.
+	slots   []int32
+	shift   uint
+	seed    uint64
 	lastRow int32
 }
+
+const builderMinShift = 61 // 8 initial slots
 
 func newViewBuilder(groupBy []data.AttrID, stride int, scalarInit bool) *viewBuilder {
 	b := &viewBuilder{
@@ -157,10 +199,11 @@ func newViewBuilder(groupBy []data.AttrID, stride int, scalarInit bool) *viewBui
 			Keys:    make([][]int64, len(groupBy)),
 			Stride:  stride,
 		},
-		lookup: make(map[string]int32),
-		keybuf: make([]byte, 0, 8*len(groupBy)),
+		slots:   make([]int32, 1<<(64-builderMinShift)),
+		shift:   builderMinShift,
+		seed:    rand.Uint64(),
+		lastRow: -1,
 	}
-	b.lastRow = -1
 	if scalarInit && len(groupBy) == 0 {
 		// Scalar application outputs always deliver one row (zero-valued
 		// over an empty join), matching SQL aggregate semantics.
@@ -169,31 +212,75 @@ func newViewBuilder(groupBy []data.AttrID, stride int, scalarInit bool) *viewBui
 	return b
 }
 
+// hashStep folds one key value into a tuple hash. The final multiply leaves
+// the high bits depending on every value, and the table indexes by them.
+func hashStep(h uint64, k int64) uint64 { return (h ^ uint64(k)) * hashMul }
+
+const hashMul = 0x9E3779B97F4A7C15
+
+// rowEquals reports whether row r's key equals key (GroupBy order).
+func (v *ViewData) rowEquals(r int, key []int64) bool {
+	for c, k := range key {
+		if v.Keys[c][r] != k {
+			return false
+		}
+	}
+	return true
+}
+
 // row returns the row index for key, creating a zero-initialized row on
 // first sight.
 //
 // lmfao:pre-publish
 func (b *viewBuilder) row(key []int64) int32 {
-	b.keybuf = data.AppendKey(b.keybuf[:0], key...)
-	if b.lastRow >= 0 && string(b.keybuf) == b.lastKey {
+	v := b.vd
+	if b.lastRow >= 0 && v.rowEquals(int(b.lastRow), key) {
 		return b.lastRow
 	}
-	if r, ok := b.lookup[string(b.keybuf)]; ok {
-		b.lastKey, b.lastRow = string(b.keybuf), r
-		return r
+	h := b.seed
+	for _, k := range key {
+		h = hashStep(h, k)
 	}
-	r := int32(b.vd.rows)
-	k := string(b.keybuf)
-	b.lookup[k] = r
-	for c := range key {
-		b.vd.Keys[c] = append(b.vd.Keys[c], key[c])
+	mask := len(b.slots) - 1
+	i := int(h >> b.shift)
+	for ; b.slots[i] != 0; i = (i + 1) & mask {
+		if r := b.slots[i] - 1; v.rowEquals(int(r), key) {
+			b.lastRow = r
+			return r
+		}
 	}
-	for i := 0; i < b.vd.Stride; i++ {
-		b.vd.Vals = append(b.vd.Vals, 0)
+	r := int32(v.rows)
+	b.slots[i] = r + 1
+	for c, k := range key {
+		v.Keys[c] = append(v.Keys[c], k)
 	}
-	b.vd.rows++
-	b.lastKey, b.lastRow = k, r
+	v.Vals = append(v.Vals, make([]float64, v.Stride)...)
+	v.rows++
+	if 2*v.rows > len(b.slots) {
+		b.grow()
+	}
+	b.lastRow = r
 	return r
+}
+
+// grow doubles the table and re-inserts every row, hashing from the key
+// columns.
+func (b *viewBuilder) grow() {
+	b.shift--
+	b.slots = make([]int32, 1<<(64-b.shift))
+	mask := len(b.slots) - 1
+	keys := b.vd.Keys
+	for r := 0; r < b.vd.rows; r++ {
+		h := b.seed
+		for _, col := range keys {
+			h = hashStep(h, col[r])
+		}
+		i := int(h >> b.shift)
+		for b.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		b.slots[i] = int32(r) + 1
+	}
 }
 
 // add accumulates val into (row, col).
@@ -205,56 +292,62 @@ func (b *viewBuilder) add(row int32, col int, val float64) {
 
 // merge folds other into b by key, summing aggregates. Used to combine
 // per-thread partial outputs of domain-parallel scans.
-func (b *viewBuilder) merge(other *viewBuilder) {
-	key := make([]int64, len(b.vd.GroupBy))
-	for i := 0; i < other.vd.rows; i++ {
+func (b *viewBuilder) merge(other *viewBuilder) { addViewInto(b, other.vd, 1) }
+
+// addViewInto folds src's rows into b, scaling every aggregate by sign.
+func addViewInto(b *viewBuilder, src *ViewData, sign float64) {
+	if src == nil {
+		return
+	}
+	key := make([]int64, len(src.GroupBy))
+	for i := 0; i < src.rows; i++ {
 		for c := range key {
-			key[c] = other.vd.Keys[c][i]
+			key[c] = src.Keys[c][i]
 		}
 		r := b.row(key)
-		for col := 0; col < b.vd.Stride; col++ {
-			b.add(r, col, other.vd.Val(i, col))
+		for col := 0; col < src.Stride; col++ {
+			b.add(r, col, sign*src.Val(i, col))
 		}
 	}
 }
 
 // finalize sorts the rows by (consumer key, extras) relative to the target
-// node's schema and builds the consumer-key range index. Pass nil targetAttrs
-// for application outputs (no consumer).
+// node's schema; pass nil targetAttrs for application outputs (no consumer:
+// the whole group-by is the key, in GroupBy order). The hash table is
+// released: a finalized view is searched by its sort order alone.
 //
 // lmfao:pre-publish
 func (b *viewBuilder) finalize(targetAttrs []data.AttrID) *ViewData {
 	v := b.vd
-	if targetAttrs == nil {
-		return v
-	}
-	inTarget := func(a data.AttrID) bool {
-		for _, t := range targetAttrs {
-			if t == a {
-				return true
-			}
-		}
-		return false
-	}
+	b.slots = nil
+	inKey := func(a data.AttrID) bool { return targetAttrs == nil || slices.Contains(targetAttrs, a) }
+	v.order = make([]int, 0, len(v.GroupBy))
 	for p, a := range v.GroupBy {
-		if inTarget(a) {
-			v.skeyPos = append(v.skeyPos, p)
-		} else {
-			v.extraPos = append(v.extraPos, p)
+		if inKey(a) {
+			v.order = append(v.order, p)
 		}
 	}
+	v.nskey = len(v.order)
+	for p, a := range v.GroupBy {
+		if !inKey(a) {
+			v.order = append(v.order, p)
+		}
+	}
+	v.sortRows()
+	return v
+}
 
-	// Sort rows by (skey, extras).
+// sortRows permutes the rows into the view's sort order.
+//
+// lmfao:pre-publish
+func (v *ViewData) sortRows() {
 	perm := make([]int32, v.rows)
 	for i := range perm {
 		perm[i] = int32(i)
 	}
-	sortKeys := make([][]int64, 0, len(v.Keys))
-	for _, c := range v.skeyPos {
-		sortKeys = append(sortKeys, v.Keys[c])
-	}
-	for _, c := range v.extraPos {
-		sortKeys = append(sortKeys, v.Keys[c])
+	sortKeys := make([][]int64, len(v.order))
+	for i, p := range v.order {
+		sortKeys[i] = v.Keys[p]
 	}
 	data.SortIDs(perm, sortKeys)
 	newKeys := make([][]int64, len(v.Keys))
@@ -271,50 +364,4 @@ func (b *viewBuilder) finalize(targetAttrs []data.AttrID) *ViewData {
 	}
 	v.Keys = newKeys
 	v.Vals = newVals
-
-	// Build the skey → entry-range index.
-	v.index = make(map[string][2]int32, v.rows)
-	buf := make([]byte, 0, 8*len(v.skeyPos))
-	start := 0
-	for i := 1; i <= v.rows; i++ {
-		if i < v.rows && sameSKey(v, i-1, i) {
-			continue
-		}
-		buf = buf[:0]
-		for _, c := range v.skeyPos {
-			buf = data.AppendKey(buf, v.Keys[c][start])
-		}
-		v.index[string(buf)] = [2]int32{int32(start), int32(i)}
-		start = i
-	}
-	return v
-}
-
-func sameSKey(v *ViewData, i, j int) bool {
-	for _, c := range v.skeyPos {
-		if v.Keys[c][i] != v.Keys[c][j] {
-			return false
-		}
-	}
-	return true
-}
-
-// bind returns the entry range for a packed consumer key.
-func (v *ViewData) bind(packed string) (lo, hi int32, ok bool) {
-	r, ok := v.index[packed]
-	return r[0], r[1], ok
-}
-
-// SKeyAttrs returns the consumer-key attributes in index order.
-func (v *ViewData) SKeyAttrs() []data.AttrID {
-	out := make([]data.AttrID, len(v.skeyPos))
-	for i, p := range v.skeyPos {
-		out[i] = v.GroupBy[p]
-	}
-	return out
-}
-
-// String summarizes the view for debugging.
-func (v *ViewData) String() string {
-	return fmt.Sprintf("view[groupby=%v rows=%d cols=%d]", v.GroupBy, v.rows, v.Stride)
 }

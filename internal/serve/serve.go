@@ -285,7 +285,7 @@ func (s *Server) freshResult(w http.ResponseWriter, r *http.Request, sn lmfao.Qu
 
 // handleLookup serves one group's aggregate row: GET with ?query=&key=a,b,c
 // or POST with a lookupRequest body. Out-of-range indices are rejected
-// before touching the snapshot (Snapshot.Lookup indexes by queryIdx).
+// with 404 before touching the snapshot, which would only report a miss.
 func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 	var req lookupRequest
 	switch r.Method {

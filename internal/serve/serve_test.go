@@ -116,8 +116,8 @@ func TestServeBeforeFirstRun(t *testing.T) {
 }
 
 // TestServeOutOfRangeIndices pins that bad query indices are rejected with
-// 404 before they can reach Snapshot.Lookup/Result (which index by
-// position and would panic).
+// 404 before they can reach Snapshot.Lookup/Result (which would answer
+// only a miss or a nil view).
 func TestServeOutOfRangeIndices(t *testing.T) {
 	srv, _ := newTestServer(t, AdmissionOptions{})
 	for _, target := range []string{

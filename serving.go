@@ -132,9 +132,6 @@ func RunQueryable(eng *Engine, queries []*Query) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, v := range res.Results {
-		v.EnsureIndex()
-	}
 	versions := res.Versions
 	if versions == nil {
 		versions = ivm.CaptureVersions(eng.DB())

@@ -262,3 +262,58 @@ func TestRunQueryable(t *testing.T) {
 		t.Fatalf("requeried count = %g, want 5", got)
 	}
 }
+
+// TestQueryableOutOfRangeIndex: every Queryable answers a query index
+// outside its batch with a nil Result and a Lookup miss, never a panic —
+// including the sharded monoid route, which reads the plan's per-query
+// metadata.
+func TestQueryableOutOfRangeIndex(t *testing.T) {
+	batch := func(store, amount, region AttrID) []*Query {
+		maxStore := NewQuery("maxstore", []AttrID{region}, Count())
+		maxStore.MonoidAggs = []MonoidAgg{MaxOf(store)}
+		return []*Query{NewQuery("byregion", []AttrID{region}, Sum(amount)), maxStore}
+	}
+	db, store, amount, region := sessionFixture(t)
+	sess, err := NewSession(db, batch(store, amount, region), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Run(); err != nil {
+		t.Fatal(err)
+	}
+	db2, store2, amount2, region2 := sessionFixture(t)
+	sharded, err := NewShardedSession(db2, batch(store2, amount2, region2), DefaultOptions(), ShardOptions{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sharded.Close()
+	if _, err := sharded.Run(); err != nil {
+		t.Fatal(err)
+	}
+	sub, err := SubQueryable(sess.Snapshot(), 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		q    Queryable
+	}{
+		{"snapshot", sess.Snapshot()},
+		{"sharded", sharded.Snapshot()},
+		{"sub", sub},
+	} {
+		for qi := 0; qi < 2; qi++ {
+			if row, ok := tc.q.Lookup(qi, 10); !ok || len(row) == 0 {
+				t.Fatalf("%s: Lookup(%d, 10) = %v %v, want a hit", tc.name, qi, row, ok)
+			}
+		}
+		for _, qi := range []int{-1, 2, 1 << 20} {
+			if v := tc.q.Result(qi); v != nil {
+				t.Errorf("%s: Result(%d) = %v, want nil", tc.name, qi, v)
+			}
+			if row, ok := tc.q.Lookup(qi, 10); ok || row != nil {
+				t.Errorf("%s: Lookup(%d) = %v %v, want a miss", tc.name, qi, row, ok)
+			}
+		}
+	}
+}

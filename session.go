@@ -76,18 +76,28 @@ func (sn *Snapshot) Batch() *BatchResult { return sn.res }
 // NumQueries returns the number of queries in the session batch.
 func (sn *Snapshot) NumQueries() int { return len(sn.res.Results) }
 
-// Result returns query queryIdx's materialized output (batch order). The
-// view carries a trailing hidden tuple-count column after the query's
-// aggregates; it is shared across snapshots and must not be mutated.
-func (sn *Snapshot) Result(queryIdx int) *Result { return sn.res.Results[queryIdx] }
+// Result returns query queryIdx's materialized output (batch order), or nil
+// for an index outside the batch. The view carries a trailing hidden
+// tuple-count column after the query's aggregates; it is shared across
+// snapshots and must not be mutated.
+func (sn *Snapshot) Result(queryIdx int) *Result {
+	if queryIdx < 0 || queryIdx >= len(sn.res.Results) {
+		return nil
+	}
+	return sn.res.Results[queryIdx]
+}
 
 // Lookup returns the aggregate values for one group of query queryIdx (key
 // values in the output's group-by order, which sorts attributes by ID), or
-// ok=false if the group is absent. It probes the pre-built full-key index —
-// a lock-free map lookup — and trims the hidden tuple-count column, so the
-// returned row has exactly the query's aggregates in query order.
+// ok=false if the group is absent or the index is outside the batch. It is
+// a lock-free binary search over the output's sorted key columns and trims
+// the hidden tuple-count column, so the returned row has exactly the
+// query's aggregates in query order.
 func (sn *Snapshot) Lookup(queryIdx int, key ...int64) ([]float64, bool) {
-	v := sn.res.Results[queryIdx]
+	v := sn.Result(queryIdx)
+	if v == nil {
+		return nil, false
+	}
 	i := v.Lookup(key...)
 	if i < 0 {
 		return nil, false
@@ -245,15 +255,10 @@ func (s *Session) Head() *Snapshot { return s.snap.Load() }
 
 // publishLocked commits res as the next snapshot, pinned to versions (nil
 // falls back to res.Versions, then to a fresh capture). Caller holds
-// writerMu. Output lookup indexes are built here, on the write side, so
-// concurrent readers share immutable indexes and never build anything
-// themselves.
+// writerMu.
 //
 // lmfao:requires writerMu
 func (s *Session) publishLocked(res *moo.BatchResult, versions VersionVector) {
-	for _, v := range res.Results {
-		v.EnsureIndex()
-	}
 	if versions == nil {
 		versions = res.Versions
 	}

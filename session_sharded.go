@@ -674,9 +674,10 @@ func (sn *ShardedSnapshot) Versions() ShardVector {
 // Lookup merges one group's aggregates across shards: per-shard values add
 // (each shard holds a disjoint partition of the join, so the sum is the
 // unsharded aggregate) and ok is false only when the group is absent from
-// every shard (always, for a snapshot with no shard components). Like
-// Snapshot.Lookup it is lock-free, probes pre-built indexes and returns
-// exactly the query's aggregate columns.
+// every shard (always, for a snapshot with no shard components or an index
+// outside the batch). Like Snapshot.Lookup it is lock-free, binary-searches
+// each shard's sorted output and returns exactly the query's aggregate
+// columns.
 //
 // Queries with monoid aggregates are the exception: their columns do not
 // add across shards (the shard-wise MIN of MINs is fine, but DISTINCT
@@ -684,6 +685,9 @@ func (sn *ShardedSnapshot) Versions() ShardVector {
 // the cached merged view — first access per query pays the merge and takes
 // the snapshot's merge lock.
 func (sn *ShardedSnapshot) Lookup(queryIdx int, key ...int64) ([]float64, bool) {
+	if queryIdx < 0 || queryIdx >= sn.NumQueries() {
+		return nil, false
+	}
 	if len(sn.shards) > 1 && sn.shards[0].res.Plan.Monoids[queryIdx] != nil {
 		v, err := sn.MergedResult(queryIdx)
 		if err != nil {
@@ -770,7 +774,6 @@ func (sn *ShardedSnapshot) MergedResult(queryIdx int) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	v.EnsureIndex()
 	sn.merged[queryIdx] = v
 	return v, nil
 }
