@@ -21,8 +21,8 @@ import (
 // join-tree node and delta relation it serves, the dirty view subset it
 // recomputes, the delta views it substitutes for cached inputs, and the
 // semi-join restriction it may apply. Engines key their kernel caches by
-// Key() (scoped by plan identity), so equal shapes share one compiled kernel
-// and distinct shapes never collide.
+// Key() and hold the kernels of one plan at a time, so equal shapes share one
+// compiled kernel and distinct shapes never collide.
 type Shape struct {
 	// Relation is the delta's base relation (the bag relation for deltas
 	// folded into a materialized hypertree bag); Node the join-tree node the
@@ -152,6 +152,13 @@ func (c *Cache) Put(key string, v any) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.m[key] = v
+}
+
+// Clear drops every cached kernel; the hit and miss counters keep counting.
+func (c *Cache) Clear() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	clear(c.m)
 }
 
 // Stats returns the cache's hit/miss counters and current size.

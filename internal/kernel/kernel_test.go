@@ -79,4 +79,11 @@ func TestCacheCounts(t *testing.T) {
 	if st.Hits != 2 || st.Misses != 2 || st.Size != 2 {
 		t.Fatalf("Stats = %+v; want 2 hits, 2 misses, size 2", st)
 	}
+	c.Clear()
+	if _, ok := c.Get("a"); ok {
+		t.Fatal("cleared cache reported a hit")
+	}
+	if st := c.Stats(); st.Hits != 2 || st.Misses != 3 || st.Size != 0 {
+		t.Fatalf("Stats after Clear = %+v; want 2 hits, 3 misses, size 0", st)
+	}
 }

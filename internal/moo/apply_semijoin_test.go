@@ -1,12 +1,16 @@
 package moo
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/baseline"
 	"repro/internal/data"
+	"repro/internal/ivm"
 	"repro/internal/jointree"
 	"repro/internal/query"
 )
@@ -305,4 +309,86 @@ func TestApplyBagDeltaJoinsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	compareResults(t, "bya", res2.Results[0], want[0])
+}
+
+// TestProbeSetEncoding pins the probe tags and subset cache key of a probe
+// set with two semi-join signatures to their canonical bytes: each tag is
+// the signature's attribute list formatted "%v\x00" followed by the packed
+// delta key, and the key concatenates the sorted tags, each prefixed by its
+// decimal length and ':'.
+func TestProbeSetEncoding(t *testing.T) {
+	db, ids := starDB(t, 50, 11)
+	opts := DefaultOptions()
+	opts.TrackCounts = true
+	eng, err := NewEngine(db, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := eng.PlanBatch(starQueries(ids))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := ivm.Analyze(plan, eng.Tree().NodeByRelation("D1").ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st ivm.Step
+	for _, s := range sched.Steps {
+		if s.SemiJoinAttrs != nil {
+			st = s
+		}
+	}
+	if st.SemiJoinAttrs == nil {
+		t.Fatal("no restricted step to specialize")
+	}
+	// Two delta inputs with distinct signatures: the dimension views keyed
+	// by k1 and by k2.
+	deltas := make([]*ViewData, len(plan.Views))
+	st.DeltaInputs, st.SemiJoinAttrs = nil, nil
+	keys := map[data.AttrID][]int64{ids["k1"]: {5, 3}, ids["k2"]: {7, 3}}
+	for _, v := range plan.Views {
+		if len(v.GroupBy) != 1 || keys[v.GroupBy[0]] == nil || v.IsOutput() || deltas[v.ID] != nil {
+			continue
+		}
+		a := v.GroupBy[0]
+		b := newViewBuilder(v.GroupBy, len(v.Cols), false)
+		for _, k := range keys[a] {
+			b.row([]int64{k})
+		}
+		deltas[v.ID] = b.finalize(nil)
+		st.DeltaInputs = append(st.DeltaInputs, v.ID)
+		st.SemiJoinAttrs = append(st.SemiJoinAttrs, []data.AttrID{a})
+		delete(keys, a)
+	}
+	if len(st.DeltaInputs) != 2 {
+		t.Fatalf("found %d delta inputs, want 2", len(st.DeltaInputs))
+	}
+	k, err := eng.kernelFor(plan, "D1", st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probes, ckey := k.probeSet(deltas)
+
+	var want []string
+	for i, in := range st.DeltaInputs {
+		for r := 0; r < deltas[in].NumRows(); r++ {
+			want = append(want, fmt.Sprintf("%v\x00", st.SemiJoinAttrs[i])+string(data.AppendKey(nil, deltas[in].KeyAt(r, 0))))
+		}
+	}
+	sort.Strings(want)
+	wantKey := ""
+	for _, tag := range want {
+		wantKey += fmt.Sprintf("%d:", len(tag)) + tag
+	}
+	if len(probes) != len(want) {
+		t.Fatalf("%d probes, want %d", len(probes), len(want))
+	}
+	for i, p := range probes {
+		if p.tag != want[i] || !strings.HasSuffix(p.tag, p.key) {
+			t.Errorf("probe %d: tag %q key %q, want tag %q", i, p.tag, p.key, want[i])
+		}
+	}
+	if ckey != wantKey {
+		t.Errorf("subset key %q, want %q", ckey, wantKey)
+	}
 }

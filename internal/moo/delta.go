@@ -110,6 +110,7 @@ func (e *Engine) Apply(prev *BatchResult, d data.Delta) (*BatchResult, *ApplySta
 		stats.Elapsed = time.Since(start)
 		return prev, stats, nil
 	}
+	e.scopeCaches(plan)
 	sched, err := ivm.Analyze(plan, node.ID)
 	if err != nil {
 		return nil, nil, err
@@ -267,12 +268,12 @@ func (e *Engine) Apply(prev *BatchResult, d data.Delta) (*BatchResult, *ApplySta
 	return res, stats, nil
 }
 
-// compileGroupCached memoizes compiled group plans per (plan, view subset)
-// for the Apply path. The cached plan's statistics-driven attribute order
-// freezes at first compile; later deltas shift statistics but never
-// correctness (the order is a performance heuristic).
+// compileGroupCached memoizes compiled group plans per view subset of the
+// maintained plan (Engine.scopeCaches). The cached plan's statistics-driven
+// attribute order freezes at first compile; later deltas shift statistics
+// but never correctness (the order is a performance heuristic).
 func (e *Engine) compileGroupCached(plan *core.Plan, g *core.Group) (*groupPlan, error) {
-	key := fmt.Sprintf("%p|%d|%v", plan, g.ID, g.Views)
+	key := fmt.Sprintf("%d|%v", g.ID, g.Views)
 	e.mu.Lock()
 	gp, ok := e.gpCache[key]
 	e.mu.Unlock()

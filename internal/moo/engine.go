@@ -103,10 +103,26 @@ type Engine struct {
 	// relation), so sharing is only safe on the single-threaded Apply path.
 	gpCache map[string]*groupPlan
 	// kernels caches compiled maintenance kernels (Options.CompiledKernels)
-	// keyed by plan identity plus kernel.Shape — the same single-writer
-	// Apply-path contract as gpCache, since each kernel carries bound scan
-	// state and a reusable execution context.
+	// keyed by kernel.Shape — the same single-writer Apply-path contract as
+	// gpCache, since each kernel carries bound scan state and a reusable
+	// execution context.
 	kernels *kernel.Cache
+	// cachePlan is the plan gpCache and kernels hold entries for.
+	cachePlan *core.Plan
+}
+
+// scopeCaches ties the Apply-path caches to plan: the first Apply of another
+// plan drops every entry. Holding the plan keeps its address from being
+// reused by a later one, so a hit never returns an entry compiled for a
+// different (possibly collected) plan.
+func (e *Engine) scopeCaches(plan *core.Plan) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.cachePlan != plan {
+		e.cachePlan = plan
+		clear(e.gpCache)
+		e.kernels.Clear()
+	}
 }
 
 // sortKey identifies a sorted copy: the base relation and the interned id of

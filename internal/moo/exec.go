@@ -6,7 +6,13 @@ import (
 	"repro/internal/data"
 )
 
-// execCtx holds the per-thread mutable state of one multi-output scan.
+// execCtx holds the per-thread mutable state of one multi-output scan: the
+// register file the group plan's flat program runs against, running sums,
+// input binds and output builders. Running sums and emissions have two walks
+// over the same tables: check-free when every slot read is bound and the
+// running-sum level read is fully present, else checked per entry, skipping
+// absent contributions. An unbound slot is not encoded as a zero factor: a
+// skipped contribution must vanish, and 0 × -Inf (SUM(ln x), x = 0) is NaN.
 type execCtx struct {
 	gp        *groupPlan
 	inViews   []*ViewData // materialized inputs, parallel to gp.inputs
@@ -18,25 +24,31 @@ type execCtx struct {
 	// the row-id-batched restricted scan of compiled maintenance kernels.
 	ids []int32
 
-	curVals    []int64     // bound order-attribute values
-	slotVals   [][]float64 // [d][slot]
-	slotOK     [][]bool
-	globalVals []float64
-	globalOK   []bool
-	binds      [][2]int32 // per input: current entry range
-	bindOK     []bool
-	bindKey    []int64 // consumer-key values of the bind in progress
+	curVals []int64 // bound order-attribute values
+	// reg is the register file (layout: groupPlan.regBase; reg[0] = 1), ok
+	// flags its bound registers (only lookups clear one), and unb[d+1] counts
+	// the unbound lookups at depths -1..d: the hot path tests one count.
+	reg     []float64
+	ok      []bool
+	unb     []int
+	binds   [][2]int32 // per input: current entry range
+	bindOK  []bool
+	bindKey []int64 // consumer-key values of the bind in progress
 
-	// R[d][sid] are the running sums (paper's r_d); R[L] aliases the leaf
-	// slot values. P is the parallel join-presence flag: a group-by key
-	// exists in an output only if a join tuple exists for it, even when
-	// every aggregate value is zero.
-	R [][]float64
-	P [][]bool
+	// R[d] are the running sums (paper's r_d), numbered as the chain tables
+	// write them; R[L] aliases the leaf slot values. P is the parallel
+	// join-presence flag: a group-by key exists in an output only if a join
+	// tuple exists for it, even when every aggregate value is zero. full[d]
+	// records that every P[d] flag is set: flags only turn on within one scan
+	// of depth d, so one check-free iteration marks the whole level present.
+	R    [][]float64
+	P    [][]bool
+	full []bool
 
-	builders   []*viewBuilder
-	keyvals    []int64
-	carriedRow []int32 // current entry row per carried input during emission
+	builders []*viewBuilder
+	keyvals  []int64
+	crow     []int32   // current entry row per carried input during emission
+	vbuf     []float64 // per-entry products of the emission in progress
 }
 
 func newExecCtx(gp *groupPlan, produced []*ViewData, scalarInit bool) (*execCtx, error) {
@@ -53,35 +65,37 @@ func newExecCtx(gp *groupPlan, produced []*ViewData, scalarInit bool) (*execCtx,
 	for d, a := range gp.order {
 		c.orderCols[d] = gp.rel.MustCol(a).Ints
 	}
-	c.curVals = make([]int64, gp.L)
-	c.slotVals = make([][]float64, gp.L)
-	c.slotOK = make([][]bool, gp.L)
-	for d := 0; d < gp.L; d++ {
-		c.slotVals[d] = make([]float64, len(gp.depthSlots[d]))
-		c.slotOK[d] = make([]bool, len(gp.depthSlots[d]))
+	c.curVals = lineAligned[int64](gp.L)
+	c.reg = lineAligned[float64](gp.nreg)
+	c.reg[0] = 1
+	c.ok = lineAligned[bool](gp.nreg)
+	for i := range c.ok {
+		c.ok[i] = true
 	}
-	c.globalVals = make([]float64, len(gp.globalSlots))
-	c.globalOK = make([]bool, len(gp.globalSlots))
-	c.binds = make([][2]int32, len(gp.inputs))
-	c.bindOK = make([]bool, len(gp.inputs))
+	c.unb = lineAligned[int](gp.L + 1)
+	c.binds = lineAligned[[2]int32](len(gp.inputs))
+	c.bindOK = lineAligned[bool](len(gp.inputs))
 	c.R = make([][]float64, gp.L+1)
 	c.P = make([][]bool, gp.L+1)
 	for d := 0; d <= gp.L; d++ {
-		c.R[d] = make([]float64, gp.numSuffix(d))
-		c.P[d] = make([]bool, gp.numSuffix(d))
+		c.R[d] = lineAligned[float64](gp.numSuffix(d))
+		c.P[d] = lineAligned[bool](gp.numSuffix(d))
 	}
 	for i := range c.P[gp.L] {
 		c.P[gp.L][i] = true // leaf presence: reached ⇒ rows exist
 	}
+	c.full = lineAligned[bool](gp.L + 1)
+	c.full[gp.L] = true
 	maxKey := 0
 	for _, v := range gp.views {
 		if len(v.GroupBy) > maxKey {
 			maxKey = len(v.GroupBy)
 		}
 	}
-	c.keyvals = make([]int64, maxKey)
-	c.bindKey = make([]int64, gp.L)
-	c.carriedRow = make([]int32, len(gp.inputs))
+	c.keyvals = lineAligned[int64](maxKey)
+	c.bindKey = lineAligned[int64](gp.L)
+	c.crow = lineAligned[int32](len(gp.inputs))
+	c.vbuf = lineAligned[float64](len(gp.emits))
 	c.builders = make([]*viewBuilder, len(gp.views))
 	for i, v := range gp.views {
 		c.builders[i] = newViewBuilder(v.GroupBy, len(v.Cols), scalarInit && v.IsOutput())
@@ -89,12 +103,21 @@ func newExecCtx(gp *groupPlan, produced []*ViewData, scalarInit bool) (*execCtx,
 	return c, nil
 }
 
+// lineAligned returns n zeroed Ts on 64-byte cache lines no other object
+// shares: for elements of at most 8 bytes, a capacity in multiples of 64 is
+// a whole number of lines, and such size classes start on line boundaries.
+// Domain-parallel contexts write this state from different cores at every
+// trie level; packed, their arrays shared lines, and two-thread
+// batch_groupby ran ~1.3× slower than with this layout.
+func lineAligned[T any](n int) []T { return make([]T, n, (n/64+1)*64) }
+
 // reset rebinds the context for another execution of the same group plan —
 // the kernel path's alternative to reallocating a context per Apply. Input
-// views and order columns are re-resolved (the plan-shape-dependent slot,
-// running-sum and bind arrays keep their storage: scan re-zeroes R/P levels
-// on entry and rebinds inputs before any read), builders start fresh, and
-// the id indirection is cleared until the caller installs one.
+// views and order columns are re-resolved (the plan-shape-dependent
+// register, running-sum and bind arrays keep their storage: scan re-zeroes
+// R/P levels on entry, and every register is recomputed before it is read),
+// builders start fresh, and the id indirection is cleared until the caller
+// installs one.
 func (c *execCtx) reset(produced []*ViewData, scalarInit bool) error {
 	gp := c.gp
 	for i, in := range gp.inputs {
@@ -135,11 +158,10 @@ func (c *execCtx) scan(d, lo, hi int) {
 		c.computeLeaf(lo, hi)
 		return
 	}
-	rd, pd := c.R[d], c.P[d]
-	for i := range rd {
-		rd[i] = 0
-		pd[i] = false
-	}
+	rd, pd, rn, pn := c.R[d], c.P[d], c.R[d+1], c.P[d+1]
+	clear(rd)
+	clear(pd)
+	c.full[d] = false
 	col := c.orderCols[d]
 	for lo < hi {
 		var end int
@@ -158,33 +180,80 @@ func (c *execCtx) scan(d, lo, hi int) {
 		for _, ei := range gp.emitsAt[d] {
 			c.emit(ei)
 		}
-		// Accumulate running sums (paper's r_d updates). The suffix table
-		// is scanned as one tight loop over contiguous arrays — the
-		// aggregate-array organization of the paper's generated code.
-		rn, pn := c.R[d+1], c.P[d+1]
-		sv, so := c.slotVals[d], c.slotOK[d]
-		tab := &gp.sfxTabs[d]
-		for sid := range tab.next {
-			nx := tab.next[sid]
-			if !pn[nx] {
-				continue
+		// Accumulate running sums (paper's r_d updates), one arity class at
+		// a time — the aggregate-array organization of the paper's
+		// generated code.
+		if c.unb[d+1] == c.unb[d] && c.full[d+1] {
+			for i := range gp.chains[d] {
+				gp.chains[d][i].add(c.reg, rd, rn)
 			}
-			lo2, hi2 := tab.slotOff[sid], tab.slotOff[sid+1]
-			prod := 1.0
-			ok := true
-			for _, s := range tab.slots[lo2:hi2] {
-				if !so[s] {
-					ok = false
-					break
+			if !c.full[d] {
+				c.full[d] = true
+				for i := range pd {
+					pd[i] = true
 				}
-				prod *= sv[s]
 			}
-			if ok {
-				rd[sid] += prod * rn[nx]
-				pd[sid] = true
+		} else {
+			for i := range gp.chains[d] {
+				gp.chains[d][i].addChecked(c.reg, c.ok, rd, rn, pd, pn)
 			}
 		}
 		lo = end
+	}
+}
+
+// add is the check-free walk of one arity class: every slot is bound and
+// every next-level running sum present.
+func (t *chainTab) add(reg, rd, rn []float64) {
+	next := t.next
+	n := len(next)
+	rd = rd[t.off:][:n]
+	switch t.w {
+	case 0:
+		for i, nx := range next {
+			rd[i] += rn[nx]
+		}
+	case 1:
+		a := t.regs[:n]
+		for i, nx := range next {
+			rd[i] += reg[a[i]] * rn[nx]
+		}
+	case 2:
+		a, b := t.regs[:n], t.regs[n:][:n]
+		for i, nx := range next {
+			rd[i] += reg[a[i]] * reg[b[i]] * rn[nx]
+		}
+	default:
+		for i, nx := range next {
+			p := 1.0
+			for j := i; j < len(t.regs); j += n {
+				p *= reg[t.regs[j]]
+			}
+			rd[i] += p * rn[nx]
+		}
+	}
+}
+
+// addChecked is the checked walk: a chain contributes, and marks its running
+// sum present, only when its next-level sum is present and its slots bound.
+func (t *chainTab) addChecked(reg []float64, ok []bool, rd, rn []float64, pd, pn []bool) {
+	n := len(t.next)
+	rd, pd = rd[t.off:][:n], pd[t.off:][:n]
+chains:
+	for i, nx := range t.next {
+		if !pn[nx] {
+			continue
+		}
+		p := 1.0
+		for j := i; j < len(t.regs); j += n {
+			r := t.regs[j]
+			if !ok[r] {
+				continue chains
+			}
+			p *= reg[r]
+		}
+		rd[i] += p * rn[nx]
+		pd[i] = true
 	}
 }
 
@@ -202,41 +271,44 @@ func (c *execCtx) bindInput(ii int) {
 	c.bindOK[ii] = ok
 }
 
-// computeSlots evaluates the slot values at depth d (or the global slots for
-// d == -1).
+// computeSlots evaluates the slot registers of depth d (or the global slots
+// for d == -1) and counts the unbound lookups.
 func (c *execCtx) computeSlots(d int) {
-	var specs []slotSpec
-	var vals []float64
-	var oks []bool
-	if d == -1 {
-		specs, vals, oks = c.gp.globalSlots, c.globalVals, c.globalOK
-	} else {
-		specs, vals, oks = c.gp.depthSlots[d], c.slotVals[d], c.slotOK[d]
+	specs := c.gp.globalSlots
+	if d >= 0 {
+		specs = c.gp.depthSlots[d]
 	}
+	base := c.gp.regBase[d+1]
+	unbound := 0
 	for i := range specs {
 		s := &specs[i]
+		r := base + i
 		switch s.kind {
 		case localSlot:
 			x := float64(c.curVals[d])
-			var p float64
 			if s.fn != nil {
-				p = s.fn(x)
-			} else {
-				p = 1.0
-				for _, f := range s.factors {
-					p *= f.Eval(x)
-				}
+				c.reg[r] = s.fn(x)
+				continue
 			}
-			vals[i], oks[i] = p, true
+			p := 1.0
+			for _, f := range s.factors {
+				p *= f.Eval(x)
+			}
+			c.reg[r] = p
 		case lookupSlot:
-			if !c.bindOK[s.input] {
-				oks[i] = false
+			c.ok[r] = c.bindOK[s.input]
+			if !c.ok[r] {
+				unbound++
 				continue
 			}
 			vd := c.inViews[s.input]
-			vals[i] = vd.Vals[int(c.binds[s.input][0])*vd.Stride+s.col]
-			oks[i] = true
+			c.reg[r] = vd.Vals[int(c.binds[s.input][0])*vd.Stride+s.col]
 		}
+	}
+	if d < 0 {
+		c.unb[0] = unbound
+	} else {
+		c.unb[d+1] = c.unb[d] + unbound
 	}
 }
 
@@ -283,99 +355,115 @@ func (c *execCtx) computeLeaf(lo, hi int) {
 	}
 }
 
-// emitValue computes one aggregate contribution (coef × prefix slots ×
-// running sum); ok is false when a referenced view is absent for this
-// context.
-func (c *execCtx) emitValue(e *groupEmit, regDepth int) (float64, bool) {
-	if !c.P[regDepth+1][e.suffix] {
-		return 0, false
-	}
-	val := e.coef * c.R[regDepth+1][e.suffix]
-	for _, pr := range e.prefix {
-		if pr.depth == -1 {
-			if !c.globalOK[pr.idx] {
-				return 0, false
-			}
-			val *= c.globalVals[pr.idx]
-		} else {
-			if !c.slotOK[pr.depth][pr.idx] {
-				return 0, false
-			}
-			val *= c.slotVals[pr.depth][pr.idx]
-		}
-	}
-	return val, true
-}
-
 // emit flushes one emission group: the output row is resolved once per
-// group-by context (lazily, so contexts where every aggregate's views are
-// absent add no row) and all aggregate columns are written sequentially.
+// group-by context and per combination of carried-view entries. Which walk
+// runs, and whether any entry is present, depends on the context alone. The
+// checked walk skips entries whose running sum is absent or whose prefix
+// registers are unbound, and no row is created when no entry is present (a
+// group-by key exists only for join tuples).
+//
+// lmfao:pre-publish
 func (c *execCtx) emit(gi int) {
-	gp := c.gp
-	g := &gp.emitGroups[gi]
-	b := c.builders[g.view]
+	g := &c.gp.emitGroups[gi]
 	key := c.keyvals[:len(g.keySrc)]
 	for i, ks := range g.keySrc {
 		if ks.carried == -1 {
 			key[i] = c.curVals[ks.depth]
 		}
 	}
-	if len(g.carriedInputs) == 0 {
-		row := int32(-1)
-		for i := range g.emits {
-			e := &g.emits[i]
-			val, ok := c.emitValue(e, g.regDepth)
-			if !ok {
-				continue
-			}
-			if row < 0 {
-				row = b.row(key)
-			}
-			b.add(row, e.col, val)
-		}
-		return
-	}
 	for _, in := range g.carriedInputs {
 		if !c.bindOK[in] {
 			return
 		}
 	}
-	c.emitCarried(g, 0, key, b)
+	checked := c.unb[g.regDepth+1] != 0 || !c.full[g.regDepth+1]
+	if checked && !c.anyPresent(g) {
+		return
+	}
+	rs, reg, coef := c.R[g.regDepth+1], c.reg, g.coef
+	cols, sfx, pre, _ := g.arrays()
+	n := len(coef)
+	sfx = sfx[:n]
+	if !checked && g.w == 2 && len(g.carriedInputs) == 0 {
+		b := c.builders[g.view]
+		row := int(b.row(key))
+		vals := b.vd.Vals[row*b.vd.Stride:]
+		p0, p1 := pre[:n], pre[n:][:n]
+		for i, col := range cols {
+			vals[col] += coef[i] * rs[sfx[i]] * reg[p0[i]] * reg[p1[i]]
+		}
+		return
+	}
+	// Each entry's product up to its carried values depends on the context
+	// alone: computed once, then scaled per carried combination.
+	vs := c.vbuf[:n]
+	for i := range vs {
+		v := coef[i] * rs[sfx[i]]
+		for j := i; j < len(pre); j += n {
+			v *= reg[pre[j]]
+		}
+		vs[i] = v
+	}
+	c.emitCarried(g, 0, key, checked)
 }
 
 // emitCarried enumerates entry combinations of the group's carried views
-// (nested loops), filling carried key parts; at each combination every
-// aggregate multiplies its own carried value columns.
-func (c *execCtx) emitCarried(g *emitGroup, ci int, key []int64, b *viewBuilder) {
+// (nested loops), filling carried key parts and entry rows, and adds the
+// entries into the output row of each combination.
+//
+// lmfao:pre-publish
+func (c *execCtx) emitCarried(g *emitGroup, ci int, key []int64, checked bool) {
 	if ci == len(g.carriedInputs) {
-		row := int32(-1)
-		for i := range g.emits {
-			e := &g.emits[i]
-			val, ok := c.emitValue(e, g.regDepth)
-			if !ok {
+		b := c.builders[g.view]
+		row := int(b.row(key))
+		vals := b.vd.Vals[row*b.vd.Stride:]
+		n := len(g.coef)
+		ccol := (2 + g.w) * n // prog offset of the carried value columns
+		for i, v := range c.vbuf[:n] {
+			if checked && !c.present(g, i) {
 				continue
 			}
-			for cj, in := range g.carriedInputs {
+			for j, in := range g.carriedInputs {
 				vd := c.inViews[in]
-				val *= vd.Vals[int(c.carriedRow[cj])*vd.Stride+e.carriedCols[cj]]
+				v *= vd.Vals[int(c.crow[j])*vd.Stride+int(g.prog[ccol+j*n+i])]
 			}
-			if row < 0 {
-				row = b.row(key)
-			}
-			b.add(row, e.col, val)
+			vals[g.prog[i]] += v
 		}
 		return
 	}
 	in := g.carriedInputs[ci]
 	vd := c.inViews[in]
-	lo, hi := c.binds[in][0], c.binds[in][1]
-	for r := lo; r < hi; r++ {
-		c.carriedRow[ci] = r
+	for r := c.binds[in][0]; r < c.binds[in][1]; r++ {
+		c.crow[ci] = r
 		for i, ks := range g.keySrc {
 			if ks.carried == ci {
 				key[i] = vd.Keys[ks.extraCol][r]
 			}
 		}
-		c.emitCarried(g, ci+1, key, b)
+		c.emitCarried(g, ci+1, key, checked)
 	}
+}
+
+// present reports whether emission entry i of g contributes in the current
+// context: its running sum is present and its prefix registers are bound.
+func (c *execCtx) present(g *emitGroup, i int) bool {
+	_, sfx, pre, _ := g.arrays()
+	if !c.P[g.regDepth+1][sfx[i]] {
+		return false
+	}
+	for j := i; j < len(pre); j += len(g.coef) {
+		if !c.ok[pre[j]] {
+			return false
+		}
+	}
+	return true
+}
+
+func (c *execCtx) anyPresent(g *emitGroup) bool {
+	for i := range g.coef {
+		if c.present(g, i) {
+			return true
+		}
+	}
+	return false
 }

@@ -56,34 +56,66 @@ type leafSlot struct {
 }
 
 // suffixSpec is one node of a running-sum chain at some depth d:
-// R_d[this] += Π slotVals(slots) × R_{d+1}[next]. After compilation the
-// per-depth tables are flattened into suffixTab for tight scanning.
+// R_d[this] += Π slots × R_{d+1}[next]. After compilation the per-depth
+// lists are split by arity into chainTabs for the scan.
 type suffixSpec struct {
 	slots []int
 	next  int
 }
 
-// suffixTab is the flattened (structure-of-arrays) suffix table of one
-// depth: chain i multiplies slots[slotOff[i]:slotOff[i+1]] into R[next[i]].
-type suffixTab struct {
-	next    []int32
-	slotOff []int32
-	slots   []int32
+// chainTab is one arity class of a depth's running-sum chains as parallel
+// arrays: chain i adds reg[regs[i]] × … × reg[regs[(w-1)n+i]] ×
+// R_{d+1}[next[i]] into R_d[off+i], n = len(next). Arities 0, 1 and 2 get
+// unrolled loops; longer chains share a class padded to the widest with
+// register 0 (the constant 1), so every product keeps its factor order.
+type chainTab struct {
+	w, off int
+	next   []int32
+	regs   []int32 // w columns of n registers
 }
 
-func flattenSuffixes(specs []suffixSpec) suffixTab {
-	t := suffixTab{
-		next:    make([]int32, len(specs)),
-		slotOff: make([]int32, len(specs)+1),
+// buildChains splits every depth's running-sum chains into arity classes and
+// renumbers each depth's running sums class by class, so a class writes one
+// contiguous run of R_d. It returns the renumbering, sid[d][logical id]; the
+// logical lists keep their ids for the source generator.
+func (gp *groupPlan) buildChains() (sid [][]int32) {
+	sid = make([][]int32, gp.L+1)
+	sid[gp.L] = make([]int32, len(gp.leafSlots))
+	for i := range sid[gp.L] {
+		sid[gp.L][i] = int32(i)
 	}
-	for i, sp := range specs {
-		t.next[i] = int32(sp.next)
-		for _, s := range sp.slots {
-			t.slots = append(t.slots, int32(s))
+	gp.chains = make([][]chainTab, gp.L)
+	for d := gp.L - 1; d >= 0; d-- {
+		sfx := gp.suffixes[d]
+		sid[d] = make([]int32, len(sfx))
+		var class [4][]int
+		for s, sp := range sfx {
+			k := min(len(sp.slots), 3)
+			class[k] = append(class[k], s)
 		}
-		t.slotOff[i+1] = int32(len(t.slots))
+		off := 0
+		for k, members := range class {
+			if len(members) == 0 {
+				continue
+			}
+			n := len(members)
+			t := chainTab{w: k, off: off, next: make([]int32, n)}
+			for _, s := range members {
+				t.w = max(t.w, len(sfx[s].slots))
+			}
+			t.regs = make([]int32, t.w*n) // zero: padding with register 0
+			for i, s := range members {
+				sid[d][s] = int32(off + i)
+				t.next[i] = sid[d+1][sfx[s].next]
+				for j, slot := range sfx[s].slots {
+					t.regs[j*n+i] = gp.reg(slotRef{depth: d, idx: slot})
+				}
+			}
+			gp.chains[d] = append(gp.chains[d], t)
+			off += n
+		}
 	}
-	return t
+	return sid
 }
 
 type carriedRef struct {
@@ -108,6 +140,7 @@ type emitSpec struct {
 	carried  []carriedRef
 	suffix   int // suffix id at depth regDepth+1 (leaf id when regDepth+1 == L)
 	keySrc   []keySource
+	group    int // index into groupPlan.emitGroups
 }
 
 // emitGroup batches the emissions of one output view that share a
@@ -115,22 +148,26 @@ type emitSpec struct {
 // resolved once per context and every aggregate column is written
 // sequentially — the paper's contiguous aggregate-array organization.
 type emitGroup struct {
-	view     int
-	regDepth int
-	keySrc   []keySource
+	regDepth, w, view int
+	// The emission program, parallel arrays over n = len(coef) entries (see
+	// arrays): entry i adds coef[i] × R_{regDepth+1}[sfx[i]] × reg[pre[i]] ×
+	// … × reg[pre[(w-1)n+i]] × carried input j's value column ccol[j*n+i]
+	// into column col[i]; prefixes are padded with register 0 to w ≥ 2. A
+	// plan's programs and coefficients are carved from one allocation each,
+	// since every Run compiles every group.
+	prog []int32
+	coef []float64
+
 	// carriedInputs lists the carried views (by input index) whose entries
-	// are enumerated; per-emission value columns live in groupEmit.
+	// are enumerated.
 	carriedInputs []int
-	emits         []groupEmit
+	keySrc        []keySource
 }
 
-// groupEmit is the per-aggregate value recipe within an emitGroup.
-type groupEmit struct {
-	col         int
-	coef        float64
-	prefix      []slotRef
-	suffix      int
-	carriedCols []int // one value column per carriedInputs entry
+// arrays splits the group's program into its parallel arrays.
+func (g *emitGroup) arrays() (col, sfx, pre, ccol []int32) {
+	n, w := len(g.coef), g.w
+	return g.prog[:n], g.prog[n : 2*n], g.prog[2*n : (2+w)*n], g.prog[(2+w)*n:]
 }
 
 type inputSpec struct {
@@ -145,6 +182,11 @@ type inputSpec struct {
 	carried    bool  // has extras
 }
 
+// groupPlan is the compiled multi-output program of one view group. The
+// source generator renders its logical lists (slot specs, suffix chains,
+// emitSpecs); the scan runs their flat form, which addresses every slot by
+// its register in an execution context's register file: register 0 holds
+// the constant 1, then come the global slots, then each depth's (regBase).
 type groupPlan struct {
 	group *core.Group
 	node  *jointree.Node
@@ -160,7 +202,12 @@ type groupPlan struct {
 	bindAt      [][]int      // [d] → input indices bound at depth d
 	leafSlots   []leafSlot
 	suffixes    [][]suffixSpec // [d], d in 0..L-1
-	sfxTabs     []suffixTab    // flattened suffixes per depth
+
+	// regBase[d+1] is the first register of depth d's slots (regBase[0] of
+	// the global slots); nreg sizes the register file.
+	regBase []int
+	nreg    int
+	chains  [][]chainTab // [d] → arity classes of suffixes[d]
 
 	emits       []emitSpec
 	emitGroups  []emitGroup
@@ -296,17 +343,24 @@ func compileGroup(p *core.Plan, g *core.Group, compiled bool) (*groupPlan, error
 			}
 		}
 	}
-	gp.sfxTabs = make([]suffixTab, gp.L)
+	gp.regBase = make([]int, gp.L+1)
+	gp.regBase[0] = 1
+	gp.nreg = 1 + len(gp.globalSlots)
 	for d := 0; d < gp.L; d++ {
-		gp.sfxTabs[d] = flattenSuffixes(gp.suffixes[d])
+		gp.regBase[d+1] = gp.nreg
+		gp.nreg += len(gp.depthSlots[d])
 	}
-	gp.buildEmitGroups()
+	gp.buildEmitGroups(gp.buildChains())
 	return gp, nil
 }
 
+// reg returns the register holding slot r.
+func (gp *groupPlan) reg(r slotRef) int32 { return int32(gp.regBase[r.depth+1] + r.idx) }
+
 // buildEmitGroups batches emissions sharing (view, regDepth, key sources,
-// carried views) and registers the groups at their depths.
-func (gp *groupPlan) buildEmitGroups() {
+// carried views), registers the groups at their depths and lays out each
+// group's emission program against the running-sum numbering sid.
+func (gp *groupPlan) buildEmitGroups(sid [][]int32) {
 	sig := func(e *emitSpec) string {
 		var b strings.Builder
 		fmt.Fprintf(&b, "v%d@%d|", e.view, e.regDepth)
@@ -326,7 +380,7 @@ func (gp *groupPlan) buildEmitGroups() {
 		gi, ok := idx[k]
 		if !ok {
 			gi = len(gp.emitGroups)
-			g := emitGroup{view: e.view, regDepth: e.regDepth, keySrc: e.keySrc}
+			g := emitGroup{view: e.view, regDepth: e.regDepth, keySrc: e.keySrc, w: 2}
 			for _, cr := range e.carried {
 				g.carriedInputs = append(g.carriedInputs, cr.input)
 			}
@@ -338,11 +392,37 @@ func (gp *groupPlan) buildEmitGroups() {
 				gp.emitsAt[e.regDepth] = append(gp.emitsAt[e.regDepth], gi)
 			}
 		}
-		ge := groupEmit{col: e.col, coef: e.coef, prefix: e.prefix, suffix: e.suffix}
-		for _, cr := range e.carried {
-			ge.carriedCols = append(ge.carriedCols, cr.col)
+		e.group = gi
+		g := &gp.emitGroups[gi]
+		g.w = max(g.w, len(e.prefix))
+		g.coef = append(g.coef, e.coef)
+	}
+	size := 0
+	for _, g := range gp.emitGroups {
+		size += (2 + g.w + len(g.carriedInputs)) * len(g.coef)
+	}
+	prog := make([]int32, size) // zeroed: prefixes padded with register 0
+	coef := make([]float64, len(gp.emits))
+	for gi := range gp.emitGroups {
+		g := &gp.emitGroups[gi]
+		n, m := len(g.coef), (2+g.w+len(g.carriedInputs))*len(g.coef)
+		copy(coef, g.coef)
+		g.prog, prog = prog[:m:m], prog[m:]
+		g.coef, coef = coef[:n:n], coef[n:]
+	}
+	at := make([]int, len(gp.emitGroups))
+	for _, e := range gp.emits {
+		g := &gp.emitGroups[e.group]
+		col, sfx, pre, ccol := g.arrays()
+		i, n := at[e.group], len(g.coef)
+		at[e.group]++
+		col[i], sfx[i] = int32(e.col), sid[e.regDepth+1][e.suffix]
+		for j, r := range e.prefix {
+			pre[j*n+i] = gp.reg(r)
 		}
-		gp.emitGroups[gi].emits = append(gp.emitGroups[gi].emits, ge)
+		for j, cr := range e.carried {
+			ccol[j*n+i] = int32(cr.col)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package moo
 import (
 	"fmt"
 	"slices"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/data"
@@ -17,8 +18,9 @@ import (
 // reusable execution context keeps the scan's slot/running-sum arrays and
 // the composed leaf closures alive across Apply calls — the interpreted path
 // re-derives all of that per delta. Kernels are cached per engine, keyed by
-// plan identity plus the injective kernel.Shape encoding, so a cache hit can
-// never return a kernel compiled for a different plan shape.
+// the injective kernel.Shape encoding and scoped to the one plan being
+// maintained (Engine.scopeCaches), so a cache hit always returns a kernel
+// compiled for that plan.
 //
 // Restricted scans run row-id-batched: the semi-join candidate row ids are
 // gathered once per (relation, semi-join signature) and shared across every
@@ -47,8 +49,10 @@ type maintKernel struct {
 	st ivm.Step
 	// probePos[i] holds, for delta input st.DeltaInputs[i], the positions of
 	// the semi-join probe attributes in that view's group-by — resolved at
-	// compile time from the logical plan instead of per Apply.
+	// compile time from the logical plan instead of per Apply; attrTags[i]
+	// prefixes the canonical tag of each of that input's probes (probeSet).
 	probePos [][]int
+	attrTags []string
 
 	// boundRel/boundVer pin the relation the leaf closures were composed
 	// against; rebinding only happens when the scan target changes. For
@@ -85,7 +89,7 @@ func (e *Engine) kernelFor(plan *core.Plan, relation string, st ivm.Step) (*main
 			shape.SemiJoin[i] = inner
 		}
 	}
-	key := fmt.Sprintf("%p|", plan) + shape.Key()
+	key := shape.Key()
 	if v, ok := e.kernels.Get(key); ok {
 		return v.(*maintKernel), nil
 	}
@@ -97,8 +101,10 @@ func (e *Engine) kernelFor(plan *core.Plan, relation string, st ivm.Step) (*main
 	k := &maintKernel{gp: gp, st: st}
 	if st.SemiJoinAttrs != nil {
 		k.probePos = make([][]int, len(st.DeltaInputs))
+		k.attrTags = make([]string, len(st.DeltaInputs))
 		for i, in := range st.DeltaInputs {
 			attrs := st.SemiJoinAttrs[i]
+			k.attrTags[i] = fmt.Sprintf("%v\x00", attrs)
 			groupBy := plan.Views[in].GroupBy
 			pos := make([]int, len(attrs))
 			for j, a := range attrs {
@@ -258,8 +264,7 @@ func (k *maintKernel) probeSet(deltas []*ViewData) ([]probeReq, string) {
 		if dv == nil || dv.NumRows() == 0 {
 			continue
 		}
-		attrs := k.st.SemiJoinAttrs[i]
-		attrsTag := fmt.Sprintf("%v\x00", attrs)
+		attrs, attrsTag := k.st.SemiJoinAttrs[i], k.attrTags[i]
 		pos := k.probePos[i]
 		for r := 0; r < dv.NumRows(); r++ {
 			buf = buf[:0]
@@ -285,8 +290,8 @@ func (k *maintKernel) probeSet(deltas []*ViewData) ([]probeReq, string) {
 	})
 	var ck []byte
 	for _, p := range probes {
-		ck = append(ck, fmt.Sprintf("%d:", len(p.tag))...)
-		ck = append(ck, p.tag...)
+		ck = strconv.AppendInt(ck, int64(len(p.tag)), 10)
+		ck = append(append(ck, ':'), p.tag...)
 	}
 	return probes, string(ck)
 }

@@ -526,7 +526,10 @@ func (g *sourceGen) emitEmission(b *strings.Builder, gp *groupPlan, gi int, ind 
 	}
 	rowVar := fmt.Sprintf("row%d", gi)
 	fmt.Fprintf(b, "%s%s := %s.row(%s)\n", in, rowVar, out, strings.Join(keyExpr, ", "))
-	for _, e := range eg.emits {
+	for _, e := range gp.emits {
+		if e.group != gi {
+			continue
+		}
 		cond := fmt.Sprintf("P%d[%d]", eg.regDepth+1, e.suffix)
 		val := fmt.Sprintf("%g * R%d[%d]", e.coef, eg.regDepth+1, e.suffix)
 		for _, pr := range e.prefix {
@@ -541,7 +544,7 @@ func (g *sourceGen) emitEmission(b *strings.Builder, gp *groupPlan, gi int, ind 
 		for cj, input := range eg.carriedInputs {
 			val += fmt.Sprintf(" * vw%d.Vals[r%d*%d+%d]",
 				gp.inputs[input].id, cj,
-				len(g.plan.Views[gp.inputs[input].id].Cols), e.carriedCols[cj])
+				len(g.plan.Views[gp.inputs[input].id].Cols), e.carried[cj].col)
 		}
 		fmt.Fprintf(b, "%sif %s {\n%s\t%s.Vals[%s*%d+%d] += %s\n%s}\n",
 			in, cond, in, out, rowVar, len(v.Cols), e.col, val, in)

@@ -1,6 +1,7 @@
 package lmfao
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -210,5 +211,48 @@ func TestSessionDeleteMissingRowFails(t *testing.T) {
 	// The failed update must not have corrupted the maintained state.
 	if got := lookupRow(t, sess.Result().Results[0])[0]; got != 15 {
 		t.Fatalf("total after failed delete = %g, want 15", got)
+	}
+}
+
+// TestKernelCacheScopedToLivePlan runs a session many times, collecting the
+// previous plan in between, and maintains each new plan twice: a plan built
+// by a later Run can be allocated where a collected one lived, and must
+// still never be served kernels compiled for the old plan, nor may kernels
+// of dead plans stay resident.
+func TestKernelCacheScopedToLivePlan(t *testing.T) {
+	db, _, amount, region := sessionFixture(t)
+	sess, err := NewSession(db, []*Query{
+		NewQuery("byregion", []AttrID{region}, Count(), Sum(amount)),
+		NewQuery("total", nil, Sum(amount)),
+	}, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := -1
+	for round := 0; round < 20; round++ {
+		if _, err := sess.Run(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		before := sess.Engine().KernelCacheStats()
+		if _, err := sess.Apply(InsertRows("sales", IntColumn([]int64{1}), FloatColumn([]float64{2}))); err != nil {
+			t.Fatal(err)
+		}
+		first := sess.Engine().KernelCacheStats()
+		if first.Hits != before.Hits || first.Misses == before.Misses {
+			t.Fatalf("round %d: the new plan's first Apply hit the cache: %+v -> %+v", round, before, first)
+		}
+		if _, err := sess.Apply(DeleteRows("sales", IntColumn([]int64{1}), FloatColumn([]float64{2}))); err != nil {
+			t.Fatal(err)
+		}
+		second := sess.Engine().KernelCacheStats()
+		if second.Hits == first.Hits {
+			t.Fatalf("round %d: the second Apply reused no kernel: %+v -> %+v", round, first, second)
+		}
+		if size < 0 {
+			size = second.Size
+		} else if second.Size != size {
+			t.Fatalf("round %d: kernel cache holds %d kernels, %d after the first round", round, second.Size, size)
+		}
 	}
 }
