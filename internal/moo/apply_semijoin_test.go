@@ -351,7 +351,7 @@ func TestProbeSetEncoding(t *testing.T) {
 			continue
 		}
 		a := v.GroupBy[0]
-		b := newViewBuilder(v.GroupBy, len(v.Cols), false)
+		b := newViewBuilder(v.GroupBy, len(v.Cols), false, nil)
 		for _, k := range keys[a] {
 			b.row([]int64{k})
 		}

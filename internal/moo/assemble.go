@@ -60,6 +60,7 @@ func assembleQuery(plan *core.Plan, qi int, raw *ViewData, mat []*ViewData, prev
 		rows:    rows,
 		order:   raw.order,
 		nskey:   raw.nskey,
+		box:     raw.box,
 	}
 	for i := 0; i < rows; i++ {
 		dst := out.Vals[i*stride:]

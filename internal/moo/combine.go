@@ -47,12 +47,13 @@ func CombineViews(parts []*ViewData) (*ViewData, error) {
 	if ref == nil {
 		return nil, fmt.Errorf("moo: CombineViews over no views")
 	}
-	total := 0
+	total, box := 0, ref.box
 	var live []*ViewData
 	for _, p := range parts {
 		if p != nil && p.rows > 0 {
 			total += p.rows
 			live = append(live, p)
+			box = unionBox(box, p.box)
 		}
 	}
 	out := &ViewData{
@@ -62,6 +63,7 @@ func CombineViews(parts []*ViewData) (*ViewData, error) {
 		Stride:  ref.Stride,
 		order:   slices.Clone(ref.order),
 		nskey:   ref.nskey,
+		box:     box,
 	}
 	for c := range out.Keys {
 		out.Keys[c] = make([]int64, 0, total)

@@ -10,7 +10,7 @@ import (
 
 func buildView(t *testing.T, groupBy []data.AttrID, stride int, rows map[[2]int64][]float64) *ViewData {
 	t.Helper()
-	b := newViewBuilder(groupBy, stride, false)
+	b := newViewBuilder(groupBy, stride, false, nil)
 	for key, vals := range rows {
 		r := b.row(key[:len(groupBy)])
 		for c, v := range vals {
@@ -140,7 +140,7 @@ func TestCombineViewsErrors(t *testing.T) {
 	}
 	gb := []data.AttrID{0, 1}
 	out := buildView(t, gb, 1, map[[2]int64][]float64{{1, 2}: {1}})
-	inner := newViewBuilder(gb, 1, false).finalize([]data.AttrID{1})
+	inner := newViewBuilder(gb, 1, false, nil).finalize([]data.AttrID{1})
 	if _, err := CombineViews([]*ViewData{out, inner}); err == nil {
 		t.Fatal("sort layout mismatch must error")
 	}

@@ -173,7 +173,7 @@ func (e *Engine) Apply(prev *BatchResult, d data.Delta) (*BatchResult, *ApplySta
 				// Nothing flows in; the step's deltas are empty views.
 				for _, vid := range st.Dirty {
 					v := plan.Views[vid]
-					deltas[vid] = newViewBuilder(v.GroupBy, len(v.Cols), false).finalize(viewTarget(plan, v))
+					deltas[vid] = newViewBuilder(v.GroupBy, len(v.Cols), false, nil).finalize(viewTarget(plan, v))
 				}
 			} else {
 				scratch := append([]*ViewData(nil), work...)
@@ -538,7 +538,7 @@ func viewTarget(plan *core.Plan, v *core.View) []data.AttrID {
 // into its delta: deletes are negative-weight inserts in the sum-product
 // semiring.
 func diffViews(v *core.View, ins, del *ViewData, target []data.AttrID) *ViewData {
-	b := newViewBuilder(v.GroupBy, len(v.Cols), false)
+	b := newViewBuilder(v.GroupBy, len(v.Cols), false, nil)
 	addViewInto(b, ins, 1)
 	addViewInto(b, del, -1)
 	return b.finalize(target)
@@ -546,13 +546,13 @@ func diffViews(v *core.View, ins, del *ViewData, target []data.AttrID) *ViewData
 
 // mergeDelta folds a view's delta into its cached data by one linear merge
 // of the two identically sorted row sets, galloping over the untouched old
-// rows between delta keys and bulk-copying them. Rows whose tuple count
-// reaches zero are dropped: every join tuple behind the key was deleted, so
-// a full recompute would not emit it. Counts are integer-valued, so the
-// float64 zero test is exact. Scalar application outputs always keep their
-// single row (SQL semantics). While the row set is unchanged — every delta
-// key exists and none vanishes, the common case — the result shares the
-// cached key columns and only the aggregate values are copied.
+// rows between delta keys. Rows whose tuple count reaches zero are dropped:
+// every join tuple behind the key was deleted, so a full recompute would not
+// emit it. Counts are integer-valued, so the float64 zero test is exact.
+// Scalar application outputs always keep their single row (SQL semantics).
+// The aggregates start as a copy of the old ones (no zero-fill) that delta
+// rows add into in place, sharing the cached key columns, until the first
+// insert or drop truncates the copy there; old runs are appended after it.
 //
 // lmfao:pre-publish — every write lands in the fresh out view; old and
 // delta are only read.
@@ -563,12 +563,13 @@ func mergeDelta(old, delta *ViewData, countCol int, keepScalar bool) *ViewData {
 	out := &ViewData{
 		GroupBy: old.GroupBy,
 		Keys:    old.Keys,
-		Vals:    make([]float64, 0, len(old.Vals)+len(delta.Vals)),
+		Vals:    slices.Clone(old.Vals),
 		Stride:  old.Stride,
 		order:   old.order,
 		nskey:   old.nskey,
+		box:     unionBox(old.box, delta.box),
 	}
-	shared := true // out.Keys aliases old.Keys: no row inserted or dropped yet
+	shared := true // no row inserted or dropped yet: out.Keys aliases old.Keys, out.Vals is whole
 	unshare := func() {
 		if !shared {
 			return
@@ -578,14 +579,15 @@ func mergeDelta(old, delta *ViewData, countCol int, keepScalar bool) *ViewData {
 		for c := range out.Keys {
 			out.Keys[c] = append(make([]int64, 0, old.rows+delta.rows), old.Keys[c][:out.rows]...)
 		}
+		out.Vals = out.Vals[:out.rows*out.Stride]
 	}
 	copyRun := func(lo, hi int) {
 		if !shared {
 			for c := range out.Keys {
 				out.Keys[c] = append(out.Keys[c], old.Keys[c][lo:hi]...)
 			}
+			out.Vals = append(out.Vals, old.Vals[lo*old.Stride:hi*old.Stride]...)
 		}
-		out.Vals = append(out.Vals, old.Vals[lo*old.Stride:hi*old.Stride]...)
 		out.rows += hi - lo
 	}
 	key := make([]int64, len(old.order)) // delta row j in sort order
@@ -621,7 +623,7 @@ func mergeDelta(old, delta *ViewData, countCol int, keepScalar bool) *ViewData {
 			out.Vals = append(out.Vals, make([]float64, out.Stride)...)
 			out.rows++
 		}
-		dst := out.Vals[len(out.Vals)-out.Stride:]
+		dst := out.Vals[(out.rows-1)*out.Stride : out.rows*out.Stride]
 		for c, x := range delta.Vals[j*delta.Stride : (j+1)*delta.Stride] {
 			dst[c] += x
 		}

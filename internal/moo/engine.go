@@ -398,7 +398,7 @@ func (e *Engine) execGroup(gp *groupPlan, produced []*ViewData, relOverride *dat
 			return err
 		}
 	} else {
-		ctx, err := newExecCtx(gp, produced, scalarInit)
+		ctx, err := newExecCtx(gp, produced, scalarInit, gp.denseLayouts(produced, nil, n))
 		if err != nil {
 			return err
 		}
@@ -439,6 +439,7 @@ func (e *Engine) runDomainParallel(gp *groupPlan, produced []*ViewData, n int, s
 	}
 	chunkStarts = append(chunkStarts, n)
 
+	dense := gp.denseLayouts(produced, nil, n)
 	ctxs := make([]*execCtx, 0, threads)
 	var wg sync.WaitGroup
 	for t := 0; t < threads; t++ {
@@ -446,7 +447,7 @@ func (e *Engine) runDomainParallel(gp *groupPlan, produced []*ViewData, n int, s
 		if lo >= hi {
 			continue
 		}
-		ctx, err := newExecCtx(gp, produced, scalarInit && t == 0)
+		ctx, err := newExecCtx(gp, produced, scalarInit && t == 0, dense)
 		if err != nil {
 			return nil, err
 		}

@@ -433,7 +433,7 @@ func TestRandomBatchesEquivalence(t *testing.T) {
 // ---------------------------------------------------------------------------
 
 func TestViewDataAccessors(t *testing.T) {
-	b := newViewBuilder([]data.AttrID{3, 7}, 2, false)
+	b := newViewBuilder([]data.AttrID{3, 7}, 2, false, nil)
 	r := b.row([]int64{1, 2})
 	b.add(r, 0, 5)
 	b.add(r, 1, 7)
@@ -481,8 +481,8 @@ func TestViewDataAccessors(t *testing.T) {
 }
 
 func TestViewBuilderMerge(t *testing.T) {
-	a := newViewBuilder([]data.AttrID{1}, 1, false)
-	b := newViewBuilder([]data.AttrID{1}, 1, false)
+	a := newViewBuilder([]data.AttrID{1}, 1, false, nil)
+	b := newViewBuilder([]data.AttrID{1}, 1, false, nil)
 	a.add(a.row([]int64{1}), 0, 2)
 	b.add(b.row([]int64{1}), 0, 3)
 	b.add(b.row([]int64{2}), 0, 5)

@@ -2,6 +2,7 @@ package moo
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/data"
 )
@@ -51,7 +52,9 @@ type execCtx struct {
 	vbuf     []float64 // per-entry products of the emission in progress
 }
 
-func newExecCtx(gp *groupPlan, produced []*ViewData, scalarInit bool) (*execCtx, error) {
+// newExecCtx returns a context for one execution of gp, its builders laid
+// out by dense (groupPlan.denseLayouts).
+func newExecCtx(gp *groupPlan, produced []*ViewData, scalarInit bool, dense []*denseLayout) (*execCtx, error) {
 	c := &execCtx{gp: gp}
 	c.inViews = make([]*ViewData, len(gp.inputs))
 	for i, in := range gp.inputs {
@@ -98,7 +101,7 @@ func newExecCtx(gp *groupPlan, produced []*ViewData, scalarInit bool) (*execCtx,
 	c.vbuf = lineAligned[float64](len(gp.emits))
 	c.builders = make([]*viewBuilder, len(gp.views))
 	for i, v := range gp.views {
-		c.builders[i] = newViewBuilder(v.GroupBy, len(v.Cols), scalarInit && v.IsOutput())
+		c.builders[i] = newViewBuilder(v.GroupBy, len(v.Cols), scalarInit && v.IsOutput(), dense[i])
 	}
 	return c, nil
 }
@@ -118,7 +121,7 @@ func lineAligned[T any](n int) []T { return make([]T, n, (n/64+1)*64) }
 // R/P levels on entry, and every register is recomputed before it is read),
 // builders start fresh, and the id indirection is cleared until the caller
 // installs one.
-func (c *execCtx) reset(produced []*ViewData, scalarInit bool) error {
+func (c *execCtx) reset(produced []*ViewData, scalarInit bool, dense []*denseLayout) error {
 	gp := c.gp
 	for i, in := range gp.inputs {
 		vd := produced[in.id]
@@ -132,9 +135,77 @@ func (c *execCtx) reset(produced []*ViewData, scalarInit bool) error {
 	}
 	c.ids = nil
 	for i, v := range gp.views {
-		c.builders[i] = newViewBuilder(v.GroupBy, len(v.Cols), scalarInit && v.IsOutput())
+		c.builders[i] = newViewBuilder(v.GroupBy, len(v.Cols), scalarInit && v.IsOutput(), dense[i])
 	}
 	return nil
+}
+
+// denseLayouts picks the views of one execution of gp built with dense
+// addressing (nil entries stay hashed). Boxes (keyBoxes) are granted
+// smallest first while the total slot count stays within 2 × scanned rows ×
+// relation width: 4-byte slots then never take more memory than the 8-byte
+// values the scan reads, and walking them costs no more than the scan.
+func (gp *groupPlan) denseLayouts(produced []*ViewData, ids []int32, n int) []*denseLayout {
+	boxes := gp.keyBoxes(produced, ids, n)
+	budget := 2 * n * len(gp.rel.Attrs)
+	type fit struct{ view, size int }
+	var fits []fit
+	for i, box := range boxes {
+		if size, ok := boxSize(box, budget); box != nil && ok {
+			fits = append(fits, fit{i, size})
+		}
+	}
+	slices.SortStableFunc(fits, func(a, b fit) int { return a.size - b.size })
+	out := make([]*denseLayout, len(gp.views))
+	for _, f := range fits {
+		if f.size > budget {
+			break
+		}
+		budget -= f.size
+		order, _ := sortOrder(gp.views[f.view].GroupBy, gp.targets[f.view])
+		out[f.view] = newDenseLayout(boxes[f.view], order, f.size)
+	}
+	return out
+}
+
+// keyBoxes returns each view's key box for a scan of gp.rel's n rows, or of
+// the rows ids: over the emit groups writing the view, the union of each key
+// part's source — a bound part's scanned order-column values (the whole
+// relation without ids: domain-parallel parts share one box), a carried
+// part's range as its input view recorded it.
+func (gp *groupPlan) keyBoxes(produced []*ViewData, ids []int32, n int) [][]keySpan {
+	bound := make([]keySpan, gp.L)
+	for d, a := range gp.order {
+		col := gp.rel.MustCol(a).Ints
+		switch {
+		case ids != nil:
+			bound[d] = spanOf(col, ids)
+		case d == 0 && n > 0:
+			bound[d] = keySpan{col[0], col[n-1]} // the relation is sorted by it
+		default:
+			bound[d] = spanOf(col[:n], nil)
+		}
+	}
+	boxes := make([][]keySpan, len(gp.views))
+	for gi := range gp.emitGroups {
+		g := &gp.emitGroups[gi]
+		if boxes[g.view] == nil {
+			boxes[g.view] = make([]keySpan, len(g.keySrc))
+			for c := range g.keySrc {
+				boxes[g.view][c] = emptySpan
+			}
+		}
+		for c, ks := range g.keySrc {
+			s := fullSpan
+			if ks.carried < 0 {
+				s = bound[ks.depth]
+			} else if in := produced[gp.inputs[g.carriedInputs[ks.carried]].id]; in != nil && in.box != nil {
+				s = in.box[ks.extraCol]
+			}
+			boxes[g.view][c] = boxes[g.view][c].union(s)
+		}
+	}
+	return boxes
 }
 
 // run executes the scan over rows [lo, hi) of the group relation and then

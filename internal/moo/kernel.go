@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/data"
@@ -143,19 +144,20 @@ func (k *maintKernel) bind(rel *data.Relation) {
 // non-nil), finalizing the dirty views into produced. The execution context
 // is reused across calls; builders start fresh each run.
 func (k *maintKernel) runBound(produced []*ViewData, ids []int32, n int) error {
+	if ids != nil {
+		n = len(ids)
+	}
+	dense := k.gp.denseLayouts(produced, ids, n)
 	if k.ctx == nil || k.ctx.gp != k.gp {
-		ctx, err := newExecCtx(k.gp, produced, false)
+		ctx, err := newExecCtx(k.gp, produced, false, dense)
 		if err != nil {
 			return err
 		}
 		k.ctx = ctx
-	} else if err := k.ctx.reset(produced, false); err != nil {
+	} else if err := k.ctx.reset(produced, false, dense); err != nil {
 		return err
 	}
 	k.ctx.ids = ids
-	if ids != nil {
-		n = len(ids)
-	}
 	k.ctx.run(0, n)
 	for i, v := range k.gp.views {
 		produced[v.ID] = k.ctx.builders[i].finalize(k.gp.targets[i])
@@ -249,7 +251,8 @@ type probeReq struct {
 }
 
 // probeSet collects the unique probe pairs of k's step against the current
-// delta views, sorted canonically, plus an unambiguous joined cache key
+// delta views, sorted canonically (duplicates are adjacent after the sort
+// and dropped there), plus an unambiguous joined cache key
 // (length-prefixed — raw key bytes may contain any delimiter). The subset a
 // step scans is fully determined by (relation, probe set), so steps whose
 // delta views carry the same join keys — the common case, since every dirty
@@ -257,7 +260,6 @@ type probeReq struct {
 // subset regardless of which views they consume.
 func (k *maintKernel) probeSet(deltas []*ViewData) ([]probeReq, string) {
 	var probes []probeReq
-	seen := make(map[string]struct{})
 	var buf []byte
 	for i, in := range k.st.DeltaInputs {
 		dv := deltas[in]
@@ -272,22 +274,11 @@ func (k *maintKernel) probeSet(deltas []*ViewData) ([]probeReq, string) {
 				buf = data.AppendKey(buf, dv.KeyAt(r, p))
 			}
 			tag := attrsTag + string(buf)
-			if _, dup := seen[tag]; dup {
-				continue
-			}
-			seen[tag] = struct{}{}
-			probes = append(probes, probeReq{attrs: attrs, tag: tag, key: string(buf)})
+			probes = append(probes, probeReq{attrs: attrs, tag: tag, key: tag[len(attrsTag):]})
 		}
 	}
-	slices.SortFunc(probes, func(a, b probeReq) int {
-		switch {
-		case a.tag < b.tag:
-			return -1
-		case a.tag > b.tag:
-			return 1
-		}
-		return 0
-	})
+	slices.SortFunc(probes, func(a, b probeReq) int { return strings.Compare(a.tag, b.tag) })
+	probes = slices.CompactFunc(probes, func(a, b probeReq) bool { return a.tag == b.tag })
 	var ck []byte
 	for _, p := range probes {
 		ck = strconv.AppendInt(ck, int64(len(p.tag)), 10)

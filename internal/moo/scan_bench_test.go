@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/moo"
+	"repro/internal/query"
 	"repro/internal/workloads"
 )
 
@@ -17,10 +18,26 @@ func BenchmarkGroupScan(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	benchRun(b, ds, workloads.CovarMatrix(ds))
+}
+
+// BenchmarkGroupByScan times one warm Engine.Run of the favorita
+// mutual-information batch on one thread: pairwise group-bys, so view
+// materialisation — dense builders and their slot-walk finalize — dominates
+// rather than slot arithmetic.
+func BenchmarkGroupByScan(b *testing.B) {
+	ds, err := datagen.Favorita(datagen.Config{Scale: 0.0005, Seed: 2019})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchRun(b, ds, workloads.MutualInfo(ds))
+}
+
+// benchRun times warm single-threaded runs of queries over ds.
+func benchRun(b *testing.B, ds *datagen.Dataset, queries []*query.Query) {
 	opts := moo.DefaultOptions()
 	opts.Threads = 1
 	eng := moo.NewEngineWithTree(ds.DB, ds.Tree, opts)
-	queries := workloads.CovarMatrix(ds)
 	if _, err := eng.Run(queries); err != nil {
 		b.Fatal(err)
 	}

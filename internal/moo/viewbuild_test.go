@@ -3,6 +3,7 @@ package moo
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/data"
@@ -36,7 +37,7 @@ func TestViewBuilderBindLookupProperty(t *testing.T) {
 			groupBy[c] = data.AttrID(10 + c)
 		}
 		const stride = 2
-		b := newViewBuilder(groupBy, stride, false)
+		b := newViewBuilder(groupBy, stride, false, nil)
 		ref := map[string]int32{}
 		var refKeys [][]int64
 		var refVals []float64
@@ -139,10 +140,117 @@ func TestViewBuilderBindLookupProperty(t *testing.T) {
 	}
 }
 
+// TestDenseBuilderMatchesHashed drives dense and hashed builders with the
+// same random keys from random boxes (arity 0–4; negative lows, single-value
+// columns, boxes exactly at the budget), each with a second builder of the
+// same addressing merged in, as the domain-parallel parts are. Row ids and
+// finalized views must be identical, sums bit for bit: the rows enter
+// finalize in the same order, so equal sorted views mean the slot walk
+// produced data.SortIDs's permutation. Boxes spanning the int64 range stay
+// hashed, and a key outside a dense box panics.
+func TestDenseBuilderMatchesHashed(t *testing.T) {
+	rng := rand.New(rand.NewSource(7919))
+	for trial := 0; trial < 300; trial++ {
+		arity := trial % 5
+		groupBy := make([]data.AttrID, arity)
+		box := make([]keySpan, arity)
+		for c := range groupBy {
+			groupBy[c] = data.AttrID(10 + c)
+			lo := int64(rng.Intn(41) - 30)
+			box[c] = keySpan{lo, lo + int64(rng.Intn(3)*rng.Intn(5))}
+		}
+		size, _ := boxSize(box, math.MaxInt)
+		if _, ok := boxSize(box, size); !ok {
+			t.Fatalf("trial %d: box %v of %d slots does not fit a budget of %d", trial, box, size, size)
+		}
+		if _, ok := boxSize(box, size-1); ok {
+			t.Fatalf("trial %d: box %v of %d slots fits a budget of %d", trial, box, size, size-1)
+		}
+		var target []data.AttrID
+		if rng.Intn(3) > 0 {
+			target = []data.AttrID{999}
+			for _, a := range groupBy {
+				if rng.Intn(2) == 0 {
+					target = append(target, a)
+				}
+			}
+		}
+		order, _ := sortOrder(groupBy, target)
+		dl := newDenseLayout(box, order, size)
+		const stride = 2
+		scalar := rng.Intn(2) == 0
+		dense := [2]*viewBuilder{newViewBuilder(groupBy, stride, scalar, dl), newViewBuilder(groupBy, stride, false, dl)}
+		hashed := [2]*viewBuilder{newViewBuilder(groupBy, stride, scalar, nil), newViewBuilder(groupBy, stride, false, nil)}
+		for op := 0; op < 1+rng.Intn(300); op++ {
+			key := make([]int64, arity)
+			for c, s := range box {
+				key[c] = s.lo + rng.Int63n(s.hi-s.lo+1)
+			}
+			part := rng.Intn(3) / 2
+			r := dense[part].row(key)
+			if want := hashed[part].row(key); r != want {
+				t.Fatalf("trial %d op %d: dense row(%v) = %d, hashed %d", trial, op, key, r, want)
+			}
+			col, val := rng.Intn(stride), rng.NormFloat64()
+			dense[part].add(r, col, val)
+			hashed[part].add(r, col, val)
+		}
+		dense[0].merge(dense[1])
+		hashed[0].merge(hashed[1])
+		dv, hv := dense[0].finalize(target), hashed[0].finalize(target)
+		if dv.rows != hv.rows {
+			t.Fatalf("trial %d: %d dense rows, %d hashed", trial, dv.rows, hv.rows)
+		}
+		for i := 0; i < dv.rows; i++ {
+			if i > 0 && cmpRows(dv, i-1, dv, i) >= 0 {
+				t.Fatalf("trial %d: dense rows %d,%d not strictly increasing", trial, i-1, i)
+			}
+			if !slices.Equal(dv.Key(i), hv.Key(i)) {
+				t.Fatalf("trial %d row %d: dense key %v, hashed %v", trial, i, dv.Key(i), hv.Key(i))
+			}
+			for c := 0; c < stride; c++ {
+				if math.Float64bits(dv.Val(i, c)) != math.Float64bits(hv.Val(i, c)) {
+					t.Fatalf("trial %d row %d col %d: dense %v, hashed %v", trial, i, c, dv.Val(i, c), hv.Val(i, c))
+				}
+			}
+		}
+		if arity > 0 {
+			c := rng.Intn(arity)
+			key := make([]int64, arity)
+			for j, s := range box {
+				key[j] = s.lo
+			}
+			key[c] = box[c].hi + 1
+			if rng.Intn(2) == 0 {
+				key[c] = box[c].lo - 1
+			}
+			b := newViewBuilder(groupBy, stride, false, dl)
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("trial %d: key %v outside box %v did not panic", trial, key, box)
+					}
+				}()
+				b.row(key)
+			}()
+		}
+	}
+	for _, box := range [][]keySpan{
+		{{math.MinInt64, math.MaxInt64}},
+		{{0, 0}, {math.MinInt64, math.MaxInt64}},
+		{{math.MinInt64, -1}, {0, math.MaxInt64}},
+		{{1, 0}},
+	} {
+		if size, ok := boxSize(box, math.MaxInt); ok {
+			t.Fatalf("box %v: %d slots, want hashed", box, size)
+		}
+	}
+}
+
 // benchView builds a two-key view of n rows emitted in a scattered order and
 // finalizes it against a consumer keyed on its first attribute.
 func benchView(n int) *ViewData {
-	b := newViewBuilder([]data.AttrID{1, 2}, 4, false)
+	b := newViewBuilder([]data.AttrID{1, 2}, 4, false, nil)
 	for i := 0; i < n; i++ {
 		j := int64(i * 7919 % n)
 		r := b.row([]int64{j / 4, j % 4})
@@ -151,10 +259,11 @@ func benchView(n int) *ViewData {
 	return b.finalize([]data.AttrID{1})
 }
 
-// TestViewHotPathsAllocateNothing: a builder row hit, a bind and a Lookup
-// read and compare int64 columns in place — no packed keys, no allocation.
+// TestViewHotPathsAllocateNothing: a hashed or dense builder row hit, a bind
+// and a Lookup read and compare int64 columns in place — no packed keys, no
+// allocation.
 func TestViewHotPathsAllocateNothing(t *testing.T) {
-	b := newViewBuilder([]data.AttrID{1, 2}, 1, false)
+	b := newViewBuilder([]data.AttrID{1, 2}, 1, false, nil)
 	for i := int64(0); i < 100; i++ {
 		b.row([]int64{i, -i})
 	}
@@ -162,6 +271,14 @@ func TestViewHotPathsAllocateNothing(t *testing.T) {
 	b.row([]int64{0, 0}) // the probe below misses the last-row check
 	if n := testing.AllocsPerRun(100, func() { b.row(hit) }); n != 0 {
 		t.Fatalf("row hit allocates %v times", n)
+	}
+	box := []keySpan{{0, 99}, {-99, 0}}
+	d := newViewBuilder([]data.AttrID{1, 2}, 1, false, newDenseLayout(box, []int{0, 1}, 100*100))
+	for i := int64(0); i < 100; i++ {
+		d.row([]int64{i, -i})
+	}
+	if n := testing.AllocsPerRun(100, func() { d.row(hit) }); n != 0 {
+		t.Fatalf("dense row hit allocates %v times", n)
 	}
 	v := benchView(1000)
 	key, full := []int64{100}, []int64{100, 2}
@@ -230,13 +347,13 @@ func TestViewBuilderResistsCollidingKeys(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		inv *= 2 - hashMul*inv
 	}
-	first := newViewBuilder([]data.AttrID{1}, 1, false)
+	first := newViewBuilder([]data.AttrID{1}, 1, false, nil)
 	const n = 3000
 	keys := make([]int64, n)
 	for j := range keys {
 		keys[j] = int64(first.seed ^ uint64(j)*inv) // hashes to j: top bits all zero
 	}
-	second := newViewBuilder([]data.AttrID{1}, 1, false)
+	second := newViewBuilder([]data.AttrID{1}, 1, false, nil)
 	if second.seed == first.seed {
 		t.Fatal("two builders drew the same seed")
 	}

@@ -103,12 +103,13 @@ func DecodeViewData(b []byte) (*ViewData, int, error) {
 		return nil, 0, ErrViewCorrupt
 	}
 	v.Keys = make([][]int64, ncols)
+	v.box = make([]keySpan, ncols) // not encoded: the format is unchanged
 	for c := range v.Keys {
 		col := make([]int64, rows)
 		for i := range col {
 			col[i] = int64(d.u64())
 		}
-		v.Keys[c] = col
+		v.Keys[c], v.box[c] = col, spanOf(col, nil)
 	}
 	v.Vals = make([]float64, rows*stride)
 	for i := range v.Vals {

@@ -6,6 +6,7 @@ package moo
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"slices"
 
@@ -42,6 +43,50 @@ type ViewData struct {
 	// order, the first nskey of them the consumer key.
 	order []int
 	nskey int
+	// box holds per key column a range holding every key value (a superset
+	// after a merge; nil: unknown): consumers size dense builders from it.
+	box []keySpan
+}
+
+// keySpan is a closed range [lo, hi] of key values; lo > hi is empty.
+type keySpan struct{ lo, hi int64 }
+
+var (
+	emptySpan = keySpan{math.MaxInt64, math.MinInt64}
+	// fullSpan stands for an unknown range: its width overflows any box.
+	fullSpan = keySpan{math.MinInt64, math.MaxInt64}
+)
+
+func (s keySpan) union(t keySpan) keySpan { return keySpan{min(s.lo, t.lo), max(s.hi, t.hi)} }
+
+// spanOf returns the range of col's values at positions ids, or of all of
+// col when ids is nil.
+func spanOf(col []int64, ids []int32) keySpan {
+	s, n := emptySpan, len(col)
+	if ids != nil {
+		n = len(ids)
+	}
+	for i := 0; i < n; i++ {
+		j := i
+		if ids != nil {
+			j = int(ids[i])
+		}
+		s.lo, s.hi = min(s.lo, col[j]), max(s.hi, col[j])
+	}
+	return s
+}
+
+// unionBox returns the column-wise union of two boxes, or nil when either
+// is unknown.
+func unionBox(a, b []keySpan) []keySpan {
+	if a == nil || b == nil {
+		return nil
+	}
+	out := make([]keySpan, len(a))
+	for c := range out {
+		out[c] = a[c].union(b[c])
+	}
+	return out
 }
 
 // NumRows returns the number of result tuples.
@@ -169,40 +214,87 @@ func (v *ViewData) String() string {
 	return fmt.Sprintf("view[groupby=%v rows=%d cols=%d]", v.GroupBy, v.rows, v.Stride)
 }
 
-// viewBuilder accumulates rows during group execution in an open-addressing
-// table of row ids hashed from the int64 key tuple. A probe compares the key
-// in place against the builder's own key columns, so building packs no keys
-// and allocates nothing per probe. Emission keys arrive clustered by the
-// scan order, so the last row is checked before the table.
+// viewBuilder accumulates rows during group execution. Its slots hold row id
+// + 1 (0 = empty), addressed one of two ways (groupPlan.denseLayouts picks):
 //
-// Keys reach the builder from outside (update deltas, WAL replay), and the
-// multiplicative hash is invertible, so each builder draws its own random
-// seed: keys chosen to share one slot under a known seed would make every
-// probe walk them all. Row ids come in first-seen order whatever the seed,
-// so results do not depend on it.
+//   - Dense, for a small key box: key's slot is Σ (key[c] − lo[c]) · mul[c],
+//     with no probe, compare or growth. A key outside the box panics: only an
+//     engine bug makes one, and sharing a slot would be a wrong number.
+//   - Hashed: an open-addressing table hashed from the key tuple, probes
+//     comparing in place against the key columns, the last row first (scan
+//     keys arrive clustered). Keys reach hashed builders from outside (update
+//     deltas, WAL replay) and the hash is invertible, so each builder draws
+//     its own seed: keys chosen to share a slot would make probes walk them.
+//
+// Row ids are first-seen order either way: results depend on neither choice.
 type viewBuilder struct {
-	vd *ViewData
-	// slots holds row id + 1 per slot (0 = empty), linearly probed; its
-	// length is 1<<(64-shift) and kept at least twice the row count.
+	vd      *ViewData
 	slots   []int32
+	dense   *denseLayout // nil: hashed, len(slots) = 1<<(64-shift) ≥ 2 × rows
 	shift   uint
 	seed    uint64
 	lastRow int32
 }
 
+// denseLayout addresses a key box: per GroupBy column its low bound, extent
+// hi − lo and slot multiplier. A view's domain-parallel builders share it.
+type denseLayout struct {
+	cols []denseCol
+	size int
+}
+
+type denseCol struct {
+	lo  int64
+	ext uint64
+	mul int
+}
+
+// newDenseLayout lays out box, of size slots (boxSize), with multipliers
+// following order (sortOrder's; the last position varies fastest).
+func newDenseLayout(box []keySpan, order []int, size int) *denseLayout {
+	dl := &denseLayout{cols: make([]denseCol, len(box)), size: size}
+	mul := 1
+	for j := len(order) - 1; j >= 0; j-- {
+		s := box[order[j]]
+		ext := uint64(s.hi - s.lo)
+		dl.cols[order[j]] = denseCol{lo: s.lo, ext: ext, mul: mul}
+		mul *= int(ext + 1)
+	}
+	return dl
+}
+
+// boxSize returns the slot count of box; ok is false when a span is empty or
+// the box holds more than limit slots.
+func boxSize(box []keySpan, limit int) (size int, ok bool) {
+	size = 1
+	for _, s := range box {
+		w := uint64(s.hi-s.lo) + 1 // 0: the whole int64 range
+		if s.hi < s.lo || w == 0 || w > uint64(limit/size) {
+			return 0, false
+		}
+		size *= int(w)
+	}
+	return size, size <= limit
+}
+
 const builderMinShift = 61 // 8 initial slots
 
-func newViewBuilder(groupBy []data.AttrID, stride int, scalarInit bool) *viewBuilder {
+// newViewBuilder returns a builder addressing rows through dense, or hashed
+// when dense is nil.
+func newViewBuilder(groupBy []data.AttrID, stride int, scalarInit bool, dense *denseLayout) *viewBuilder {
 	b := &viewBuilder{
 		vd: &ViewData{
 			GroupBy: groupBy,
 			Keys:    make([][]int64, len(groupBy)),
 			Stride:  stride,
 		},
-		slots:   make([]int32, 1<<(64-builderMinShift)),
-		shift:   builderMinShift,
-		seed:    rand.Uint64(),
+		dense:   dense,
 		lastRow: -1,
+	}
+	if dense != nil {
+		b.slots = make([]int32, dense.size)
+	} else {
+		b.slots, b.shift, b.seed = make([]int32, 1<<(64-builderMinShift)), builderMinShift, rand.Uint64()
 	}
 	if scalarInit && len(groupBy) == 0 {
 		// Scalar application outputs always deliver one row (zero-valued
@@ -233,20 +325,33 @@ func (v *ViewData) rowEquals(r int, key []int64) bool {
 //
 // lmfao:pre-publish
 func (b *viewBuilder) row(key []int64) int32 {
-	v := b.vd
-	if b.lastRow >= 0 && v.rowEquals(int(b.lastRow), key) {
-		return b.lastRow
-	}
-	h := b.seed
-	for _, k := range key {
-		h = hashStep(h, k)
-	}
-	mask := len(b.slots) - 1
-	i := int(h >> b.shift)
-	for ; b.slots[i] != 0; i = (i + 1) & mask {
-		if r := b.slots[i] - 1; v.rowEquals(int(r), key) {
-			b.lastRow = r
-			return r
+	v, i := b.vd, 0
+	if b.dense != nil {
+		for c, k := range key {
+			dc := &b.dense.cols[c]
+			d := uint64(k - dc.lo)
+			if d > dc.ext {
+				panic(fmt.Sprintf("moo: key column %d value %d outside its dense box [%d, %d]", c, k, dc.lo, dc.lo+int64(dc.ext)))
+			}
+			i += int(d) * dc.mul
+		}
+		if r := b.slots[i]; r != 0 {
+			return r - 1
+		}
+	} else {
+		if b.lastRow >= 0 && v.rowEquals(int(b.lastRow), key) {
+			return b.lastRow
+		}
+		h := b.seed
+		for _, k := range key {
+			h = hashStep(h, k)
+		}
+		mask := len(b.slots) - 1
+		for i = int(h >> b.shift); b.slots[i] != 0; i = (i + 1) & mask {
+			if r := b.slots[i] - 1; v.rowEquals(int(r), key) {
+				b.lastRow = r
+				return r
+			}
 		}
 	}
 	r := int32(v.rows)
@@ -256,7 +361,7 @@ func (b *viewBuilder) row(key []int64) int32 {
 	}
 	v.Vals = append(v.Vals, make([]float64, v.Stride)...)
 	v.rows++
-	if 2*v.rows > len(b.slots) {
+	if b.dense == nil && 2*v.rows > len(b.slots) {
 		b.grow()
 	}
 	b.lastRow = r
@@ -291,7 +396,7 @@ func (b *viewBuilder) add(row int32, col int, val float64) {
 }
 
 // merge folds other into b by key, summing aggregates. Used to combine
-// per-thread partial outputs of domain-parallel scans.
+// per-thread partial outputs of domain-parallel scans (one shared layout).
 func (b *viewBuilder) merge(other *viewBuilder) { addViewInto(b, other.vd, 1) }
 
 // addViewInto folds src's rows into b, scaling every aggregate by sign.
@@ -311,29 +416,47 @@ func addViewInto(b *viewBuilder, src *ViewData, sign float64) {
 	}
 }
 
-// finalize sorts the rows by (consumer key, extras) relative to the target
-// node's schema; pass nil targetAttrs for application outputs (no consumer:
-// the whole group-by is the key, in GroupBy order). The hash table is
-// released: a finalized view is searched by its sort order alone.
+// sortOrder returns the sort layout of a view feeding a node with schema
+// targetAttrs (nil for an application output, keyed by its whole group-by in
+// GroupBy order): GroupBy positions in sort order, nskey of them the key.
+func sortOrder(groupBy, targetAttrs []data.AttrID) (order []int, nskey int) {
+	inKey := func(a data.AttrID) bool { return targetAttrs == nil || slices.Contains(targetAttrs, a) }
+	order = make([]int, 0, len(groupBy))
+	for p, a := range groupBy {
+		if inKey(a) {
+			order = append(order, p)
+		}
+	}
+	nskey = len(order)
+	for p, a := range groupBy {
+		if !inKey(a) {
+			order = append(order, p)
+		}
+	}
+	return order, nskey
+}
+
+// finalize lays the rows out in their sort order relative to the target
+// node's schema. Dense multipliers follow the sort order and keys are unique,
+// so the slots walked in index order give the permutation data.SortIDs would;
+// a hashed builder sorts. The slot table is released.
 //
 // lmfao:pre-publish
 func (b *viewBuilder) finalize(targetAttrs []data.AttrID) *ViewData {
 	v := b.vd
+	v.order, v.nskey = sortOrder(v.GroupBy, targetAttrs)
+	if b.dense == nil {
+		v.sortRows()
+	} else {
+		perm := make([]int32, 0, v.rows)
+		for _, s := range b.slots {
+			if s != 0 {
+				perm = append(perm, s-1)
+			}
+		}
+		v.permute(perm)
+	}
 	b.slots = nil
-	inKey := func(a data.AttrID) bool { return targetAttrs == nil || slices.Contains(targetAttrs, a) }
-	v.order = make([]int, 0, len(v.GroupBy))
-	for p, a := range v.GroupBy {
-		if inKey(a) {
-			v.order = append(v.order, p)
-		}
-	}
-	v.nskey = len(v.order)
-	for p, a := range v.GroupBy {
-		if !inKey(a) {
-			v.order = append(v.order, p)
-		}
-	}
-	v.sortRows()
 	return v
 }
 
@@ -350,18 +473,25 @@ func (v *ViewData) sortRows() {
 		sortKeys[i] = v.Keys[p]
 	}
 	data.SortIDs(perm, sortKeys)
-	newKeys := make([][]int64, len(v.Keys))
-	for c := range v.Keys {
+	v.permute(perm)
+}
+
+// permute reorders the rows so that row i is the old row perm[i], and
+// records the key box.
+//
+// lmfao:pre-publish
+func (v *ViewData) permute(perm []int32) {
+	v.box = make([]keySpan, len(v.Keys))
+	for c, old := range v.Keys {
 		col := make([]int64, v.rows)
 		for i, p := range perm {
-			col[i] = v.Keys[c][p]
+			col[i] = old[p]
 		}
-		newKeys[c] = col
+		v.Keys[c], v.box[c] = col, spanOf(col, nil)
 	}
 	newVals := make([]float64, len(v.Vals))
 	for i, p := range perm {
 		copy(newVals[i*v.Stride:(i+1)*v.Stride], v.Vals[int(p)*v.Stride:(int(p)+1)*v.Stride])
 	}
-	v.Keys = newKeys
 	v.Vals = newVals
 }
