@@ -172,8 +172,9 @@ func DefaultTreeSpec(task TreeTask, label AttrID) TreeSpec {
 }
 
 // LearnDecisionTreeFrom grows a CART tree through a Queryable's refinement
-// hook: every node's split statistics are one fresh batch conditioned on
-// the node's ancestor splits, so q must implement Requerier (session and
+// hook: the root statistics are one fresh batch, then each tree level is one
+// more, holding every node of the level's split statistics conditioned on
+// that node's ancestor splits, so q must implement Requerier (session and
 // sharded snapshots do, as does RunQueryable's adapter — the served batch
 // itself is not consulted). The tree reflects the data behind the hook at
 // learning time; quiesce updates for agreement with a pinned snapshot.
@@ -196,9 +197,9 @@ func LearnDecisionTreeFrom(q Queryable, db *Database, spec TreeSpec) (*TreeModel
 	return tree.LearnWith(tree.RunBatch(rq.Requery), db, spec)
 }
 
-// LearnDecisionTree grows a CART tree; every node's split statistics are one
-// aggregate batch over the database (the *Engine shim over
-// LearnDecisionTreeFrom's refinement loop).
+// LearnDecisionTree grows a CART tree; the root statistics and then each tree
+// level's split statistics are one aggregate batch over the database (the
+// *Engine shim over LearnDecisionTreeFrom's refinement loop).
 func LearnDecisionTree(eng *Engine, spec TreeSpec) (*TreeModel, error) {
 	return tree.Learn(eng, spec)
 }

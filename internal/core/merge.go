@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // mergeViews consolidates the raw directional views (paper §3.4, "Merge
 // Views" layer). Views with the same edge, direction and group-by attributes
@@ -27,6 +30,7 @@ func mergeViews(raw []*View, outputs []*View) []*View {
 		sigIdx map[string]int
 	}
 	byKey := make(map[string]*mergeTarget)
+	var key []byte // From>To|GroupBy
 	var merged []*View
 
 	viewMap := make([]int, len(raw))  // raw ID → merged ID
@@ -40,8 +44,10 @@ func mergeViews(raw []*View, outputs []*View) []*View {
 	}
 
 	for _, v := range raw {
-		key := fmt.Sprintf("%d>%d|%s", v.From, v.To, groupBySig(v.GroupBy))
-		tgt, ok := byKey[key]
+		key = strconv.AppendInt(key[:0], int64(v.From), 10)
+		key = strconv.AppendInt(append(key, '>'), int64(v.To), 10)
+		key = appendGroupBySig(append(key, '|'), v.GroupBy)
+		tgt, ok := byKey[string(key)]
 		if !ok {
 			nv := &View{
 				ID:      len(merged),
@@ -52,7 +58,7 @@ func mergeViews(raw []*View, outputs []*View) []*View {
 			}
 			merged = append(merged, nv)
 			tgt = &mergeTarget{view: nv, sigIdx: make(map[string]int)}
-			byKey[key] = tgt
+			byKey[string(key)] = tgt
 		}
 		viewMap[v.ID] = tgt.view.ID
 		aggMap[v.ID] = make([]int, len(v.Aggs))

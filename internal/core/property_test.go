@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/data"
@@ -43,7 +44,7 @@ func TestPlanDeterminism(t *testing.T) {
 		for i := range p1.Views {
 			a, b := p1.Views[i], p2.Views[i]
 			if a.From != b.From || a.To != b.To || len(a.Aggs) != len(b.Aggs) ||
-				groupBySig(a.GroupBy) != groupBySig(b.GroupBy) {
+				!slices.Equal(a.GroupBy, b.GroupBy) {
 				t.Fatalf("view %d differs", i)
 			}
 			for j := range a.Aggs {

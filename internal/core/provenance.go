@@ -142,8 +142,9 @@ func addCountAggs(t *jointree.Tree, views []*View) []int {
 
 		sigIdx := make(map[string]int, len(v.Aggs))
 		for i, a := range v.Aggs {
-			if _, dup := sigIdx[a.Signature()]; !dup {
-				sigIdx[a.Signature()] = i
+			sig := a.Signature()
+			if _, dup := sigIdx[sig]; !dup {
+				sigIdx[sig] = i
 			}
 		}
 		before := len(v.Aggs)

@@ -151,13 +151,14 @@ func (b *pushdownBuilder) getView(qi, from, to int, groupBy []data.AttrID) int {
 // addAgg registers pa in v, deduplicating by structural signature, and
 // returns its index.
 func addAgg(v *View, sigIdx map[string]int, pa ProdAgg) int {
-	sig := pa.Signature()
-	if i, ok := sigIdx[sig]; ok {
+	var buf [256]byte
+	sig := pa.AppendSignature(buf[:0])
+	if i, ok := sigIdx[string(sig)]; ok {
 		return i
 	}
 	i := len(v.Aggs)
 	v.Aggs = append(v.Aggs, pa)
-	sigIdx[sig] = i
+	sigIdx[string(sig)] = i
 	return i
 }
 

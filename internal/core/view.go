@@ -5,9 +5,10 @@
 package core
 
 import (
-	"fmt"
+	"bytes"
+	"slices"
 	"sort"
-	"strings"
+	"strconv"
 
 	"repro/internal/data"
 	"repro/internal/query"
@@ -32,16 +33,43 @@ type ProdAgg struct {
 // Signature returns a structural identity used for aggregate deduplication
 // (paper merge case: "identical views constructed for different aggregates").
 // It is only meaningful after the referenced views have canonical IDs.
-func (p ProdAgg) Signature() string {
-	fs := make([]string, 0, len(p.Factors)+len(p.Inputs))
+func (p ProdAgg) Signature() string { return string(p.AppendSignature(nil)) }
+
+// AppendSignature appends the bytes of Signature to dst: the factors' and
+// inputs' signatures (query.Factor.AppendSignature, "v<view>.<agg>"), sorted,
+// joined by '*'. Planning keys its aggregate dedup by these bytes.
+func (p ProdAgg) AppendSignature(dst []byte) []byte {
+	var buf [256]byte
+	var ends [16]int
+	b, end := buf[:0], ends[:0]
 	for _, f := range p.Factors {
-		fs = append(fs, f.Signature())
+		b = f.AppendSignature(b)
+		end = append(end, len(b))
 	}
 	for _, in := range p.Inputs {
-		fs = append(fs, fmt.Sprintf("v%d.%d", in.View, in.Agg))
+		b = strconv.AppendInt(append(b, 'v'), int64(in.View), 10)
+		b = strconv.AppendInt(append(b, '.'), int64(in.Agg), 10)
+		end = append(end, len(b))
 	}
-	sort.Strings(fs)
-	return strings.Join(fs, "*")
+	part := func(i int) []byte {
+		if i == 0 {
+			return b[:end[0]]
+		}
+		return b[end[i-1]:end[i]]
+	}
+	var idx [16]int
+	order := idx[:0]
+	for i := range end {
+		order = append(order, i)
+	}
+	slices.SortFunc(order, func(i, j int) int { return bytes.Compare(part(i), part(j)) })
+	for k, i := range order {
+		if k > 0 {
+			dst = append(dst, '*')
+		}
+		dst = append(dst, part(i)...)
+	}
+	return dst
 }
 
 // OutputCol describes one application-level aggregate column of an output
@@ -94,24 +122,21 @@ func (v *View) InputViews() []int {
 	return out
 }
 
-// groupBySig returns a canonical string for the group-by attribute set.
-func groupBySig(gb []data.AttrID) string {
-	parts := make([]string, len(gb))
+// appendGroupBySig appends a canonical key of the group-by attribute list:
+// the IDs joined by ','.
+func appendGroupBySig(dst []byte, gb []data.AttrID) []byte {
 	for i, a := range gb {
-		parts[i] = fmt.Sprint(a)
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendInt(dst, int64(a), 10)
 	}
-	return strings.Join(parts, ",")
+	return dst
 }
 
 // sortAttrs sorts and deduplicates attribute IDs in place, returning the
 // result.
 func sortAttrs(ids []data.AttrID) []data.AttrID {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	out := ids[:0]
-	for i, id := range ids {
-		if i == 0 || id != out[len(out)-1] {
-			out = append(out, id)
-		}
-	}
-	return out
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }

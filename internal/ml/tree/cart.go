@@ -2,8 +2,9 @@
 // algorithm (paper §2, Figure 2) over the natural join of a database. The
 // data-intensive work of each node — variance or Gini/entropy statistics for
 // every candidate split, filtered by the conjunction of ancestor conditions —
-// is one aggregate batch handed to the LMFAO engine (the paper's "regression
-// tree node" workload); the application layer only picks the best split.
+// is one aggregate batch (the paper's "regression tree node" workload), and
+// the batches of one tree level go to the LMFAO engine as one; the
+// application layer only picks the best split.
 //
 // A materialize-then-scan learner (the MADlib / TensorFlow proxy) implements
 // the same algorithm over the flat join result for comparison.

@@ -2,6 +2,7 @@ package tree
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/data"
 	"repro/internal/moo"
@@ -9,14 +10,17 @@ import (
 )
 
 // RunBatch evaluates one ad-hoc aggregate batch and returns one
-// materialized view per query, batch order — the only capability tree
-// learning needs from its backend. An engine, a session snapshot's requery
-// hook, or a sharded snapshot's fan-out-and-merge all fit.
+// materialized view per query, batch order, each sorted by its group-by as
+// engine outputs are — the only capability tree learning needs from its
+// backend. An engine, a session snapshot's requery hook, or a sharded
+// snapshot's fan-out-and-merge all fit. The learner calls it once for the
+// root's statistics and then once per tree level; it reads categorical
+// candidates in row order and fails on rows out of order.
 type RunBatch func(queries []*query.Query) ([]*moo.ViewData, error)
 
-// Learn grows a CART tree using the LMFAO engine: every node evaluation is
-// one aggregate batch over the input database; the training dataset is never
-// materialized.
+// Learn grows a CART tree using the LMFAO engine: the root statistics are one
+// aggregate batch over the input database and every tree level one more; the
+// training dataset is never materialized.
 func Learn(eng *moo.Engine, spec Spec) (*Model, error) {
 	return LearnWith(func(queries []*query.Query) ([]*moo.ViewData, error) {
 		res, err := eng.Run(queries)
@@ -27,11 +31,14 @@ func Learn(eng *moo.Engine, spec Spec) (*Model, error) {
 	}, eng.DB(), spec)
 }
 
-// LearnWith grows a CART tree over any batch evaluator: each node's
-// candidate-split statistics are one batch handed to run, conditioned on
-// the node's ancestor splits. db supplies attribute metadata and the base
-// columns the split thresholds are bucketed from; it must be the database
-// (or an identically loaded copy of the database) behind run.
+// LearnWith grows a CART tree over any batch evaluator, breadth-first. The
+// root's statistics are one batch; then each level's frontier — the nodes
+// still to be split — is one batch handed to run: the concatenation of every
+// frontier node's NodeBatch, conditioned on that node's ancestor splits, from
+// whose slice of the results each node picks its split. A tree of depth d
+// costs at most d+1 runs. db supplies attribute metadata and the base columns
+// the split thresholds are bucketed from; it must be the database (or an
+// identically loaded copy of the database) behind run.
 func LearnWith(run RunBatch, db *data.Database, spec Spec) (*Model, error) {
 	spec.normalize()
 	if err := spec.Validate(db); err != nil {
@@ -48,21 +55,14 @@ func LearnWith(run RunBatch, db *data.Database, spec Spec) (*Model, error) {
 	}
 	l.classes = classes
 	m := &Model{Spec: spec, Classes: classes}
-	m.Root, err = l.grow(nil, root, 0)
-	if err != nil {
-		return nil, err
-	}
-	count := 0
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		count++
-		if !n.IsLeaf() {
-			walk(n.Left)
-			walk(n.Right)
+	var frontier []fragment
+	m.Root, frontier = l.addNode(frontier, nil, root, 0)
+	for len(frontier) > 0 {
+		if frontier, err = l.splitLevel(frontier); err != nil {
+			return nil, err
 		}
 	}
-	walk(m.Root)
-	m.Nodes = count
+	m.Nodes = 1 + 2*l.splits
 	return m, nil
 }
 
@@ -72,10 +72,21 @@ type engineLearner struct {
 	thresholds map[data.AttrID][]float64
 	classes    []int64
 	classIdx   map[int64]int
+	splits     int
+}
+
+// fragment is a frontier node: a node that may be split, the conditions
+// defining its fragment and the fragment's statistics.
+type fragment struct {
+	node  *Node
+	conds []Condition
+	stats nodeStats
 }
 
 // rootStats evaluates the unconditioned node statistics and, for
-// classification, discovers the label classes.
+// classification, discovers the label classes. It is a run of its own:
+// folding it into the first level's batch changes the plan the root
+// statistics come from, and with it their floating-point sums.
 func (l *engineLearner) rootStats() (nodeStats, []int64, error) {
 	if l.spec.Task == Regression {
 		views, err := l.run([]*query.Query{query.NewQuery("rt_root", nil,
@@ -109,9 +120,9 @@ func (l *engineLearner) rootStats() (nodeStats, []int64, error) {
 	return st, classes, nil
 }
 
-// grow builds the subtree for the fragment defined by conds, whose
-// statistics are already known.
-func (l *engineLearner) grow(conds []Condition, stats nodeStats, depth int) (*Node, error) {
+// addNode creates the node of the fragment defined by conds, whose
+// statistics are known, and appends it to frontier unless it stays a leaf.
+func (l *engineLearner) addNode(frontier []fragment, conds []Condition, stats nodeStats, depth int) (*Node, []fragment) {
 	node := &Node{
 		Prediction: stats.prediction(l.spec, l.classes),
 		Count:      stats.count,
@@ -119,40 +130,55 @@ func (l *engineLearner) grow(conds []Condition, stats nodeStats, depth int) (*No
 		Depth:      depth,
 	}
 	if depth >= l.spec.MaxDepth || stats.count < float64(l.spec.MinSplit) || node.Cost <= 1e-12 {
-		return node, nil
+		return node, frontier
 	}
-	cands, err := l.candidates(conds)
-	if err != nil {
-		return nil, err
-	}
-	best, _ := chooseSplit(l.spec, stats, cands)
-	if best == nil {
-		return node, nil
-	}
-	cond := best.cond
-	node.SplitCond = &cond
-	left, err := l.grow(append(append([]Condition(nil), conds...), cond),
-		best.left, depth+1)
-	if err != nil {
-		return nil, err
-	}
-	right, err := l.grow(append(append([]Condition(nil), conds...), cond.Negated()),
-		stats.minus(best.left), depth+1)
-	if err != nil {
-		return nil, err
-	}
-	node.Left, node.Right = left, right
-	return node, nil
+	return node, append(frontier, fragment{node: node, conds: conds, stats: stats})
 }
 
-// candidates runs the node batch and decodes every candidate's left-side
-// statistics.
-func (l *engineLearner) candidates(conds []Condition) ([]candidate, error) {
-	batch := NodeBatch(l.spec, conds, l.thresholds)
+// splitLevel evaluates the candidate splits of every frontier node in one
+// run, splits each node that has a best candidate, and returns the next
+// frontier. Node i's queries are batch[off[i]:off[i+1]].
+func (l *engineLearner) splitLevel(frontier []fragment) ([]fragment, error) {
+	var batch []*query.Query
+	off := make([]int, len(frontier)+1)
+	for i, f := range frontier {
+		batch = append(batch, NodeBatch(l.spec, f.conds, l.thresholds)...)
+		off[i+1] = len(batch)
+	}
 	results, err := l.run(batch)
 	if err != nil {
 		return nil, err
 	}
+	if len(results) != len(batch) {
+		return nil, fmt.Errorf("tree: level batch of %d queries returned %d results", len(batch), len(results))
+	}
+	var next []fragment
+	for i, f := range frontier {
+		cands, err := l.candidates(results[off[i]:off[i+1]])
+		if err != nil {
+			return nil, err
+		}
+		best, _ := chooseSplit(l.spec, f.stats, cands)
+		if best == nil {
+			continue
+		}
+		cond := best.cond
+		f.node.SplitCond = &cond
+		l.splits++
+		depth := f.node.Depth + 1
+		f.node.Left, next = l.addNode(next, childConds(f.conds, cond), best.left, depth)
+		f.node.Right, next = l.addNode(next, childConds(f.conds, cond.Negated()), f.stats.minus(best.left), depth)
+	}
+	return next, nil
+}
+
+func childConds(conds []Condition, c Condition) []Condition {
+	return append(slices.Clip(conds), c)
+}
+
+// candidates decodes every candidate's left-side statistics from one node's
+// slice of a level's results.
+func (l *engineLearner) candidates(results []*moo.ViewData) ([]candidate, error) {
 	var cands []candidate
 	switch l.spec.Task {
 	case Regression:
@@ -174,21 +200,15 @@ func (l *engineLearner) candidates(conds []Condition) ([]candidate, error) {
 			}
 		}
 		for qi, attr := range l.spec.Categorical {
+			// An application output is sorted by its group-by, so the rows
+			// come in category order, as the materialized learner's.
 			cvd := results[1+qi]
-			// Sort categories so the candidate order matches the
-			// materialized learner exactly.
-			rowOf := map[int64]int{}
-			var order []int64
 			for r := 0; r < cvd.NumRows(); r++ {
-				c := cvd.KeyAt(r, 0)
-				rowOf[c] = r
-				order = append(order, c)
-			}
-			sortInt64s(order)
-			for _, c := range order {
-				r := rowOf[c]
+				if r > 0 && cvd.KeyAt(r, 0) <= cvd.KeyAt(r-1, 0) {
+					return nil, fmt.Errorf("tree: categories of attribute %d arrive out of order at row %d", attr, r)
+				}
 				cands = append(cands, candidate{
-					cond: Condition{Attr: attr, Op: query.EQ, Threshold: float64(c)},
+					cond: Condition{Attr: attr, Op: query.EQ, Threshold: float64(cvd.KeyAt(r, 0))},
 					left: nodeStats{count: cvd.Val(r, 0), sum: cvd.Val(r, 1), sumSq: cvd.Val(r, 2)},
 				})
 			}
@@ -247,7 +267,7 @@ func (l *engineLearner) candidates(conds []Condition) ([]candidate, error) {
 				st.classCounts[ci] += v
 				st.count += v
 			}
-			sortInt64s(order)
+			slices.Sort(order)
 			for _, cat := range order {
 				cands = append(cands, candidate{
 					cond: Condition{Attr: attr, Op: query.EQ, Threshold: float64(cat)},
@@ -257,12 +277,4 @@ func (l *engineLearner) candidates(conds []Condition) ([]candidate, error) {
 		}
 	}
 	return cands, nil
-}
-
-func sortInt64s(v []int64) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
 }

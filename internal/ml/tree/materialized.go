@@ -1,6 +1,8 @@
 package tree
 
 import (
+	"slices"
+
 	"repro/internal/data"
 	"repro/internal/query"
 )
@@ -197,7 +199,7 @@ func (l *flatLearner) candidates(rows []int32) []candidate {
 			}
 			accum(st, r)
 		}
-		sortInt64s(order)
+		slices.Sort(order)
 		for _, c := range order {
 			cands = append(cands, candidate{
 				cond: Condition{Attr: attr, Op: query.EQ, Threshold: float64(c)},

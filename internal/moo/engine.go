@@ -389,26 +389,31 @@ func (e *Engine) execGroup(gp *groupPlan, produced []*ViewData, relOverride *dat
 		return err
 	}
 	gp.resolveLeafCols()
-
-	n := gp.rel.Len()
-	var builders []*viewBuilder
-	if e.opts.Threads > 1 && gp.L > 0 && n >= e.opts.DomainParallelRows {
-		builders, err = e.runDomainParallel(gp, produced, n, scalarInit)
-		if err != nil {
-			return err
-		}
-	} else {
-		ctx, err := newExecCtx(gp, produced, scalarInit, gp.denseLayouts(produced, nil, n))
-		if err != nil {
-			return err
-		}
-		ctx.run(0, n)
-		builders = ctx.builders
+	builders, err := e.scanGroup(gp, produced, scalarInit)
+	if err != nil {
+		return err
 	}
 	for i, v := range gp.views {
 		produced[v.ID] = builders[i].finalize(gp.targets[i])
 	}
 	return nil
+}
+
+// scanGroup runs gp's scan over its bound relation, domain-parallel when it
+// is large enough, and returns the views' builders, merged but not
+// finalized.
+func (e *Engine) scanGroup(gp *groupPlan, produced []*ViewData, scalarInit bool) ([]*viewBuilder, error) {
+	n := gp.rel.Len()
+	if e.opts.Threads > 1 && gp.L > 0 && n >= e.opts.DomainParallelRows {
+		return e.runDomainParallel(gp, produced, n, scalarInit)
+	}
+	dense, wins := gp.layouts(produced, nil, []int{0, n})
+	ctx, err := newExecCtx(gp, produced, scalarInit, dense, wins[0])
+	if err != nil {
+		return nil, err
+	}
+	ctx.run(0, n)
+	return ctx.builders, nil
 }
 
 // runDomainParallel splits the scan at top-attribute value boundaries across
@@ -439,7 +444,7 @@ func (e *Engine) runDomainParallel(gp *groupPlan, produced []*ViewData, n int, s
 	}
 	chunkStarts = append(chunkStarts, n)
 
-	dense := gp.denseLayouts(produced, nil, n)
+	dense, wins := gp.layouts(produced, nil, chunkStarts)
 	ctxs := make([]*execCtx, 0, threads)
 	var wg sync.WaitGroup
 	for t := 0; t < threads; t++ {
@@ -447,7 +452,7 @@ func (e *Engine) runDomainParallel(gp *groupPlan, produced []*ViewData, n int, s
 		if lo >= hi {
 			continue
 		}
-		ctx, err := newExecCtx(gp, produced, scalarInit && t == 0, dense)
+		ctx, err := newExecCtx(gp, produced, scalarInit && t == 0, dense, wins[t])
 		if err != nil {
 			return nil, err
 		}

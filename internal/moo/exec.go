@@ -53,8 +53,8 @@ type execCtx struct {
 }
 
 // newExecCtx returns a context for one execution of gp, its builders laid
-// out by dense (groupPlan.denseLayouts).
-func newExecCtx(gp *groupPlan, produced []*ViewData, scalarInit bool, dense []*denseLayout) (*execCtx, error) {
+// out by its chunk's run windows wins and by dense (groupPlan.layouts).
+func newExecCtx(gp *groupPlan, produced []*ViewData, scalarInit bool, dense []*denseLayout, wins []runWindow) (*execCtx, error) {
 	c := &execCtx{gp: gp}
 	c.inViews = make([]*ViewData, len(gp.inputs))
 	for i, in := range gp.inputs {
@@ -100,10 +100,20 @@ func newExecCtx(gp *groupPlan, produced []*ViewData, scalarInit bool, dense []*d
 	c.crow = lineAligned[int32](len(gp.inputs))
 	c.vbuf = lineAligned[float64](len(gp.emits))
 	c.builders = make([]*viewBuilder, len(gp.views))
-	for i, v := range gp.views {
+	c.newBuilders(scalarInit, dense, wins)
+	return c, nil
+}
+
+// newBuilders gives the context fresh builders laid out by wins and dense.
+func (c *execCtx) newBuilders(scalarInit bool, dense []*denseLayout, wins []runWindow) {
+	for i, v := range c.gp.views {
+		if wins[i].store != nil {
+			c.builders[i] = newViewBuilder(v.GroupBy, len(v.Cols), false, nil)
+			c.builders[i].useRun(wins[i])
+			continue
+		}
 		c.builders[i] = newViewBuilder(v.GroupBy, len(v.Cols), scalarInit && v.IsOutput(), dense[i])
 	}
-	return c, nil
 }
 
 // lineAligned returns n zeroed Ts on 64-byte cache lines no other object
@@ -121,7 +131,7 @@ func lineAligned[T any](n int) []T { return make([]T, n, (n/64+1)*64) }
 // R/P levels on entry, and every register is recomputed before it is read),
 // builders start fresh, and the id indirection is cleared until the caller
 // installs one.
-func (c *execCtx) reset(produced []*ViewData, scalarInit bool, dense []*denseLayout) error {
+func (c *execCtx) reset(produced []*ViewData, scalarInit bool, dense []*denseLayout, wins []runWindow) error {
 	gp := c.gp
 	for i, in := range gp.inputs {
 		vd := produced[in.id]
@@ -134,36 +144,154 @@ func (c *execCtx) reset(produced []*ViewData, scalarInit bool, dense []*denseLay
 		c.orderCols[d] = gp.rel.MustCol(a).Ints
 	}
 	c.ids = nil
-	for i, v := range gp.views {
-		c.builders[i] = newViewBuilder(v.GroupBy, len(v.Cols), scalarInit && v.IsOutput(), dense[i])
-	}
+	c.newBuilders(scalarInit, dense, wins)
 	return nil
 }
 
-// denseLayouts picks the views of one execution of gp built with dense
-// addressing (nil entries stay hashed). Boxes (keyBoxes) are granted
-// smallest first while the total slot count stays within 2 × scanned rows ×
-// relation width: 4-byte slots then never take more memory than the 8-byte
-// values the scan reads, and walking them costs no more than the scan.
-func (gp *groupPlan) denseLayouts(produced []*ViewData, ids []int32, n int) []*denseLayout {
+// layouts picks each view's addressing for one execution of gp over the
+// rows ids, or over the sorted rows [0, n) split into chunks at bounds
+// (bounds[0] = 0, the last bound n; one chunk per execution context). It
+// returns per view a dense layout or nil, and per chunk and view a run
+// window, whose store is nil for views not built in runs.
+//
+// One budget covers every view: the bytes of the 8-byte values the scan
+// reads, 8 × scanned rows × relation width, so the builders' pre-sized
+// memory never exceeds the scan's input and walking it costs no more than
+// the scan.
+//   - Dense boxes (keyBoxes) are granted first, smallest first, charged 4
+//     bytes per slot.
+//   - Run stores then take what is left, on scans without ids: a view keyed
+//     by a prefix of the scan order (runLen) gets a store sized to the
+//     distinct key prefixes of the scanned rows, charged its key and value
+//     bytes, one window per chunk. Chunks split at the first order
+//     attribute, so no key is in two of them. The view drops its box, or
+//     keeps it when its sort order is not the scan's: finalize walks the box
+//     to order the store, as it walks a dense builder's slots, and sorts the
+//     store without one, as it sorts a hashed builder.
+func (gp *groupPlan) layouts(produced []*ViewData, ids []int32, bounds []int) ([]*denseLayout, [][]runWindow) {
+	n := bounds[len(bounds)-1]
+	budget := 8 * n * len(gp.rel.Attrs)
 	boxes := gp.keyBoxes(produced, ids, n)
-	budget := 2 * n * len(gp.rel.Attrs)
 	type fit struct{ view, size int }
 	var fits []fit
 	for i, box := range boxes {
-		if size, ok := boxSize(box, budget); box != nil && ok {
+		if size, ok := boxSize(box, budget/4); box != nil && ok {
 			fits = append(fits, fit{i, size})
 		}
 	}
 	slices.SortStableFunc(fits, func(a, b fit) int { return a.size - b.size })
-	out := make([]*denseLayout, len(gp.views))
+	dense := make([]*denseLayout, len(gp.views))
 	for _, f := range fits {
-		if f.size > budget {
+		if 4*f.size > budget {
 			break
 		}
-		budget -= f.size
+		budget -= 4 * f.size
 		order, _ := sortOrder(gp.views[f.view].GroupBy, gp.targets[f.view])
-		out[f.view] = newDenseLayout(boxes[f.view], order, f.size)
+		dense[f.view] = newDenseLayout(boxes[f.view], order, f.size)
+	}
+
+	wins := make([][]runWindow, len(bounds)-1)
+	for t := range wins {
+		wins[t] = make([]runWindow, len(gp.views))
+	}
+	if ids != nil {
+		return dense, wins
+	}
+	ks, sorted, maxK := make([]int, len(gp.views)), make([]bool, len(gp.views)), 0
+	for i := range gp.views {
+		ks[i], sorted[i] = gp.runLen(i)
+		maxK = max(maxK, ks[i])
+	}
+	if maxK == 0 {
+		return dense, wins
+	}
+	counts := gp.prefixCounts(bounds, maxK)
+	for i, v := range gp.views {
+		k, total := ks[i], 0
+		for t := range wins {
+			total += counts[t][k]
+		}
+		cost := 8 * total * (len(v.GroupBy) + len(v.Cols))
+		if k == 0 || cost > budget {
+			continue
+		}
+		budget -= cost
+		st := &runStore{keys: make([][]int64, len(v.GroupBy)), vals: make([]float64, total*len(v.Cols)), sorted: sorted[i]}
+		for c := range st.keys {
+			st.keys[c] = make([]int64, total)
+		}
+		if !st.sorted {
+			st.walk = dense[i]
+		}
+		dense[i] = nil
+		off := 0
+		for t := range wins {
+			wins[t][i] = runWindow{store: st, off: off, n: counts[t][k]}
+			off += counts[t][k]
+		}
+	}
+	return dense, wins
+}
+
+// runLen returns k ≥ 1 when view vi can be built in runs: every emit group
+// writing it keys it by the scan's first k order attributes, so its keys
+// arrive in scan order, each key's writes in one run of the scan. It returns
+// 0 otherwise. sorted reports that the view's sort order lists the key as
+// the scan order does. Group-by attributes are distinct, so k key parts
+// bound at depths below k are bound at each of them.
+func (gp *groupPlan) runLen(vi int) (k int, sorted bool) {
+	for gi := range gp.emitGroups {
+		g := &gp.emitGroups[gi]
+		if g.view != vi {
+			continue
+		}
+		for _, ks := range g.keySrc {
+			if ks.carried >= 0 || ks.depth >= len(g.keySrc) {
+				return 0, false
+			}
+		}
+		k = len(g.keySrc)
+	}
+	v := gp.views[vi]
+	order, _ := sortOrder(v.GroupBy, gp.targets[vi])
+	for d := 0; d < k; d++ {
+		if v.GroupBy[order[d]] != gp.order[d] {
+			return k, false
+		}
+	}
+	return k, true
+}
+
+// prefixCounts returns, per chunk [bounds[t], bounds[t+1]) of the sorted
+// scan relation, the number of distinct k-prefixes of its order attributes
+// for k = 0..maxK (index k).
+func (gp *groupPlan) prefixCounts(bounds []int, maxK int) [][]int {
+	cols := make([][]int64, maxK)
+	for d := range cols {
+		cols[d] = gp.rel.MustCol(gp.order[d]).Ints
+	}
+	out := make([][]int, len(bounds)-1)
+	for t := range out {
+		// first[d] counts the rows after the chunk's first whose first
+		// differing order attribute is d: each starts a new k-prefix for
+		// every k > d.
+		first := make([]int, maxK+1)
+		lo, hi := bounds[t], bounds[t+1]
+		for i := lo + 1; i < hi; i++ {
+			d := 0
+			for d < maxK && cols[d][i] == cols[d][i-1] {
+				d++
+			}
+			first[d]++
+		}
+		cnt := make([]int, maxK+1)
+		if lo < hi {
+			cnt[0] = 1
+			for k := 1; k <= maxK; k++ {
+				cnt[k] = cnt[k-1] + first[k-1]
+			}
+		}
+		out[t] = cnt
 	}
 	return out
 }

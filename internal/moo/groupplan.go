@@ -3,7 +3,7 @@ package moo
 import (
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/data"
@@ -361,23 +361,22 @@ func (gp *groupPlan) reg(r slotRef) int32 { return int32(gp.regBase[r.depth+1] +
 // carried views), registers the groups at their depths and lays out each
 // group's emission program against the running-sum numbering sid.
 func (gp *groupPlan) buildEmitGroups(sid [][]int32) {
-	sig := func(e *emitSpec) string {
-		var b strings.Builder
-		fmt.Fprintf(&b, "v%d@%d|", e.view, e.regDepth)
-		for _, ks := range e.keySrc {
-			fmt.Fprintf(&b, "k%d.%d.%d,", ks.carried, ks.depth, ks.extraCol)
-		}
-		b.WriteString("|")
-		for _, cr := range e.carried {
-			fmt.Fprintf(&b, "c%d,", cr.input)
-		}
-		return b.String()
-	}
+	// k is the group key: "v<view>@<regDepth>|" then "k<carried>.<depth>.<extraCol>,"
+	// per key source, "|", and "c<input>," per carried view.
+	var k []byte
+	num := func(b []byte, v int) []byte { return strconv.AppendInt(b, int64(v), 10) }
 	idx := map[string]int{}
 	for ei := range gp.emits {
 		e := &gp.emits[ei]
-		k := sig(e)
-		gi, ok := idx[k]
+		k = append(num(append(num(append(k[:0], 'v'), e.view), '@'), e.regDepth), '|')
+		for _, ks := range e.keySrc {
+			k = append(num(append(num(append(num(append(k, 'k'), ks.carried), '.'), ks.depth), '.'), ks.extraCol), ',')
+		}
+		k = append(k, '|')
+		for _, cr := range e.carried {
+			k = append(num(append(k, 'c'), cr.input), ',')
+		}
+		gi, ok := idx[string(k)]
 		if !ok {
 			gi = len(gp.emitGroups)
 			g := emitGroup{view: e.view, regDepth: e.regDepth, keySrc: e.keySrc, w: 2}
@@ -385,7 +384,7 @@ func (gp *groupPlan) buildEmitGroups(sid [][]int32) {
 				g.carriedInputs = append(g.carriedInputs, cr.input)
 			}
 			gp.emitGroups = append(gp.emitGroups, g)
-			idx[k] = gi
+			idx[string(k)] = gi
 			if e.regDepth == -1 {
 				gp.emitsScalar = append(gp.emitsScalar, gi)
 			} else {
@@ -511,7 +510,8 @@ func (pc *planCompiler) registerTerm(p *core.Plan, vi int, v *core.View, col int
 	}
 	for _, s := range scalarIns {
 		spec := slotSpec{kind: lookupSlot, input: s.inputIdx, col: s.ref.Agg}
-		addSlot(gp.inputs[s.inputIdx].bindDepth, spec, fmt.Sprintf("lk%d.%d", s.inputIdx, s.ref.Agg))
+		sig := strconv.AppendInt(append(strconv.AppendInt([]byte("lk"), int64(s.inputIdx), 10), '.'), int64(s.ref.Agg), 10)
+		addSlot(gp.inputs[s.inputIdx].bindDepth, spec, string(sig))
 	}
 
 	// Leaf slot terminates every chain (the row-level count/row-factor sum).
@@ -670,36 +670,55 @@ func (pc *planCompiler) internLeaf(fs []query.Factor) int {
 	return i
 }
 
+// internSuffix interns the chain of slots at depth d ending in next, keyed
+// "<slot>,<slot>,…|<next>".
 func (pc *planCompiler) internSuffix(d int, slots []int, next int) int {
-	parts := make([]string, len(slots))
+	var buf [64]byte
+	sig := buf[:0]
 	for i, s := range slots {
-		parts[i] = fmt.Sprint(s)
+		if i > 0 {
+			sig = append(sig, ',')
+		}
+		sig = strconv.AppendInt(sig, int64(s), 10)
 	}
-	sig := strings.Join(parts, ",") + "|" + fmt.Sprint(next)
-	if i, ok := pc.sfxSigs[d][sig]; ok && pc.compiled {
+	sig = strconv.AppendInt(append(sig, '|'), int64(next), 10)
+	if i, ok := pc.sfxSigs[d][string(sig)]; ok && pc.compiled {
 		return i
 	}
 	i := len(pc.gp.suffixes[d])
 	pc.gp.suffixes[d] = append(pc.gp.suffixes[d], suffixSpec{slots: slots, next: next})
-	pc.sfxSigs[d][sig] = i
+	pc.sfxSigs[d][string(sig)] = i
 	return i
 }
 
+// sortFactors orders fs by attribute, then by signature: a stable insertion
+// sort over a handful of factors, building signatures only for ties.
 func sortFactors(fs []query.Factor) {
-	sort.SliceStable(fs, func(i, j int) bool {
-		if fs[i].Attr != fs[j].Attr {
-			return fs[i].Attr < fs[j].Attr
+	less := func(a, b *query.Factor) bool {
+		if a.Attr != b.Attr {
+			return a.Attr < b.Attr
 		}
-		return fs[i].Signature() < fs[j].Signature()
-	})
+		var x, y [64]byte
+		return string(a.AppendSignature(x[:0])) < string(b.AppendSignature(y[:0]))
+	}
+	for i := 1; i < len(fs); i++ {
+		for j := i; j > 0 && less(&fs[j], &fs[j-1]); j-- {
+			fs[j], fs[j-1] = fs[j-1], fs[j]
+		}
+	}
 }
 
+// localSig keys a factor product: the factor signatures joined by '*'.
 func localSig(fs []query.Factor) string {
-	parts := make([]string, len(fs))
+	var buf [128]byte
+	sig := buf[:0]
 	for i, f := range fs {
-		parts[i] = f.Signature()
+		if i > 0 {
+			sig = append(sig, '*')
+		}
+		sig = f.AppendSignature(sig)
 	}
-	return strings.Join(parts, "*")
+	return string(sig)
 }
 
 // numSuffix returns the number of running-sum entries at depth d, where

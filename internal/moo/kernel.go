@@ -147,14 +147,14 @@ func (k *maintKernel) runBound(produced []*ViewData, ids []int32, n int) error {
 	if ids != nil {
 		n = len(ids)
 	}
-	dense := k.gp.denseLayouts(produced, ids, n)
+	dense, wins := k.gp.layouts(produced, ids, []int{0, n})
 	if k.ctx == nil || k.ctx.gp != k.gp {
-		ctx, err := newExecCtx(k.gp, produced, false, dense)
+		ctx, err := newExecCtx(k.gp, produced, false, dense, wins[0])
 		if err != nil {
 			return err
 		}
 		k.ctx = ctx
-	} else if err := k.ctx.reset(produced, false, dense); err != nil {
+	} else if err := k.ctx.reset(produced, false, dense, wins[0]); err != nil {
 		return err
 	}
 	k.ctx.ids = ids

@@ -375,3 +375,113 @@ func TestViewBuilderResistsCollidingKeys(t *testing.T) {
 		}
 	}
 }
+
+// TestRunBuilderMatchesHashed drives run builders the way a domain-parallel
+// scan of a run-built view does — keys arriving sorted in a random column
+// order, often the view's sort order for a random consumer, each in one run,
+// split into chunks at the first column, some keys never written — against
+// a hashed builder fed the same writes. A store not in sort order is
+// reordered by walking its key box or, without one, by sorting. The
+// finalized views must be identical, sums bit for bit; a store whose every
+// row is used is published in place, without a copy.
+func TestRunBuilderMatchesHashed(t *testing.T) {
+	rng := rand.New(rand.NewSource(2026))
+	for trial := 0; trial < 300; trial++ {
+		arity := 1 + trial%4
+		groupBy := make([]data.AttrID, arity)
+		for c := range groupBy {
+			groupBy[c] = data.AttrID(10 + c)
+		}
+		var target []data.AttrID
+		if rng.Intn(3) > 0 {
+			target = []data.AttrID{999}
+			for _, a := range groupBy {
+				if rng.Intn(2) == 0 {
+					target = append(target, a)
+				}
+			}
+		}
+		order, _ := sortOrder(groupBy, target)
+		scan := order // scan depth d binds GroupBy column scan[d]
+		if rng.Intn(2) == 0 {
+			scan = rng.Perm(arity)
+		}
+		// The scanned key prefixes, sorted in scan order, then cut into
+		// chunks at first-column changes.
+		var prefixes [][]int64
+		for i := rng.Intn(60); i >= 0; i-- {
+			p := make([]int64, arity)
+			for d := range p {
+				p[d] = int64(rng.Intn(4) - 1)
+			}
+			prefixes = append(prefixes, p)
+		}
+		slices.SortFunc(prefixes, slices.Compare[[]int64])
+		prefixes = slices.CompactFunc(prefixes, slices.Equal[[]int64])
+		bounds := []int{0}
+		for i := 1; i < len(prefixes); i++ {
+			if prefixes[i][0] != prefixes[i-1][0] && rng.Intn(2) == 0 {
+				bounds = append(bounds, i)
+			}
+		}
+		bounds = append(bounds, len(prefixes))
+		const stride = 3
+		st := &runStore{keys: make([][]int64, arity), vals: make([]float64, len(prefixes)*stride), sorted: slices.Equal(scan, order)}
+		for c := range st.keys {
+			st.keys[c] = make([]int64, len(prefixes))
+		}
+		if !st.sorted && len(prefixes) > 0 && rng.Intn(2) == 0 {
+			box := make([]keySpan, arity)
+			for d, c := range scan {
+				box[c] = emptySpan
+				for _, p := range prefixes {
+					box[c] = box[c].union(keySpan{p[d], p[d]})
+				}
+			}
+			size, _ := boxSize(box, math.MaxInt)
+			st.walk = newDenseLayout(box, order, size)
+		}
+		unused := rng.Intn(3) == 0
+		hashed := newViewBuilder(groupBy, stride, false, nil)
+		var parts []*viewBuilder
+		for t := 0; t+1 < len(bounds); t++ {
+			b := newViewBuilder(groupBy, stride, false, nil)
+			b.useRun(runWindow{store: st, off: bounds[t], n: bounds[t+1] - bounds[t]})
+			parts = append(parts, b)
+			for _, p := range prefixes[bounds[t]:bounds[t+1]] {
+				if rng.Intn(4) == 0 || unused && rng.Intn(4) > 0 {
+					continue // no join tuple for this key
+				}
+				key := make([]int64, arity)
+				for d, c := range scan {
+					key[c] = p[d]
+				}
+				for w := rng.Intn(3); w >= 0; w-- {
+					col, val := rng.Intn(stride), rng.NormFloat64()
+					b.add(b.row(key), col, val)
+					hashed.add(hashed.row(key), col, val)
+				}
+			}
+		}
+		for _, p := range parts[1:] {
+			parts[0].merge(p)
+		}
+		rv, hv := parts[0].finalize(target), hashed.finalize(target)
+		if rv.rows != hv.rows {
+			t.Fatalf("trial %d: %d run rows, %d hashed", trial, rv.rows, hv.rows)
+		}
+		for i := 0; i < rv.rows; i++ {
+			if !slices.Equal(rv.Key(i), hv.Key(i)) {
+				t.Fatalf("trial %d row %d: run key %v, hashed %v", trial, i, rv.Key(i), hv.Key(i))
+			}
+			for c := 0; c < stride; c++ {
+				if math.Float64bits(rv.Val(i, c)) != math.Float64bits(hv.Val(i, c)) {
+					t.Fatalf("trial %d row %d col %d: run %v, hashed %v", trial, i, c, rv.Val(i, c), hv.Val(i, c))
+				}
+			}
+		}
+		if inPlace := rv.rows > 0 && &rv.Vals[0] == &st.vals[0]; inPlace != (rv.rows == len(prefixes)) {
+			t.Fatalf("trial %d: %d of %d rows used, published in place: %v", trial, rv.rows, len(prefixes), inPlace)
+		}
+	}
+}

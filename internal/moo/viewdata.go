@@ -214,19 +214,25 @@ func (v *ViewData) String() string {
 	return fmt.Sprintf("view[groupby=%v rows=%d cols=%d]", v.GroupBy, v.rows, v.Stride)
 }
 
-// viewBuilder accumulates rows during group execution. Its slots hold row id
-// + 1 (0 = empty), addressed one of two ways (groupPlan.denseLayouts picks):
+// viewBuilder accumulates rows during group execution, addressed one of three
+// ways (groupPlan.layouts picks):
 //
-//   - Dense, for a small key box: key's slot is Σ (key[c] − lo[c]) · mul[c],
-//     with no probe, compare or growth. A key outside the box panics: only an
-//     engine bug makes one, and sharing a slot would be a wrong number.
-//   - Hashed: an open-addressing table hashed from the key tuple, probes
-//     comparing in place against the key columns, the last row first (scan
-//     keys arrive clustered). Keys reach hashed builders from outside (update
-//     deltas, WAL replay) and the hash is invertible, so each builder draws
-//     its own seed: keys chosen to share a slot would make probes walk them.
+//   - Run, for a view keyed by a prefix of the scan order: keys arrive in
+//     scan order, so a key is the last row's or a new one. Rows go straight
+//     into a window of an exact-size store (useRun), which finalize
+//     publishes with no copy.
+//   - Dense, for a small key box: slots hold row id + 1 (0 = empty), key's
+//     slot is Σ (key[c] − lo[c]) · mul[c], with no probe, compare or growth.
+//     A key outside the box panics: only an engine bug makes one, and
+//     sharing a slot would be a wrong number.
+//   - Hashed: an open-addressing table of row id + 1 hashed from the key
+//     tuple, probes comparing in place against the key columns, the last row
+//     first (scan keys arrive clustered). Keys reach hashed builders from
+//     outside (update deltas, WAL replay) and the hash is invertible, so each
+//     builder draws its own seed: keys chosen to share a slot would make
+//     probes walk them.
 //
-// Row ids are first-seen order either way: results depend on neither choice.
+// Row ids are first-seen order every way: results depend on no choice.
 type viewBuilder struct {
 	vd      *ViewData
 	slots   []int32
@@ -234,6 +240,41 @@ type viewBuilder struct {
 	shift   uint
 	seed    uint64
 	lastRow int32
+	// win, when its store is set, is the window of a run store this builder
+	// writes (useRun), and parts the run builders merged into it.
+	win   runWindow
+	parts []*viewBuilder
+}
+
+// runStore is a run-built view's exact-size key columns and values, shared by
+// the builders of one execution: each writes its rows into its own window,
+// in scan order, and finalize closes the gaps and publishes the store: as it
+// is when sorted (the view's sort order is the scan's), else reordered in
+// place through the view's key box walk or, without one, by sorting.
+type runStore struct {
+	keys   [][]int64
+	vals   []float64
+	sorted bool
+	walk   *denseLayout
+}
+
+// runWindow is rows [off, off+n) of a run store.
+type runWindow struct {
+	store  *runStore
+	off, n int
+}
+
+// useRun points b's key columns and values at w, empty with w's capacity:
+// rows append in place, and neither slots nor growth are needed.
+//
+// lmfao:pre-publish
+func (b *viewBuilder) useRun(w runWindow) {
+	s := b.vd.Stride
+	for c := range b.vd.Keys {
+		b.vd.Keys[c] = w.store.keys[c][w.off:w.off:(w.off + w.n)]
+	}
+	b.vd.Vals = w.store.vals[w.off*s : w.off*s : (w.off+w.n)*s]
+	b.slots, b.win = nil, w
 }
 
 // denseLayout addresses a key box: per GroupBy column its low bound, extent
@@ -326,7 +367,8 @@ func (v *ViewData) rowEquals(r int, key []int64) bool {
 // lmfao:pre-publish
 func (b *viewBuilder) row(key []int64) int32 {
 	v, i := b.vd, 0
-	if b.dense != nil {
+	switch {
+	case b.dense != nil:
 		for c, k := range key {
 			dc := &b.dense.cols[c]
 			d := uint64(k - dc.lo)
@@ -338,10 +380,14 @@ func (b *viewBuilder) row(key []int64) int32 {
 		if r := b.slots[i]; r != 0 {
 			return r - 1
 		}
-	} else {
-		if b.lastRow >= 0 && v.rowEquals(int(b.lastRow), key) {
-			return b.lastRow
+	case b.lastRow >= 0 && v.rowEquals(int(b.lastRow), key):
+		return b.lastRow
+	case b.win.store != nil:
+		if v.rows == b.win.n {
+			// Appending would leave the store: only an engine bug does it.
+			panic(fmt.Sprintf("moo: key %v overflows a run window of %d rows", key, b.win.n))
 		}
+	default:
 		h := b.seed
 		for _, k := range key {
 			h = hashStep(h, k)
@@ -355,13 +401,15 @@ func (b *viewBuilder) row(key []int64) int32 {
 		}
 	}
 	r := int32(v.rows)
-	b.slots[i] = r + 1
+	if b.slots != nil {
+		b.slots[i] = r + 1
+	}
 	for c, k := range key {
 		v.Keys[c] = append(v.Keys[c], k)
 	}
 	v.Vals = append(v.Vals, make([]float64, v.Stride)...)
 	v.rows++
-	if b.dense == nil && 2*v.rows > len(b.slots) {
+	if b.dense == nil && b.slots != nil && 2*v.rows > len(b.slots) {
 		b.grow()
 	}
 	b.lastRow = r
@@ -396,8 +444,16 @@ func (b *viewBuilder) add(row int32, col int, val float64) {
 }
 
 // merge folds other into b by key, summing aggregates. Used to combine
-// per-thread partial outputs of domain-parallel scans (one shared layout).
-func (b *viewBuilder) merge(other *viewBuilder) { addViewInto(b, other.vd, 1) }
+// per-thread partial outputs of domain-parallel scans (one shared layout),
+// in chunk order. Run builders hold disjoint keys in one store: finalize
+// appends other's rows after b's.
+func (b *viewBuilder) merge(other *viewBuilder) {
+	if b.win.store != nil {
+		b.parts = append(append(b.parts, other), other.parts...)
+		return
+	}
+	addViewInto(b, other.vd, 1)
+}
 
 // addViewInto folds src's rows into b, scaling every aggregate by sign.
 func addViewInto(b *viewBuilder, src *ViewData, sign float64) {
@@ -439,31 +495,134 @@ func sortOrder(groupBy, targetAttrs []data.AttrID) (order []int, nskey int) {
 // finalize lays the rows out in their sort order relative to the target
 // node's schema. Dense multipliers follow the sort order and keys are unique,
 // so the slots walked in index order give the permutation data.SortIDs would;
-// a hashed builder sorts. The slot table is released.
+// a hashed builder sorts, and a run builder reorders its store in place
+// (closeRuns). The slot table is released.
 //
 // lmfao:pre-publish
 func (b *viewBuilder) finalize(targetAttrs []data.AttrID) *ViewData {
 	v := b.vd
 	v.order, v.nskey = sortOrder(v.GroupBy, targetAttrs)
-	if b.dense == nil {
+	switch {
+	case b.win.store != nil:
+		b.closeRuns()
+	case b.dense == nil:
 		v.sortRows()
-	} else {
-		perm := make([]int32, 0, v.rows)
-		for _, s := range b.slots {
-			if s != 0 {
-				perm = append(perm, s-1)
-			}
-		}
-		v.permute(perm)
+	default:
+		v.permute(walkSlots(b.slots, v.rows))
 	}
-	b.slots = nil
+	b.slots, b.parts = nil, nil
 	return v
+}
+
+// walkSlots returns the row ids held in slots (row id + 1, 0 = empty), in
+// slot order.
+func walkSlots(slots []int32, rows int) []int32 {
+	perm := make([]int32, 0, rows)
+	for _, s := range slots {
+		if s != 0 {
+			perm = append(perm, s-1)
+		}
+	}
+	return perm
+}
+
+// slotPerm returns the permutation that lays the rows out in sort order,
+// found as a dense builder finds it: each row in its slot of dl, whose
+// multipliers follow the sort order, then the slots walked in index order.
+func (v *ViewData) slotPerm(dl *denseLayout) []int32 {
+	slots := make([]int32, dl.size)
+	for r := 0; r < v.rows; r++ {
+		i := 0
+		for c, col := range v.Keys {
+			i += int(uint64(col[r]-dl.cols[c].lo)) * dl.cols[c].mul
+		}
+		slots[i] = int32(r) + 1
+	}
+	return walkSlots(slots, v.rows)
+}
+
+// closeRuns publishes the run store of b and of the builders merged into it:
+// each window's rows move down over the unused rows before it, in chunk
+// order, which keeps them in scan order, and a store not sorted in it is
+// reordered in place. A store left with unused rows (keys that met no join
+// tuple) is then copied to exact size, as a hashed builder would hold no row
+// for them either.
+//
+// lmfao:pre-publish
+func (b *viewBuilder) closeRuns() {
+	v, st, s := b.vd, b.win.store, b.vd.Stride
+	rows := 0
+	for _, p := range append([]*viewBuilder{b}, b.parts...) {
+		off, m := p.win.off, p.vd.rows
+		for _, col := range st.keys {
+			copy(col[rows:], col[off:off+m])
+		}
+		copy(st.vals[rows*s:], st.vals[off*s:(off+m)*s])
+		rows += m
+	}
+	v.rows, v.Vals = rows, st.vals[:rows*s]
+	for c, col := range st.keys {
+		v.Keys[c] = col[:rows]
+	}
+	switch {
+	case st.sorted:
+	case st.walk != nil:
+		v.permuteInPlace(v.slotPerm(st.walk))
+	default:
+		v.permuteInPlace(v.sortPerm())
+	}
+	v.box = make([]keySpan, len(v.Keys))
+	for c := range v.Keys {
+		if rows < len(st.keys[c]) {
+			v.Keys[c] = slices.Clone(v.Keys[c])
+		}
+		v.box[c] = spanOf(v.Keys[c], nil)
+	}
+	if rows*s < len(st.vals) {
+		v.Vals = slices.Clone(v.Vals)
+	}
+	b.win = runWindow{}
+}
+
+// permuteInPlace reorders the rows so that row i is the old row perm[i],
+// following each cycle of perm with one row of scratch; perm is consumed.
+//
+// lmfao:pre-publish
+func (v *ViewData) permuteInPlace(perm []int32) {
+	s := v.Stride
+	row, key := make([]float64, s), make([]int64, len(v.Keys))
+	for i := range perm {
+		if perm[i] == int32(i) {
+			continue
+		}
+		copy(row, v.Vals[i*s:(i+1)*s])
+		for c, col := range v.Keys {
+			key[c] = col[i]
+		}
+		j := i
+		for int(perm[j]) != i {
+			k := int(perm[j])
+			copy(v.Vals[j*s:(j+1)*s], v.Vals[k*s:(k+1)*s])
+			for _, col := range v.Keys {
+				col[j] = col[k]
+			}
+			perm[j], j = int32(j), k
+		}
+		copy(v.Vals[j*s:(j+1)*s], row)
+		for c, col := range v.Keys {
+			col[j] = key[c]
+		}
+		perm[j] = int32(j)
+	}
 }
 
 // sortRows permutes the rows into the view's sort order.
 //
 // lmfao:pre-publish
-func (v *ViewData) sortRows() {
+func (v *ViewData) sortRows() { v.permute(v.sortPerm()) }
+
+// sortPerm returns the permutation that lays the rows out in sort order.
+func (v *ViewData) sortPerm() []int32 {
 	perm := make([]int32, v.rows)
 	for i := range perm {
 		perm[i] = int32(i)
@@ -473,7 +632,7 @@ func (v *ViewData) sortRows() {
 		sortKeys[i] = v.Keys[p]
 	}
 	data.SortIDs(perm, sortKeys)
-	v.permute(perm)
+	return perm
 }
 
 // permute reorders the rows so that row i is the old row perm[i], and

@@ -15,7 +15,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
+	"strconv"
 
 	"repro/internal/data"
 )
@@ -292,26 +292,39 @@ func (f Factor) Compile() func(float64) float64 {
 // Signature returns a structural identity string used for sharing and
 // merging. Dynamic custom functions are never merged, so their signature
 // includes their (required-unique) name and a dynamic marker.
-func (f Factor) Signature() string {
-	var b strings.Builder
+func (f Factor) Signature() string { return string(f.AppendSignature(nil)) }
+
+// AppendSignature appends the bytes of Signature to dst. Numbers are written
+// as fmt's %d and %g would write them, without fmt's cost: planning builds a
+// signature for every factor of every pushed-down aggregate.
+func (f Factor) AppendSignature(dst []byte) []byte {
+	attr := func(b []byte) []byte { return strconv.AppendInt(append(b, 'x'), int64(f.Attr), 10) }
 	switch f.Kind {
 	case Const:
-		fmt.Fprintf(&b, "c(%g)", f.Value)
+		dst = append(strconv.AppendFloat(append(dst, "c("...), f.Value, 'g', -1, 64), ')')
 	case Ident:
-		fmt.Fprintf(&b, "x%d", f.Attr)
+		dst = attr(dst)
 	case Pow:
-		fmt.Fprintf(&b, "x%d^%d", f.Attr, f.Exp)
+		dst = strconv.AppendInt(append(attr(dst), '^'), int64(f.Exp), 10)
 	case Indicator:
-		fmt.Fprintf(&b, "1[x%d%s%g]", f.Attr, f.Op, f.Threshold)
+		dst = append(attr(append(dst, "1["...)), f.Op.String()...)
+		dst = append(strconv.AppendFloat(dst, f.Threshold, 'g', -1, 64), ']')
 	case InSet:
-		fmt.Fprintf(&b, "1[x%d in %v]", f.Attr, f.Set)
+		dst = append(attr(append(dst, "1["...)), " in ["...)
+		for i, v := range f.Set {
+			if i > 0 {
+				dst = append(dst, ' ')
+			}
+			dst = strconv.AppendInt(dst, v, 10)
+		}
+		dst = append(dst, "]]"...)
 	case Log:
-		fmt.Fprintf(&b, "log(x%d)", f.Attr)
+		dst = append(attr(append(dst, "log("...)), ')')
 	case Custom:
-		fmt.Fprintf(&b, "udf:%s(x%d)", f.Name, f.Attr)
+		dst = append(attr(append(append(dst, "udf:"...), f.Name+"("...)), ')')
 		if f.Dynamic {
-			b.WriteString("!dyn")
+			dst = append(dst, "!dyn"...)
 		}
 	}
-	return b.String()
+	return dst
 }

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -240,5 +241,53 @@ func TestPowCompileLargeExp(t *testing.T) {
 	f := PowF(0, 7).Compile()
 	if got := f(2); got != 128 {
 		t.Fatalf("2^7 = %g", got)
+	}
+}
+
+// fmtSignature is Factor.Signature as fmt writes it: the reference the
+// strconv-built signature must match byte for byte, since plans dedup and
+// intern by these strings.
+func fmtSignature(f Factor) string {
+	switch f.Kind {
+	case Const:
+		return fmt.Sprintf("c(%g)", f.Value)
+	case Ident:
+		return fmt.Sprintf("x%d", f.Attr)
+	case Pow:
+		return fmt.Sprintf("x%d^%d", f.Attr, f.Exp)
+	case Indicator:
+		return fmt.Sprintf("1[x%d%s%g]", f.Attr, f.Op, f.Threshold)
+	case InSet:
+		return fmt.Sprintf("1[x%d in %v]", f.Attr, f.Set)
+	case Log:
+		return fmt.Sprintf("log(x%d)", f.Attr)
+	case Custom:
+		s := fmt.Sprintf("udf:%s(x%d)", f.Name, f.Attr)
+		if f.Dynamic {
+			s += "!dyn"
+		}
+		return s
+	}
+	return ""
+}
+
+func TestSignatureMatchesFmt(t *testing.T) {
+	rng := rand.New(rand.NewSource(7919))
+	floats := []float64{0, math.Copysign(0, -1), 1, -1, 0.1, 1e21, 1e20, 1e-7, 123456789, -2.5e-300,
+		math.MaxFloat64, math.SmallestNonzeroFloat64, math.Inf(1), math.Inf(-1), math.NaN()}
+	for i := 0; i < 200; i++ {
+		floats = append(floats, rng.NormFloat64()*math.Pow(10, float64(rng.Intn(40)-20)))
+	}
+	var fs []Factor
+	for i, v := range floats {
+		a := data.AttrID(i*37 - 5)
+		fs = append(fs, ConstF(v), IdentF(a), PowF(a, i-3), IndicatorF(a, CmpOp(i%7), v), LogF(a),
+			Factor{Kind: InSet, Attr: a, Set: []int64{int64(i), -1, math.MaxInt64}}, Factor{Kind: InSet, Attr: a},
+			Factor{Kind: Custom, Attr: a, Name: "f", Dynamic: i%2 == 0})
+	}
+	for _, f := range fs {
+		if got, want := f.Signature(), fmtSignature(f); got != want {
+			t.Fatalf("%+v: signature %q, fmt writes %q", f, got, want)
+		}
 	}
 }

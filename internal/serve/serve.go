@@ -560,9 +560,9 @@ func (s *Server) fit(sn lmfao.Queryable, app string, epochs []uint64) (any, int,
 		if s.apps.Tree == nil {
 			return nil, http.StatusNotFound, fmt.Errorf("tree not registered")
 		}
-		// The tree learner drives the Requerier hook node by node; hold one
-		// requery slot for the whole fit so tree learning counts against
-		// the refinement tier like any other fresh work.
+		// The tree learner drives the Requerier hook once per tree level;
+		// hold one requery slot for the whole fit so tree learning counts
+		// against the refinement tier like any other fresh work.
 		release, ok := s.adm.tryRequery()
 		if !ok {
 			return nil, http.StatusTooManyRequests, fmt.Errorf("requery tier saturated; retry later")

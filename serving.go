@@ -57,9 +57,11 @@ type Queryable interface {
 //	Requery(queries []*Query) ([]*Result, error)
 //
 // Requery evaluates a fresh ad-hoc batch over the database behind the
-// Queryable and returns one materialized view per query, batch order. The
-// decision-tree learner (LearnDecisionTreeFrom) needs it: every tree node
-// issues a new batch conditioned on the node's ancestor splits, which no
+// Queryable and returns one materialized view per query, batch order, each
+// sorted by its group-by as engine outputs are (the decision-tree learner
+// reads categories in row order and fails on rows out of order). The
+// decision-tree learner (LearnDecisionTreeFrom) needs it: every tree level
+// issues a new batch conditioned on its nodes' ancestor splits, which no
 // precomputed snapshot can answer. Snapshot and ShardedSnapshot implement
 // it by running the batch on their session's engine(s), serialized with
 // maintenance (per shard), so a requery never races the writer — but it
