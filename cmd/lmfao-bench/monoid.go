@@ -52,8 +52,6 @@ func (h *harness) monoidBench(names []string, frac float64, batches int, jsonPat
 		queries := monoidBatch(ds)
 		opts := h.options()
 		opts.TrackCounts = true
-		opts.SemiJoin = true
-		opts.CompiledKernels = true
 
 		eng := moo.NewEngineWithTree(ds.DB, ds.Tree, opts)
 		recompute := moo.NewEngineWithTree(ds.DB, ds.Tree, opts)
@@ -72,8 +70,8 @@ func (h *harness) monoidBench(names []string, frac float64, batches int, jsonPat
 		rng := rand.New(rand.NewSource(h.seed))
 		fact := largestRelation(ds.DB)
 		for _, rel := range ds.DB.Relations() {
-			// Dimension deltas only: the fact table is the invertible-path
-			// story (updateBench); a dimension delete is what forces the
+			// Dimension deltas only: fact deltas take the invertible path;
+			// a dimension delete is what forces the
 			// non-invertible re-fold through the semi-join machinery.
 			if rel.Name == fact.Name || ds.Tree.NodeByRelation(rel.Name) == nil {
 				continue

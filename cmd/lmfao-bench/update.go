@@ -1,157 +1,11 @@
 package main
 
 import (
-	"fmt"
 	"math/rand"
 	"strings"
-	"time"
 
 	"repro/internal/data"
-	"repro/internal/moo"
-	"repro/internal/workloads"
 )
-
-// updateBench measures incremental view maintenance against full
-// recomputation: it runs the covar-matrix batch once, then applies random
-// update batches of -update-frac of a target relation's rows (half inserts,
-// half deletes) and times three maintainers over the same delta stream:
-//
-//   - semi-join: Engine.Apply with Options.SemiJoin — scans at unchanged
-//     nodes are restricted to the delta-joining rows via join-key indexes;
-//   - full-scan: Engine.Apply without SemiJoin — the pre-restriction
-//     maintenance path, scanning whole base relations at unchanged nodes;
-//   - recompute: re-running the same plan from scratch over the mutated
-//     database (its sort cache invalidates on every mutation, as any
-//     non-incremental engine's would — the data really changed).
-//
-// By default every join-tree relation of the dataset is exercised in turn
-// (the fact table amortizes at-delta scans; dimension tables are where the
-// semi-join restriction pays). scan% is the fraction of unchanged-node base
-// rows the semi-join maintainer actually scanned.
-func (h *harness) updateBench(names []string, frac float64, relName string, batches int) error {
-	fmt.Printf("\nIncremental maintenance vs recompute (covar batch, delta = %.2g of relation, %d update batches)\n",
-		frac, batches)
-	w := newTab()
-	fmt.Fprintln(w, "dataset\trelation\t+rows\t-rows\tdirty groups\tscan%\tsemi-join\tfull-scan\trecompute\tsemi vs full\tsemi vs recompute")
-	for _, name := range names {
-		ds, err := h.dataset(name)
-		if err != nil {
-			return err
-		}
-		queries := workloads.CovarMatrix(ds)
-		optsSemi := h.options()
-		optsSemi.TrackCounts = true
-		optsSemi.SemiJoin = true
-		optsFull := optsSemi
-		optsFull.SemiJoin = false
-
-		semiEng := moo.NewEngineWithTree(ds.DB, ds.Tree, optsSemi)
-		fullEng := moo.NewEngineWithTree(ds.DB, ds.Tree, optsFull)
-		recompute := moo.NewEngineWithTree(ds.DB, ds.Tree, optsSemi)
-		semiRes, err := semiEng.Run(queries)
-		if err != nil {
-			return err
-		}
-		fullRes, err := fullEng.Run(queries)
-		if err != nil {
-			return err
-		}
-		if _, err := recompute.RunPlan(semiRes.Plan); err != nil { // warm-up
-			return err
-		}
-
-		var rels []*data.Relation
-		if relName != "" {
-			rel := ds.DB.Relation(relName)
-			if rel == nil {
-				return fmt.Errorf("%s: unknown relation %q", name, relName)
-			}
-			if ds.Tree.NodeByRelation(relName) == nil {
-				// Same hazard the default sweep guards against below.
-				return fmt.Errorf("%s: relation %q is folded into a materialized bag; the bench's two maintainers share one tree and would fold its delta twice", name, relName)
-			}
-			rels = []*data.Relation{rel}
-		} else {
-			for _, r := range ds.DB.Relations() {
-				// Bag members share one materialized bag inside the tree;
-				// applying their deltas through two independent maintainers
-				// would fold the bag delta twice. Stick to plain tree nodes.
-				if ds.Tree.NodeByRelation(r.Name) != nil {
-					rels = append(rels, r)
-				}
-			}
-		}
-
-		rng := rand.New(rand.NewSource(h.seed))
-		for _, rel := range rels {
-			// One untimed warm-up batch per relation (the paper's timing
-			// protocol): the first Apply pays one-time costs — compiling the
-			// dirty groups' plans and building the join-key indexes — that
-			// later batches amortize.
-			warm := randomDelta(rng, rel, frac)
-			if err := ds.DB.ApplyDelta(warm); err != nil {
-				return err
-			}
-			if semiRes, _, err = semiEng.Apply(semiRes, warm); err != nil {
-				return fmt.Errorf("%s/%s: warm-up: %w", name, rel.Name, err)
-			}
-			if fullRes, _, err = fullEng.Apply(fullRes, warm); err != nil {
-				return fmt.Errorf("%s/%s: warm-up: %w", name, rel.Name, err)
-			}
-			if _, err := recompute.RunPlan(semiRes.Plan); err != nil {
-				return err
-			}
-
-			var semiTotal, fullTotal, recomputeTotal time.Duration
-			var insTotal, delTotal, dirtyGroups, totalGroups int
-			var scanned, baseRows int
-			for b := 0; b < batches; b++ {
-				delta := randomDelta(rng, rel, frac)
-				if err := ds.DB.ApplyDelta(delta); err != nil {
-					return err
-				}
-				insTotal += delta.InsertRows()
-				delTotal += delta.DeleteRows()
-
-				start := time.Now()
-				res, stats, err := semiEng.Apply(semiRes, delta)
-				if err != nil {
-					return fmt.Errorf("%s/%s: semi-join apply: %w", name, rel.Name, err)
-				}
-				semiTotal += time.Since(start)
-				semiRes = res
-				dirtyGroups, totalGroups = stats.DirtyGroups, stats.TotalGroups
-				scanned += stats.ScannedRows
-				baseRows += stats.BaseRows
-
-				start = time.Now()
-				fullRes, _, err = fullEng.Apply(fullRes, delta)
-				if err != nil {
-					return fmt.Errorf("%s/%s: full-scan apply: %w", name, rel.Name, err)
-				}
-				fullTotal += time.Since(start)
-
-				start = time.Now()
-				if _, err := recompute.RunPlan(semiRes.Plan); err != nil {
-					return err
-				}
-				recomputeTotal += time.Since(start)
-			}
-			scanPct := "-"
-			if baseRows > 0 {
-				scanPct = fmt.Sprintf("%.2f%%", 100*float64(scanned)/float64(baseRows))
-			}
-			fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%d/%d\t%s\t%s\t%s\t%s\t%.1f×\t%.1f×\n",
-				name, rel.Name, insTotal, delTotal, dirtyGroups, totalGroups, scanPct,
-				fmtDur(semiTotal/time.Duration(batches)),
-				fmtDur(fullTotal/time.Duration(batches)),
-				fmtDur(recomputeTotal/time.Duration(batches)),
-				float64(fullTotal)/float64(semiTotal),
-				float64(recomputeTotal)/float64(semiTotal))
-		}
-	}
-	return w.Flush()
-}
 
 // randomDelta builds an update batch of about frac × rel.Len() rows: half
 // fresh inserts cloned from random existing tuples (numeric attributes
@@ -207,8 +61,8 @@ func randomDelta(rng *rand.Rand, rel *data.Relation, frac float64) data.Delta {
 	return data.Delta{Relation: rel.Name, Inserts: ins, Deletes: del}
 }
 
-// updateDatasets defaults the update benchmark to the retailer workload when
-// the user did not restrict datasets (the full sweep is slow).
+// updateDatasets defaults the maintenance benchmarks to the retailer
+// workload when the user did not restrict datasets (the full sweep is slow).
 func updateDatasets(explicit string) []string {
 	if explicit != "" {
 		return strings.Split(explicit, ",")

@@ -54,8 +54,7 @@ func GenerateFromPlan(plan *core.Plan) ([]byte, error) {
 // support) and emits formatted Go source covering both evaluation and
 // incremental maintenance: the computeGroup scans plus, per join-tree
 // relation, the specialized maintenance kernels and a maintain_<Rel> driver —
-// the source form of the runtime's compiled maintenance kernels
-// (moo.Options.CompiledKernels).
+// the source form of the compiled maintenance kernels moo.Engine.Apply runs.
 func GenerateMaintenance(tree *jointree.Tree, queries []*query.Query, opts Options) ([]byte, error) {
 	plan, err := core.BuildPlan(tree, queries, core.PlanOptions{
 		MultiRoot:   opts.MultiRoot,

@@ -3,7 +3,6 @@ package moo
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -54,11 +53,11 @@ func dimensionDelta(t *testing.T, db *data.Database) data.Delta {
 	}
 }
 
-// TestApplySemiJoinMatchesFullScan applies the same dimension-table delta
-// under semi-join-restricted and full-scan maintenance and demands
-// bit-identical view DAGs: the restriction drops only rows that cannot
-// contribute, so even the float accumulation order of the retained rows is
-// unchanged.
+// TestApplySemiJoinMatchesFullScan applies dimension-table deltas through
+// semi-join-restricted maintenance and demands that every materialized view,
+// hidden tuple counts included, match a from-scratch RunPlan of the same plan
+// over the mutated base: the restriction drops only rows that cannot
+// contribute.
 func TestApplySemiJoinMatchesFullScan(t *testing.T) {
 	db, ids := starDB(t, 2000, 11)
 	tree, err := jointree.Build(db)
@@ -67,15 +66,8 @@ func TestApplySemiJoinMatchesFullScan(t *testing.T) {
 	}
 	queries := starQueries(ids)
 	opts := Options{MultiRoot: true, MultiOutput: true, Compiled: true, Threads: 1, TrackCounts: true}
-	optsSemi := opts
-	optsSemi.SemiJoin = true
-	semi := NewEngineWithTree(db, tree, optsSemi)
-	full := NewEngineWithTree(db, tree, opts)
-	semiRes, err := semi.Run(queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fullRes, err := full.Run(queries)
+	eng := NewEngineWithTree(db, tree, opts)
+	res, err := eng.Run(queries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,36 +77,22 @@ func TestApplySemiJoinMatchesFullScan(t *testing.T) {
 		if err := db.ApplyDelta(d); err != nil {
 			t.Fatal(err)
 		}
-		var semiStats, fullStats *ApplyStats
-		semiRes, semiStats, err = semi.Apply(semiRes, d)
+		var stats *ApplyStats
+		res, stats, err = eng.Apply(res, d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fullRes, fullStats, err = full.Apply(fullRes, d)
+		if stats.IDScanGroups == 0 {
+			t.Fatalf("step %d: no semi-join-restricted groups (stats %+v)", step, stats)
+		}
+		if stats.ScannedRows >= stats.BaseRows {
+			t.Fatalf("step %d: semi-join scanned %d of %d base rows", step, stats.ScannedRows, stats.BaseRows)
+		}
+		full, err := NewEngineWithTree(db, tree, opts).RunPlan(res.Plan)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("step %d: %v", step, err)
 		}
-
-		if semiStats.SemiJoinGroups == 0 {
-			t.Fatalf("step %d: no semi-join-restricted groups (stats %+v)", step, semiStats)
-		}
-		if semiStats.ScannedRows >= semiStats.BaseRows {
-			t.Fatalf("step %d: semi-join scanned %d of %d base rows", step, semiStats.ScannedRows, semiStats.BaseRows)
-		}
-		if fullStats.SemiJoinGroups != 0 || fullStats.ScannedRows != fullStats.BaseRows {
-			t.Fatalf("step %d: full-scan engine restricted its scans (stats %+v)", step, fullStats)
-		}
-		if semiStats.DirtyGroups != fullStats.DirtyGroups || semiStats.DirtyViews != fullStats.DirtyViews {
-			t.Fatalf("step %d: schedules diverge: %+v vs %+v", step, semiStats, fullStats)
-		}
-
-		for vid := range semiRes.Materialized {
-			sm := viewToMap(semiRes.Materialized[vid])
-			fm := viewToMap(fullRes.Materialized[vid])
-			if !reflect.DeepEqual(sm, fm) {
-				t.Fatalf("step %d: view %d differs between semi-join and full-scan maintenance", step, vid)
-			}
-		}
+		sameMaterialized(t, step, res, full)
 	}
 
 	// The maintained outputs must also match the baseline over the final state.
@@ -127,7 +105,32 @@ func TestApplySemiJoinMatchesFullScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	for qi := range queries {
-		compareResults(t, "semi/"+queries[qi].Name, semiRes.Results[qi], want[qi])
+		compareResults(t, "semi/"+queries[qi].Name, res.Results[qi], want[qi])
+	}
+}
+
+// sameMaterialized fails unless every materialized view of got has the keys
+// of the same view in want, with every column — hidden tuple counts
+// included — within closeEnough.
+func sameMaterialized(t *testing.T, step int, got, want *BatchResult) {
+	t.Helper()
+	for vid := range want.Materialized {
+		gm := viewToMap(got.Materialized[vid])
+		wm := viewToMap(want.Materialized[vid])
+		if len(gm) != len(wm) {
+			t.Fatalf("step %d: view %d has %d rows maintained, %d recomputed", step, vid, len(gm), len(wm))
+		}
+		for key, wrow := range wm {
+			grow, ok := gm[key]
+			if !ok {
+				t.Fatalf("step %d: view %d missing key", step, vid)
+			}
+			for col := range wrow {
+				if !closeEnough(grow[col], wrow[col]) {
+					t.Fatalf("step %d: view %d col %d: got %g want %g", step, vid, col, grow[col], wrow[col])
+				}
+			}
+		}
 	}
 }
 
@@ -179,7 +182,7 @@ func TestApplyBagMemberDelta(t *testing.T) {
 		query.NewQuery("count", nil, query.CountAgg()),
 		query.NewQuery("bya", []data.AttrID{a}, query.SumAgg(w)),
 	}
-	opts := Options{MultiRoot: true, MultiOutput: true, Compiled: true, Threads: 1, TrackCounts: true, SemiJoin: true}
+	opts := Options{MultiRoot: true, MultiOutput: true, Compiled: true, Threads: 1, TrackCounts: true}
 	eng, err := NewEngine(db, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -247,24 +250,7 @@ func TestApplyBagMemberDelta(t *testing.T) {
 		if err != nil {
 			t.Fatalf("step %d: %v", si, err)
 		}
-		for vid := range full.Materialized {
-			gm := viewToMap(res.Materialized[vid])
-			wm := viewToMap(full.Materialized[vid])
-			if len(gm) != len(wm) {
-				t.Fatalf("step %d: view %d has %d rows maintained, %d recomputed", si, vid, len(gm), len(wm))
-			}
-			for key, wrow := range wm {
-				grow, ok := gm[key]
-				if !ok {
-					t.Fatalf("step %d: view %d missing key", si, vid)
-				}
-				for col := range wrow {
-					if !closeEnough(grow[col], wrow[col]) {
-						t.Fatalf("step %d: view %d col %d: got %g want %g", si, vid, col, grow[col], wrow[col])
-					}
-				}
-			}
-		}
+		sameMaterialized(t, si, res, full)
 	}
 }
 
@@ -275,7 +261,7 @@ func TestApplyBagDeltaJoinsNothing(t *testing.T) {
 	db, attrs := triangleDB(t, 9)
 	a, w := attrs[0], attrs[3]
 	queries := []*query.Query{query.NewQuery("bya", []data.AttrID{a}, query.SumAgg(w))}
-	opts := Options{MultiRoot: true, MultiOutput: true, Compiled: true, Threads: 1, TrackCounts: true, SemiJoin: true}
+	opts := Options{MultiRoot: true, MultiOutput: true, Compiled: true, Threads: 1, TrackCounts: true}
 	eng, err := NewEngine(db, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -363,7 +349,7 @@ func TestProbeSetEncoding(t *testing.T) {
 	if len(st.DeltaInputs) != 2 {
 		t.Fatalf("found %d delta inputs, want 2", len(st.DeltaInputs))
 	}
-	k, err := eng.kernelFor(plan, "D1", st)
+	k, err := eng.kernelFor(plan, eng.Tree().NodeByRelation("D1").ID, st)
 	if err != nil {
 		t.Fatal(err)
 	}

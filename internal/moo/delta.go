@@ -1,7 +1,6 @@
 package moo
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -34,19 +33,16 @@ type ApplyStats struct {
 	TotalGroups int
 	DirtyViews  int
 	TotalViews  int
-	// SemiJoinGroups of the dirty groups at unchanged nodes were evaluated
-	// over an index-restricted row subset (Options.SemiJoin); FullScanGroups
-	// scanned their full base relation. At-delta groups are in neither.
-	SemiJoinGroups int
+	// KernelGroups counts the dirty groups whose compiled maintenance kernel
+	// ran a scan (a step no delta row flows into runs none). Of those at
+	// unchanged nodes, IDScanGroups ran a restricted scan driven by a row-id
+	// batch — semi-join probes resolved against the engine's persistent
+	// sorted copy of the base, the matched positions walked through id
+	// indirection — and FullScanGroups scanned the whole sorted copy.
+	// At-delta groups are in neither.
+	KernelGroups   int
+	IDScanGroups   int
 	FullScanGroups int
-	// KernelGroups counts dirty groups executed through compiled maintenance
-	// kernels (Options.CompiledKernels); IDScanGroups of those ran a
-	// restricted scan driven by a row-id batch — semi-join probes resolved
-	// against the engine's persistent sorted copy of the base, the matched
-	// positions walked through id indirection — instead of gathering and
-	// re-sorting a subset copy per group.
-	KernelGroups int
-	IDScanGroups int
 	// ScannedRows totals the base rows actually scanned at unchanged dirty
 	// nodes; BaseRows what a full-scan maintenance pass would have scanned.
 	ScannedRows int
@@ -64,9 +60,11 @@ type ApplyStats struct {
 // of the view DAG per internal/ivm's schedule and merges the deltas into the
 // cached views, returning a new BatchResult; prev is left untouched.
 //
-// With Options.SemiJoin, scans at unchanged nodes cover only the base rows
-// that join the delta's keys (gathered through data.KeyIndex indexes, built
-// on first use and patched under later deltas) instead of the full relation.
+// Every step runs through a compiled maintenance kernel (kernel.go), cached
+// per (changed node, group). Where the schedule has a semi-join plan, scans
+// at unchanged nodes cover only the base rows that join the delta's keys
+// (found through data.KeyIndex indexes, built on first use and patched under
+// later deltas) instead of the full relation.
 //
 // A delta against a base relation folded into a materialized hypertree bag
 // is expanded into the bag's delta (joined with the bag's other members) and
@@ -132,28 +130,17 @@ func (e *Engine) Apply(prev *BatchResult, d data.Delta) (*BatchResult, *ApplySta
 	scanStart := time.Now()
 	work := append([]*ViewData(nil), prev.Materialized...)
 	deltas := make([]*ViewData, len(plan.Views))
-	var sc *scanCache
-	if e.opts.CompiledKernels {
-		// Shared across every kernel of this Apply round: sorted delta blocks
-		// and semi-join row-id batches. Never outlives the round.
-		sc = newScanCache(e)
-	}
+	// Shared across every kernel of this Apply round: sorted delta blocks and
+	// semi-join row-id batches. Never outlives the round.
+	sc := newScanCache(e)
 	for _, st := range sched.Steps {
-		sub := &core.Group{ID: st.Group, Node: st.Node, Views: st.Dirty}
-		var kn *maintKernel
-		if e.opts.CompiledKernels {
-			if kn, err = e.kernelFor(plan, d.Relation, st); err != nil {
-				return nil, nil, err
-			}
+		kn, err := e.kernelFor(plan, node.ID, st)
+		if err != nil {
+			return nil, nil, err
 		}
 		if st.AtDelta {
-			var ins, del []*ViewData
-			if kn != nil {
-				stats.KernelGroups++
-				ins, del, err = kn.runDeltaScans(sc, work, insRel, delRel)
-			} else {
-				ins, del, err = e.runDeltaScans(plan, sub, work, insRel, delRel)
-			}
+			stats.KernelGroups++
+			ins, del, err := kn.runDeltaScans(sc, work, insRel, delRel)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -179,56 +166,28 @@ func (e *Engine) Apply(prev *BatchResult, d data.Delta) (*BatchResult, *ApplySta
 				scratch := append([]*ViewData(nil), work...)
 				stepRel := e.tree.Nodes[st.Node].Rel
 				stats.BaseRows += stepRel.Len()
-				if kn != nil {
-					// Kernel path: row-id-batched restricted scan when the
-					// semi-join plan applies, full scan of the cached sorted
-					// base otherwise — same row order as the interpreted path.
-					// The row-id batch is shared across kernels via sc.
-					stats.KernelGroups++
-					var se *subsetEntry
-					if e.opts.SemiJoin && st.SemiJoinAttrs != nil {
-						se, err = sc.subsetFor(kn, stepRel, deltas)
-						if err != nil {
-							return nil, nil, err
-						}
-					}
-					if se != nil && !se.fallback {
-						stats.SemiJoinGroups++
-						stats.IDScanGroups++
-						stats.ScannedRows += se.total
-						err = kn.runIDBatch(e, sc, scratch, stepRel, se)
-					} else {
-						stats.FullScanGroups++
-						stats.ScannedRows += stepRel.Len()
-						err = kn.runFull(e, scratch, stepRel)
-					}
-					if err != nil {
+				stats.KernelGroups++
+				// Row-id-batched restricted scan when the semi-join plan
+				// applies and the batch stays small, full scan of the cached
+				// sorted base otherwise. The batch is shared across kernels
+				// via sc.
+				var se *subsetEntry
+				if st.SemiJoinAttrs != nil {
+					if se, err = sc.subsetFor(kn, stepRel, deltas); err != nil {
 						return nil, nil, err
 					}
+				}
+				if se != nil && !se.fallback {
+					stats.IDScanGroups++
+					stats.ScannedRows += se.total
+					err = kn.runIDBatch(e, sc, scratch, stepRel, se)
 				} else {
-					gp, err := e.compileGroupCached(plan, sub)
-					if err != nil {
-						return nil, nil, err
-					}
-					// Semi-join restriction: scan only the base rows joining
-					// the delta's keys (nil override = full base scan).
-					var relOverride *data.Relation
-					if e.opts.SemiJoin && st.SemiJoinAttrs != nil {
-						relOverride, err = e.semiJoinSubset(stepRel, st, deltas)
-						if err != nil {
-							return nil, nil, err
-						}
-					}
-					if relOverride != nil {
-						stats.SemiJoinGroups++
-						stats.ScannedRows += relOverride.Len()
-					} else {
-						stats.FullScanGroups++
-						stats.ScannedRows += stepRel.Len()
-					}
-					if err := e.execGroup(gp, scratch, relOverride, false); err != nil {
-						return nil, nil, err
-					}
+					stats.FullScanGroups++
+					stats.ScannedRows += stepRel.Len()
+					err = kn.runFull(e, scratch, stepRel)
+				}
+				if err != nil {
+					return nil, nil, err
 				}
 				for _, vid := range st.Dirty {
 					deltas[vid] = scratch[vid]
@@ -266,117 +225,6 @@ func (e *Engine) Apply(prev *BatchResult, d data.Delta) (*BatchResult, *ApplySta
 	res.Elapsed = time.Since(start)
 	stats.Elapsed = res.Elapsed
 	return res, stats, nil
-}
-
-// compileGroupCached memoizes compiled group plans per view subset of the
-// maintained plan (Engine.scopeCaches). The cached plan's statistics-driven
-// attribute order freezes at first compile; later deltas shift statistics
-// but never correctness (the order is a performance heuristic).
-func (e *Engine) compileGroupCached(plan *core.Plan, g *core.Group) (*groupPlan, error) {
-	key := fmt.Sprintf("%d|%v", g.ID, g.Views)
-	e.mu.Lock()
-	gp, ok := e.gpCache[key]
-	e.mu.Unlock()
-	if ok {
-		return gp, nil
-	}
-	gp, err := compileGroup(plan, g, e.opts.Compiled)
-	if err != nil {
-		return nil, err
-	}
-	e.mu.Lock()
-	e.gpCache[key] = gp
-	e.mu.Unlock()
-	return gp, nil
-}
-
-// runDeltaScans evaluates the group once over the inserted tuples and once
-// over the deleted tuples (either may be nil), against cached input views.
-// The group compiles once and scans both blocks.
-func (e *Engine) runDeltaScans(plan *core.Plan, g *core.Group, work []*ViewData, insRel, delRel *data.Relation) (ins, del []*ViewData, err error) {
-	gp, err := e.compileGroupCached(plan, g)
-	if err != nil {
-		return nil, nil, err
-	}
-	if insRel != nil {
-		ins = append([]*ViewData(nil), work...)
-		if err := e.execGroup(gp, ins, insRel, false); err != nil {
-			return nil, nil, err
-		}
-	}
-	if delRel != nil {
-		del = append([]*ViewData(nil), work...)
-		if err := e.execGroup(gp, del, delRel, false); err != nil {
-			return nil, nil, err
-		}
-	}
-	return ins, del, nil
-}
-
-// semiJoinSubset gathers the rows of rel that join at least one delta
-// input's key set, per the step's semi-join plan (ivm.Step.SemiJoinAttrs):
-// dropped rows bind no delta input, and every product aggregate of a dirty
-// view here contains exactly one delta-input factor, so they cannot
-// contribute to any view delta. Returns nil (meaning: full scan) when the
-// subset would cover most of the relation, where the cached full-scan sort
-// is cheaper than gathering and re-sorting the subset.
-func (e *Engine) semiJoinSubset(rel *data.Relation, st ivm.Step, deltas []*ViewData) (*data.Relation, error) {
-	var rows []int32
-	for i, in := range st.DeltaInputs {
-		dv := deltas[in]
-		if dv == nil || dv.NumRows() == 0 {
-			continue
-		}
-		attrs := st.SemiJoinAttrs[i]
-		ix, err := rel.KeyIndex(attrs)
-		if err != nil {
-			return nil, err
-		}
-		// Positions of the semi-join attributes in the delta view's group-by.
-		pos := make([]int, len(attrs))
-		for j, a := range attrs {
-			p := -1
-			for gi, g := range dv.GroupBy {
-				if g == a {
-					p = gi
-					break
-				}
-			}
-			if p < 0 {
-				return nil, fmt.Errorf("moo: delta view %d lacks semi-join attribute %d", in, a)
-			}
-			pos[j] = p
-		}
-		// The attributes are the delta view's consumer key, which leads its
-		// sort order: equal probe keys are adjacent, so comparing with the
-		// previous one dedups them.
-		var buf, prevKey []byte
-		for r := 0; r < dv.NumRows(); r++ {
-			buf = buf[:0]
-			for _, p := range pos {
-				buf = data.AppendKey(buf, dv.KeyAt(r, p))
-			}
-			if r > 0 && bytes.Equal(buf, prevKey) {
-				continue
-			}
-			prevKey = append(prevKey[:0], buf...)
-			rows = ix.AppendRows(rows, string(buf))
-		}
-	}
-	if len(rows) == 0 {
-		return rel.GatherRows(nil), nil
-	}
-	slices.Sort(rows)
-	uniq := rows[:1]
-	for _, r := range rows[1:] {
-		if r != uniq[len(uniq)-1] {
-			uniq = append(uniq, r)
-		}
-	}
-	if 2*len(uniq) > rel.Len() {
-		return nil, nil
-	}
-	return rel.GatherRows(uniq), nil
 }
 
 // SyncBagMember brings the engine's materialized hypertree bag in sync with

@@ -57,7 +57,7 @@ func scannedGroup(t *testing.T, e *Engine, plan *core.Plan, g *core.Group, produ
 		t.Fatal(err)
 	}
 	gp.resolveLeafCols()
-	builders, err := e.scanGroup(gp, produced, true)
+	builders, err := e.scanGroup(gp, produced)
 	if err != nil {
 		t.Fatal(err)
 	}

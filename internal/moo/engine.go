@@ -12,7 +12,6 @@ import (
 	"repro/internal/data"
 	"repro/internal/ivm"
 	"repro/internal/jointree"
-	"repro/internal/kernel"
 	"repro/internal/query"
 )
 
@@ -39,25 +38,6 @@ type Options struct {
 	// result can be incrementally maintained via Apply (see internal/ivm).
 	// Output views gain a trailing core.CountColName column.
 	TrackCounts bool
-	// SemiJoin restricts Apply's maintenance scans at unchanged join-tree
-	// nodes to the base rows that join the delta's keys, using join-key
-	// indexes (data.KeyIndex: built on first use, patched under every later
-	// delta) instead of full base scans. Run is
-	// unaffected. Off, Apply reproduces the full-scan maintenance of the
-	// pre-semi-join engine — the ablation baseline for the -update bench.
-	SemiJoin bool
-	// CompiledKernels routes Apply's maintenance steps through compiled
-	// per-(node, delta-relation) kernels: each step's group loop is
-	// specialized once — attribute offsets, semi-join probe positions and
-	// aggregate combine closures resolved at plan time — cached by plan
-	// shape (internal/kernel) and reused with its scan state across deltas.
-	// Restricted scans run row-id-batched against the unsorted base relation
-	// (no subset materialization). Off, every step re-resolves its scan
-	// state per Apply. Single-threaded scans are bit-exact across the two
-	// modes — both visit rows in the same stably-sorted order (restricted
-	// subsets large enough for domain parallelism may reassociate float
-	// sums, like any Threads > 1 configuration). Run is unaffected.
-	CompiledKernels bool
 }
 
 // DefaultOptions enables all optimizations with the paper's four threads
@@ -73,8 +53,6 @@ func DefaultOptions() Options {
 		Compiled:           true,
 		Threads:            t,
 		DomainParallelRows: 65536,
-		SemiJoin:           true,
-		CompiledKernels:    true,
 	}
 }
 
@@ -97,22 +75,18 @@ type Engine struct {
 	// is a comparable struct and a hit allocates nothing.
 	sortCache map[sortKey]*sortEntry
 	orders    [][]data.AttrID
-	// gpCache caches compiled group plans for the maintenance path, which
-	// recompiles the same (sub)groups on every Apply. Run's own scans stay
-	// uncached: a compiled plan carries per-execution state (the bound scan
-	// relation), so sharing is only safe on the single-threaded Apply path.
-	gpCache map[string]*groupPlan
-	// kernels caches compiled maintenance kernels (Options.CompiledKernels)
-	// keyed by kernel.Shape — the same single-writer Apply-path contract as
-	// gpCache, since each kernel carries bound scan state and a reusable
-	// execution context.
-	kernels *kernel.Cache
-	// cachePlan is the plan gpCache and kernels hold entries for.
-	cachePlan *core.Plan
+	// kernels caches compiled maintenance kernels, one per (changed node,
+	// group) of the plan being maintained (cachePlan). Each kernel carries
+	// bound scan state and a reusable execution context, so it is only used
+	// on the engine's single-writer Apply path. kernelHits and kernelMisses
+	// count lookups.
+	kernels                  map[kernelKey]*maintKernel
+	kernelHits, kernelMisses uint64
+	cachePlan                *core.Plan
 }
 
-// scopeCaches ties the Apply-path caches to plan: the first Apply of another
-// plan drops every entry. Holding the plan keeps its address from being
+// scopeCaches ties the kernel cache to plan: the first Apply of another plan
+// drops every kernel. Holding the plan keeps its address from being
 // reused by a later one, so a hit never returns an entry compiled for a
 // different (possibly collected) plan.
 func (e *Engine) scopeCaches(plan *core.Plan) {
@@ -120,8 +94,7 @@ func (e *Engine) scopeCaches(plan *core.Plan) {
 	defer e.mu.Unlock()
 	if e.cachePlan != plan {
 		e.cachePlan = plan
-		clear(e.gpCache)
-		e.kernels.Clear()
+		clear(e.kernels)
 	}
 }
 
@@ -166,14 +139,24 @@ func NewEngineWithTree(db *data.Database, tree *jointree.Tree, opts Options) *En
 		opts.DomainParallelRows = 65536
 	}
 	return &Engine{db: db, tree: tree, opts: opts,
-		sortCache: map[sortKey]*sortEntry{}, gpCache: map[string]*groupPlan{},
-		kernels: kernel.NewCache()}
+		sortCache: map[sortKey]*sortEntry{}, kernels: map[kernelKey]*maintKernel{}}
 }
 
-// KernelCacheStats reports the compiled-maintenance-kernel cache's hit/miss
-// counters and size (zero-valued while Options.CompiledKernels is off or no
-// Apply has run).
-func (e *Engine) KernelCacheStats() kernel.CacheStats { return e.kernels.Stats() }
+// KernelCacheStats is a point-in-time snapshot of the maintenance-kernel
+// cache: Hits and Misses count lookups, Size the resident kernels.
+type KernelCacheStats struct {
+	Hits   uint64
+	Misses uint64
+	Size   int
+}
+
+// KernelCacheStats reports the maintenance-kernel cache's hit/miss counters
+// and size (zero-valued until an Apply has run).
+func (e *Engine) KernelCacheStats() KernelCacheStats {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return KernelCacheStats{Hits: e.kernelHits, Misses: e.kernelMisses, Size: len(e.kernels)}
+}
 
 // DB returns the engine's database.
 func (e *Engine) DB() *data.Database { return e.db }
@@ -357,39 +340,18 @@ func (e *Engine) execute(plan *core.Plan) ([]*ViewData, error) {
 	return produced, nil
 }
 
-// runGroup compiles and executes one view group, finalizing its outputs into
-// produced.
+// runGroup compiles one view group, scans its node's base relation in the
+// group's attribute order and finalizes the outputs into produced.
 func (e *Engine) runGroup(plan *core.Plan, g *core.Group, produced []*ViewData) error {
-	return e.runGroupOn(plan, g, produced, nil, true)
-}
-
-// runGroupOn is runGroup with two knobs for delta evaluation (Apply): scan an
-// override relation (a delta block) instead of the group node's base
-// relation, and suppress the forced scalar output row (a delta must stay
-// empty when nothing was emitted).
-func (e *Engine) runGroupOn(plan *core.Plan, g *core.Group, produced []*ViewData, relOverride *data.Relation, scalarInit bool) error {
 	gp, err := compileGroup(plan, g, e.opts.Compiled)
 	if err != nil {
 		return err
 	}
-	return e.execGroup(gp, produced, relOverride, scalarInit)
-}
-
-// execGroup binds the (possibly overridden) scan relation to a compiled
-// group plan and runs it; gp is reusable across calls with different
-// relations.
-func (e *Engine) execGroup(gp *groupPlan, produced []*ViewData, relOverride *data.Relation, scalarInit bool) error {
-	var err error
-	if relOverride != nil {
-		gp.rel, err = relOverride.SortedCopy(gp.order)
-	} else {
-		gp.rel, err = e.sortedRel(gp.node.Rel, gp.order)
-	}
-	if err != nil {
+	if gp.rel, err = e.sortedRel(gp.node.Rel, gp.order); err != nil {
 		return err
 	}
 	gp.resolveLeafCols()
-	builders, err := e.scanGroup(gp, produced, scalarInit)
+	builders, err := e.scanGroup(gp, produced)
 	if err != nil {
 		return err
 	}
@@ -401,14 +363,14 @@ func (e *Engine) execGroup(gp *groupPlan, produced []*ViewData, relOverride *dat
 
 // scanGroup runs gp's scan over its bound relation, domain-parallel when it
 // is large enough, and returns the views' builders, merged but not
-// finalized.
-func (e *Engine) scanGroup(gp *groupPlan, produced []*ViewData, scalarInit bool) ([]*viewBuilder, error) {
+// finalized. A scalar output gets its row even when no tuple joins.
+func (e *Engine) scanGroup(gp *groupPlan, produced []*ViewData) ([]*viewBuilder, error) {
 	n := gp.rel.Len()
 	if e.opts.Threads > 1 && gp.L > 0 && n >= e.opts.DomainParallelRows {
-		return e.runDomainParallel(gp, produced, n, scalarInit)
+		return e.runDomainParallel(gp, produced, n, true)
 	}
 	dense, wins := gp.layouts(produced, nil, []int{0, n})
-	ctx, err := newExecCtx(gp, produced, scalarInit, dense, wins[0])
+	ctx, err := newExecCtx(gp, produced, true, dense, wins[0])
 	if err != nil {
 		return nil, err
 	}

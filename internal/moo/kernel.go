@@ -9,42 +9,38 @@ import (
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/ivm"
-	"repro/internal/kernel"
 )
 
-// Compiled maintenance kernels (Options.CompiledKernels). Each kernel
-// specializes one ivm schedule step for one (join-tree node, delta relation)
-// pair: the step's multi-output group loop is compiled once, its semi-join
-// probe positions are resolved once against the plan's view metadata, and a
-// reusable execution context keeps the scan's slot/running-sum arrays and
-// the composed leaf closures alive across Apply calls — the interpreted path
-// re-derives all of that per delta. Kernels are cached per engine, keyed by
-// the injective kernel.Shape encoding and scoped to the one plan being
-// maintained (Engine.scopeCaches), so a cache hit always returns a kernel
-// compiled for that plan.
+// Compiled maintenance kernels: the only way Engine.Apply scans. Each kernel
+// specializes one ivm schedule step: the step's multi-output group loop is
+// compiled once, its semi-join probe positions are resolved once against the
+// plan's view metadata, and a reusable execution context keeps the scan's
+// slot/running-sum arrays and the composed leaf closures alive across Apply
+// calls. Kernels are cached per engine, keyed by (changed node, group) and
+// scoped to the one plan being maintained (Engine.scopeCaches): ivm.Analyze
+// is a pure function of (plan, changed node), so the key determines the step
+// and a cache hit always returns a kernel compiled for it.
 //
 // Restricted scans run row-id-batched: the semi-join candidate row ids are
 // gathered once per (relation, semi-join signature) and shared across every
-// kernel of the Apply round through a scanCache — the interpreted path
-// re-probes, re-gathers and re-sorts the same subset once per group. The
-// batch is kept as its defining probe set; each kernel resolves it against
-// the join-key index of the engine's persistent per-order sorted copy of the
-// base and walks the matched positions ascending through the id indirection
-// (execCtx.ids): a restricted scan over an unchanged base costs one integer
-// sort, never a gather, stable sort or subset copy. Sorted
-// copies of large at-delta tuple blocks are shared per scan order the same
-// way; small blocks run the indirection against the unsorted block directly.
+// kernel of the Apply round through a scanCache. The batch is kept as its
+// defining probe set; each kernel resolves it against the join-key index of
+// the engine's persistent per-order sorted copy of the base and walks the
+// matched positions ascending through the id indirection (execCtx.ids): a
+// restricted scan over an unchanged base costs one integer sort, never a
+// gather, stable sort or subset copy. Sorted copies of large at-delta tuple
+// blocks are shared per scan order the same way; small blocks run the
+// indirection against the unsorted block directly.
 //
-// Every strategy visits rows in the same stable order as the interpreted
-// path — selecting a subset of a stably sorted sequence, like stably sorting
-// the ascending ids directly, preserves the ascending-id order within equal
-// keys — so aggregate accumulation, and therefore every output bit, is
-// identical; the differential oracle (internal/oracletest) enforces this
-// with kernels on and off.
+// Every strategy visits rows in the same stable order as a scan of the whole
+// sorted relation — selecting a subset of a stably sorted sequence preserves
+// the ascending-id order within equal keys — and the rows it skips bind no
+// delta input, so a restricted Apply accumulates every output bit exactly as
+// recomputing the plan on the mutated base does (internal/oracletest).
 
 // maintKernel is the compiled kernel for one maintenance step. It carries
 // mutable scan state (bound relation, execution context, id buffer) and is
-// therefore bound to the engine's single-writer Apply path, like gpCache.
+// therefore bound to the engine's single-writer Apply path.
 type maintKernel struct {
 	gp *groupPlan
 	st ivm.Step
@@ -65,41 +61,33 @@ type maintKernel struct {
 	idbuf    []int32
 }
 
-// kernelFor returns the compiled kernel for step st of the given plan and
-// delta relation, compiling and caching it on first use.
-func (e *Engine) kernelFor(plan *core.Plan, relation string, st ivm.Step) (*maintKernel, error) {
-	shape := kernel.Shape{
-		Relation:    relation,
-		Node:        st.Node,
-		Group:       st.Group,
-		AtDelta:     st.AtDelta,
-		Compiled:    e.opts.Compiled,
-		Dirty:       st.Dirty,
-		DeltaInputs: st.DeltaInputs,
+// kernelKey identifies a cached kernel: the join-tree node the delta changed
+// and the plan group the step recomputes.
+type kernelKey struct {
+	changed, group int
+}
+
+// kernelFor returns the compiled kernel for step st of the schedule for a
+// delta at node changed, compiling and caching it on first use.
+func (e *Engine) kernelFor(plan *core.Plan, changed int, st ivm.Step) (*maintKernel, error) {
+	key := kernelKey{changed: changed, group: st.Group}
+	e.mu.Lock()
+	k, ok := e.kernels[key]
+	if ok {
+		e.kernelHits++
+	} else {
+		e.kernelMisses++
 	}
-	if st.SemiJoinAttrs != nil {
-		shape.SemiJoin = make([][]int64, len(st.SemiJoinAttrs))
-		for i, attrs := range st.SemiJoinAttrs {
-			if attrs == nil {
-				continue
-			}
-			inner := make([]int64, len(attrs))
-			for j, a := range attrs {
-				inner[j] = int64(a)
-			}
-			shape.SemiJoin[i] = inner
-		}
-	}
-	key := shape.Key()
-	if v, ok := e.kernels.Get(key); ok {
-		return v.(*maintKernel), nil
+	e.mu.Unlock()
+	if ok {
+		return k, nil
 	}
 	sub := &core.Group{ID: st.Group, Node: st.Node, Views: st.Dirty}
 	gp, err := compileGroup(plan, sub, e.opts.Compiled)
 	if err != nil {
 		return nil, err
 	}
-	k := &maintKernel{gp: gp, st: st}
+	k = &maintKernel{gp: gp, st: st}
 	if st.SemiJoinAttrs != nil {
 		k.probePos = make([][]int, len(st.DeltaInputs))
 		k.attrTags = make([]string, len(st.DeltaInputs))
@@ -124,7 +112,9 @@ func (e *Engine) kernelFor(plan *core.Plan, relation string, st ivm.Step) (*main
 			k.probePos[i] = pos
 		}
 	}
-	e.kernels.Put(key, k)
+	e.mu.Lock()
+	e.kernels[key] = k
+	e.mu.Unlock()
 	return k, nil
 }
 
@@ -176,9 +166,8 @@ const idScanMaxRows = 256
 
 // scanCache shares scan materializations across the kernels of one Apply
 // round: sorted copies of delta tuple blocks (per scan order) and semi-join
-// row-id batches (per semi-join signature). The interpreted path redoes this
-// work once per group; sharing it is where kernel compilation pays on
-// multi-group plans. The cache lives for a single Apply call on the engine's
+// row-id batches (per semi-join signature). Sharing them across the groups
+// of a multi-group plan is where kernel compilation pays. The cache lives for a single Apply call on the engine's
 // single-writer path — entries never survive a base-relation mutation.
 //
 // Every map is keyed by a comparable struct (pointers, an interned order id,
@@ -324,10 +313,9 @@ func (k *maintKernel) runIDs(produced []*ViewData, rel *data.Relation, ids []int
 // patched under deltas, like the copy; a plain binary search when the probe
 // attributes lead the scan order) to scan positions, which one integer sort
 // plus a dedup pass put in scan order — no per-delta gather, stable sort or
-// subset copy. Selecting a
-// subset of a stably sorted sequence preserves the relative order stable
-// id-sorting would produce, so the row visit order (and every accumulated
-// bit) matches the interpreted gather-and-sort path exactly.
+// subset copy. Selecting a subset of a stably sorted sequence preserves its
+// relative order, so the retained rows are visited exactly as a full scan of
+// the sorted copy would visit them.
 func (k *maintKernel) runIDBatch(e *Engine, sc *scanCache, produced []*ViewData, rel *data.Relation, se *subsetEntry) error {
 	sorted, err := e.sortedRel(rel, k.gp.order)
 	if err != nil {
@@ -346,7 +334,7 @@ func (k *maintKernel) runIDBatch(e *Engine, sc *scanCache, produced []*ViewData,
 		}
 		slices.Sort(pos)
 		// Probes with distinct attr signatures can match the same row; the
-		// scan must visit it once, like the interpreted path's id dedup.
+		// scan must visit it once.
 		uniq := pos[:0]
 		for i, r := range pos {
 			if i == 0 || r != uniq[len(uniq)-1] {
@@ -360,8 +348,8 @@ func (k *maintKernel) runIDBatch(e *Engine, sc *scanCache, produced []*ViewData,
 }
 
 // runFull is the unrestricted fallback, scanning the engine's cached sorted
-// copy of the base relation — domain-parallel for large relations, exactly
-// like the interpreted full-scan path.
+// copy of the base relation — domain-parallel for large relations, like
+// Run's own scans.
 func (k *maintKernel) runFull(e *Engine, produced []*ViewData, base *data.Relation) error {
 	sorted, err := e.sortedRel(base, k.gp.order)
 	if err != nil {
@@ -429,9 +417,8 @@ func (k *maintKernel) runDeltaBlock(sc *scanCache, produced []*ViewData, rel *da
 // between the restricted and full-scan strategy. No row ids are materialized
 // here: consumers resolve the probes against the sorted copy they scan
 // (runIDBatch), whose key indexes persist across Apply calls. fallback is
-// set when the subset would cover most of the relation (same threshold as
-// the interpreted path, counting pre-dedup matches): callers should
-// full-scan instead.
+// set when the subset would cover more than half of the relation (counting
+// pre-dedup matches): callers should full-scan instead.
 func gatherIDs(rel *data.Relation, probes []probeReq) (*subsetEntry, error) {
 	total := 0
 	for _, p := range probes {

@@ -12,9 +12,8 @@ import (
 // GenerateMaintenanceSource emits self-contained, compilable Go source
 // covering both evaluation and maintenance of the plan: the computeGroup
 // functions of GenerateSource plus, per join-tree relation, the specialized
-// maintenance kernels the runtime engine compiles on demand
-// (Options.CompiledKernels). For every relation the ivm schedule is resolved
-// at generation time and each step becomes a maintainGroup function — the
+// maintenance kernels the runtime engine compiles on demand (kernel.go).
+// For every relation the ivm schedule is resolved at generation time and each step becomes a maintainGroup function — the
 // step's group scan restricted to its dirty views — stitched together by a
 // maintain_<Rel> driver that runs the steps in dependency order, combines the
 // insert and delete scans into signed delta views (deletes are

@@ -38,9 +38,9 @@ func BenchmarkApplyRetailer(b *testing.B) {
 	}
 }
 
-// benchApplyDim measures dimension-table maintenance (the semi-join
-// restriction's target case) with the restriction on or off.
-func benchApplyDim(b *testing.B, semiJoin bool) {
+// BenchmarkApplyRetailerDimSemiJoin measures dimension-table maintenance,
+// the semi-join restriction's target case.
+func BenchmarkApplyRetailerDimSemiJoin(b *testing.B) {
 	ds, err := datagen.Retailer(datagen.Config{Scale: 0.001, Seed: 2019})
 	if err != nil {
 		b.Fatal(err)
@@ -48,7 +48,6 @@ func benchApplyDim(b *testing.B, semiJoin bool) {
 	queries := workloads.CovarMatrix(ds)
 	opts := moo.DefaultOptions()
 	opts.TrackCounts = true
-	opts.SemiJoin = semiJoin
 	eng := moo.NewEngineWithTree(ds.DB, ds.Tree, opts)
 	sess, err := lmfao.NewSessionWithEngine(eng, queries)
 	if err != nil {
@@ -67,10 +66,6 @@ func benchApplyDim(b *testing.B, semiJoin bool) {
 		}
 	}
 }
-
-func BenchmarkApplyRetailerDimSemiJoin(b *testing.B) { benchApplyDim(b, true) }
-
-func BenchmarkApplyRetailerDimFullScan(b *testing.B) { benchApplyDim(b, false) }
 
 func benchDelta(rng *rand.Rand, rel *data.Relation, frac float64) lmfao.Update {
 	n := int(frac * float64(rel.Len()))

@@ -41,8 +41,7 @@ func TestConcurrentSnapshotOracle(t *testing.T) {
 			}
 			queries := GenQueries(rng, s)
 			opts := moo.Options{MultiRoot: true, MultiOutput: true, Compiled: true,
-				Threads: 1 + int(seed%3), DomainParallelRows: 8, SemiJoin: seed%2 == 0,
-				CompiledKernels: seed%2 == 1}
+				Threads: 1 + int(seed%3), DomainParallelRows: 8}
 			runConcurrentOracle(t, rng, s, queries, opts, readers, rounds, 6, nil)
 		})
 	}
@@ -60,8 +59,7 @@ func TestConcurrentSnapshotOracleDimensionStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := GenQueries(rng, s)
-	opts := moo.Options{MultiRoot: true, MultiOutput: true, Compiled: true, Threads: 2,
-		SemiJoin: true, CompiledKernels: true}
+	opts := moo.Options{MultiRoot: true, MultiOutput: true, Compiled: true, Threads: 2}
 	var dims []*data.Relation
 	for _, r := range s.DB.Relations() {
 		if r.Name != "F" {

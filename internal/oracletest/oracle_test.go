@@ -70,8 +70,7 @@ func TestIVMSynthetic(t *testing.T) {
 				t.Fatal(err)
 			}
 			queries := GenQueries(rng, s)
-			opts := moo.Options{MultiRoot: true, MultiOutput: true, Compiled: true, Threads: 1,
-				SemiJoin: seed%2 == 0, CompiledKernels: seed%3 != 1}
+			opts := moo.Options{MultiRoot: true, MultiOutput: true, Compiled: true, Threads: 1}
 			if seed%2 == 1 {
 				opts.Threads = 3
 				opts.DomainParallelRows = 4
@@ -118,12 +117,13 @@ func TestIVMRetailer(t *testing.T) { testIVMDataset(t, "retailer") }
 func TestIVMFavorita(t *testing.T) { testIVMDataset(t, "favorita") }
 
 // TestIVMSemiJoinDimensionStream drives dimension-table-only update streams
-// through semi-join-restricted maintenance on star/snowflake schemas,
-// demanding bit-exact agreement with the baseline and the full recompute,
-// and asserting the restriction actually fires. Even seeds run the compiled
-// maintenance kernels, whose restricted scans must go through the
-// row-id-batched path (IDScanGroups) whenever the restriction applies.
+// through maintenance on star/snowflake schemas, demanding bit-exact
+// agreement with the baseline and the full recompute. Across the streams
+// both scan strategies at unchanged nodes must fire: the row-id-batched
+// restricted scan (IDScanGroups) and the full scan (FullScanGroups), and no
+// round may scan more rows than a full pass would.
 func TestIVMSemiJoinDimensionStream(t *testing.T) {
+	idScanSeen, fullScanSeen := false, false
 	for seed := int64(0); seed < 5; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(200 + seed))
@@ -132,8 +132,7 @@ func TestIVMSemiJoinDimensionStream(t *testing.T) {
 				t.Fatal(err)
 			}
 			queries := GenQueries(rng, s)
-			opts := moo.Options{MultiRoot: true, MultiOutput: true, Compiled: true, Threads: 1,
-				SemiJoin: true, CompiledKernels: seed%2 == 0}
+			opts := moo.Options{MultiRoot: true, MultiOutput: true, Compiled: true, Threads: 1}
 			sess, err := lmfao.NewSession(s.DB, queries, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -147,7 +146,6 @@ func TestIVMSemiJoinDimensionStream(t *testing.T) {
 					dims = append(dims, r)
 				}
 			}
-			semiSeen, idScanSeen := false, false
 			for step := 0; step < 8; step++ {
 				d := GenDeltaOn(rng, dims[rng.Intn(len(dims))], 10)
 				stats, err := sess.Apply(d)
@@ -158,179 +156,30 @@ func TestIVMSemiJoinDimensionStream(t *testing.T) {
 					if !st.Incremental {
 						t.Fatalf("step %d: fell back to full recompute for %s", step, st.Relation)
 					}
-					if st.SemiJoinGroups > 0 {
-						semiSeen = true
-						if st.ScannedRows > st.BaseRows {
-							t.Fatalf("step %d: scanned %d > base %d", step, st.ScannedRows, st.BaseRows)
-						}
+					if st.ScannedRows > st.BaseRows {
+						t.Fatalf("step %d: scanned %d > base %d", step, st.ScannedRows, st.BaseRows)
 					}
-					if st.IDScanGroups > 0 {
-						idScanSeen = true
-						if !opts.CompiledKernels {
-							t.Fatalf("step %d: id-batched scans reported with kernels off", step)
-						}
-						if st.IDScanGroups > st.KernelGroups {
-							t.Fatalf("step %d: %d id scans exceed %d kernel groups",
-								step, st.IDScanGroups, st.KernelGroups)
-						}
+					if st.IDScanGroups+st.FullScanGroups > st.KernelGroups {
+						t.Fatalf("step %d: %d id scans and %d full scans exceed %d kernel groups",
+							step, st.IDScanGroups, st.FullScanGroups, st.KernelGroups)
 					}
-					if opts.CompiledKernels && st.SemiJoinGroups != st.IDScanGroups {
-						t.Fatalf("step %d: %d restricted kernel scans but %d id-batched",
-							step, st.SemiJoinGroups, st.IDScanGroups)
-					}
+					idScanSeen = idScanSeen || st.IDScanGroups > 0
+					fullScanSeen = fullScanSeen || st.FullScanGroups > 0
 				}
 				if err := CheckMaintained(sess.Engine(), sess.Result(), queries, Exact); err != nil {
 					t.Fatalf("step %d (%s +%d -%d): %v", step, d.Relation, d.InsertRows(), d.DeleteRows(), err)
 				}
 			}
-			if !semiSeen {
-				t.Error("semi-join restriction never fired across the stream")
-			}
-			if opts.CompiledKernels && !idScanSeen {
-				t.Error("row-id-batched restricted scan never fired with kernels on")
-			}
-			if opts.CompiledKernels {
-				if cs := sess.Engine().KernelCacheStats(); cs.Size == 0 || cs.Hits == 0 {
-					t.Errorf("kernel cache never reused a kernel: %+v", cs)
-				}
-			}
-		})
-	}
-}
-
-// TestIVMSemiJoinOnOffParity maintains the same schema and update stream
-// twice — semi-join restriction on and off — and demands the two sessions
-// end bit-identical (the restriction drops only non-contributing rows, so
-// even float accumulation order is preserved).
-func TestIVMSemiJoinOnOffParity(t *testing.T) {
-	for seed := int64(0); seed < 4; seed++ {
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			build := func(semi bool) (*lmfao.Session, []*query.Query, *rand.Rand) {
-				rng := rand.New(rand.NewSource(400 + seed))
-				s, err := GenSchema(rng)
-				if err != nil {
-					t.Fatal(err)
-				}
-				queries := GenQueries(rng, s)
-				opts := moo.Options{MultiRoot: true, MultiOutput: true, Compiled: true, Threads: 1,
-					SemiJoin: semi, CompiledKernels: seed%2 == 0}
-				sess, err := lmfao.NewSession(s.DB, queries, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := sess.Run(); err != nil {
-					t.Fatal(err)
-				}
-				return sess, queries, rng
-			}
-			on, queries, rngOn := build(true)
-			off, _, rngOff := build(false)
-			for step := 0; step < 5; step++ {
-				dOn := GenDelta(rngOn, on.Engine().DB(), 10)
-				dOff := GenDelta(rngOff, off.Engine().DB(), 10)
-				if dOn.Relation != dOff.Relation {
-					t.Fatalf("step %d: streams diverged (%s vs %s)", step, dOn.Relation, dOff.Relation)
-				}
-				if _, err := on.Apply(dOn); err != nil {
-					t.Fatalf("step %d on: %v", step, err)
-				}
-				if _, err := off.Apply(dOff); err != nil {
-					t.Fatalf("step %d off: %v", step, err)
-				}
-			}
-			for qi := range queries {
-				got := viewRows(on.Result().Results[qi], -1)
-				want := viewRows(off.Result().Results[qi], -1)
-				if err := diffRows(fmt.Sprintf("query %d", qi), got, want, Exact); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := CheckMaintained(on.Engine(), on.Result(), queries, Exact); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-// TestIVMKernelOnOffParity maintains the same schema and update stream twice —
-// compiled maintenance kernels on and off — and demands the two sessions end
-// bit-identical across every output view, hidden tuple-count columns included.
-// Single-threaded, both modes visit rows in the same stably-sorted order (the
-// kernel path sorts row ids where the interpreted path sorts a gathered copy),
-// so even float accumulation order matches bit for bit. Kernels must actually
-// fire (KernelGroups) and be reused across steps (cache hits).
-func TestIVMKernelOnOffParity(t *testing.T) {
-	for seed := int64(0); seed < 4; seed++ {
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			build := func(kernels bool) (*lmfao.Session, []*query.Query, *rand.Rand) {
-				rng := rand.New(rand.NewSource(600 + seed))
-				s, err := GenSchema(rng)
-				if err != nil {
-					t.Fatal(err)
-				}
-				queries := GenQueries(rng, s)
-				opts := moo.Options{MultiRoot: true, MultiOutput: true, Compiled: true, Threads: 1,
-					SemiJoin: seed%2 == 0, CompiledKernels: kernels}
-				sess, err := lmfao.NewSession(s.DB, queries, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := sess.Run(); err != nil {
-					t.Fatal(err)
-				}
-				return sess, queries, rng
-			}
-			on, queries, rngOn := build(true)
-			off, _, rngOff := build(false)
-			kernelSeen := false
-			for step := 0; step < 5; step++ {
-				dOn := GenDelta(rngOn, on.Engine().DB(), 10)
-				dOff := GenDelta(rngOff, off.Engine().DB(), 10)
-				if dOn.Relation != dOff.Relation {
-					t.Fatalf("step %d: streams diverged (%s vs %s)", step, dOn.Relation, dOff.Relation)
-				}
-				statsOn, err := on.Apply(dOn)
-				if err != nil {
-					t.Fatalf("step %d on: %v", step, err)
-				}
-				statsOff, err := off.Apply(dOff)
-				if err != nil {
-					t.Fatalf("step %d off: %v", step, err)
-				}
-				for _, st := range statsOn {
-					if st.Incremental && st.KernelGroups == 0 && st.SemiJoinGroups+st.FullScanGroups > 0 {
-						t.Fatalf("step %d: incremental maintenance for %s bypassed the kernels", step, st.Relation)
-					}
-					if st.KernelGroups > 0 {
-						kernelSeen = true
-					}
-				}
-				for _, st := range statsOff {
-					if st.KernelGroups > 0 || st.IDScanGroups > 0 {
-						t.Fatalf("step %d: kernel stats reported with kernels off: %+v", step, st)
-					}
-				}
-			}
-			if !kernelSeen {
-				t.Error("compiled kernels never fired across the stream")
-			}
-			if cs := on.Engine().KernelCacheStats(); cs.Size == 0 || cs.Hits == 0 {
+			if cs := sess.Engine().KernelCacheStats(); cs.Size == 0 || cs.Hits == 0 {
 				t.Errorf("kernel cache never reused a kernel: %+v", cs)
 			}
-			if cs := off.Engine().KernelCacheStats(); cs.Size != 0 {
-				t.Errorf("kernels-off session populated the kernel cache: %+v", cs)
-			}
-			for qi := range queries {
-				got := viewRows(on.Result().Results[qi], -1)
-				want := viewRows(off.Result().Results[qi], -1)
-				if err := diffRows(fmt.Sprintf("query %d", qi), got, want, Exact); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := CheckMaintained(on.Engine(), on.Result(), queries, Exact); err != nil {
-				t.Fatal(err)
-			}
 		})
+	}
+	if !idScanSeen {
+		t.Error("row-id-batched restricted scan never fired across the streams")
+	}
+	if !fullScanSeen {
+		t.Error("full scan never fired across the streams")
 	}
 }
 
@@ -347,8 +196,7 @@ func TestIVMBagPreRunMutation(t *testing.T) {
 				t.Fatal(err)
 			}
 			queries := GenQueries(rng, s)
-			opts := moo.Options{MultiRoot: true, MultiOutput: true, Compiled: true, Threads: 1,
-				SemiJoin: true, CompiledKernels: seed%2 == 1}
+			opts := moo.Options{MultiRoot: true, MultiOutput: true, Compiled: true, Threads: 1}
 			sess, err := lmfao.NewSession(s.DB, queries, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -393,8 +241,7 @@ func TestIVMBagUpdateStream(t *testing.T) {
 				t.Fatal(err)
 			}
 			queries := GenQueries(rng, s)
-			opts := moo.Options{MultiRoot: true, MultiOutput: true, Compiled: true, Threads: 1,
-				SemiJoin: seed%2 == 0, CompiledKernels: seed%2 == 1}
+			opts := moo.Options{MultiRoot: true, MultiOutput: true, Compiled: true, Threads: 1}
 			if seed%3 == 2 {
 				opts.Threads = 3
 				opts.DomainParallelRows = 4

@@ -63,8 +63,8 @@ func TestShardedSessionOracle(t *testing.T) {
 			}
 			queries := GenQueries(rng, s)
 			opts := moo.Options{MultiRoot: true, MultiOutput: true, Compiled: true,
-				Threads: 1 + int(seed%3), DomainParallelRows: 8, SemiJoin: seed%2 == 0,
-				TrackCounts: true, CompiledKernels: seed%2 == 1}
+				Threads: 1 + int(seed%3), DomainParallelRows: 8,
+				TrackCounts: true}
 
 			clone, err := cloneDatabase(s.DB)
 			if err != nil {
@@ -162,7 +162,7 @@ func TestShardedSessionOracleFactStream(t *testing.T) {
 	}
 	queries := GenQueries(rng, s)
 	opts := moo.Options{MultiRoot: true, MultiOutput: true, Compiled: true, Threads: 2,
-		SemiJoin: true, TrackCounts: true, CompiledKernels: true}
+		TrackCounts: true}
 	clone, err := cloneDatabase(s.DB)
 	if err != nil {
 		t.Fatal(err)

@@ -73,8 +73,8 @@ func sparseCoverage(db *data.Database) (joined, missing bool) {
 
 // TestSparseStarBothWalks drives Run and Apply over star schemas whose
 // dimensions miss a share of the fact keys, bit-exact against the baseline
-// on dyadic data with maintenance kernels on and off. The scan has two walks
-// over one set of slot tables, and this data forces both:
+// on dyadic data. The scan has two walks over one set of slot tables, and
+// this data forces both:
 //
 //   - At the fact node, a key that joins its dimension binds the dimension
 //     view, so the lookup slots at that depth are bound and the running sums
@@ -96,41 +96,36 @@ func sparseCoverage(db *data.Database) (joined, missing bool) {
 func TestSparseStarBothWalks(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			for _, kernels := range []bool{false, true} {
-				rng := rand.New(rand.NewSource(700 + seed))
-				s, err := genSparseStar(rng)
-				if err != nil {
-					t.Fatal(err)
+			rng := rand.New(rand.NewSource(700 + seed))
+			s, err := genSparseStar(rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if joined, missing := sparseCoverage(s.DB); !joined || !missing {
+				t.Fatalf("vacuous data: fact rows joined=%v missing=%v", joined, missing)
+			}
+			queries := append(GenQueries(rng, s),
+				query.NewQuery("cross", []data.AttrID{s.Discrete[len(s.Discrete)-2], s.Discrete[len(s.Discrete)-1]},
+					query.CountAgg(), query.SumAgg(s.Numeric[0]), query.SumProdAgg(s.Numeric[1], s.Numeric[2])))
+			if err := CheckBatch(s.DB, queries, Exact); err != nil {
+				t.Fatal(err)
+			}
+			opts := moo.Options{MultiRoot: true, MultiOutput: true, Compiled: true, Threads: 1}
+			sess, err := lmfao.NewSession(s.DB, queries, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sess.Run(); err != nil {
+				t.Fatal(err)
+			}
+			rels := s.DB.Relations()
+			for step := 0; step < 8; step++ {
+				d := GenDeltaOn(rng, rels[rng.Intn(len(rels))], 6)
+				if _, err := sess.Apply(d); err != nil {
+					t.Fatalf("step %d (%s): %v", step, d.Relation, err)
 				}
-				if joined, missing := sparseCoverage(s.DB); !joined || !missing {
-					t.Fatalf("vacuous data: fact rows joined=%v missing=%v", joined, missing)
-				}
-				queries := append(GenQueries(rng, s),
-					query.NewQuery("cross", []data.AttrID{s.Discrete[len(s.Discrete)-2], s.Discrete[len(s.Discrete)-1]},
-						query.CountAgg(), query.SumAgg(s.Numeric[0]), query.SumProdAgg(s.Numeric[1], s.Numeric[2])))
-				if !kernels {
-					if err := CheckBatch(s.DB, queries, Exact); err != nil {
-						t.Fatal(err)
-					}
-				}
-				opts := moo.Options{MultiRoot: true, MultiOutput: true, Compiled: true, Threads: 1,
-					SemiJoin: true, CompiledKernels: kernels}
-				sess, err := lmfao.NewSession(s.DB, queries, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := sess.Run(); err != nil {
-					t.Fatal(err)
-				}
-				rels := s.DB.Relations()
-				for step := 0; step < 8; step++ {
-					d := GenDeltaOn(rng, rels[rng.Intn(len(rels))], 6)
-					if _, err := sess.Apply(d); err != nil {
-						t.Fatalf("kernels=%v step %d (%s): %v", kernels, step, d.Relation, err)
-					}
-					if err := CheckMaintained(sess.Engine(), sess.Result(), queries, Exact); err != nil {
-						t.Fatalf("kernels=%v step %d (%s +%d -%d): %v", kernels, step, d.Relation, d.InsertRows(), d.DeleteRows(), err)
-					}
+				if err := CheckMaintained(sess.Engine(), sess.Result(), queries, Exact); err != nil {
+					t.Fatalf("step %d (%s +%d -%d): %v", step, d.Relation, d.InsertRows(), d.DeleteRows(), err)
 				}
 			}
 		})

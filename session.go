@@ -140,10 +140,10 @@ type ApplyResult struct {
 // updates: Run computes it once, Apply mutates the base relations and
 // incrementally maintains every view — re-evaluating only the dirty subset
 // of the DAG, with deletes handled as negative-weight inserts — instead of
-// recomputing from scratch. With Options.SemiJoin (on in DefaultOptions),
-// maintenance scans at unchanged join-tree nodes touch only the base rows
-// that join the delta's keys, via join-key indexes that are built on first
-// use and patched, like the engine's sorted copies, under every later delta.
+// recomputing from scratch. Where the schedule allows it, maintenance scans
+// at unchanged join-tree nodes touch only the base rows that join the
+// delta's keys, via join-key indexes that are built on first use and
+// patched, like the engine's sorted copies, under every later delta.
 //
 // Updates against a relation folded into a materialized hypertree bag are
 // maintained incrementally too: the delta is joined with the bag's other
