@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/data"
 	"repro/internal/ivm"
 )
 
@@ -26,16 +25,16 @@ import (
 
 // assembleQuery builds user query qi's visible view from its raw output
 // view and the support views in mat (indexed by view ID). prev is the
-// previous assembled view and affected the set of packed group keys whose
-// monoid columns must be re-folded; prev == nil (or affected == nil with
-// prev == nil) means fold everything. Groups absent from prev are always
-// re-folded regardless of affected.
+// previous assembled view and affected marks the raw rows whose monoid
+// columns must be re-folded; prev == nil or affected == nil means fold
+// everything. Groups absent from prev are always re-folded regardless of
+// affected.
 //
 // Layout of the assembled view: the query's sum-aggregate columns
 // (verbatim from the raw output view, absent for placeholder-only
 // queries), then each monoid aggregate's finalized columns in declaration
 // order, then the hidden tuple-count column when the plan tracks counts.
-func assembleQuery(plan *core.Plan, qi int, raw *ViewData, mat []*ViewData, prev *ViewData, affected map[string]struct{}) (*ViewData, error) {
+func assembleQuery(plan *core.Plan, qi int, raw *ViewData, mat []*ViewData, prev *ViewData, affected []bool) (*ViewData, error) {
 	spec := plan.Monoids[qi]
 	if spec == nil {
 		return raw, nil
@@ -61,6 +60,7 @@ func assembleQuery(plan *core.Plan, qi int, raw *ViewData, mat []*ViewData, prev
 		order:   raw.order,
 		nskey:   raw.nskey,
 		box:     raw.box,
+		dir:     raw.dir,
 	}
 	for i := 0; i < rows; i++ {
 		dst := out.Vals[i*stride:]
@@ -78,7 +78,6 @@ func assembleQuery(plan *core.Plan, qi int, raw *ViewData, mat []*ViewData, prev
 	// their rows.
 	refold := make([]bool, rows)
 	prevRow := make([]int32, rows)
-	buf := make([]byte, 0, 8*len(raw.GroupBy))
 	p := 0
 	for i := 0; i < rows; i++ {
 		if prev == nil {
@@ -93,17 +92,7 @@ func assembleQuery(plan *core.Plan, qi int, raw *ViewData, mat []*ViewData, prev
 			continue
 		}
 		prevRow[i] = int32(p)
-		if affected == nil {
-			refold[i] = true
-			continue
-		}
-		buf = buf[:0]
-		for c := range raw.GroupBy {
-			buf = data.AppendKey(buf, raw.Keys[c][i])
-		}
-		if _, hit := affected[string(buf)]; hit {
-			refold[i] = true
-		}
+		refold[i] = affected == nil || affected[i]
 	}
 
 	// Fold states for the re-folded rows, one scan per distinct support
@@ -182,24 +171,33 @@ func assembleQuery(plan *core.Plan, qi int, raw *ViewData, mat []*ViewData, prev
 // state aliases the monoid state type locally (keeps the fold loop tidy).
 type state = interface{}
 
-// affectedGroups collects the packed group keys query qi's maintenance
-// round touched: the group projections of every support-delta row plus
-// every raw-output delta row (zero- and negative-count delta rows
-// included — a net-zero support change can still swing a fold). Returns
-// an empty set when no relevant view produced a delta row, in which case
-// the previous assembled view is still exact.
-func affectedGroups(plan *core.Plan, qi int, deltas []*ViewData) map[string]struct{} {
+// affectedGroups marks the raw output rows of query qi whose groups its
+// maintenance round touched: the group projections of every support-delta
+// row plus every raw-output delta row (zero- and negative-count delta rows
+// included — a net-zero support change can still swing a fold), each found
+// by raw.Lookup. touched is false when no relevant view produced a delta
+// row, in which case the previous assembled view is still exact.
+func affectedGroups(plan *core.Plan, qi int, raw *ViewData, deltas []*ViewData) (marks []bool, touched bool) {
 	spec := plan.Monoids[qi]
-	affected := make(map[string]struct{})
-	if dv := deltas[plan.OutputView[qi]]; dv != nil {
-		buf := make([]byte, 0, 8*len(dv.GroupBy))
+	marks = make([]bool, raw.NumRows())
+	mark := func(dv *ViewData, pos []int) {
+		key := make([]int64, len(pos))
 		for i := 0; i < dv.NumRows(); i++ {
-			buf = buf[:0]
-			for c := range dv.GroupBy {
-				buf = data.AppendKey(buf, dv.KeyAt(i, c))
+			for k, kp := range pos {
+				key[k] = dv.KeyAt(i, kp)
 			}
-			affected[string(buf)] = struct{}{}
+			if r := raw.Lookup(key...); r >= 0 {
+				marks[r] = true
+			}
+			touched = true
 		}
+	}
+	if dv := deltas[plan.OutputView[qi]]; dv != nil {
+		ident := make([]int, len(dv.GroupBy))
+		for c := range ident {
+			ident[c] = c
+		}
+		mark(dv, ident)
 	}
 	seen := make(map[int]bool, len(spec.Cols))
 	for _, col := range spec.Cols {
@@ -207,20 +205,11 @@ func affectedGroups(plan *core.Plan, qi int, deltas []*ViewData) map[string]stru
 			continue
 		}
 		seen[col.Support] = true
-		dv := deltas[plan.OutputView[col.Support]]
-		if dv == nil {
-			continue
-		}
-		buf := make([]byte, 0, 8*len(col.KeyPos))
-		for i := 0; i < dv.NumRows(); i++ {
-			buf = buf[:0]
-			for _, kp := range col.KeyPos {
-				buf = data.AppendKey(buf, dv.KeyAt(i, kp))
-			}
-			affected[string(buf)] = struct{}{}
+		if dv := deltas[plan.OutputView[col.Support]]; dv != nil {
+			mark(dv, col.KeyPos)
 		}
 	}
-	return affected
+	return marks, touched
 }
 
 // fillResults populates res.Results (one user-visible view per USER query
@@ -240,11 +229,12 @@ func fillResults(plan *core.Plan, mat []*ViewData, res *BatchResult, prevResults
 			continue
 		}
 		var prev *ViewData
-		var affected map[string]struct{}
+		var affected []bool
 		if deltas != nil && prevResults != nil {
 			prev = prevResults[qi]
-			affected = affectedGroups(plan, qi, deltas)
-			if prev != nil && len(affected) == 0 {
+			var touched bool
+			affected, touched = affectedGroups(plan, qi, raw, deltas)
+			if prev != nil && !touched {
 				res.Results[qi] = prev
 				res.OutputBytes += prev.SizeBytes()
 				continue

@@ -79,6 +79,7 @@ func CombineViews(parts []*ViewData) (*ViewData, error) {
 			}
 		}
 		if low == nil {
+			out.index()
 			return out, nil
 		}
 		for c := range out.Keys {

@@ -401,6 +401,9 @@ func diffViews(v *core.View, ins, del *ViewData, target []data.AttrID) *ViewData
 // The aggregates start as a copy of the old ones (no zero-fill) that delta
 // rows add into in place, sharing the cached key columns, until the first
 // insert or drop truncates the copy there; old runs are appended after it.
+// A merge that keeps old's row set shares old's row directory too; any
+// other derives its own from old's, or indexes its rows afresh when an
+// insert falls outside old's directory box.
 //
 // lmfao:pre-publish — every write lands in the fresh out view; old and
 // delta are only read.
@@ -438,6 +441,29 @@ func mergeDelta(old, delta *ViewData, countCol int, keepScalar bool) *ViewData {
 		}
 		out.rows += hi - lo
 	}
+	// While every insert falls in old's directory box, out's directory is
+	// old's shifted: start[s] moves by the rows inserted less the rows
+	// dropped in slots below s. Rows arrive in slot order, so one pass
+	// fills it; dir[:next] is final.
+	var dir []int32
+	derive, next, shift := old.dir != nil, 0, int32(0)
+	moved := func(key []int64, d int32) {
+		if !derive {
+			return
+		}
+		s, in := old.dir.slot(key[:old.nskey])
+		if !in {
+			derive = false
+			return
+		}
+		if dir == nil {
+			dir = make([]int32, len(old.dir.start))
+		}
+		for ; next <= s; next++ {
+			dir[next] = old.dir.start[next] + shift
+		}
+		shift += d
+	}
 	key := make([]int64, len(old.order)) // delta row j in sort order
 	i := 0
 	for j := 0; j < delta.rows; j++ {
@@ -456,6 +482,7 @@ func mergeDelta(old, delta *ViewData, countCol int, keepScalar bool) *ViewData {
 		if count == 0 && !keepScalar {
 			if hit {
 				unshare()
+				moved(key, -1)
 				i++
 			}
 			continue
@@ -465,6 +492,7 @@ func mergeDelta(old, delta *ViewData, countCol int, keepScalar bool) *ViewData {
 			i++
 		} else {
 			unshare()
+			moved(key, 1)
 			for c := range out.Keys {
 				out.Keys[c] = append(out.Keys[c], delta.Keys[c][j])
 			}
@@ -477,5 +505,16 @@ func mergeDelta(old, delta *ViewData, countCol int, keepScalar bool) *ViewData {
 		}
 	}
 	copyRun(i, old.rows)
+	switch {
+	case shared:
+		out.dir = old.dir // same rows, same keys: old's slots still hold
+	case derive && 4*int64(len(dir)) <= out.SizeBytes():
+		for ; next < len(dir); next++ {
+			dir[next] = old.dir.start[next] + shift
+		}
+		out.dir = &rowDir{cols: old.dir.cols, start: dir}
+	default:
+		out.index()
+	}
 	return out
 }

@@ -248,20 +248,26 @@ func TestDenseBuilderMatchesHashed(t *testing.T) {
 }
 
 // benchView builds a two-key view of n rows emitted in a scattered order and
-// finalizes it against a consumer keyed on its first attribute.
-func benchView(n int) *ViewData {
+// finalizes it against a consumer keyed on its first attribute. Its
+// consumer keys are dense (n/4 values), so it carries a row directory.
+func benchView(n int) *ViewData { return spreadView(n, 1) }
+
+// spreadView is benchView with the consumer-key values spread spread apart:
+// past a spread of about 48, the box outgrows the directory budget and binds
+// search.
+func spreadView(n int, spread int64) *ViewData {
 	b := newViewBuilder([]data.AttrID{1, 2}, 4, false, nil)
 	for i := 0; i < n; i++ {
 		j := int64(i * 7919 % n)
-		r := b.row([]int64{j / 4, j % 4})
+		r := b.row([]int64{j / 4 * spread, j % 4})
 		b.add(r, 0, 1)
 	}
 	return b.finalize([]data.AttrID{1})
 }
 
 // TestViewHotPathsAllocateNothing: a hashed or dense builder row hit, a bind
-// and a Lookup read and compare int64 columns in place — no packed keys, no
-// allocation.
+// and a Lookup — through a row directory or by search — read and compare
+// int64 columns in place: no packed keys, no allocation.
 func TestViewHotPathsAllocateNothing(t *testing.T) {
 	b := newViewBuilder([]data.AttrID{1, 2}, 1, false, nil)
 	for i := int64(0); i < 100; i++ {
@@ -280,13 +286,34 @@ func TestViewHotPathsAllocateNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { d.row(hit) }); n != 0 {
 		t.Fatalf("dense row hit allocates %v times", n)
 	}
-	v := benchView(1000)
-	key, full := []int64{100}, []int64{100, 2}
-	if n := testing.AllocsPerRun(100, func() { v.bind(key) }); n != 0 {
-		t.Fatalf("bind allocates %v times", n)
+	whole := newViewBuilder([]data.AttrID{1, 2}, 1, false, nil)
+	for i := int64(0); i < 1000; i++ {
+		whole.row([]int64{i / 4, i % 4})
 	}
-	if n := testing.AllocsPerRun(100, func() { v.Lookup(full...) }); n != 0 {
-		t.Fatalf("Lookup allocates %v times", n)
+	out := whole.finalize(nil) // an application output: the key is the whole group-by
+	for _, c := range []struct {
+		name string
+		v    *ViewData
+		dir  bool
+	}{
+		{"directory", benchView(1000), true},
+		{"whole-key directory", out, true},
+		{"search", spreadView(1000, 1000), false},
+	} {
+		if (c.v.dir != nil) != c.dir {
+			t.Fatalf("%s view: directory %v, want %v", c.name, c.v.dir != nil, c.dir)
+		}
+		full := []int64{c.v.KeyAt(c.v.NumRows()/2, 0), 2}
+		key := full[:c.v.nskey] // GroupBy order is sort order here
+		if n := testing.AllocsPerRun(100, func() { c.v.bind(key) }); n != 0 {
+			t.Fatalf("%s bind allocates %v times", c.name, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { c.v.Lookup(full...) }); n != 0 {
+			t.Fatalf("%s Lookup allocates %v times", c.name, n)
+		}
+		if _, _, ok := c.v.bind(key); !ok || c.v.Lookup(full...) < 0 {
+			t.Fatalf("%s view: key %v not found", c.name, full)
+		}
 	}
 }
 
@@ -305,6 +332,25 @@ func BenchmarkViewBind(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for k := int64(0); k < 1<<14; k++ {
 			key[0] = k
+			v.bind(key)
+		}
+	}
+}
+
+// BenchmarkViewBindSparse times binds on a view whose consumer keys spread
+// past the directory budget: the binary search that stands in for it.
+func BenchmarkViewBindSparse(b *testing.B) {
+	const spread = 1000
+	v := spreadView(1<<16, spread)
+	if v.dir != nil {
+		b.Fatal("sparse view got a directory")
+	}
+	key := []int64{0}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := int64(0); k < 1<<14; k++ {
+			key[0] = k * spread
 			v.bind(key)
 		}
 	}

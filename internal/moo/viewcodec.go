@@ -13,8 +13,10 @@ import (
 // needs to resume maintenance bit-exactly: group-by schema, the sort layout
 // established by finalize (consumer-key and extra positions), and the
 // sorted keys and aggregates verbatim (float64 bits, so no value is
-// perturbed). Every read of a view is a binary search or a merge over its
-// sort order, so decode verifies the order instead of trusting it.
+// perturbed). Every read of a view is a directory probe, a binary search or
+// a merge over its sort order, so decode verifies the order instead of
+// trusting it. Neither the key box nor the row directory is encoded: decode
+// rebuilds both from the rows, and the directory is never larger than them.
 //
 // The layout byte is 1. Encodings from before views were all sorted carry 0
 // for an application output, with no position lists and the rows in
@@ -136,6 +138,7 @@ func DecodeViewData(b []byte) (*ViewData, int, error) {
 			return nil, 0, ErrViewCorrupt
 		}
 	}
+	v.index() // not encoded either: rebuilt from the verified rows
 	return v, len(b) - len(d.b), nil
 }
 

@@ -14,7 +14,7 @@ import (
 // codecViews runs a grouped batch and returns every materialized view: the
 // mix includes internal views (consumer key plus carried extras) and
 // application outputs (keyed by their whole group-by).
-func codecViews(t *testing.T) []*ViewData {
+func codecViews(t testing.TB) []*ViewData {
 	t.Helper()
 	db, keys, nums := chainDB(t, 60, 11, 4)
 	queries := []*query.Query{

@@ -19,9 +19,12 @@ import (
 // a join-tree node that order is the consumer key (group-by attributes
 // shared with the target) followed by the extras (the remaining group-by
 // attributes, carried into consumer outputs); an application output is
-// keyed and sorted by its whole group-by in GroupBy order. Binding a
-// consumer key, Lookup and the maintenance merge are binary searches or
-// linear merges over that order; no view carries a hash index.
+// keyed and sorted by its whole group-by in GroupBy order. The maintenance
+// merge is a linear merge over that order, and no view carries a hash
+// index. A view whose consumer-key box is small next to its own payload
+// carries a row directory (rowDir): binding a consumer key is then a range
+// check and two loads, and Lookup searches only the extras of the bound
+// rows. Without one, both are binary searches over the sort order.
 //
 // Published views are frozen: snapshot readers walk them with no locking,
 // so every in-place mutation happens in builder/maintenance code that runs
@@ -46,6 +49,76 @@ type ViewData struct {
 	// box holds per key column a range holding every key value (a superset
 	// after a merge; nil: unknown): consumers size dense builders from it.
 	box []keySpan
+	// dir, when set, indexes the rows by consumer-key slot (index).
+	dir *rowDir
+}
+
+// rowDir indexes a view's rows by consumer key. cols lays out the
+// consumer-key box in sort order (cols[j] for order[j], the last varying
+// fastest), so slot order is row order, and start[s] is the first row whose
+// slot is ≥ s: the rows of slot s are [start[s], start[s+1]).
+type rowDir struct {
+	cols  []denseCol
+	start []int32
+}
+
+// slot returns the slot of key (consumer-key values in sort order); ok is
+// false when key lies outside the box.
+func (d *rowDir) slot(key []int64) (s int, ok bool) {
+	for j, k := range key {
+		dc := &d.cols[j]
+		x := uint64(k - dc.lo)
+		if x > dc.ext {
+			return 0, false
+		}
+		s += int(x) * dc.mul
+	}
+	return s, true
+}
+
+// index gives v a row directory when its consumer-key box has at most
+// SizeBytes/4 − 1 slots, so the directory is never larger than the keys and
+// aggregates it indexes; otherwise v gets none and binds search. The rows
+// must be sorted and inside the box.
+//
+// lmfao:pre-publish
+func (v *ViewData) index() {
+	limit := int(v.SizeBytes()/4) - 1
+	if v.box == nil || limit < 1 {
+		return
+	}
+	skey := v.order[:v.nskey]
+	box := make([]keySpan, len(skey))
+	for j, p := range skey {
+		box[j] = v.box[p]
+	}
+	size, ok := boxSize(box, limit)
+	if !ok {
+		return
+	}
+	seq := make([]int, len(skey)) // box is already in sort order
+	for j := range seq {
+		seq[j] = j
+	}
+	d := &rowDir{cols: newDenseLayout(box, seq, size).cols, start: make([]int32, size+1)}
+	key, s := make([]int64, len(skey)), 0
+	for r := 0; r < v.rows; r++ {
+		for j, p := range skey {
+			key[j] = v.Keys[p][r]
+		}
+		sr, in := d.slot(key)
+		if !in {
+			// Only an engine bug leaves a key outside its view's box.
+			panic(fmt.Sprintf("moo: consumer key %v outside its box %v", key, box))
+		}
+		for ; s <= sr; s++ {
+			d.start[s] = int32(r)
+		}
+	}
+	for ; s <= size; s++ {
+		d.start[s] = int32(v.rows)
+	}
+	v.dir = d
 }
 
 // keySpan is a closed range [lo, hi] of key values; lo > hi is empty.
@@ -127,7 +200,8 @@ func (v *ViewData) SizeBytes() int64 {
 }
 
 // Lookup returns the row index for an exact full group-by key (GroupBy
-// order), or -1: a binary search in the view's sort order. It reads only
+// order), or -1: the directory narrows to the consumer key's rows, and a
+// binary search in the view's sort order finds the rest. It reads only
 // frozen columns, so concurrent readers of a published snapshot share it.
 func (v *ViewData) Lookup(key ...int64) int {
 	if len(key) != len(v.GroupBy) {
@@ -138,7 +212,18 @@ func (v *ViewData) Lookup(key ...int64) int {
 	for _, p := range v.order {
 		sk = append(sk, key[p])
 	}
-	if r := v.search(0, v.rows, sk, 0); r < v.rows && v.cmpPrefix(r, sk) == 0 {
+	lo, hi, pos := 0, v.rows, v.order
+	if v.dir != nil {
+		l, h, ok := v.bind(sk[:v.nskey])
+		if !ok {
+			return -1
+		}
+		if v.nskey == len(pos) {
+			return int(l) // keys are unique: the slot holds this one row
+		}
+		lo, hi, sk, pos = int(l), int(h), sk[v.nskey:], pos[v.nskey:]
+	}
+	if r := v.search(lo, hi, sk, pos, 0); r < hi && v.cmpAt(r, sk, pos) == 0 {
 		return r
 	}
 	return -1
@@ -165,22 +250,25 @@ func cmpNe(a, b int64) int {
 }
 
 // cmpPrefix compares row r's leading sort-order columns with key.
-func (v *ViewData) cmpPrefix(r int, key []int64) int {
+func (v *ViewData) cmpPrefix(r int, key []int64) int { return v.cmpAt(r, key, v.order) }
+
+// cmpAt compares row r's values in the GroupBy positions pos with key.
+func (v *ViewData) cmpAt(r int, key []int64, pos []int) int {
 	for j, k := range key {
-		if x := v.Keys[v.order[j]][r]; x != k {
+		if x := v.Keys[pos[j]][r]; x != k {
 			return cmpNe(x, k)
 		}
 	}
 	return 0
 }
 
-// search returns the first row r in [lo, hi) whose sort-order prefix
-// compares ≥ t against key (t = 0: lower bound; t = 1: end of the equal
-// run), or hi.
-func (v *ViewData) search(lo, hi int, key []int64, t int) int {
+// search returns the first row r in [lo, hi) whose values in the positions
+// pos compare ≥ t against key (t = 0: lower bound; t = 1: end of the equal
+// run), or hi. The rows in [lo, hi) must be sorted in pos.
+func (v *ViewData) search(lo, hi int, key []int64, pos []int, t int) int {
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if v.cmpPrefix(mid, key) < t {
+		if v.cmpAt(mid, key, pos) < t {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -189,8 +277,9 @@ func (v *ViewData) search(lo, hi int, key []int64, t int) int {
 	return lo
 }
 
-// gallop is search over [lo, NumRows()) for a target expected near lo: it
-// probes lo, lo+1, lo+3, lo+7, … before bisecting the last bracket.
+// gallop is search in sort order over [lo, NumRows()) for a target expected
+// near lo: it probes lo, lo+1, lo+3, lo+7, … before bisecting the last
+// bracket.
 func (v *ViewData) gallop(lo int, key []int64, t int) int {
 	hi, step := lo, 1
 	for hi < v.rows && v.cmpPrefix(hi, key) < t {
@@ -198,13 +287,23 @@ func (v *ViewData) gallop(lo int, key []int64, t int) int {
 		hi = lo + step
 		step <<= 1
 	}
-	return v.search(lo, min(hi, v.rows), key, t)
+	return v.search(lo, min(hi, v.rows), key, v.order, t)
 }
 
 // bind returns the entry range of the rows whose consumer key equals key
 // (consumer-key values in sort order); ok is false when there are none.
+// With a directory that is the key's slot range, and a key outside the box
+// has none.
 func (v *ViewData) bind(key []int64) (lo, hi int32, ok bool) {
-	l := v.search(0, v.rows, key, 0)
+	if d := v.dir; d != nil {
+		s, in := d.slot(key)
+		if !in {
+			return 0, 0, false
+		}
+		lo, hi = d.start[s], d.start[s+1]
+		return lo, hi, hi > lo
+	}
+	l := v.search(0, v.rows, key, v.order, 0)
 	h := v.gallop(l, key, 1)
 	return int32(l), int32(h), h > l
 }
@@ -496,7 +595,8 @@ func sortOrder(groupBy, targetAttrs []data.AttrID) (order []int, nskey int) {
 // node's schema. Dense multipliers follow the sort order and keys are unique,
 // so the slots walked in index order give the permutation data.SortIDs would;
 // a hashed builder sorts, and a run builder reorders its store in place
-// (closeRuns). The slot table is released.
+// (closeRuns). The view then gets its row directory (index), and the slot
+// table is released.
 //
 // lmfao:pre-publish
 func (b *viewBuilder) finalize(targetAttrs []data.AttrID) *ViewData {
@@ -510,6 +610,7 @@ func (b *viewBuilder) finalize(targetAttrs []data.AttrID) *ViewData {
 	default:
 		v.permute(walkSlots(b.slots, v.rows))
 	}
+	v.index()
 	b.slots, b.parts = nil, nil
 	return v
 }
