@@ -3,12 +3,14 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
 // Describe renders the optimized plan in the style of the paper's Figure 3:
 // the query roots, the directional views along each join-tree edge with
-// their aggregate counts, the view groups, and the group dependency graph.
+// their aggregate counts, the view groups with their join-attribute orders
+// (each attribute with its distinct count), and the group dependency graph.
 // It is the engine's EXPLAIN output.
 func (p *Plan) Describe() string {
 	db := p.Tree.DB
@@ -83,6 +85,14 @@ func (p *Plan) Describe() string {
 			fmt.Fprintf(&b, "  after {%s}", strings.Join(deps, ","))
 		}
 		b.WriteString("\n")
+		if order := p.GroupOrder(g); len(order) > 0 {
+			rel := p.Tree.Nodes[g.Node].Rel
+			attrs := db.AttrNames(order)
+			for i, a := range order {
+				attrs[i] += ":" + strconv.Itoa(rel.DistinctCount(a))
+			}
+			fmt.Fprintf(&b, "      order (%s)\n", strings.Join(attrs, ", "))
+		}
 	}
 	return b.String()
 }

@@ -27,6 +27,7 @@ func TestDescribe(t *testing.T) {
 		"directional views:",
 		"groups (dependency order):",
 		"Q[per_x2]",
+		"order (x2:2, x3:3)",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Describe missing %q in:\n%s", want, out)

@@ -78,7 +78,13 @@ type Plan struct {
 	// for output views and for views binding on no attributes (scalar
 	// inputs).
 	ConsumerKeys [][]data.AttrID
-	Stats        Stats
+	// AttrOrder[n] is the join-attribute order of node n's scans, chosen
+	// by cost (attrOrders): every scan at n, of a plan group or of a
+	// maintenance kernel's sub-group, orders its attributes by the
+	// restriction of AttrOrder[n] to them (GroupOrder). Fixed at planning
+	// time, it does not follow statistics that move under deltas.
+	AttrOrder [][]data.AttrID
+	Stats     Stats
 }
 
 // BuildPlan runs the logical layers — Find Roots, Aggregate Pushdown, Merge
@@ -126,6 +132,7 @@ func BuildPlan(t *jointree.Tree, queries []*query.Query, opts PlanOptions) (*Pla
 		CountCol:     countCol,
 		ConsumerKeys: computeConsumerKeys(t, views),
 	}
+	p.AttrOrder = p.attrOrders()
 	totalAggs := 0
 	for _, v := range views {
 		totalAggs += len(v.Aggs)

@@ -262,8 +262,9 @@ func (r *Relation) Restore(cols []Column, version int64) error {
 
 // DistinctCount returns the number of distinct values of a discrete
 // attribute, caching the result. It is the cardinality statistic behind the
-// MOO join-attribute order (paper §3.5: "increasing order in the domain
-// sizes").
+// planner's cost-based join-attribute order (core.Plan.AttrOrder), whose
+// ties fall back to the paper's "increasing order in the domain sizes"
+// (§3.5).
 func (r *Relation) DistinctCount(id AttrID) int {
 	r.distinctMu.Lock()
 	if r.distinct == nil {

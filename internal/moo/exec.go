@@ -457,8 +457,9 @@ chains:
 }
 
 // bindInput resolves the entry range of input ii for the currently bound
-// consumer-key values: a binary search over the input view's sorted
-// consumer-key columns.
+// consumer-key values through ViewData.bind: a range check and two loads in
+// the view's row directory, or a search of its sorted consumer-key columns
+// when it has none.
 func (c *execCtx) bindInput(ii int) {
 	in := &c.gp.inputs[ii]
 	key := c.bindKey[:len(in.keyDepths)]

@@ -12,15 +12,16 @@ import (
 )
 
 // The multi-output plan for one view group (paper §3.5). Compilation follows
-// the paper's three steps: (1) pick a join-attribute order for the group's
-// relation (increasing domain size); (2) register incoming views at the
-// lowest depth where their consumer key is bound and outgoing views at the
-// depth of their deepest group-by attribute; (3) register every product
-// aggregate as per-depth partial products. Partial products shared across
-// aggregates become interned "slots"; the sums over deeper depths become
-// interned suffix chains — the paper's running sums r_d; the products above
-// the registration depth are multiplied at emission time — the paper's
-// intermediate aggregates a_d.
+// the paper's three steps: (1) take the join-attribute order of the group's
+// relation — the logical plan's cost-based order of the node
+// (core.Plan.AttrOrder), restricted to the group's attributes; (2) register
+// incoming views at the lowest depth where their consumer key is bound and
+// outgoing views at the depth of their deepest group-by attribute; (3)
+// register every product aggregate as per-depth partial products. Partial
+// products shared across aggregates become interned "slots"; the sums over
+// deeper depths become interned suffix chains — the paper's running sums
+// r_d; the products above the registration depth are multiplied at emission
+// time — the paper's intermediate aggregates a_d.
 
 type slotKind uint8
 
@@ -243,8 +244,7 @@ func compileGroup(p *core.Plan, g *core.Group, compiled bool) (*groupPlan, error
 		inputIdx:  map[int]int{},
 	}
 
-	// Collect the distinct input views and the order attribute set.
-	orderSet := map[data.AttrID]struct{}{}
+	// Collect the distinct input views.
 	var inputIDs []int
 	for _, vid := range g.Views {
 		v := p.Views[vid]
@@ -253,11 +253,6 @@ func compileGroup(p *core.Plan, g *core.Group, compiled bool) (*groupPlan, error
 			gp.targets = append(gp.targets, nil)
 		} else {
 			gp.targets = append(gp.targets, p.Tree.Nodes[v.To].Attrs)
-		}
-		for _, gb := range v.GroupBy {
-			if node.HasAttr(gb) {
-				orderSet[gb] = struct{}{}
-			}
 		}
 		for _, in := range v.InputViews() {
 			if _, ok := pc.inputIdx[in]; !ok {
@@ -272,25 +267,15 @@ func compileGroup(p *core.Plan, g *core.Group, compiled bool) (*groupPlan, error
 		for _, a := range p.Views[id].GroupBy {
 			if node.HasAttr(a) {
 				inKeys[i] = append(inKeys[i], a)
-				orderSet[a] = struct{}{}
 			} else {
 				inExtras[i] = append(inExtras[i], a)
 			}
 		}
 	}
 
-	// Join-attribute order: increasing domain size (paper §3.5), ties by ID.
-	for a := range orderSet {
-		gp.order = append(gp.order, a)
-	}
-	sort.Slice(gp.order, func(i, j int) bool {
-		di := node.Rel.DistinctCount(gp.order[i])
-		dj := node.Rel.DistinctCount(gp.order[j])
-		if di != dj {
-			return di < dj
-		}
-		return gp.order[i] < gp.order[j]
-	})
+	// Join-attribute order: the plan's cost-based order of the node,
+	// restricted to the group's attributes.
+	gp.order = p.GroupOrder(g)
 	gp.L = len(gp.order)
 	pc.depthIdx = make(map[data.AttrID]int, gp.L)
 	for d, a := range gp.order {

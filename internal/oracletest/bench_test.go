@@ -11,37 +11,33 @@ import (
 	"repro/internal/workloads"
 )
 
+// BenchmarkApplyRetailer measures fact-table maintenance: 1 % Inventory
+// deltas against the covar batch.
 func BenchmarkApplyRetailer(b *testing.B) {
-	ds, err := datagen.Retailer(datagen.Config{Scale: 0.001, Seed: 2019})
-	if err != nil {
-		b.Fatal(err)
-	}
-	queries := workloads.CovarMatrix(ds)
-	opts := moo.DefaultOptions()
-	opts.TrackCounts = true
-	eng := moo.NewEngineWithTree(ds.DB, ds.Tree, opts)
-	sess, err := lmfao.NewSessionWithEngine(eng, queries)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := sess.Run(); err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	rel := ds.DB.Relation("Inventory")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d := benchDelta(rng, rel, 0.01)
-		if _, err := sess.Apply(d); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchApply(b, 0.001, "Inventory")
 }
 
 // BenchmarkApplyRetailerDimSemiJoin measures dimension-table maintenance,
 // the semi-join restriction's target case.
 func BenchmarkApplyRetailerDimSemiJoin(b *testing.B) {
-	ds, err := datagen.Retailer(datagen.Config{Scale: 0.001, Seed: 2019})
+	benchApply(b, 0.001, "Location")
+}
+
+// BenchmarkApplyRetailerFactFullScan measures fact-table maintenance at a
+// scale where a 1 % Inventory delta touches most (locn, dateid) keys, so
+// the step at Weather takes the full-scan fallback: its time is a whole
+// Weather scan per Apply, as in the durable_stream benchmark workload.
+func BenchmarkApplyRetailerFactFullScan(b *testing.B) {
+	if benchApply(b, 0.0025, "Inventory") == 0 {
+		b.Fatal("no maintenance step took the full-scan fallback")
+	}
+}
+
+// benchApply times Session.Apply of 1 % deltas against relation rel of the
+// retailer dataset at scale, maintaining the covar batch, reports the
+// full-scan steps per Apply and returns their total.
+func benchApply(b *testing.B, scale float64, rel string) int {
+	ds, err := datagen.Retailer(datagen.Config{Scale: scale, Seed: 2019})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -57,14 +53,23 @@ func BenchmarkApplyRetailerDimSemiJoin(b *testing.B) {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
-	rel := ds.DB.Relation("Location")
+	r := ds.DB.Relation(rel)
+	fullScans := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d := benchDelta(rng, rel, 0.01)
-		if _, err := sess.Apply(d); err != nil {
+		b.StopTimer()
+		d := benchDelta(rng, r, 0.01)
+		b.StartTimer()
+		stats, err := sess.Apply(d)
+		if err != nil {
 			b.Fatal(err)
 		}
+		for _, st := range stats {
+			fullScans += st.FullScanGroups
+		}
 	}
+	b.ReportMetric(float64(fullScans)/float64(b.N), "fullscans/op")
+	return fullScans
 }
 
 func benchDelta(rng *rand.Rand, rel *data.Relation, frac float64) lmfao.Update {
