@@ -4,9 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"sync"
+	"slices"
 	"sync/atomic"
 
+	"repro/internal/data"
 	"repro/internal/ivm"
 	"repro/internal/moo"
 	"repro/internal/wal"
@@ -46,10 +47,6 @@ func (o DurableOptions) norm() DurableOptions {
 	return o
 }
 
-func (o DurableOptions) walOptions() wal.Options {
-	return wal.Options{SegmentBytes: o.SegmentBytes, SyncEvery: o.SyncEvery}
-}
-
 func walDir(dir string) string  { return filepath.Join(dir, "wal") }
 func ckptDir(dir string) string { return filepath.Join(dir, "checkpoint") }
 
@@ -63,12 +60,13 @@ func ckptDir(dir string) string { return filepath.Join(dir, "checkpoint") }
 // internal/oracletest proves the recovered state bit-exact against an
 // uninterrupted twin at arbitrary crash points.
 //
-// DurableSession implements Maintainer. All maintenance calls funnel
-// through one worker goroutine, which owns the log-one/apply-one
-// interleaving invariant: the durable log is always exactly the sequence of
-// updates the session attempted, in order, so replay reproduces the live
-// apply sequence verbatim. Reads are untouched: Snapshot/Head are the
-// wrapped Session's lock-free snapshot publication.
+// DurableSession implements Maintainer. It is a Session whose writer
+// carries the log: all maintenance calls funnel through that one writer
+// goroutine, which owns the log-one/apply-one interleaving invariant — the
+// durable log is always exactly the sequence of updates the session
+// attempted, in order, so replay reproduces the live apply sequence
+// verbatim. Reads are untouched: Snapshot/Head are the wrapped Session's
+// lock-free snapshot publication.
 //
 // A WAL write failure (a real I/O error, or an injected crash in tests)
 // wedges the session: the failed update was not made durable and is not
@@ -80,30 +78,14 @@ type DurableSession struct {
 	dir  string
 	opts DurableOptions
 
-	jobs    chan *durableJob
-	worker  sync.WaitGroup
-	pending sync.WaitGroup
-	closeMu sync.RWMutex
-	closed  atomic.Bool
-
-	// Worker-private state.
+	// sinceCkpt counts logged updates since the last checkpoint (writer
+	// goroutine only); wedged holds the sticky failure that wedged the
+	// writer, stored only by it and observable from any goroutine.
 	sinceCkpt int
-	wedged    error
-	// wedgedPub mirrors wedged for lock-free observation by other
-	// goroutines (Wedged); only the worker stores into it.
-	wedgedPub atomic.Value
+	wedged    atomic.Pointer[error]
 
 	// failCkpt arms the pre-fsync checkpoint crash point (testing).
 	failCkpt atomic.Bool
-}
-
-// durableJob is one maintenance call routed to the worker: an update batch,
-// a forced full Run, or a forced checkpoint.
-type durableJob struct {
-	updates []Update
-	run     bool
-	ckpt    bool
-	ch      chan ApplyResult
 }
 
 // NewDurableSession builds a maintained session over db whose updates are
@@ -113,28 +95,37 @@ type durableJob struct {
 // once to materialize and write the initial checkpoint, then stream updates
 // through Apply/ApplyAsync.
 func NewDurableSession(db *Database, queries []*Query, opts Options, dopts DurableOptions, dir string) (*DurableSession, error) {
-	dopts = dopts.norm()
-	log, err := wal.Open(walDir(dir), dopts.walOptions())
+	d, ck, err := openDurable(dir, db, queries, opts, dopts)
 	if err != nil {
 		return nil, err
+	}
+	if d.log.LastLSN() > 0 || ck != nil {
+		d.log.Abort()
+		return nil, fmt.Errorf("lmfao: %s already holds durable session state; use RecoverSession", dir)
+	}
+	return d, nil
+}
+
+// openDurable builds a session over db whose writer logs to dir, and
+// returns it with dir's newest valid checkpoint. Opening the log truncates
+// any torn or corrupt tail to the last committed prefix.
+func openDurable(dir string, db *Database, queries []*Query, opts Options, dopts DurableOptions) (*DurableSession, *wal.Checkpoint, error) {
+	sess, err := NewSession(db, queries, opts)
+	if err != nil {
+		return nil, nil, err
 	}
 	ck, err := wal.LatestCheckpoint(ckptDir(dir))
 	if err != nil {
-		log.Abort()
-		return nil, err
+		return nil, nil, err
 	}
-	if log.LastLSN() > 0 || ck != nil {
-		log.Abort()
-		return nil, fmt.Errorf("lmfao: %s already holds durable session state; use RecoverSession", dir)
-	}
-	sess, err := NewSession(db, queries, opts)
+	dopts = dopts.norm()
+	log, err := wal.Open(walDir(dir), wal.Options{SegmentBytes: dopts.SegmentBytes, SyncEvery: dopts.SyncEvery})
 	if err != nil {
-		log.Abort()
-		return nil, err
+		return nil, nil, err
 	}
 	d := &DurableSession{sess: sess, log: log, dir: dir, opts: dopts}
-	d.start()
-	return d, nil
+	sess.w.dur = d
+	return d, ck, nil
 }
 
 // RecoverSession rebuilds a durable session from dir after a crash or a
@@ -150,33 +141,32 @@ func NewDurableSession(db *Database, queries []*Query, opts Options, dopts Durab
 // valid checkpoint the session recomputes from the pristine base and
 // replays the whole log.
 func RecoverSession(dir string, db *Database, queries []*Query, opts Options, dopts DurableOptions) (*DurableSession, error) {
-	dopts = dopts.norm()
-	sess, err := NewSession(db, queries, opts)
+	d, ck, err := openDurable(dir, db, queries, opts, dopts)
 	if err != nil {
 		return nil, err
 	}
-	ck, err := wal.LatestCheckpoint(ckptDir(dir))
-	if err != nil {
+	if d.sinceCkpt, err = replay(d.sess, queries, ck, d.log); err != nil {
+		d.log.Abort()
 		return nil, err
 	}
-	log, err := wal.Open(walDir(dir), dopts.walOptions())
-	if err != nil {
-		return nil, err
-	}
+	return d, nil
+}
+
+// replay installs ck (or, with none, recomputes from the pristine base)
+// and replays the log records past it, returning how many it replayed.
+func replay(sess *Session, queries []*Query, ck *wal.Checkpoint, log *wal.Log) (int, error) {
 	var after uint64
 	if ck != nil {
 		if err := restoreCheckpoint(sess, queries, ck); err != nil {
-			log.Abort()
-			return nil, err
+			return 0, err
 		}
 		after = ck.LSN
 		log.AdvanceLSN(ck.LSN)
 	} else if _, err := sess.Run(); err != nil {
-		log.Abort()
-		return nil, err
+		return 0, err
 	}
 	replayed := 0
-	err = log.Replay(after, func(rec wal.Record) error {
+	err := log.Replay(after, func(rec wal.Record) error {
 		replayed++
 		// An apply error here is the deterministic re-play of a failure the
 		// live session already saw and continued past (its later rounds kept
@@ -185,13 +175,7 @@ func RecoverSession(dir string, db *Database, queries []*Query, opts Options, do
 		_, _ = sess.Apply(rec.Delta)
 		return nil
 	})
-	if err != nil {
-		log.Abort()
-		return nil, err
-	}
-	d := &DurableSession{sess: sess, log: log, dir: dir, opts: dopts, sinceCkpt: replayed}
-	d.start()
-	return d, nil
+	return replayed, err
 }
 
 // restoreCheckpoint installs ck onto a freshly built session over the
@@ -210,49 +194,26 @@ func restoreCheckpoint(sess *Session, queries []*Query, ck *wal.Checkpoint) erro
 	// different plan must fail loudly here, not restore views whose layout
 	// the maintenance code would silently misinterpret.
 	for i, v := range ck.Views {
-		if v == nil {
-			continue
-		}
-		pg := plan.Views[i].GroupBy
-		vg := v.GroupBy
-		if len(pg) != len(vg) {
-			return fmt.Errorf("lmfao: checkpoint view %d groups by %v but the plan expects %v", i, vg, pg)
-		}
-		for c := range pg {
-			if pg[c] != vg[c] {
-				return fmt.Errorf("lmfao: checkpoint view %d groups by %v but the plan expects %v", i, vg, pg)
-			}
+		if v != nil && !slices.Equal(v.GroupBy, plan.Views[i].GroupBy) {
+			return fmt.Errorf("lmfao: checkpoint view %d groups by %v but the plan expects %v", i, v.GroupBy, plan.Views[i].GroupBy)
 		}
 	}
-	db := sess.eng.DB()
-	tree := sess.eng.Tree()
-	restored := make(map[string]bool, len(ck.Relations))
+	missing := map[string]*data.Relation{}
+	for _, rel := range durableRelations(sess.eng) {
+		missing[rel.Name] = rel
+	}
 	for _, rs := range ck.Relations {
-		rel := db.Relation(rs.Name)
-		if rel == nil {
-			// Materialized hypertree bags are join-tree relations, not
-			// database ones.
-			if node := tree.NodeByRelation(rs.Name); node != nil && node.IsBag() {
-				rel = node.Rel
-			}
-		}
+		rel := missing[rs.Name]
 		if rel == nil {
 			return fmt.Errorf("lmfao: checkpoint restores unknown relation %q", rs.Name)
 		}
 		if err := rel.Restore(rs.Cols, rs.Version); err != nil {
 			return fmt.Errorf("lmfao: restore of relation %q: %w", rs.Name, err)
 		}
-		restored[rs.Name] = true
+		delete(missing, rs.Name)
 	}
-	for _, rel := range db.Relations() {
-		if !restored[rel.Name] {
-			return fmt.Errorf("lmfao: checkpoint is missing relation %q — recover with the session's original database", rel.Name)
-		}
-	}
-	for _, node := range tree.Nodes {
-		if node.IsBag() && !restored[node.Rel.Name] {
-			return fmt.Errorf("lmfao: checkpoint is missing materialized bag %q — recover with the session's original database", node.Rel.Name)
-		}
+	for name := range missing {
+		return fmt.Errorf("lmfao: checkpoint is missing relation %q — recover with the session's original database", name)
 	}
 	for qi, vid := range plan.OutputView {
 		if ck.Views[vid] == nil {
@@ -269,77 +230,21 @@ func restoreCheckpoint(sess *Session, queries []*Query, ck *wal.Checkpoint) erro
 	return nil
 }
 
-// start launches the single worker goroutine that owns the write side.
-func (d *DurableSession) start() {
-	d.jobs = make(chan *durableJob, 256)
-	d.worker.Add(1)
-	go d.workerLoop()
-}
-
-func (d *DurableSession) workerLoop() {
-	defer d.worker.Done()
-	for j := range d.jobs {
-		d.handle(j)
-		d.pending.Done()
-	}
-}
-
-func (d *DurableSession) handle(j *durableJob) {
-	switch {
-	case j.run:
-		_, err := d.sess.Run()
-		if err == nil {
-			err = d.checkpoint()
-		}
-		j.ch <- ApplyResult{Err: err}
-	case j.ckpt:
-		j.ch <- ApplyResult{Err: d.checkpoint()}
-	default:
-		stats, err := d.applyLogged(j.updates)
-		j.ch <- ApplyResult{Stats: stats, Err: err}
-	}
-}
-
-// applyLogged is the durable write path. Updates are processed strictly
-// one at a time, each appended (and fsynced, per policy) to the WAL before
-// it touches the session — log-before-apply — so the durable log is always
-// exactly the sequence of updates the session attempted, in order: the
-// invariant recovery's replay depends on.
-func (d *DurableSession) applyLogged(updates []Update) ([]*ApplyStats, error) {
-	if d.wedged != nil {
-		return nil, d.wedged
-	}
-	var out []*ApplyStats
-	for _, u := range updates {
-		if _, err := d.log.Append(u); err != nil {
-			// The update never became durable, so it must not be applied;
-			// the log writer is wedged (crashed or failing), and so is the
-			// session — the remaining updates are neither logged nor
-			// applied. Recover from the directory.
-			d.wedge(err)
-			return out, err
-		}
-		stats, err := d.sess.Apply(u)
-		out = append(out, stats...)
-		d.sinceCkpt++
-		if err != nil {
-			// A deterministic apply failure of a logged update: recovery's
-			// replay reproduces it identically, so log and session stay
-			// consistent. This call's remaining updates are neither logged
-			// nor applied, matching Session.Apply's stop-at-first-error
-			// contract.
-			return out, err
+// durableRelations lists what a checkpoint persists: every base relation
+// plus every materialized hypertree bag. Bags live in the join tree, not the
+// database; skipping them would make a recovery fold replayed member deltas
+// into bags still holding their pristine contents.
+func durableRelations(eng *Engine) []*data.Relation {
+	rels := slices.Clip(eng.DB().Relations())
+	for _, node := range eng.Tree().Nodes {
+		if node.IsBag() {
+			rels = append(rels, node.Rel)
 		}
 	}
-	if d.opts.CheckpointEvery > 0 && d.sinceCkpt >= d.opts.CheckpointEvery {
-		if err := d.checkpoint(); err != nil {
-			return out, err
-		}
-	}
-	return out, nil
+	return rels
 }
 
-// checkpoint durably snapshots the session's current state. Worker-only.
+// checkpoint durably snapshots the session's current state. Writer-only.
 // It syncs the log first (a checkpoint must never cover unsynced records),
 // captures the relations' contents and versions plus the maintained view
 // DAG, writes the checkpoint file atomically, prunes old ones, and pins
@@ -350,8 +255,8 @@ func (d *DurableSession) applyLogged(updates []Update) ([]*ApplyStats, error) {
 //
 // lmfao:retains-pin
 func (d *DurableSession) checkpoint() error {
-	if d.wedged != nil {
-		return d.wedged
+	if err := d.Wedged(); err != nil {
+		return err
 	}
 	s := d.sess
 	if s.res == nil {
@@ -369,20 +274,8 @@ func (d *DurableSession) checkpoint() error {
 		Versions: ivm.CaptureVersions(db),
 		Views:    s.res.Materialized,
 	}
-	for _, rel := range db.Relations() {
-		ck.Relations = append(ck.Relations, wal.RelationState{
-			Name: rel.Name, Version: rel.Version(), Cols: rel.Cols,
-		})
-	}
-	// Materialized hypertree bags live in the join tree, not the database;
-	// capture them too, or a recovery would fold replayed member deltas into
-	// bags still holding their pristine contents.
-	for _, node := range s.eng.Tree().Nodes {
-		if node.IsBag() {
-			ck.Relations = append(ck.Relations, wal.RelationState{
-				Name: node.Rel.Name, Version: node.Rel.Version(), Cols: node.Rel.Cols,
-			})
-		}
+	for _, rel := range durableRelations(s.eng) {
+		ck.Relations = append(ck.Relations, wal.RelationState{Name: rel.Name, Version: rel.Version(), Cols: rel.Cols})
 	}
 	if err := wal.WriteCheckpoint(ckptDir(d.dir), ck, d.failCkpt.Swap(false)); err != nil {
 		if errors.Is(err, wal.ErrInjectedCrash) {
@@ -400,30 +293,12 @@ func (d *DurableSession) checkpoint() error {
 	return nil
 }
 
-// submit enqueues a job unless the session is closed.
-//
-// lmfao:acquires closeMu.R
-func (d *DurableSession) submit(j *durableJob) (<-chan ApplyResult, error) {
-	d.closeMu.RLock()
-	defer d.closeMu.RUnlock()
-	if d.closed.Load() {
-		return nil, errSessionClosed
-	}
-	d.pending.Add(1)
-	d.jobs <- j
-	return j.ch, nil
-}
-
 // Run (re)computes the batch from scratch, publishes it and writes a
 // checkpoint covering it, so a session is recoverable from the moment its
 // first Run returns.
 func (d *DurableSession) Run() (Queryable, error) {
-	ch, err := d.submit(&durableJob{run: true, ch: make(chan ApplyResult, 1)})
-	if err != nil {
+	if err := (<-d.sess.w.call(&job{stage: newStagedRun(1)})).Err; err != nil {
 		return nil, err
-	}
-	if res := <-ch; res.Err != nil {
-		return nil, res.Err
 	}
 	return d.sess.Snapshot(), nil
 }
@@ -433,35 +308,21 @@ func (d *DurableSession) Run() (Queryable, error) {
 // durability: when Apply returns, every committed update is fsynced in the
 // WAL (per the SyncEvery policy).
 func (d *DurableSession) Apply(updates ...Update) ([]*ApplyStats, error) {
-	ch, err := d.submit(&durableJob{updates: updates, ch: make(chan ApplyResult, 1)})
-	if err != nil {
-		return nil, err
-	}
-	res := <-ch
+	res := <-d.ApplyAsync(updates...)
 	return res.Stats, res.Err
 }
 
-// ApplyAsync is Apply on the worker without waiting: the returned channel
+// ApplyAsync is Apply on the writer without waiting: the returned channel
 // delivers the round's result once it commits (or fails). Rounds commit in
-// submission order — the worker is the single writer.
+// submission order — the writer is the single writer.
 func (d *DurableSession) ApplyAsync(updates ...Update) <-chan ApplyResult {
-	ch, err := d.submit(&durableJob{updates: updates, ch: make(chan ApplyResult, 1)})
-	if err != nil {
-		out := make(chan ApplyResult, 1)
-		out <- ApplyResult{Err: err}
-		return out
-	}
-	return ch
+	return d.sess.ApplyAsync(updates...)
 }
 
 // Checkpoint forces a durable checkpoint of the current state, regardless
 // of the automatic interval.
 func (d *DurableSession) Checkpoint() error {
-	ch, err := d.submit(&durableJob{ckpt: true, ch: make(chan ApplyResult, 1)})
-	if err != nil {
-		return err
-	}
-	return (<-ch).Err
+	return (<-d.sess.w.call(&job{ckpt: true})).Err
 }
 
 // Snapshot returns the latest committed snapshot (see Session.Snapshot);
@@ -486,47 +347,21 @@ func (d *DurableSession) LastLSN() uint64 { return d.log.LastLSN() }
 func (d *DurableSession) Dir() string { return d.dir }
 
 // Wait blocks until every maintenance call accepted so far has finished.
-func (d *DurableSession) Wait() { d.pending.Wait() }
+func (d *DurableSession) Wait() { d.sess.Wait() }
 
 // Close drains accepted work, writes a final checkpoint, syncs and closes
-// the log, and stops the worker. Further maintenance calls fail; published
+// the log, and stops the writer. Further maintenance calls fail; published
 // snapshots stay readable. Idempotent.
-func (d *DurableSession) Close() { d.shutdown(false) }
+func (d *DurableSession) Close() {
+	d.sess.w.close(&job{ckpt: true, res: newAsyncResult(1), shard: -1}, false)
+}
 
 // Kill is Close without the final checkpoint or log sync — the shutdown of
 // a simulated crash (testing): only what the fsync policy already
 // committed survives on disk. Accepted-but-unprocessed jobs still drain
-// through the worker (their effect is in-memory only and discarded).
+// through the writer (their effect is in-memory only and discarded).
 // Idempotent with Close.
-func (d *DurableSession) Kill() { d.shutdown(true) }
-
-// shutdown closes the accept gate, optionally writes a final checkpoint,
-// then drains and stops the worker.
-//
-// lmfao:acquires closeMu
-func (d *DurableSession) shutdown(kill bool) {
-	d.closeMu.Lock()
-	already := d.closed.Swap(true)
-	d.closeMu.Unlock()
-	if already {
-		return
-	}
-	if !kill {
-		// Final checkpoint, enqueued directly: submit's gate is closed.
-		d.pending.Add(1)
-		j := &durableJob{ckpt: true, ch: make(chan ApplyResult, 1)}
-		d.jobs <- j
-		<-j.ch
-	}
-	close(d.jobs)
-	d.worker.Wait()
-	d.sess.Close()
-	if kill {
-		_ = d.log.Abort()
-	} else {
-		_ = d.log.Close()
-	}
-}
+func (d *DurableSession) Kill() { d.sess.w.close(nil, true) }
 
 // CrashAfterAppends arms the WAL writer's injected-crash point: the next n
 // appends succeed, then the following one writes a torn frame prefix and
@@ -534,11 +369,8 @@ func (d *DurableSession) shutdown(kill bool) {
 // process dying mid-append. Fault injection for crash-recovery testing.
 func (d *DurableSession) CrashAfterAppends(n int) { d.log.CrashAfterAppends(n) }
 
-// wedge records the sticky failure that wedged the session (worker only).
-func (d *DurableSession) wedge(err error) {
-	d.wedged = err
-	d.wedgedPub.Store(err)
-}
+// wedge records the sticky failure that wedged the session (writer only).
+func (d *DurableSession) wedge(err error) { d.wedged.Store(&err) }
 
 // Wedged returns the sticky error that wedged the session, or nil while it
 // is healthy. A wedged session fails every further maintenance call with
@@ -546,8 +378,8 @@ func (d *DurableSession) wedge(err error) {
 // the directory. Safe for concurrent use (the serving tier maps a wedged
 // maintainer to 503).
 func (d *DurableSession) Wedged() error {
-	if v := d.wedgedPub.Load(); v != nil {
-		return v.(error)
+	if err := d.wedged.Load(); err != nil {
+		return *err
 	}
 	return nil
 }

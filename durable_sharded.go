@@ -6,60 +6,43 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
-	"sync/atomic"
-
-	"repro/internal/data"
 )
 
 // DurableShardedSession is the durable counterpart of ShardedSession: the
-// fact relation is hash-partitioned across N shards, each maintained by its
-// own DurableSession with its own write-ahead log and checkpoints under
-// dir/shard-N/. A manifest (dir/MANIFEST.json) records the partitioning so
-// recovery re-partitions the pristine database identically, and every
-// coordinated checkpoint appends one line to dir/CHECKPOINTS.jsonl with the
-// per-shard LSNs and the merged ShardVector it covers.
+// same fanout, over logged writers. The fact relation is hash-partitioned
+// across N shards, each maintained by its own DurableSession with its own
+// write-ahead log and checkpoints under dir/shard-N/. A manifest
+// (dir/MANIFEST.json) records the partitioning so recovery re-partitions
+// the pristine database identically, and every coordinated checkpoint
+// appends one line to dir/CHECKPOINTS.jsonl with the per-shard LSNs and the
+// merged ShardVector it covers.
 //
-// Unlike ShardedSession there are no coalescing worker queues: each shard's
-// DurableSession worker logs and applies its updates one record at a time,
-// in routing order, which is what makes per-shard recovery deterministic —
-// coalescing merges depend on queue timing and would make the replayed
-// version vector diverge from the live one. The trade is throughput for
-// replayability; layer a ShardedSession in front when ingest rate matters
-// more than durability.
+// Shard writers never coalesce: each logs and applies its updates one
+// record at a time, in routing order, which is what makes per-shard
+// recovery deterministic — coalescing merges depend on queue timing and
+// would make the replayed version vector diverge from the live one.
 //
-// Checkpoints are stop-the-world per shard set: Checkpoint waits for every
-// shard to drain, checkpoints each, then records the (now consistent)
-// merged vector. Automatic checkpoints trigger on the total update count
-// across shards (DurableOptions.CheckpointEvery); the per-shard automatic
-// policy is disabled in favor of this coordination.
+// Checkpoints are coordinated by the fanout: a checkpoint round enqueues
+// one checkpoint job on every shard behind all accepted work, and the
+// per-shard LSNs and version vectors those jobs report become the record.
+// Automatic rounds trigger on the total update count across shards
+// (DurableOptions.CheckpointEvery), behind the call that crossed the
+// interval whatever its outcome; the per-shard automatic policy is disabled
+// in favor of this coordination.
 //
 // DurableShardedSession implements Maintainer.
 type DurableShardedSession struct {
-	shards   []*DurableSession
-	factName string
-	key      []AttrID
-	// factSchema is a detached zero-row schema carrier for routing (see
-	// ShardedSession.factSchema).
-	factSchema *data.Relation
-	dir        string
-	opts       DurableOptions
-
-	// mu serializes routing and fan-out, so each shard's log receives this
-	// session's updates in call order, and guards sinceCkpt plus the
-	// checkpoint log. Per-shard application still proceeds in parallel —
-	// the critical section only covers enqueueing.
-	mu        sync.Mutex
-	sinceCkpt int
-	closed    atomic.Bool
+	fanout
+	shards []*DurableSession
+	dir    string
 }
 
 // shardManifest is the durable record of the partitioning, without which a
 // recovery could not re-partition the pristine database identically.
 type shardManifest struct {
-	Shards int     `json:"shards"`
-	Fact   string  `json:"fact"`
-	Key    []int32 `json:"key"`
+	Shards int      `json:"shards"`
+	Fact   string   `json:"fact"`
+	Key    []AttrID `json:"key"`
 }
 
 // ShardCheckpointRecord is one line of a durable sharded session's
@@ -82,44 +65,22 @@ func shardDir(dir string, i int) string { return filepath.Join(dir, fmt.Sprintf(
 // manifest. The directory must not already hold durable sharded state; use
 // RecoverShardedSession for that.
 func NewDurableShardedSession(db *Database, queries []*Query, opts Options, so ShardOptions, dopts DurableOptions, dir string) (*DurableShardedSession, error) {
-	dopts = dopts.norm()
 	if _, err := os.Stat(manifestPath(dir)); err == nil {
 		return nil, fmt.Errorf("lmfao: %s already holds durable sharded state; use RecoverShardedSession", dir)
 	}
-	factRel, key, err := resolveShardFact(db, so)
+	fact, key, err := resolveShardFact(db, so)
 	if err != nil {
 		return nil, err
 	}
-	shardDBs, err := data.PartitionDatabase(db, factRel.Name, key, so.Shards)
+	m := shardManifest{Shards: so.Shards, Fact: fact.Name, Key: key}
+	s, err := newDurableSharded(db, m, dopts, dir, func(i int, sdb *Database, sopts DurableOptions) (*DurableSession, error) {
+		return NewDurableSession(sdb, queries, opts, sopts, shardDir(dir, i))
+	})
 	if err != nil {
 		return nil, err
-	}
-	s := &DurableShardedSession{
-		shards:     make([]*DurableSession, so.Shards),
-		factName:   factRel.Name,
-		key:        append([]AttrID(nil), key...),
-		factSchema: emptySchemaRelation(factRel),
-		dir:        dir,
-		opts:       dopts,
-	}
-	for i, sdb := range shardDBs {
-		shard, err := NewDurableSession(sdb, queries, opts, shardDurableOptions(dopts), shardDir(dir, i))
-		if err != nil {
-			for _, sh := range s.shards[:i] {
-				sh.Kill()
-			}
-			return nil, fmt.Errorf("lmfao: shard %d: %w", i, err)
-		}
-		s.shards[i] = shard
-	}
-	m := shardManifest{Shards: so.Shards, Fact: factRel.Name, Key: make([]int32, len(key))}
-	for i, a := range key {
-		m.Key[i] = int32(a)
 	}
 	if err := writeManifest(dir, m); err != nil {
-		for _, sh := range s.shards {
-			sh.Kill()
-		}
+		s.Kill()
 		return nil, err
 	}
 	return s, nil
@@ -131,256 +92,61 @@ func NewDurableShardedSession(db *Database, queries []*Query, opts Options, so S
 // base exactly as creation did, and each shard recovers independently from
 // its own checkpoint and log.
 func RecoverShardedSession(dir string, db *Database, queries []*Query, opts Options, dopts DurableOptions) (*DurableShardedSession, error) {
-	dopts = dopts.norm()
 	m, err := readManifest(dir)
 	if err != nil {
 		return nil, err
 	}
-	factRel := db.Relation(m.Fact)
-	if factRel == nil {
+	return newDurableSharded(db, m, dopts, dir, func(i int, sdb *Database, sopts DurableOptions) (*DurableSession, error) {
+		return RecoverSession(shardDir(dir, i), sdb, queries, opts, sopts)
+	})
+}
+
+// newDurableSharded partitions db per the manifest and builds the fanout
+// over shard i's durable session from mk, with per-shard automatic
+// checkpoints off: the fanout coordinates them on the total update count.
+func newDurableSharded(db *Database, m shardManifest, dopts DurableOptions, dir string, mk func(int, *Database, DurableOptions) (*DurableSession, error)) (*DurableShardedSession, error) {
+	fact := db.Relation(m.Fact)
+	if fact == nil {
 		return nil, fmt.Errorf("lmfao: manifest fact relation %q not in database — recover with the session's original database", m.Fact)
 	}
-	key := make([]AttrID, len(m.Key))
-	for i, a := range m.Key {
-		key[i] = AttrID(a)
-	}
-	shardDBs, err := data.PartitionDatabase(db, m.Fact, key, m.Shards)
+	dopts = dopts.norm()
+	sopts := dopts
+	sopts.CheckpointEvery = -1
+	s := &DurableShardedSession{dir: dir}
+	err := s.init(db, fact, m.Key, m.Shards, func(i int, sdb *Database) (*Session, error) {
+		d, err := mk(i, sdb, sopts)
+		if err != nil {
+			return nil, err
+		}
+		s.shards = append(s.shards, d)
+		return d.sess, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	s := &DurableShardedSession{
-		shards:     make([]*DurableSession, m.Shards),
-		factName:   m.Fact,
-		key:        key,
-		factSchema: emptySchemaRelation(factRel),
-		dir:        dir,
-		opts:       dopts,
-	}
-	for i, sdb := range shardDBs {
-		shard, err := RecoverSession(shardDir(dir, i), sdb, queries, opts, shardDurableOptions(dopts))
-		if err != nil {
-			for _, sh := range s.shards[:i] {
-				sh.Kill()
-			}
-			return nil, fmt.Errorf("lmfao: shard %d: %w", i, err)
-		}
-		s.shards[i] = shard
-	}
+	s.every = dopts.CheckpointEvery
+	s.record = func(rec ShardCheckpointRecord) error { return appendCheckpointRecord(dir, rec) }
 	return s, nil
 }
-
-// shardDurableOptions derives the per-shard options: automatic checkpoints
-// off (the sharded layer coordinates them on the total update count).
-func shardDurableOptions(dopts DurableOptions) DurableOptions {
-	dopts.CheckpointEvery = -1
-	return dopts
-}
-
-// NumShards returns the shard count.
-func (s *DurableShardedSession) NumShards() int { return len(s.shards) }
 
 // Shard returns shard i's DurableSession — read it freely; writing through
 // it directly would bypass routing and break the partition invariant.
 func (s *DurableShardedSession) Shard(i int) *DurableSession { return s.shards[i] }
 
-// FactRelation returns the name of the hash-partitioned relation.
-func (s *DurableShardedSession) FactRelation() string { return s.factName }
-
-// ShardKey returns the attributes the fact relation is partitioned on.
-func (s *DurableShardedSession) ShardKey() []AttrID { return append([]AttrID(nil), s.key...) }
-
 // Dir returns the durable state directory.
 func (s *DurableShardedSession) Dir() string { return s.dir }
 
-// Run computes the batch on every shard in parallel (each shard writes its
-// own covering checkpoint), records one coordinated checkpoint line, and
-// returns the first merged snapshot.
-//
-// Unlike ShardedSession.Run, a FAILED durable Run is not atomic across
-// shards: each shard's publish is coupled to its covering checkpoint, so
-// shards that succeeded have already durably republished when the error
-// returns. Recover the failing shard (or call Run again) before trusting
-// merged reads; a repeat Run re-publishes every shard.
-func (s *DurableShardedSession) Run() (Queryable, error) {
-	if s.closed.Load() {
-		return nil, errSessionClosed
-	}
-	errs := make([]error, len(s.shards))
-	var wg sync.WaitGroup
-	for i, sh := range s.shards {
-		wg.Add(1)
-		go func(i int, sh *DurableSession) {
-			defer wg.Done()
-			_, errs[i] = sh.Run()
-		}(i, sh)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("lmfao: shard %d: %w", i, err)
-		}
-	}
-	s.mu.Lock()
-	err := s.recordCheckpointLocked()
-	s.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	return s.Snapshot(), nil
-}
-
-// ApplyAsync routes the updates and fans them out to the shard workers,
-// returning a buffered channel that delivers one aggregate result when
-// every involved shard has committed (and, when the coordinated checkpoint
-// interval was crossed, after the checkpoint round). Per shard, updates log
-// and commit in call order; the cross-shard consistency contract matches
-// ShardedSession's.
-func (s *DurableShardedSession) ApplyAsync(updates ...Update) <-chan ApplyResult {
-	ch := make(chan ApplyResult, 1)
-	s.mu.Lock()
-	if s.closed.Load() {
-		s.mu.Unlock()
-		ch <- ApplyResult{Err: errSessionClosed}
-		return ch
-	}
-	perShard, err := routeUpdates(s.factSchema, s.key, len(s.shards), updates)
-	if err != nil {
-		s.mu.Unlock()
-		ch <- ApplyResult{Err: err}
-		return ch
-	}
-	var chans []<-chan ApplyResult
-	for sh, list := range perShard {
-		if len(list) == 0 {
-			continue
-		}
-		chans = append(chans, s.shards[sh].ApplyAsync(list...))
-		s.sinceCkpt += len(list)
-	}
-	ckpt := s.opts.CheckpointEvery > 0 && s.sinceCkpt >= s.opts.CheckpointEvery
-	if ckpt {
-		s.sinceCkpt = 0
-	}
-	s.mu.Unlock()
-	if len(chans) == 0 {
-		ch <- ApplyResult{}
-		return ch
-	}
-	go func() {
-		var out ApplyResult
-		for _, c := range chans {
-			r := <-c
-			out.Stats = append(out.Stats, r.Stats...)
-			if r.Err != nil && out.Err == nil {
-				out.Err = r.Err
-			}
-		}
-		if ckpt && out.Err == nil {
-			if err := s.Checkpoint(); err != nil {
-				out.Err = err
-			}
-		}
-		ch <- out
-	}()
-	return ch
-}
-
-// Apply is ApplyAsync plus the wait: when it returns, every involved shard
-// has durably logged and committed its slice of the updates.
-func (s *DurableShardedSession) Apply(updates ...Update) ([]*ApplyStats, error) {
-	res := <-s.ApplyAsync(updates...)
-	return res.Stats, res.Err
-}
-
-// Checkpoint forces one coordinated checkpoint round: quiesce every shard,
-// checkpoint each, then append the covered per-shard LSNs and merged vector
-// to the checkpoint log. New updates block (on routing) for the duration.
+// Checkpoint forces one coordinated checkpoint round: every shard
+// checkpoints behind all accepted work, then the covered per-shard LSNs and
+// merged vector are appended to the checkpoint log.
 func (s *DurableShardedSession) Checkpoint() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, sh := range s.shards {
-		sh.Wait()
-	}
-	for i, sh := range s.shards {
-		if err := sh.Checkpoint(); err != nil {
-			return fmt.Errorf("lmfao: shard %d checkpoint: %w", i, err)
-		}
-	}
-	return s.recordCheckpointLocked()
-}
-
-// recordCheckpointLocked appends the current per-shard LSNs and merged
-// vector to the checkpoint log. Caller holds mu with all shards quiesced.
-func (s *DurableShardedSession) recordCheckpointLocked() error {
-	rec := ShardCheckpointRecord{LSNs: make([]uint64, len(s.shards))}
-	for i, sh := range s.shards {
-		rec.LSNs[i] = sh.LastLSN()
-	}
-	if head := s.Head(); head != nil {
-		rec.Vector = head.Versions()
-	}
-	return appendCheckpointRecord(s.dir, rec)
-}
-
-// Snapshot returns the current merged snapshot as a Queryable, or nil
-// before Run has completed on every shard (see ShardedSession.Snapshot).
-func (s *DurableShardedSession) Snapshot() Queryable {
-	if sn := s.Head(); sn != nil {
-		return sn
-	}
-	return nil
-}
-
-// Head returns the current merged snapshot as a concrete *ShardedSnapshot,
-// nil before Run has completed on every shard (see ShardedSession.Head).
-func (s *DurableShardedSession) Head() *ShardedSnapshot {
-	shards := make([]*Snapshot, len(s.shards))
-	for i, sh := range s.shards {
-		sn := sh.Head()
-		if sn == nil {
-			return nil
-		}
-		shards[i] = sn
-	}
-	return &ShardedSnapshot{shards: shards}
-}
-
-// Wait blocks until every update accepted so far has been applied and
-// committed on its shard.
-func (s *DurableShardedSession) Wait() {
-	for _, sh := range s.shards {
-		sh.Wait()
-	}
-}
-
-// Close drains and closes every shard (each writes a final checkpoint) and
-// records the final coordinated checkpoint line. Further maintenance calls
-// fail; snapshots stay readable. Idempotent.
-func (s *DurableShardedSession) Close() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed.Swap(true) {
-		return
-	}
-	for _, sh := range s.shards {
-		sh.Close()
-	}
-	_ = s.recordCheckpointLocked()
+	return (<-s.submit(s.perShard(job{ckpt: true}), true)).Err
 }
 
 // Kill closes every shard without final checkpoints or log syncs — the
 // shutdown of a simulated whole-process crash (testing). Idempotent with
 // Close.
-func (s *DurableShardedSession) Kill() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed.Swap(true) {
-		return
-	}
-	for _, sh := range s.shards {
-		sh.Kill()
-	}
-}
+func (s *DurableShardedSession) Kill() { s.shutdown(true) }
 
 // ReadShardCheckpoints returns a durable sharded session's checkpoint log
 // records, oldest first (empty if no checkpoint round completed). Torn
@@ -426,15 +192,14 @@ func writeManifest(dir string, m shardManifest) error {
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(append(b, '\n')); err != nil {
-		f.Close()
-		return err
+	_, err = f.Write(append(b, '\n'))
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
+	if err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, manifestPath(dir)); err != nil {
@@ -474,13 +239,12 @@ func appendCheckpointRecord(dir string, rec ShardCheckpointRecord) error {
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(append(b, '\n')); err != nil {
-		f.Close()
-		return err
+	_, err = f.Write(append(b, '\n'))
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return f.Close()
+	return err
 }

@@ -9,9 +9,9 @@
 // *Locked helper without the lock corrupts shared state without tripping
 // any runtime check, and removing a lock acquisition from an entry point
 // reintroduces the sharded-session shutdown race fixed in the serving-tier
-// PR (Run must hold closeMu.R across the whole staged recompute so Close
-// cannot tear the engine down mid-run). This analyzer makes both
-// directions machine-checked.
+// PR (a writer must accept jobs only under closeMu.R, so Close cannot tear
+// a shard down under an accepted Run). This analyzer makes both directions
+// machine-checked.
 //
 // The call-site rule is lexical, not control-flow based: a call to a
 // requires-annotated function is considered guarded when the enclosing
@@ -82,8 +82,8 @@ func requiredMutexes(pass *analysis.Pass) map[*types.Func]string {
 
 // checkAcquires verifies that a function annotated lmfao:acquires <mu>[.R]
 // actually contains the matching acquire and release calls. This is the
-// regression guard: deleting the closeMu.RLock from ShardedSession.Run
-// fails here, not in a rare shutdown interleaving.
+// regression guard: deleting the closeMu.RLock from writer.submit fails
+// here, not in a rare shutdown interleaving.
 func checkAcquires(pass *analysis.Pass, fd *ast.FuncDecl) {
 	for _, d := range annotations.Parse(fd.Doc) {
 		if d.Name != annotations.Acquires {

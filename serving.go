@@ -12,7 +12,8 @@ import (
 // the system publishes and every application consumes. The read side is
 // Queryable — satisfied by *Snapshot, *ShardedSnapshot and the one-shot
 // adapter RunQueryable returns — and the write/serve side is Maintainer,
-// satisfied by *Session and *ShardedSession. Application entry points
+// satisfied by *Session, *ShardedSession, *DurableSession and
+// *DurableShardedSession. Application entry points
 // (BuildCovarMatrixFrom, LearnDecisionTreeFrom, …) take a Queryable, so a
 // model can be re-fit from a live session between maintenance rounds with
 // the exact code path that fits it from a one-shot engine run.
@@ -76,9 +77,10 @@ type Requerier interface {
 }
 
 // Maintainer is the write/serve side of the serving API — the uniform
-// contract over *Session (one writer) and *ShardedSession (N partitioned
-// writers), so serving-tier code never special-cases the shard count. Its
-// method set:
+// contract over *Session (one writer), *ShardedSession (N partitioned
+// writers), *DurableSession (one logged writer) and *DurableShardedSession
+// (N logged writers), so serving-tier code never special-cases the shard
+// count or durability. Its method set:
 //
 //	Run() (Queryable, error)
 //	Apply(updates ...Update) ([]*ApplyStats, error)

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/ivm"
 	"repro/internal/moo"
@@ -94,7 +95,13 @@ func (sn *Snapshot) Result(queryIdx int) *Result {
 // the hidden tuple-count column, so the returned row has exactly the
 // query's aggregates in query order.
 func (sn *Snapshot) Lookup(queryIdx int, key ...int64) ([]float64, bool) {
-	v := sn.Result(queryIdx)
+	return visibleRow(sn.res.Plan, queryIdx, sn.Result(queryIdx), key)
+}
+
+// visibleRow returns the row of group key in query qi's output v, trimmed
+// to the query's aggregates (no hidden columns), or ok=false if absent or v
+// is nil.
+func visibleRow(plan *core.Plan, qi int, v *moo.ViewData, key []int64) ([]float64, bool) {
 	if v == nil {
 		return nil, false
 	}
@@ -102,9 +109,8 @@ func (sn *Snapshot) Lookup(queryIdx int, key ...int64) ([]float64, bool) {
 	if i < 0 {
 		return nil, false
 	}
-	n := sn.res.Plan.VisibleCols(queryIdx)
-	out := make([]float64, n)
-	for c := 0; c < n; c++ {
+	out := make([]float64, plan.VisibleCols(qi))
+	for c := range out {
 		out[c] = v.Val(i, c)
 	}
 	return out, true
@@ -179,12 +185,14 @@ type ApplyResult struct {
 // a re-fold of exactly that group's monoid columns (see internal/monoid and
 // the assembly layer in internal/moo).
 //
-// A session has exactly one logical writer; when maintenance throughput on
-// one writer becomes the bottleneck, ShardedSession partitions the fact
-// relation across N independent sessions and merges their snapshots on
-// read. Both implement the Maintainer contract (Run / Apply / ApplyAsync /
-// Snapshot / Wait / Close), so serving-tier code never special-cases the
-// shard count.
+// A session has exactly one logical writer; ApplyAsync rounds queue on the
+// session's writer, one goroutine started by the first of them, and commit
+// in call order. When maintenance throughput on one writer becomes the
+// bottleneck, ShardedSession partitions the fact relation across N
+// independent sessions and merges their snapshots on read; DurableSession
+// adds a write-ahead log to the writer. All implement the Maintainer
+// contract (Run / Apply / ApplyAsync / Snapshot / Wait / Close), so
+// serving-tier code never special-cases the shard count.
 type Session struct {
 	eng     *Engine
 	queries []*Query
@@ -200,12 +208,8 @@ type Session struct {
 	epoch uint64
 	snap  atomic.Pointer[Snapshot]
 
-	// async tracks in-flight ApplyAsync rounds for Wait; closeMu orders
-	// async.Add against Close's Wait (producers hold the read lock, Close
-	// flips closed under the write lock — the ShardedSession pattern).
-	async   sync.WaitGroup
-	closeMu sync.RWMutex
-	closed  atomic.Bool
+	// w queues the session's asynchronous work and holds its Close gate.
+	w writer
 }
 
 // NewSession builds an engine over db with TrackCounts enabled and prepares
@@ -229,7 +233,9 @@ func NewSessionWithEngine(eng *Engine, queries []*Query) (*Session, error) {
 	if len(queries) == 0 {
 		return nil, fmt.Errorf("lmfao: empty session batch")
 	}
-	return &Session{eng: eng, queries: queries}, nil
+	s := &Session{eng: eng, queries: queries}
+	s.w.sess = s
+	return s, nil
 }
 
 // Engine returns the session's engine (write side: see the concurrency
@@ -287,10 +293,10 @@ func (s *Session) requeryLocked(queries []*query.Query) (*moo.BatchResult, error
 func (s *Session) Run() (Queryable, error) {
 	s.writerMu.Lock()
 	defer s.writerMu.Unlock()
-	if s.closed.Load() {
+	if s.w.closed.Load() {
 		return nil, errSessionClosed
 	}
-	if _, err := s.runLocked(); err != nil {
+	if _, err := s.runLocked(nil); err != nil {
 		return nil, err
 	}
 	return s.snap.Load(), nil
@@ -311,54 +317,39 @@ func (s *Session) restoreResult(res *moo.BatchResult) {
 	s.writerMu.Lock()
 	defer s.writerMu.Unlock()
 	s.res = res
-	s.publishLocked(res, res.Versions)
+	s.publishLocked(res, nil)
 }
 
 // runLocked is Run's body without the lock or the closed gate: a full
-// recompute that replaces the maintained state and publishes it.
+// recompute that replaces the maintained state and publishes it — if vote,
+// given the recompute's outcome, approves (nil approves every success). On
+// a veto the maintained state is untouched: the engine run mutates no base
+// data, only internal caches.
 //
 // lmfao:requires writerMu
-func (s *Session) runLocked() (*BatchResult, error) {
+func (s *Session) runLocked(vote func(error) bool) (bool, error) {
 	res, err := s.eng.Run(s.queries)
-	if err != nil {
-		return nil, err
+	ok := err == nil
+	if vote != nil {
+		ok = vote(err)
 	}
-	s.res = res
-	s.publishLocked(res, nil)
-	return res, nil
+	if ok {
+		s.res = res
+		s.publishLocked(res, nil)
+	}
+	return ok, err
 }
 
-// stageRun computes the batch from scratch WITHOUT publishing. On success it
-// holds the writer mutex and returns a finish function that must be called
-// exactly once: finish(true) publishes the staged result as the next
-// snapshot, finish(false) discards it — the mutex is released either way and
-// the session's maintained state is untouched on discard (the engine run
-// mutates no base data, only internal caches). On error nothing is staged
-// and no lock is held.
-//
-// ShardedSession.Run stages every shard first and publishes only when all of
-// them succeeded, so a failed shard never leaves readers with a mix of
+// stageRun is a writer stage job's recompute: runLocked under the writer
+// mutex, with the all-or-nothing vote of a sharded Run (approval implies
+// success), so a failed shard never leaves readers with a mix of
 // recomputed and stale shard components.
 //
 // lmfao:acquires writerMu
-func (s *Session) stageRun() (func(commit bool), error) {
+func (s *Session) stageRun(vote func(error) bool) (bool, error) {
 	s.writerMu.Lock()
-	if s.closed.Load() {
-		s.writerMu.Unlock()
-		return nil, errSessionClosed
-	}
-	res, err := s.eng.Run(s.queries)
-	if err != nil {
-		s.writerMu.Unlock()
-		return nil, err
-	}
-	return func(commit bool) {
-		if commit {
-			s.res = res
-			s.publishLocked(res, nil)
-		}
-		s.writerMu.Unlock()
-	}, nil
+	defer s.writerMu.Unlock()
+	return s.runLocked(vote)
 }
 
 // Result returns the latest published batch result (nil before the first
@@ -385,15 +376,24 @@ func (s *Session) Result() *BatchResult {
 func (s *Session) Apply(updates ...Update) ([]*ApplyStats, error) {
 	s.writerMu.Lock()
 	defer s.writerMu.Unlock()
-	if s.closed.Load() {
+	if s.w.closed.Load() {
 		return nil, errSessionClosed
 	}
 	return s.applyLocked(updates)
 }
 
-// applyLocked is Apply's body without the closed check: rounds already
-// accepted by ApplyAsync before Close drain through here and commit (the
-// ShardedSession drain semantics), while new calls fail at the gate above.
+// apply is Apply without the closed gate, for the writer's jobs: rounds
+// accepted before Close drain through here and commit, while new calls
+// fail at the gate.
+//
+// lmfao:acquires writerMu
+func (s *Session) apply(updates []Update) ([]*ApplyStats, error) {
+	s.writerMu.Lock()
+	defer s.writerMu.Unlock()
+	return s.applyLocked(updates)
+}
+
+// applyLocked is Apply's body without the lock or the closed gate.
 //
 // lmfao:requires writerMu
 func (s *Session) applyLocked(updates []Update) ([]*ApplyStats, error) {
@@ -431,7 +431,7 @@ func (s *Session) applyLocked(updates []Update) ([]*ApplyStats, error) {
 			}
 			out = append(out, &ApplyStats{ApplyStats: *st, Incremental: true})
 		case errors.Is(err, moo.ErrNotIncremental):
-			if _, err := s.runLocked(); err != nil {
+			if _, err := s.runLocked(nil); err != nil {
 				return out, err
 			}
 			out = append(out, &ApplyStats{ApplyStats: moo.ApplyStats{Relation: u.Relation,
@@ -446,70 +446,36 @@ func (s *Session) applyLocked(updates []Update) ([]*ApplyStats, error) {
 		}
 	}
 	if s.res == nil {
-		if _, err := s.runLocked(); err != nil {
+		if _, err := s.runLocked(nil); err != nil {
 			return out, err
 		}
 	}
 	return out, nil
 }
 
-// ApplyAsync runs Apply(updates...) on a background goroutine and returns a
-// buffered channel that delivers the single result when the round finishes.
-// Readers keep serving the last committed snapshot throughout and observe
-// the new one as soon as it is published. Concurrent ApplyAsync calls are
-// safe but serialize against each other (and against Run/Apply) in an
-// unspecified order; to preserve a specific update order, chain on the
-// returned channel. Unlike ShardedSession.ApplyAsync there is no queueing or
-// coalescing: each call is one maintenance round.
-//
-// lmfao:acquires closeMu.R
+// ApplyAsync queues Apply(updates...) on the session's writer goroutine and
+// returns a buffered channel that delivers the single result when the round
+// finishes. Readers keep serving the last committed snapshot throughout and
+// observe the new one as soon as it is published. Rounds commit in call
+// order, one round per call (no coalescing), interleaved with synchronous
+// Run/Apply calls in lock order.
 func (s *Session) ApplyAsync(updates ...Update) <-chan ApplyResult {
-	ch := make(chan ApplyResult, 1)
-	s.closeMu.RLock()
-	defer s.closeMu.RUnlock()
-	if s.closed.Load() {
-		ch <- ApplyResult{Err: errSessionClosed}
-		return ch
-	}
-	s.async.Add(1)
-	go func() {
-		defer s.async.Done()
-		// Bypass the closed gate: this round was accepted before any Close,
-		// and Close drains accepted rounds rather than aborting them.
-		s.writerMu.Lock()
-		stats, err := s.applyLocked(updates)
-		s.writerMu.Unlock()
-		ch <- ApplyResult{Stats: stats, Err: err}
-	}()
-	return ch
+	return s.w.call(&job{updates: updates})
 }
 
 // Wait blocks until every ApplyAsync round accepted so far has finished
 // (committed or failed). Synchronous Apply calls need no Wait — they return
-// after committing. Like ShardedSession.Wait, concurrent ApplyAsync callers
-// make the drained condition a moving target: quiesce producers first.
-func (s *Session) Wait() { s.async.Wait() }
+// after committing. Concurrent ApplyAsync callers make the drained
+// condition a moving target: quiesce producers first.
+func (s *Session) Wait() { s.w.pending.Wait() }
 
 // Close permanently stops the maintenance side after draining: rounds
-// already accepted by ApplyAsync commit first (the same drain semantics as
-// ShardedSession.Close), then further Run/Apply/ApplyAsync calls fail,
-// while every published snapshot (and Result) stays fully readable —
-// including its Requery hook, which only needs the engine, not the
-// maintenance loop. A Session holds no background resources, so Close
-// exists mainly to satisfy the Maintainer shutdown contract uniformly with
-// ShardedSession; it is idempotent and safe to call concurrently with
-// readers.
-//
-// lmfao:acquires closeMu
-func (s *Session) Close() {
-	s.closeMu.Lock()
-	already := s.closed.Swap(true)
-	s.closeMu.Unlock()
-	if already {
-		return
-	}
-	s.async.Wait()
-}
+// already accepted by ApplyAsync commit first, then the writer goroutine
+// exits and further Run/Apply/ApplyAsync calls fail, while every published
+// snapshot (and Result) stays fully readable — including its Requery hook,
+// which only needs the engine, not the writer. Close is idempotent and safe
+// to call concurrently with readers.
+func (s *Session) Close() { s.w.close(nil, false) }
 
 // InsertRows builds an insert-only update.
 func InsertRows(relation string, cols ...Column) Update {

@@ -2,7 +2,9 @@ package lmfao
 
 import (
 	"errors"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // closeFixture builds one maintainer of each serving kind over independent
@@ -166,5 +168,96 @@ func TestSessionSnapshotInterfaceNil(t *testing.T) {
 func TestErrSessionClosedExported(t *testing.T) {
 	if !errors.Is(ErrSessionClosed, errSessionClosed) {
 		t.Fatal("ErrSessionClosed is not errSessionClosed")
+	}
+}
+
+// TestCloseLeavesNoGoroutines pins the writer's shutdown: after Close (and
+// Kill, for the two durable kinds) of a maintainer that served async
+// rounds, the goroutine count returns to its pre-construction level — no
+// writer loop, stage or delivery goroutine survives.
+func TestCloseLeavesNoGoroutines(t *testing.T) {
+	kill := func(m Maintainer) { m.(interface{ Kill() }).Kill() }
+	cases := []struct {
+		kind, how string
+		stop      func(Maintainer)
+	}{
+		{"session", "close", Maintainer.Close},
+		{"sharded", "close", Maintainer.Close},
+		{"durable", "close", Maintainer.Close},
+		{"durable-sharded", "close", Maintainer.Close},
+		{"durable", "kill", kill},
+		{"durable-sharded", "kill", kill},
+	}
+	for _, tc := range cases {
+		t.Run(tc.kind+"/"+tc.how, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			ms := closeFixtures(t)
+			for kind, m := range ms {
+				if kind != tc.kind {
+					m.Close()
+				}
+			}
+			m := ms[tc.kind]
+			if _, err := m.Run(); err != nil {
+				t.Fatal(err)
+			}
+			var chans []<-chan ApplyResult
+			for i := 0; i < 8; i++ {
+				chans = append(chans, m.ApplyAsync(Update{Relation: "sales",
+					Inserts: []Column{IntColumn([]int64{int64(i % 3)}), FloatColumn([]float64{float64(i)})}}))
+			}
+			for _, ch := range chans {
+				if res := <-ch; res.Err != nil {
+					t.Fatal(res.Err)
+				}
+			}
+			tc.stop(m)
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after %s, %d before construction", runtime.NumGoroutine(), tc.how, before)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		})
+	}
+}
+
+// TestCloseDurableShardedDrainsCheckpointRound pins the drain contract for
+// a round that crosses the coordinated checkpoint interval: the round's
+// checkpoint is part of it, so a Close right after ApplyAsync drains the
+// round and its checkpoint instead of failing them with errSessionClosed.
+func TestCloseDurableShardedDrainsCheckpointRound(t *testing.T) {
+	for i := 0; i < 5; i++ {
+		db, _, amount, region := sessionFixture(t)
+		queries := []*Query{
+			NewQuery("byregion", []AttrID{region}, Count(), Sum(amount)),
+			NewQuery("total", nil, Sum(amount)),
+		}
+		dir := t.TempDir()
+		s, err := NewDurableShardedSession(db, queries, DefaultOptions(), ShardOptions{Shards: 2}, DurableOptions{CheckpointEvery: 1}, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		ch := s.ApplyAsync(Update{Relation: "sales",
+			Inserts: []Column{IntColumn([]int64{1}), FloatColumn([]float64{85})}})
+		s.Close()
+		if res := <-ch; res.Err != nil {
+			t.Fatalf("round accepted before Close failed: %v", res.Err)
+		}
+		recs, err := ReadShardCheckpoints(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Run, the crossing round and Close each record one line.
+		if len(recs) != 3 {
+			t.Fatalf("%d checkpoint records, want 3", len(recs))
+		}
+		if got := lookupRow(t, s.Head().Result(1)); got[0] != 100 {
+			t.Fatalf("total after drained Close = %v, want 100", got[0])
+		}
 	}
 }

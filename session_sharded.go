@@ -2,10 +2,9 @@ package lmfao
 
 import (
 	"fmt"
+	"slices"
 	"sync"
-	"sync/atomic"
 
-	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/ivm"
 	"repro/internal/moo"
@@ -35,9 +34,9 @@ type ShardOptions struct {
 
 // ShardedStats are cumulative fan-out counters of a ShardedSession,
 // reporting how much batching the per-shard queues achieved: Enqueued counts
-// shard-local updates handed to the workers (after routing), Applied the
-// updates actually applied after coalescing, Rounds the maintenance rounds
-// (Session.Apply calls) that covered them. Enqueued/Rounds is the average
+// shard-local updates handed to the shard writers (after routing), Applied
+// the updates actually applied after coalescing, Rounds the maintenance
+// rounds that covered them. Enqueued/Rounds is the average
 // batch size the coalescing achieved.
 type ShardedStats struct {
 	Shards   int
@@ -76,99 +75,30 @@ type ShardedStats struct {
 // the sharded session owns its shard databases, and later mutations of the
 // source are invisible to it.
 type ShardedSession struct {
-	sessions []*Session
-	factName string
-	key      []AttrID
-	// factSchema carries the fact relation's schema for delta routing: a
-	// detached zero-row relation, so routing reads never race with shard
-	// writers mutating the live instances.
-	factSchema *data.Relation
-
-	jobs []chan *shardJob
-	// pending tracks enqueued-but-undelivered shard jobs for Wait.
-	pending sync.WaitGroup
-	// workers drains on Close.
-	workers sync.WaitGroup
-	// closeMu lets producers enqueue under a read lock while Close takes the
-	// write lock to flip closed, so an ApplyAsync racing Close can never
-	// send on a closed queue.
-	closeMu sync.RWMutex
-	closed  atomic.Bool
-
-	enqueued atomic.Int64
-	applied  atomic.Int64
-	rounds   atomic.Int64
-}
-
-// shardJob is one ApplyAsync call's slice of updates for one shard, plus the
-// aggregate result it reports into.
-type shardJob struct {
-	updates []Update
-	res     *asyncResult
-}
-
-// asyncResult fans one ApplyAsync call's per-shard completions back into a
-// single ApplyResult.
-type asyncResult struct {
-	mu        sync.Mutex
-	remaining int
-	stats     []*ApplyStats
-	err       error
-	ch        chan ApplyResult
-}
-
-func (r *asyncResult) deliver(stats []*ApplyStats, err error) {
-	r.mu.Lock()
-	r.stats = append(r.stats, stats...)
-	if err != nil && r.err == nil {
-		r.err = err
-	}
-	r.remaining--
-	done := r.remaining == 0
-	var out ApplyResult
-	if done {
-		out = ApplyResult{Stats: r.stats, Err: r.err}
-	}
-	r.mu.Unlock()
-	if done {
-		r.ch <- out
-	}
+	fanout
 }
 
 // NewShardedSession partitions db per so (data.PartitionDatabase: fact
 // hash-partitioned, everything else replicated) and builds one maintained
 // Session per shard over the query batch, each with its own engine and join
-// tree and each served by a dedicated worker goroutine. Call Run once, then
+// tree and each served by a dedicated writer goroutine. Call Run once, then
 // stream updates through Apply/ApplyAsync; call Close when done to stop the
-// workers (the shard data remains readable).
+// writers (the shard data remains readable).
 func NewShardedSession(db *Database, queries []*Query, opts Options, so ShardOptions) (*ShardedSession, error) {
-	factRel, key, err := resolveShardFact(db, so)
+	fact, key, err := resolveShardFact(db, so)
 	if err != nil {
 		return nil, err
 	}
-	factName := factRel.Name
-	shardDBs, err := data.PartitionDatabase(db, factName, key, so.Shards)
-	if err != nil {
-		return nil, err
-	}
-	s := &ShardedSession{
-		sessions: make([]*Session, so.Shards),
-		factName: factName,
-		key:      append([]AttrID(nil), key...),
-		jobs:     make([]chan *shardJob, so.Shards),
-	}
-	for i, sdb := range shardDBs {
+	s := &ShardedSession{}
+	err = s.init(db, fact, key, so.Shards, func(_ int, sdb *Database) (*Session, error) {
 		sess, err := NewSession(sdb, queries, opts)
-		if err != nil {
-			return nil, fmt.Errorf("lmfao: shard %d: %w", i, err)
+		if err == nil {
+			sess.w.coalesce = true
 		}
-		s.sessions[i] = sess
-	}
-	s.factSchema = emptySchemaRelation(factRel)
-	for i := range s.jobs {
-		s.jobs[i] = make(chan *shardJob, 256)
-		s.workers.Add(1)
-		go s.worker(i)
+		return sess, err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -180,43 +110,25 @@ func resolveShardFact(db *Database, so ShardOptions) (*data.Relation, []AttrID, 
 	if so.Shards < 1 {
 		return nil, nil, fmt.Errorf("lmfao: sharded session needs at least 1 shard, got %d", so.Shards)
 	}
-	factName := so.Relation
-	if factName == "" {
+	fact := db.Relation(so.Relation)
+	if so.Relation == "" {
 		for _, r := range db.Relations() {
-			if factRel := db.Relation(factName); factRel == nil || r.Len() > factRel.Len() {
-				factName = r.Name
+			if fact == nil || r.Len() > fact.Len() {
+				fact = r
 			}
 		}
-		if factName == "" {
-			return nil, nil, fmt.Errorf("lmfao: sharded session over an empty database")
-		}
 	}
-	factRel := db.Relation(factName)
-	if factRel == nil {
-		return nil, nil, fmt.Errorf("lmfao: sharded session: unknown fact relation %q", factName)
+	if fact == nil {
+		return nil, nil, fmt.Errorf("lmfao: sharded session: no fact relation %q in the database", so.Relation)
 	}
 	key := so.Key
 	if key == nil {
-		key = defaultShardKey(db, factRel)
+		key = defaultShardKey(db, fact)
 		if key == nil {
-			return nil, nil, fmt.Errorf("lmfao: sharded session: relation %q has no discrete attribute to shard on", factName)
+			return nil, nil, fmt.Errorf("lmfao: sharded session: relation %q has no discrete attribute to shard on", fact.Name)
 		}
 	}
-	return factRel, key, nil
-}
-
-// emptySchemaRelation clones a relation's schema with zero-row typed
-// columns: a safe, immutable carrier for block validation and routing.
-func emptySchemaRelation(r *data.Relation) *data.Relation {
-	cols := make([]Column, len(r.Cols))
-	for i, c := range r.Cols {
-		if c.IsInt() {
-			cols[i] = data.NewIntColumn(nil)
-		} else {
-			cols[i] = data.NewFloatColumn(nil)
-		}
-	}
-	return data.NewRelation(r.Name, append([]AttrID(nil), r.Attrs...), cols)
+	return fact, key, nil
 }
 
 // defaultShardKey picks the first discrete fact attribute (schema order)
@@ -241,91 +153,26 @@ func defaultShardKey(db *Database, fact *data.Relation) []AttrID {
 	return firstDiscrete
 }
 
-// NumShards returns the shard count.
-func (s *ShardedSession) NumShards() int { return len(s.sessions) }
-
 // Shard returns shard i's underlying Session — read it (Snapshot) freely;
 // writing through it directly (Apply/Run/Close) would bypass routing and
 // break the partition invariant.
 func (s *ShardedSession) Shard(i int) *Session { return s.sessions[i] }
 
-// FactRelation returns the name of the hash-partitioned relation.
-func (s *ShardedSession) FactRelation() string { return s.factName }
-
-// ShardKey returns the attributes the fact relation is partitioned on.
-func (s *ShardedSession) ShardKey() []AttrID { return append([]AttrID(nil), s.key...) }
-
 // Stats returns the cumulative fan-out counters.
 func (s *ShardedSession) Stats() ShardedStats {
-	return ShardedStats{
-		Shards:   len(s.sessions),
-		Enqueued: s.enqueued.Load(),
-		Applied:  s.applied.Load(),
-		Rounds:   s.rounds.Load(),
+	st := ShardedStats{Shards: len(s.sessions), Enqueued: s.enqueued.Load()}
+	for _, sess := range s.sessions {
+		st.Applied += sess.w.applied.Load()
+		st.Rounds += sess.w.rounds.Load()
 	}
+	return st
 }
 
-// Run computes the batch on every shard (in parallel) and returns the first
-// merged snapshot. Like Session.Run it can be called again to force a full
-// recompute everywhere.
-//
-// Run is atomic across shards: every shard stages its recomputed result
-// first (Session.stageRun), and the per-shard snapshots are published only
-// when all of them succeeded. A failed Run therefore changes nothing
-// observable — every shard keeps serving its previous snapshot, and Head
-// never merges recomputed shards with stale ones.
-//
-// lmfao:acquires closeMu.R
-func (s *ShardedSession) Run() (Queryable, error) {
-	// Hold the enqueue read lock for the whole recompute (the ApplyAsync
-	// pattern, but for the call's duration): Run executes against the shard
-	// sessions, and a Close racing it must block until the recompute is
-	// done rather than tear the session down mid-flight.
-	s.closeMu.RLock()
-	defer s.closeMu.RUnlock()
-	if s.closed.Load() {
-		return nil, errSessionClosed
-	}
-	finishes := make([]func(bool), len(s.sessions))
-	errs := make([]error, len(s.sessions))
-	var wg sync.WaitGroup
-	for i, sess := range s.sessions {
-		wg.Add(1)
-		go func(i int, sess *Session) {
-			defer wg.Done()
-			finishes[i], errs[i] = sess.stageRun()
-		}(i, sess)
-	}
-	wg.Wait()
-	var firstErr error
-	for i, err := range errs {
-		if err != nil {
-			firstErr = fmt.Errorf("lmfao: shard %d: %w", i, err)
-			break
-		}
-	}
-	commit := firstErr == nil
-	for _, finish := range finishes {
-		if finish != nil {
-			finish(commit)
-		}
-	}
-	if !commit {
-		return nil, firstErr
-	}
-	return s.Head(), nil
-}
-
-// route splits one call's updates into per-shard update lists, preserving
-// relative order: fact updates partition tuple-by-tuple via data.RouteDelta,
-// every other update is broadcast to all shards (dimension relations are
-// replicated). Shards left untouched by every update get a nil list.
-func (s *ShardedSession) route(updates []Update) ([][]Update, error) {
-	return routeUpdates(s.factSchema, s.key, len(s.sessions), updates)
-}
-
-// routeUpdates is the routing core shared by ShardedSession and
-// DurableShardedSession (see route).
+// routeUpdates splits one call's updates into per-shard update lists,
+// preserving relative order: fact updates partition tuple-by-tuple via
+// data.RouteDelta, every other update is broadcast to all shards (dimension
+// relations are replicated). Shards left untouched by every update get a nil
+// list.
 func routeUpdates(factSchema *data.Relation, key []AttrID, shards int, updates []Update) ([][]Update, error) {
 	perShard := make([][]Update, shards)
 	for _, u := range updates {
@@ -346,158 +193,6 @@ func routeUpdates(factSchema *data.Relation, key []AttrID, shards int, updates [
 		}
 	}
 	return perShard, nil
-}
-
-// ApplyAsync routes the updates to their shards, enqueues them on the
-// per-shard worker queues and returns a buffered channel delivering one
-// aggregate result when every involved shard has committed. Queued updates
-// of consecutive calls may be batched and coalesced per shard before
-// maintenance (see coalesceUpdates), so the delivered Stats describe the
-// maintenance rounds that covered this call's updates — after coalescing,
-// their update granularity can differ from the call's. Per shard, updates
-// commit in enqueue order; across shards there is no global order (see the
-// consistency contract on ShardedSession).
-//
-// Error contract: a delivered Err means at least one of THIS call's updates
-// did not commit on some shard — calls whose updates all landed in failed
-// rounds' committed prefixes receive Err == nil even when a later queued
-// update broke a round. A failed shard keeps serving its last committed
-// snapshot and recovers on its next round, like a plain Session. Unlike a
-// plain Session, a failed update is not atomic ACROSS shards: an update
-// whose tuples route to several shards can commit its slice on some shards
-// and fail on another (e.g. a delete block whose missing tuple hashes to one
-// shard — the siblings' slices validate independently and commit). Do not
-// blindly re-submit a failed multi-shard update; reconcile against
-// Snapshot() first, or keep delete batches shard-local (single-key batches
-// route to one shard by construction).
-//
-// lmfao:acquires closeMu.R
-func (s *ShardedSession) ApplyAsync(updates ...Update) <-chan ApplyResult {
-	ch := make(chan ApplyResult, 1)
-	s.closeMu.RLock()
-	defer s.closeMu.RUnlock()
-	if s.closed.Load() {
-		ch <- ApplyResult{Err: errSessionClosed}
-		return ch
-	}
-	perShard, err := s.route(updates)
-	if err != nil {
-		ch <- ApplyResult{Err: err}
-		return ch
-	}
-	res := &asyncResult{ch: ch}
-	for _, list := range perShard {
-		if list != nil {
-			res.remaining++
-		}
-	}
-	if res.remaining == 0 {
-		ch <- ApplyResult{}
-		return ch
-	}
-	for sh, list := range perShard {
-		if list == nil {
-			continue
-		}
-		s.enqueued.Add(int64(len(list)))
-		s.pending.Add(1)
-		s.jobs[sh] <- &shardJob{updates: list, res: res}
-	}
-	return ch
-}
-
-// Apply routes the updates, waits for every involved shard to commit and
-// returns the per-round maintenance stats (shard completion order) plus the
-// first error. It is ApplyAsync plus the wait, so a returned Snapshot
-// reflects all of this call's updates on every shard.
-func (s *ShardedSession) Apply(updates ...Update) ([]*ApplyStats, error) {
-	res := <-s.ApplyAsync(updates...)
-	return res.Stats, res.Err
-}
-
-// Wait blocks until every update enqueued so far has been applied and
-// committed. Concurrent ApplyAsync callers make the drained condition a
-// moving target — quiesce producers first.
-func (s *ShardedSession) Wait() { s.pending.Wait() }
-
-// Close stops the shard workers after draining their queues. Further
-// ApplyAsync/Apply calls fail; snapshots and shard sessions stay readable.
-// Close is idempotent.
-//
-// lmfao:acquires closeMu
-func (s *ShardedSession) Close() {
-	s.closeMu.Lock()
-	already := s.closed.Swap(true)
-	s.closeMu.Unlock()
-	if already {
-		return
-	}
-	s.pending.Wait()
-	for _, ch := range s.jobs {
-		close(ch)
-	}
-	s.workers.Wait()
-}
-
-// worker is shard sh's single writer: it drains the queue greedily, so a
-// burst of small updates enqueued while a previous round was in flight is
-// applied as one coalesced round. On a failed round the error is delivered
-// only to the jobs whose updates did not all commit: Session.Apply stops at
-// the first failing (coalesced) update and returns stats for the committed
-// prefix, and each coalesced update is all-or-nothing (block validation
-// precedes mutation), so a job is known-committed exactly when every
-// coalesced update it fed into lies in that prefix.
-func (s *ShardedSession) worker(sh int) {
-	defer s.workers.Done()
-	sess := s.sessions[sh]
-	for job := range s.jobs[sh] {
-		batch := []*shardJob{job}
-	drain:
-		for {
-			select {
-			case next, ok := <-s.jobs[sh]:
-				if !ok {
-					break drain
-				}
-				batch = append(batch, next)
-			default:
-				break drain
-			}
-		}
-		var updates []Update
-		var owner []int // source job index, parallel to updates
-		for ji, j := range batch {
-			for _, u := range j.updates {
-				updates = append(updates, u)
-				owner = append(owner, ji)
-			}
-		}
-		coalesced, firstJob := coalesceUpdates(updates, owner)
-		stats, err := sess.Apply(coalesced...)
-		s.rounds.Add(1)
-		s.applied.Add(int64(len(coalesced)))
-		// Jobs whose updates all landed in the committed prefix succeeded
-		// even if a later job's update failed the round. Contributors ascend
-		// across coalesced updates, so every job below the failing update's
-		// first contributor is fully committed; that contributor and
-		// everything after it is not. An error without an identifiable
-		// failing update (e.g. the trailing recompute failed) taints all.
-		okThrough := len(batch)
-		if err != nil {
-			okThrough = 0
-			if len(stats) < len(coalesced) {
-				okThrough = firstJob[len(stats)]
-			}
-		}
-		for ji, j := range batch {
-			if err != nil && ji >= okThrough {
-				j.res.deliver(stats, err)
-			} else {
-				j.res.deliver(stats, nil)
-			}
-			s.pending.Done()
-		}
-	}
 }
 
 // coalesceUpdates merges adjacent same-relation updates when the merge
@@ -541,12 +236,9 @@ func coalesceUpdates(updates []Update, owner []int) ([]Update, []int) {
 }
 
 func canCoalesce(a, b Update) bool {
-	if a.Relation != b.Relation {
-		return false
-	}
 	insOnly := a.DeleteRows() == 0 && b.DeleteRows() == 0
 	delOnly := a.InsertRows() == 0 && b.InsertRows() == 0
-	return insOnly || delOnly
+	return a.Relation == b.Relation && (insOnly || delOnly)
 }
 
 // concatRun concatenates one side's tuple blocks across a coalescible run
@@ -554,37 +246,25 @@ func canCoalesce(a, b Update) bool {
 // the inputs are caller-owned and never mutated). Each source block is
 // copied exactly once.
 func concatRun(run []Update, side func(Update) []Column) []Column {
-	total := 0
-	var proto []Column
+	var blocks [][]Column
 	for _, u := range run {
 		if b := side(u); len(b) > 0 && b[0].Len() > 0 {
-			if proto == nil {
-				proto = b
-			}
-			total += b[0].Len()
+			blocks = append(blocks, b)
 		}
 	}
-	if total == 0 {
+	if len(blocks) == 0 {
 		return nil
 	}
-	out := make([]Column, len(proto))
+	out := make([]Column, len(blocks[0]))
 	for ci := range out {
-		if proto[ci].IsInt() {
-			vals := make([]int64, 0, total)
-			for _, u := range run {
-				if b := side(u); len(b) > 0 {
-					vals = append(vals, b[ci].Ints...)
-				}
-			}
-			out[ci] = data.NewIntColumn(vals)
+		ints, floats := make([][]int64, len(blocks)), make([][]float64, len(blocks))
+		for bi, b := range blocks {
+			ints[bi], floats[bi] = b[ci].Ints, b[ci].Floats
+		}
+		if blocks[0][ci].IsInt() {
+			out[ci] = data.NewIntColumn(slices.Concat(ints...))
 		} else {
-			vals := make([]float64, 0, total)
-			for _, u := range run {
-				if b := side(u); len(b) > 0 {
-					vals = append(vals, b[ci].Floats...)
-				}
-			}
-			out[ci] = data.NewFloatColumn(vals)
+			out[ci] = data.NewFloatColumn(slices.Concat(floats...))
 		}
 	}
 	return out
@@ -608,33 +288,6 @@ type ShardedSnapshot struct {
 	// the per-shard components never take it.
 	mergeMu sync.Mutex
 	merged  []*Result
-}
-
-// Snapshot returns the current merged snapshot as a Queryable — one
-// lock-free atomic load per shard — or nil before Run has completed on
-// every shard. Shard components are consistent per shard; call Wait first
-// to pin a fully drained state. For the concrete *ShardedSnapshot
-// (NumShards, Shard, Epochs) use Head.
-func (s *ShardedSession) Snapshot() Queryable {
-	if sn := s.Head(); sn != nil {
-		return sn
-	}
-	return nil
-}
-
-// Head returns the current merged snapshot as a concrete *ShardedSnapshot
-// (nil before Run has completed on every shard) — Snapshot with typed
-// access to the shard components. Same lock-free acquisition contract.
-func (s *ShardedSession) Head() *ShardedSnapshot {
-	shards := make([]*Snapshot, len(s.sessions))
-	for i, sess := range s.sessions {
-		sn := sess.Head()
-		if sn == nil {
-			return nil
-		}
-		shards[i] = sn
-	}
-	return &ShardedSnapshot{shards: shards}
 }
 
 // NumShards returns the number of shard components.
@@ -688,21 +341,8 @@ func (sn *ShardedSnapshot) Lookup(queryIdx int, key ...int64) ([]float64, bool) 
 	if queryIdx < 0 || queryIdx >= sn.NumQueries() {
 		return nil, false
 	}
-	if len(sn.shards) > 1 && sn.shards[0].res.Plan.Monoids[queryIdx] != nil {
-		v, err := sn.MergedResult(queryIdx)
-		if err != nil {
-			return nil, false
-		}
-		i := v.Lookup(key...)
-		if i < 0 {
-			return nil, false
-		}
-		n := sn.shards[0].res.Plan.VisibleCols(queryIdx)
-		out := make([]float64, n)
-		for c := 0; c < n; c++ {
-			out[c] = v.Val(i, c)
-		}
-		return out, true
+	if plan := sn.shards[0].res.Plan; len(sn.shards) > 1 && plan.Monoids[queryIdx] != nil {
+		return visibleRow(plan, queryIdx, sn.Result(queryIdx), key)
 	}
 	var out []float64
 	for _, sh := range sn.shards {
@@ -755,22 +395,11 @@ func (sn *ShardedSnapshot) MergedResult(queryIdx int) (*Result, error) {
 	if v := sn.merged[queryIdx]; v != nil {
 		return v, nil
 	}
-	var v *moo.ViewData
-	var err error
-	if plan := sn.shards[0].res.Plan; plan.Monoids[queryIdx] != nil {
-		// Monoid columns do not add across shards: merge the per-shard RAW
-		// output and support views (plain count/sum views) and re-fold.
-		v, err = mergeAssembled(plan, queryIdx, len(sn.shards), func(i, j int) *moo.ViewData {
-			res := sn.shards[i].res
-			return res.Materialized[res.Plan.OutputView[j]]
-		})
-	} else {
-		parts := make([]*moo.ViewData, len(sn.shards))
-		for i, sh := range sn.shards {
-			parts[i] = sh.Result(queryIdx)
-		}
-		v, err = moo.CombineViews(parts)
+	parts := make([]*moo.BatchResult, len(sn.shards))
+	for i, sh := range sn.shards {
+		parts[i] = sh.res
 	}
+	v, err := mergeQuery(parts, queryIdx)
 	if err != nil {
 		return nil, err
 	}
@@ -778,31 +407,37 @@ func (sn *ShardedSnapshot) MergedResult(queryIdx int) (*Result, error) {
 	return v, nil
 }
 
-// mergeAssembled merges monoid user query qi across nshards shard states.
-// The assembled monoid columns themselves must never be summed, so the
-// merge combines the per-shard raw output and support views — all plain
-// count/sum views, which CombineViews handles exactly — and folds the
-// merged supports into the user-visible view. plan is the merging plan;
-// query indexes are identical across shards (plan expansion is
+// mergeQuery merges user query qi across per-shard batch results of one
+// batch. Sum-product columns (hidden tuple counts included) add, which
+// moo.CombineViews does exactly. Monoid columns must never be summed, so a
+// monoid query merges the per-shard raw output and support views — all
+// plain count/sum views — and folds the merged supports into the visible
+// view. Query indexes are identical across shards (plan expansion is
 // deterministic on the query list), but view IDs may differ per shard
-// (statistics-driven roots), which is why matView resolves plan-query j's
-// output view through shard i's own plan.
-func mergeAssembled(plan *core.Plan, qi, nshards int, matView func(i, j int) *moo.ViewData) (*moo.ViewData, error) {
-	idxs := []int{qi}
-	seen := make(map[int]bool)
-	for _, col := range plan.Monoids[qi].Cols {
-		if !seen[col.Support] {
-			seen[col.Support] = true
-			idxs = append(idxs, col.Support)
+// (statistics-driven roots), so each part resolves a plan query's output
+// view through its own plan.
+func mergeQuery(parts []*moo.BatchResult, qi int) (*moo.ViewData, error) {
+	plan := parts[0].Plan
+	combine := func(j int) (*moo.ViewData, error) {
+		views := make([]*moo.ViewData, len(parts))
+		for i, p := range parts {
+			views[i] = p.Materialized[p.Plan.OutputView[j]]
 		}
+		return moo.CombineViews(views)
+	}
+	if plan.Monoids[qi] == nil {
+		return combine(qi)
+	}
+	idxs := []int{qi}
+	for _, col := range plan.Monoids[qi].Cols {
+		idxs = append(idxs, col.Support)
 	}
 	mat := make([]*moo.ViewData, len(plan.Views))
 	for _, j := range idxs {
-		parts := make([]*moo.ViewData, nshards)
-		for i := range parts {
-			parts[i] = matView(i, j)
+		if mat[plan.OutputView[j]] != nil {
+			continue // a support shared by several columns
 		}
-		v, err := moo.CombineViews(parts)
+		v, err := combine(j)
 		if err != nil {
 			return nil, err
 		}
@@ -821,20 +456,15 @@ func (sn *ShardedSnapshot) Requery(queries []*Query) ([]*Result, error) {
 	if len(sn.shards) == 0 {
 		return nil, fmt.Errorf("lmfao: sharded snapshot has no shard components")
 	}
-	for i, sh := range sn.shards {
-		if sh.requery == nil {
-			return nil, fmt.Errorf("lmfao: shard %d snapshot has no requery hook", i)
-		}
-	}
 	parts := make([]*moo.BatchResult, len(sn.shards))
 	errs := make([]error, len(sn.shards))
 	var wg sync.WaitGroup
 	for i, sh := range sn.shards {
 		wg.Add(1)
-		go func(i int, sh *Snapshot) {
+		go func() {
 			defer wg.Done()
 			parts[i], errs[i] = sh.requery(queries)
-		}(i, sh)
+		}()
 	}
 	wg.Wait()
 	for i, err := range errs {
@@ -842,22 +472,9 @@ func (sn *ShardedSnapshot) Requery(queries []*Query) ([]*Result, error) {
 			return nil, fmt.Errorf("lmfao: shard %d: %w", i, err)
 		}
 	}
-	plan := parts[0].Plan
-	out := make([]*Result, plan.UserQueries)
-	for qi := 0; qi < plan.UserQueries; qi++ {
-		var v *moo.ViewData
-		var err error
-		if plan.Monoids[qi] != nil {
-			v, err = mergeAssembled(plan, qi, len(parts), func(i, j int) *moo.ViewData {
-				return parts[i].Materialized[parts[i].Plan.OutputView[j]]
-			})
-		} else {
-			per := make([]*moo.ViewData, len(sn.shards))
-			for i := range sn.shards {
-				per[i] = parts[i].Results[qi]
-			}
-			v, err = moo.CombineViews(per)
-		}
+	out := make([]*Result, parts[0].Plan.UserQueries)
+	for qi := range out {
+		v, err := mergeQuery(parts, qi)
 		if err != nil {
 			return nil, err
 		}
