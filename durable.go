@@ -91,9 +91,10 @@ type DurableSession struct {
 // NewDurableSession builds a maintained session over db whose updates are
 // write-ahead logged under dir (created if missing; must not already hold
 // durable session state — use RecoverSession for that). The database is
-// adopted like NewSession's: the session owns it for its lifetime. Call Run
-// once to materialize and write the initial checkpoint, then stream updates
-// through Apply/ApplyAsync.
+// adopted like NewSession's: the session owns it for its lifetime, and Run
+// reorders each base relation's rows into its plan order. Call Run once to
+// materialize and write the initial checkpoint, then stream updates through
+// Apply/ApplyAsync.
 func NewDurableSession(db *Database, queries []*Query, opts Options, dopts DurableOptions, dir string) (*DurableSession, error) {
 	d, ck, err := openDurable(dir, db, queries, opts, dopts)
 	if err != nil {
@@ -180,8 +181,8 @@ func replay(sess *Session, queries []*Query, ck *wal.Checkpoint, log *wal.Log) (
 
 // restoreCheckpoint installs ck onto a freshly built session over the
 // pristine database: plan first (over pristine statistics), then relation
-// contents, then the checkpointed view DAG published as the session's
-// current result.
+// contents in their checkpointed sort orders, then the checkpointed view
+// DAG published as the session's current result.
 func restoreCheckpoint(sess *Session, queries []*Query, ck *wal.Checkpoint) error {
 	plan, err := sess.eng.PlanBatch(queries)
 	if err != nil {
@@ -207,13 +208,19 @@ func restoreCheckpoint(sess *Session, queries []*Query, ck *wal.Checkpoint) erro
 		if rel == nil {
 			return fmt.Errorf("lmfao: checkpoint restores unknown relation %q", rs.Name)
 		}
-		if err := rel.Restore(rs.Cols, rs.Version); err != nil {
+		if err := rel.Restore(rs.Cols, rs.Version, rs.Order); err != nil {
 			return fmt.Errorf("lmfao: restore of relation %q: %w", rs.Name, err)
 		}
 		delete(missing, rs.Name)
 	}
 	for name := range missing {
 		return fmt.Errorf("lmfao: checkpoint is missing relation %q — recover with the session's original database", name)
+	}
+	// An LMFAOCK2 checkpoint restores every base already in its plan order,
+	// so this sorts nothing; the arrival-order bases of an LMFAOCK1 one are
+	// sorted here, once.
+	if err := sess.eng.SortBases(plan); err != nil {
+		return err
 	}
 	for qi, vid := range plan.OutputView {
 		if ck.Views[vid] == nil {
@@ -275,7 +282,8 @@ func (d *DurableSession) checkpoint() error {
 		Views:    s.res.Materialized,
 	}
 	for _, rel := range durableRelations(s.eng) {
-		ck.Relations = append(ck.Relations, wal.RelationState{Name: rel.Name, Version: rel.Version(), Cols: rel.Cols})
+		ck.Relations = append(ck.Relations, wal.RelationState{Name: rel.Name, Version: rel.Version(),
+			Order: rel.SortOrder(), Cols: rel.Cols})
 	}
 	if err := wal.WriteCheckpoint(ckptDir(d.dir), ck, d.failCkpt.Swap(false)); err != nil {
 		if errors.Is(err, wal.ErrInjectedCrash) {

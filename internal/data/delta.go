@@ -263,10 +263,13 @@ func (r *Relation) checkBlock(cols []Column) (int, error) {
 	return n, nil
 }
 
-// Append appends a block of tuples to the relation and records the change in
-// its delta log. The appended rows break any previous sort order; the
-// relation's key indexes are patched in place (see mutate), and the columns
-// keep capacity headroom, so a stream of balanced deltas stops reallocating.
+// Append adds a block of tuples to the relation and records the change in
+// its delta log. An unsorted relation appends them behind its last row; a
+// sorted one (SortBy, Restore with an order) keeps its sort order: the
+// block is stably sorted by it and each tuple lands behind the existing
+// rows of equal key. The relation's key indexes are patched in place (see
+// mutate), and the columns keep capacity headroom, so a stream of balanced
+// deltas stops reallocating.
 func (r *Relation) Append(cols []Column) error {
 	n, err := r.checkBlock(cols)
 	if err != nil {
@@ -275,7 +278,7 @@ func (r *Relation) Append(cols []Column) error {
 	if n == 0 {
 		return nil
 	}
-	if err := r.mutate(nil, cols, false); err != nil {
+	if err := r.mutate(nil, cols); err != nil {
 		return err
 	}
 	ins := copyBlock(cols)
@@ -288,8 +291,10 @@ func (r *Relation) Append(cols []Column) error {
 // is left untouched — rows, version, delta log and key indexes — and an
 // error is returned, so a failed delete cannot leave base data and
 // maintained views inconsistent. Victims are found through a key index
-// probe plus row match (building the index on the first delete), and the
-// surviving rows close the gaps in place, keeping their order.
+// probe plus row match: on a sorted relation a binary search over the sort
+// order, which needs no storage; otherwise an index over every discrete
+// attribute, built on the first delete. The surviving rows close the gaps
+// in place, keeping their order (and so a sort order).
 func (r *Relation) DeleteRows(cols []Column) error {
 	n, err := r.checkBlock(cols)
 	if err != nil {
@@ -298,7 +303,7 @@ func (r *Relation) DeleteRows(cols []Column) error {
 	if n == 0 {
 		return nil
 	}
-	if err := r.mutate(cols, nil, false); err != nil {
+	if err := r.mutate(cols, nil); err != nil {
 		return err
 	}
 	del := copyBlock(cols)
@@ -332,7 +337,7 @@ func copyBlock(cols []Column) []Column {
 }
 
 // ApplyDelta applies d to its base relation: deletes are validated and
-// removed first, then inserts are appended. Both halves land in the
+// removed first, then inserts are added (see Append). Both halves land in the
 // relation's delta log.
 func (db *Database) ApplyDelta(d Delta) error {
 	rel := db.Relation(d.Relation)

@@ -249,7 +249,7 @@ func TestRelationRestore(t *testing.T) {
 	}
 	rel.PinDeltaLog(1) //lmfao:ignore pinpair — Restore below clears the pin wholesale; that is the behavior under test
 
-	if err := rel.Restore([]Column{NewIntColumn([]int64{7, 8})}, 42); err != nil {
+	if err := rel.Restore([]Column{NewIntColumn([]int64{7, 8})}, 42, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := rel.Len(); got != 2 {
@@ -275,7 +275,7 @@ func TestRelationRestore(t *testing.T) {
 	}
 
 	// Mismatched block shape is rejected and leaves state untouched.
-	if err := rel.Restore([]Column{NewIntColumn(nil), NewIntColumn(nil)}, 50); err == nil {
+	if err := rel.Restore([]Column{NewIntColumn(nil), NewIntColumn(nil)}, 50, nil); err == nil {
 		t.Fatal("Restore accepted wrong column count")
 	}
 	if got := rel.Version(); got != 43 {

@@ -15,9 +15,12 @@ import (
 //
 // The invariant that makes a patched structure equal, element for element,
 // to a freshly built one is the tie order: among rows equal on the sort (or
-// index) key, rows stand in base order, and a delta's inserts follow every
-// existing row — the order a stable sort of the mutated base yields, since
-// deletes preserve base order and inserts are appended to the base.
+// index) key, rows stand in arrival order, and a delta's inserts follow
+// every existing row — the order a stable sort of the arrival-order rows
+// yields. Deletes keep it (surviving rows close the gaps in place), appends
+// keep it trivially, and a merge lands the inserts behind every existing
+// row of equal key. A relation sorted in place and then mutated therefore
+// equals SortedCopy of an arrival-order twin that took the same deltas.
 
 // splice removes s[d] for each d of del and then inserts vals[k] in front
 // of position at[k], in place: surviving runs move left once to close the
@@ -187,19 +190,19 @@ func sameRowKey(keyCols [][]int64, x, y int32) bool {
 	return true
 }
 
-// landing decides where the tuples of the insert block go. Appending (merge
-// off) puts them behind the last row in block order. Merging puts them in
-// sort order: the block's tuples are stably sorted by the relation's sort
-// order and each lands behind the last existing row not greater than it.
-// src[k] is the block tuple landing k-th, at[k] the pre-mutation position it
-// lands in front of (ascending; r.n = the end).
-func (r *Relation) landing(ins []Column, ni int, merge bool) (src, at []int32, err error) {
+// landing decides where the tuples of the insert block go. An unsorted
+// relation appends them behind the last row in block order. A sorted one
+// merges them in sort order: the block's tuples are stably sorted by the
+// relation's sort order and each lands behind the last existing row not
+// greater than it. src[k] is the block tuple landing k-th, at[k] the
+// pre-mutation position it lands in front of (ascending; r.n = the end).
+func (r *Relation) landing(ins []Column, ni int) (src, at []int32, err error) {
 	if ni == 0 {
 		return nil, nil, nil
 	}
 	src = identityIDs(ni)
 	at = make([]int32, ni)
-	if !merge || len(r.sortOrder) == 0 {
+	if len(r.sortOrder) == 0 {
 		for k := range at {
 			at[k] = int32(r.n)
 		}
@@ -295,17 +298,17 @@ func (r *Relation) planIndex(ix *KeyIndex, del []int32, ins []Column, src, at, f
 
 // mutate removes one row per tuple of dels (matched by full-row equality)
 // and adds the tuples of ins, patching the rows and every key index in
-// place. With merge the relation stays sorted by its sort order — a sorted
-// copy following its base; without, the tuples are appended and the sort
-// order is dropped — a base relation. Either block may be nil. An unmatched
-// delete tuple fails the call before anything is touched.
-func (r *Relation) mutate(dels, ins []Column, merge bool) error {
+// place. A sorted relation stays sorted: the inserts merge into its sort
+// order (see landing) — a base sorted in its plan order, or a sorted copy
+// following its base; an unsorted one appends them. Either block may be
+// nil. An unmatched delete tuple fails the call before anything is touched.
+func (r *Relation) mutate(dels, ins []Column) error {
 	nd, ni := blockLen(dels), blockLen(ins)
 	del, err := r.findVictims(dels, nd)
 	if err != nil {
 		return err
 	}
-	src, at, err := r.landing(ins, ni, merge)
+	src, at, err := r.landing(ins, ni)
 	if err != nil {
 		return err
 	}
@@ -350,11 +353,6 @@ func (r *Relation) mutate(dels, ins []Column, merge bool) error {
 			p.ix.perm = splice(perm, p.del, p.at, p.vals)
 		}
 	}
-	if !merge && r.sortOrder != nil {
-		// Appended rows break the order; the positional indexes go with it.
-		r.sortOrder = nil
-		r.keyIdx = slices.DeleteFunc(r.keyIdx, func(ix *KeyIndex) bool { return ix.positional })
-	}
 	return nil
 }
 
@@ -368,7 +366,7 @@ func (r *Relation) mutate(dels, ins []Column, merge bool) error {
 // same pass. The copy's Version advances (consumers bound to its columns
 // must rebind); nothing is logged.
 func (r *Relation) patchSorted(e DeltaEntry) error {
-	if err := r.mutate(e.Deletes, e.Inserts, true); err != nil {
+	if err := r.mutate(e.Deletes, e.Inserts); err != nil {
 		return err
 	}
 	r.mutated(nil)

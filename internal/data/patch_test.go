@@ -10,8 +10,10 @@ import (
 
 // patchWorld is a base relation plus the followers a maintained session
 // keeps over it: sorted copies per scan order, and key indexes on the base
-// and on the copies. check brings every follower forward and compares it,
-// element for element, with a structure freshly built from the base.
+// and on the copies. Beside it, one twin per scan order is sorted in place
+// and takes every mutation the base takes, as a session's base does. check
+// brings every follower forward and compares it, and every twin, element for
+// element, with a structure freshly built from the base.
 type patchWorld struct {
 	t      *testing.T
 	base   *Relation
@@ -19,6 +21,7 @@ type patchWorld struct {
 	keys   [][]AttrID // index attribute lists (discrete attrs only)
 	copies []*Relation
 	since  []int64
+	sorted []*Relation // sorted[i] is sorted in place by orders[i]
 }
 
 func newPatchWorld(t *testing.T, nInt, nFloat int, logCap int) *patchWorld {
@@ -53,8 +56,30 @@ func newPatchWorld(t *testing.T, nInt, nFloat int, logCap int) *patchWorld {
 	}
 	w.copies = make([]*Relation, len(w.orders))
 	w.since = make([]int64, len(w.orders))
+	for _, order := range w.orders {
+		twin := w.base.clone()
+		if err := twin.SortBy(order); err != nil {
+			t.Fatal(err)
+		}
+		w.sorted = append(w.sorted, twin)
+	}
 	return w
 }
+
+// apply runs one mutation on the base and on every sorted twin; they must
+// agree on whether it succeeds.
+func (w *patchWorld) apply(op func(*Relation, []Column) error, blk []Column) error {
+	err := op(w.base, blk)
+	for i, twin := range w.sorted {
+		if terr := op(twin, blk); (terr == nil) != (err == nil) {
+			w.t.Fatalf("order %v: sorted twin returned %v, base %v", w.orders[i], terr, err)
+		}
+	}
+	return err
+}
+
+func (w *patchWorld) append(blk []Column) error { return w.apply((*Relation).Append, blk) }
+func (w *patchWorld) delete(blk []Column) error { return w.apply((*Relation).DeleteRows, blk) }
 
 // block builds a tuple block in the base's schema from small value codes, so
 // that duplicates (of keys and of whole rows) are common.
@@ -173,6 +198,14 @@ func (w *patchWorld) check() {
 			w.t.Fatalf("order %v: patched copy differs from a fresh SortedCopy\npatched %v\nfresh   %v", order, cp.Cols, fresh.Cols)
 		}
 		w.checkIndexes(cp, "copy")
+		twin := w.sorted[i]
+		if !slices.Equal(twin.SortOrder(), order) || twin.Version() != w.base.Version() {
+			w.t.Fatalf("order %v: sorted twin at order %v, version %d; base version %d", order, twin.SortOrder(), twin.Version(), w.base.Version())
+		}
+		if twin.Len() != fresh.Len() || !blocksEqual(twin.Cols, fresh.Cols) {
+			w.t.Fatalf("order %v: sorted twin differs from a fresh SortedCopy\ntwin  %v\nfresh %v", order, twin.Cols, fresh.Cols)
+		}
+		w.checkIndexes(twin, "sorted twin")
 	}
 }
 
@@ -191,18 +224,18 @@ func (w *patchWorld) step(tape []byte) int {
 	}
 	switch op {
 	case 0, 1: // insert
-		if err := w.base.Append(w.block(args)); err != nil {
+		if err := w.append(w.block(args)); err != nil {
 			t.Fatal(err)
 		}
 	case 2: // delete live rows (one of k duplicates, whenever duplicates exist)
 		if blk := w.liveRows(args); blk != nil {
-			if err := w.base.DeleteRows(blk); err != nil {
+			if err := w.delete(blk); err != nil {
 				t.Fatal(err)
 			}
 		}
 	case 3: // delete everything
 		if w.base.Len() > 0 {
-			if err := w.base.DeleteRows(copyBlock(w.base.Cols)); err != nil {
+			if err := w.delete(copyBlock(w.base.Cols)); err != nil {
 				t.Fatal(err)
 			}
 			if w.base.Len() != 0 {
@@ -211,10 +244,10 @@ func (w *patchWorld) step(tape []byte) int {
 		}
 	case 4: // insert then delete the same rows within one round
 		blk := w.block(args)
-		if err := w.base.Append(blk); err != nil {
+		if err := w.append(blk); err != nil {
 			t.Fatal(err)
 		}
-		if err := w.base.DeleteRows(blk); err != nil {
+		if err := w.delete(blk); err != nil {
 			t.Fatal(err)
 		}
 	case 5: // a delete with one unmatched tuple touches nothing
@@ -227,7 +260,7 @@ func (w *patchWorld) step(tape []byte) int {
 			}
 		}
 		before, version, logLen := copyBlock(w.base.Cols), w.base.Version(), len(w.base.DeltaLog(0))
-		if err := w.base.DeleteRows(blk); err == nil {
+		if err := w.delete(blk); err == nil {
 			t.Fatal("delete of an absent tuple succeeded")
 		}
 		if !blocksEqual(before, w.base.Cols) || w.base.Version() != version || len(w.base.DeltaLog(0)) != logLen {
@@ -236,14 +269,14 @@ func (w *patchWorld) step(tape []byte) int {
 	case 6: // several mutations between two looks at the followers
 		half := (n + 1) / 2
 		if blk := w.liveRows(args[:half]); blk != nil {
-			if err := w.base.DeleteRows(blk); err != nil {
+			if err := w.delete(blk); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := w.base.Append(w.block(args[half:])); err != nil {
+		if err := w.append(w.block(args[half:])); err != nil {
 			t.Fatal(err)
 		}
-		if err := w.base.Append(w.block(args[:half])); err != nil {
+		if err := w.append(w.block(args[:half])); err != nil {
 			t.Fatal(err)
 		}
 		return 1 + n // checked by the caller, after all three
@@ -255,9 +288,10 @@ func (w *patchWorld) step(tape []byte) int {
 // duplicate rows, deletes of one of k duplicates, deletes that empty the
 // relation, insert-then-delete of the same row in one round, failed deletes,
 // and a delta-log cap small enough that eviction forces the rebuild base
-// case — and after every step requires each patched sorted copy and each
-// patched key index to equal, element for element, a fresh SortedCopy and
-// KeyIndex of the mutated relation.
+// case — and after every step requires each patched sorted copy, each
+// relation sorted in place and mutated like the base, and each patched key
+// index to equal, element for element, a fresh SortedCopy and KeyIndex of
+// the mutated relation.
 func FuzzPhysicalPatch(f *testing.F) {
 	f.Add(byte(0x00), []byte{0x60, 1, 2, 3, 0x42, 0, 1, 0x43, 0x64, 7, 7, 9})
 	f.Add(byte(0x16), []byte{0xe0, 1, 1, 1, 1, 5, 5, 5, 0x22, 0, 0x22, 0, 0x22, 0})
@@ -386,7 +420,7 @@ func TestRelayoutDropsPatchedState(t *testing.T) {
 	}
 	if err := rel.Restore([]Column{
 		NewIntColumn([]int64{5, 4}), NewIntColumn([]int64{50, 40}), NewFloatColumn([]float64{5, 4}),
-	}, 7); err != nil {
+	}, 7, nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(rel.keyIdx) != 0 {
@@ -406,7 +440,7 @@ func TestRelayoutDropsPatchedState(t *testing.T) {
 	}
 	if err := rel.Restore([]Column{
 		NewIntColumn([]int64{9}), NewIntColumn([]int64{90}), NewFloatColumn([]float64{9}),
-	}, 9); err != nil {
+	}, 9, nil); err != nil {
 		t.Fatal(err)
 	}
 	cp2, _, err := rel.CatchUpSorted(cp, since, []AttrID{a})
@@ -484,6 +518,41 @@ func BenchmarkApplyDelta(b *testing.B) {
 		if err := db.ApplyDelta(d); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkApplyDeltaSorted is BenchmarkApplyDelta on a base sorted in
+// place, as a session keeps it: deletes go through the positional locator
+// and inserts merge into the order.
+func BenchmarkApplyDeltaSorted(b *testing.B) {
+	db := NewDatabase()
+	for _, n := range []string{"a", "b", "c"} {
+		db.Attr(n, Key)
+	}
+	db.Attr("x", Numeric)
+	rel := benchFact(benchRows)
+	if err := db.AddRelation(rel); err != nil {
+		b.Fatal(err)
+	}
+	if err := rel.SortBy([]AttrID{0, 1, 2}); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(2))
+	if err := db.ApplyDelta(benchDeltaOf(rng, rel)); err != nil { // grows the columns
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		d := benchDeltaOf(rng, rel)
+		b.StartTimer()
+		if err := db.ApplyDelta(d); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if !rel.SortedBy([]AttrID{0, 1, 2}) {
+		b.Fatal("the base lost its order")
 	}
 }
 

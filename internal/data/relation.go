@@ -160,18 +160,19 @@ func (r *Relation) SortBy(order []AttrID) error {
 	return nil
 }
 
-// sortKeys resolves the discrete key columns for a sort order.
-func (r *Relation) sortKeys(order []AttrID) ([][]int64, error) {
+// sortKeys resolves the discrete key columns for a sort order in cols, a
+// block in the relation's schema (its own rows, or rows to restore).
+func (r *Relation) sortKeys(cols []Column, order []AttrID) ([][]int64, error) {
 	keys := make([][]int64, len(order))
 	for i, a := range order {
-		c, ok := r.Col(a)
-		if !ok {
+		p := r.colIndex(a)
+		if p < 0 {
 			return nil, fmt.Errorf("data: sort of %q: missing attribute %d", r.Name, a)
 		}
-		if !c.IsInt() {
+		if !cols[p].IsInt() {
 			return nil, fmt.Errorf("data: sort of %q: attribute %d is numeric", r.Name, a)
 		}
-		keys[i] = c.Ints
+		keys[i] = cols[p].Ints
 	}
 	return keys, nil
 }
@@ -182,7 +183,7 @@ func (r *Relation) sortKeys(order []AttrID) ([][]int64, error) {
 // (ascending row ids), so the permutation is unique. The receiver is left
 // untouched.
 func (r *Relation) SortPerm(order []AttrID) ([]int32, error) {
-	keys, err := r.sortKeys(order)
+	keys, err := r.sortKeys(r.Cols, order)
 	if err != nil {
 		return nil, err
 	}
@@ -199,7 +200,7 @@ func (r *Relation) SortPerm(order []AttrID) ([]int32, error) {
 // produce, which keeps float accumulation orders (and thus bit-exact
 // results) identical between the two scan strategies.
 func (r *Relation) SortIDsBy(order []AttrID, ids []int32) error {
-	keys, err := r.sortKeys(order)
+	keys, err := r.sortKeys(r.Cols, order)
 	if err != nil {
 		return err
 	}
@@ -228,22 +229,42 @@ func (r *Relation) SortedCopy(order []AttrID) (*Relation, error) {
 	return cp, nil
 }
 
-// Restore replaces the relation's contents and mutation counter with a
-// recovered state: cols becomes the row storage (ownership transfers to the
-// relation) and version the mutation counter, as captured by a WAL
-// checkpoint. All derived caches — sort order, distinct counts, key
-// indexes — are dropped, and the delta log resets to empty with
-// DeltaLogTruncatedThrough = version, since the pre-restore entries are not
-// reconstructible from a checkpoint. Single-writer: must not race with row
-// reads.
-func (r *Relation) Restore(cols []Column, version int64) error {
+// Restore replaces the relation's contents, mutation counter and sort
+// order with a recovered state, as captured by a WAL checkpoint: cols
+// becomes the row storage (ownership transfers to the relation), version
+// the mutation counter and order the sort order (nil for none). A non-empty
+// order is checked in one linear pass over the key columns; rows that
+// violate it, or an order naming a missing or numeric attribute, fail the
+// call with the relation untouched. Distinct counts and key indexes are
+// dropped, and the delta log resets to empty with DeltaLogTruncatedThrough
+// = version, since the pre-restore entries are not reconstructible from a
+// checkpoint. Single-writer: must not race with row reads.
+func (r *Relation) Restore(cols []Column, version int64, order []AttrID) error {
 	n, err := r.checkBlock(cols)
 	if err != nil {
 		return err
 	}
+	var sorted []AttrID
+	if len(order) > 0 {
+		keys, err := r.sortKeys(cols, order)
+		if err != nil {
+			return err
+		}
+		for i := 1; i < n; i++ {
+			for _, k := range keys {
+				if k[i-1] != k[i] {
+					if k[i-1] > k[i] {
+						return fmt.Errorf("data: restore of %q: row %d is not sorted by %v", r.Name, i, order)
+					}
+					break
+				}
+			}
+		}
+		sorted = append(sorted, order...)
+	}
 	r.Cols = cols
 	r.n = n
-	r.sortOrder = nil
+	r.sortOrder = sorted
 	r.distinctMu.Lock()
 	r.distinct = nil
 	r.distinctMu.Unlock()

@@ -451,7 +451,8 @@ func (e *Engine) orderID(order []data.AttrID) int {
 }
 
 // sortedRel returns rel sorted by order: the base relation itself when it is
-// already compatible, else the engine's persistent sorted copy, brought
+// already compatible — always, for a session's bases in their plan order
+// (SortBases) — else the engine's persistent sorted copy, brought
 // forward to the base's current version. Only the first request for a
 // (relation, order) pair — or a gap in the base's delta log — pays a full
 // sort; after a delta the copy and its key indexes are patched in place.
@@ -479,6 +480,54 @@ func (e *Engine) sortedRel(rel *data.Relation, order []data.AttrID) (*data.Relat
 	}
 	ent.rel, ent.version = cp, version
 	return cp, nil
+}
+
+// SortBases sorts the relation of every plain join-tree node in place by
+// plan's order for that node (core.Plan.AttrOrder) — a no-op for a relation
+// already sorted by it — so that plan's scans, and the maintenance of its
+// views, read the base itself where they would read a sorted copy
+// (sortedRel). The base's later mutations keep the order (data.Relation
+// Append and DeleteRows merge into it). Materialized hypertree bags, and
+// scans in any other order, keep their copies. A relation that moves loses
+// the engine's sorted copies of it, and every kernel is dropped, since a
+// kernel may be bound to the old layout.
+//
+// Only an engine that owns its database — a session's — calls it: a batch
+// Run never reorders the database it reads.
+func (e *Engine) SortBases(plan *core.Plan) error {
+	for _, n := range e.tree.Nodes {
+		order := plan.AttrOrder[n.ID]
+		if n.IsBag() || n.Rel.SortedBy(order) {
+			continue
+		}
+		if err := n.Rel.SortBy(order); err != nil {
+			return err
+		}
+		e.mu.Lock()
+		for key := range e.sortCache {
+			if key.rel == n.Rel {
+				delete(e.sortCache, key)
+			}
+		}
+		clear(e.kernels)
+		e.mu.Unlock()
+	}
+	return nil
+}
+
+// SortedCopyOrders returns the scan orders for which e holds a persistent
+// sorted copy of rel — a diagnostic of the physical design: a relation
+// sorted by SortBases has none for its own plan order.
+func SortedCopyOrders(e *Engine, rel *data.Relation) [][]data.AttrID {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	var out [][]data.AttrID
+	for key := range e.sortCache {
+		if key.rel == rel {
+			out = append(out, e.orders[key.order])
+		}
+	}
+	return out
 }
 
 // syncSortedCopies brings every persistent sorted copy of rel forward to its

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -36,17 +37,26 @@ type Checkpoint struct {
 type RelationState struct {
 	Name    string
 	Version int64
-	Cols    []data.Column
+	// Order is the attribute order the rows are sorted by, nil for none
+	// (and for every relation of an LMFAOCK1 checkpoint).
+	Order []data.AttrID
+	Cols  []data.Column
 }
 
-// Checkpoint file layout: 8-byte magic, u32le payload length, u32le CRC-32C
-// of the payload, payload. Files are written to a .tmp name, fsynced, and
-// renamed into place (then the directory is fsynced), so a crash mid-write
-// leaves either no checkpoint or a stale .tmp that recovery ignores.
+// Checkpoint file layout: 8-byte magic "LMFAOCK2", u64le payload length,
+// u32le CRC-32C of the payload, payload. The payload records each
+// relation's sort order before its rows. Files written before orders were
+// recorded (magic "LMFAOCK1", u32le payload length, no orders) still
+// decode, with every Order nil. Files are written to a .tmp name, fsynced,
+// and renamed into place (then the directory is fsynced), so a crash
+// mid-write leaves either no checkpoint or a stale .tmp that recovery
+// ignores.
 const (
-	ckptMagic  = "LMFAOCK1"
-	ckptSuffix = ".ckpt"
-	tmpSuffix  = ".tmp"
+	ckptMagic   = "LMFAOCK2"
+	ckptMagicV1 = "LMFAOCK1"
+	ckptHeader  = len(ckptMagic) + 8 + 4
+	ckptSuffix  = ".ckpt"
+	tmpSuffix   = ".tmp"
 )
 
 func ckptName(lsn uint64) string {
@@ -61,13 +71,7 @@ func WriteCheckpoint(dir string, ck *Checkpoint, failBeforeSync bool) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	payload := encodeCheckpoint(nil, ck)
-	buf := make([]byte, 0, len(ckptMagic)+8+len(payload))
-	buf = append(buf, ckptMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, castagnoli))
-	buf = append(buf, payload...)
-
+	buf := encodeCheckpointFile(ck)
 	tmp := filepath.Join(dir, ckptName(ck.LSN)+tmpSuffix)
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -143,20 +147,48 @@ func ReadCheckpoint(path string) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(b) < len(ckptMagic)+8 || string(b[:len(ckptMagic)]) != ckptMagic {
+	return decodeCheckpointFile(b)
+}
+
+// encodeCheckpointFile returns ck's file encoding: the header, with the
+// payload's length and checksum filled in once the payload is encoded
+// behind it.
+func encodeCheckpointFile(ck *Checkpoint) []byte {
+	buf := make([]byte, ckptHeader)
+	copy(buf, ckptMagic)
+	buf = encodeCheckpoint(buf, ck)
+	payload := buf[ckptHeader:]
+	binary.LittleEndian.PutUint64(buf[len(ckptMagic):], uint64(len(payload)))
+	binary.LittleEndian.PutUint32(buf[len(ckptMagic)+8:], crc32.Checksum(payload, castagnoli))
+	return buf
+}
+
+// decodeCheckpointFile validates and decodes a checkpoint file of either
+// layout: magic, payload length and checksum, then the payload. Bytes
+// behind the payload are ignored.
+func decodeCheckpointFile(b []byte) (*Checkpoint, error) {
+	if len(b) < len(ckptMagic) {
 		return nil, ErrCorrupt
 	}
-	b = b[len(ckptMagic):]
-	n := int(binary.LittleEndian.Uint32(b))
-	sum := binary.LittleEndian.Uint32(b[4:])
-	if len(b) < 8+n {
+	magic, b := string(b[:len(ckptMagic)]), b[len(ckptMagic):]
+	var n uint64
+	switch {
+	case magic == ckptMagic && len(b) >= 12:
+		n, b = binary.LittleEndian.Uint64(b), b[8:]
+	case magic == ckptMagicV1 && len(b) >= 8:
+		n, b = uint64(binary.LittleEndian.Uint32(b)), b[4:]
+	default:
+		return nil, ErrCorrupt
+	}
+	sum, b := binary.LittleEndian.Uint32(b), b[4:]
+	if uint64(len(b)) < n {
 		return nil, ErrTruncated
 	}
-	payload := b[8 : 8+n]
+	payload := b[:n]
 	if crc32.Checksum(payload, castagnoli) != sum {
 		return nil, ErrChecksum
 	}
-	return decodeCheckpoint(payload)
+	return decodeCheckpoint(payload, magic == ckptMagic)
 }
 
 // PruneCheckpoints removes stale .tmp files and all but the keep newest
@@ -207,6 +239,10 @@ func encodeCheckpoint(buf []byte, ck *Checkpoint) []byte {
 	for _, rs := range ck.Relations {
 		buf = appendString(buf, rs.Name)
 		buf = binary.AppendUvarint(buf, uint64(rs.Version))
+		buf = binary.AppendUvarint(buf, uint64(len(rs.Order)))
+		for _, a := range rs.Order {
+			buf = binary.AppendUvarint(buf, uint64(a))
+		}
 		buf = appendBlock(buf, rs.Cols)
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(ck.Views)))
@@ -221,7 +257,9 @@ func encodeCheckpoint(buf []byte, ck *Checkpoint) []byte {
 	return buf
 }
 
-func decodeCheckpoint(p []byte) (*Checkpoint, error) {
+// decodeCheckpoint decodes a payload; withOrders tells an LMFAOCK2 payload,
+// which records each relation's sort order, from an LMFAOCK1 one.
+func decodeCheckpoint(p []byte, withOrders bool) (*Checkpoint, error) {
 	ck := &Checkpoint{}
 	lsn, n := binary.Uvarint(p)
 	if n <= 0 {
@@ -267,6 +305,11 @@ func decodeCheckpoint(p []byte) (*Checkpoint, error) {
 		}
 		p = p[n:]
 		rs.Version = int64(ver)
+		if withOrders {
+			if rs.Order, p, err = decodeOrder(p); err != nil {
+				return nil, err
+			}
+		}
 		if rs.Cols, p, err = decodeBlock(p); err != nil {
 			return nil, err
 		}
@@ -302,6 +345,29 @@ func decodeCheckpoint(p []byte) (*Checkpoint, error) {
 		return nil, ErrCorrupt
 	}
 	return ck, nil
+}
+
+// decodeOrder decodes a relation's sort order: a count, then that many
+// attribute IDs. An empty order decodes as nil.
+func decodeOrder(p []byte) ([]data.AttrID, []byte, error) {
+	k, n := binary.Uvarint(p)
+	if n <= 0 || k > uint64(len(p)-n) {
+		return nil, nil, ErrCorrupt
+	}
+	p = p[n:]
+	if k == 0 {
+		return nil, p, nil
+	}
+	order := make([]data.AttrID, k)
+	for i := range order {
+		a, n := binary.Uvarint(p)
+		if n <= 0 || a > math.MaxInt32 {
+			return nil, nil, ErrCorrupt
+		}
+		order[i] = data.AttrID(a)
+		p = p[n:]
+	}
+	return order, p, nil
 }
 
 func appendString(buf []byte, s string) []byte {

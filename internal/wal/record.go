@@ -160,6 +160,18 @@ func decodeDelta(b []byte) (data.Delta, []byte, error) {
 	return d, b, nil
 }
 
+// blockFits reports whether ncols columns of nrows rows — a kind byte plus
+// 8 bytes per row each — fit in the avail bytes left to decode. The bytes
+// present are the only bound: a checkpoint's relation block may hold any
+// number of rows, and the division form cannot overflow.
+func blockFits(ncols, nrows, avail uint64) bool {
+	if ncols == 0 {
+		return true
+	}
+	per := avail / ncols
+	return per >= 1 && nrows <= (per-1)/8
+}
+
 func decodeBlock(b []byte) ([]data.Column, []byte, error) {
 	ncols, n := binary.Uvarint(b)
 	if n <= 0 || ncols > maxBlockCols {
@@ -170,12 +182,11 @@ func decodeBlock(b []byte) ([]data.Column, []byte, error) {
 		return nil, b, nil
 	}
 	nrows, n := binary.Uvarint(b)
-	if n <= 0 || nrows > MaxRecordBytes/8 {
+	if n <= 0 {
 		return nil, nil, ErrCorrupt
 	}
 	b = b[n:]
-	need := ncols * (1 + 8*nrows)
-	if uint64(len(b)) < need {
+	if !blockFits(ncols, nrows, uint64(len(b))) {
 		return nil, nil, ErrCorrupt
 	}
 	cols := make([]data.Column, ncols)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/data"
@@ -213,7 +214,10 @@ type Session struct {
 }
 
 // NewSession builds an engine over db with TrackCounts enabled and prepares
-// a maintainable session for the query batch.
+// a maintainable session for the query batch. The session adopts db: Run
+// reorders each base relation's rows into its join-tree node's plan order
+// (the order the scans read, so the base is the only copy of its rows),
+// and later updates keep that order. NewSession itself reorders nothing.
 func NewSession(db *Database, queries []*Query, opts Options) (*Session, error) {
 	opts.TrackCounts = true
 	eng, err := moo.NewEngine(db, opts)
@@ -225,7 +229,8 @@ func NewSession(db *Database, queries []*Query, opts Options) (*Session, error) 
 
 // NewSessionWithEngine wraps an existing engine; its options must have
 // TrackCounts set. The engine becomes part of the session's write side: it
-// must not be used concurrently with the session's maintenance calls.
+// must not be used concurrently with the session's maintenance calls, and
+// its database is adopted as NewSession's is.
 func NewSessionWithEngine(eng *Engine, queries []*Query) (*Session, error) {
 	if !eng.Options().TrackCounts {
 		return nil, fmt.Errorf("lmfao: session engine needs Options.TrackCounts")
@@ -323,12 +328,13 @@ func (s *Session) restoreResult(res *moo.BatchResult) {
 // runLocked is Run's body without the lock or the closed gate: a full
 // recompute that replaces the maintained state and publishes it — if vote,
 // given the recompute's outcome, approves (nil approves every success). On
-// a veto the maintained state is untouched: the engine run mutates no base
-// data, only internal caches.
+// a veto the maintained state is untouched: the recompute changes no base
+// contents, only the order of the rows (SortBases), which no maintained
+// view depends on, and internal caches.
 //
 // lmfao:requires writerMu
 func (s *Session) runLocked(vote func(error) bool) (bool, error) {
-	res, err := s.eng.Run(s.queries)
+	res, err := s.recompute()
 	ok := err == nil
 	if vote != nil {
 		ok = vote(err)
@@ -338,6 +344,28 @@ func (s *Session) runLocked(vote func(error) bool) (bool, error) {
 		s.publishLocked(res, nil)
 	}
 	return ok, err
+}
+
+// recompute plans the batch, sorts every base in its node's plan order —
+// the session owns the database, so its bases are the sorted relations its
+// scans read, and their mutations keep the order — and runs the plan.
+//
+// lmfao:requires writerMu
+func (s *Session) recompute() (*moo.BatchResult, error) {
+	start := time.Now()
+	plan, err := s.eng.PlanBatch(s.queries)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.eng.SortBases(plan); err != nil {
+		return nil, err
+	}
+	res, err := s.eng.RunPlan(plan)
+	if err != nil {
+		return nil, err
+	}
+	res.Elapsed = time.Since(start)
+	return res, nil
 }
 
 // stageRun is a writer stage job's recompute: runLocked under the writer

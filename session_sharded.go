@@ -81,9 +81,11 @@ type ShardedSession struct {
 // NewShardedSession partitions db per so (data.PartitionDatabase: fact
 // hash-partitioned, everything else replicated) and builds one maintained
 // Session per shard over the query batch, each with its own engine and join
-// tree and each served by a dedicated writer goroutine. Call Run once, then
-// stream updates through Apply/ApplyAsync; call Close when done to stop the
-// writers (the shard data remains readable).
+// tree and each served by a dedicated writer goroutine. db itself is left
+// as it is; Run reorders each shard database's rows into its plan order,
+// as NewSession's Run does. Call Run once, then stream updates through
+// Apply/ApplyAsync; call Close when done to stop the writers (the shard
+// data remains readable).
 func NewShardedSession(db *Database, queries []*Query, opts Options, so ShardOptions) (*ShardedSession, error) {
 	fact, key, err := resolveShardFact(db, so)
 	if err != nil {
