@@ -493,3 +493,73 @@ func TestRecoveryKeepsRecordedOrder(t *testing.T) {
 		t.Fatalf("recovered %q rows differ from the checkpoint's", rel.Name)
 	}
 }
+
+// tieDB returns a one-relation database F(a, b, x) whose rows all tie on b,
+// with values of x whose float sum depends on the order they are added in.
+// Every call returns an identical one.
+func tieDB(t *testing.T) (db *Database, a, b, x AttrID) {
+	t.Helper()
+	db = NewDatabase()
+	a, b, x = db.Attr("a", Key), db.Attr("b", Key), db.Attr("x", Numeric)
+	if err := db.AddRelation(NewRelation("F", []AttrID{a, b, x},
+		[]Column{IntColumn([]int64{2, 3}), IntColumn([]int64{1, 1}), FloatColumn([]float64{1e16, -1e16})})); err != nil {
+		t.Fatal(err)
+	}
+	return db, a, b, x
+}
+
+// TestRecoveryTieOrderOfOtherCopies recovers a session whose ad-hoc requery
+// scans its base in an order other than the base's own. The uninterrupted
+// session brings its copy in that order forward through an insert that ties
+// with every row on the copy's order but sorts first in the base; the
+// recovered session builds the copy fresh. Both must sum the tied rows in
+// the same order, so the requery agrees bit for bit.
+func TestRecoveryTieOrderOfOtherCopies(t *testing.T) {
+	dir := t.TempDir()
+	db, a, b, x := tieDB(t)
+	queries := []*Query{NewQuery("bya", []AttrID{a}, Sum(x))}
+	adhoc := []*Query{NewQuery("byb", []AttrID{b}, Sum(x))}
+	d, err := NewDurableSession(db, queries, DefaultOptions(), DurableOptions{CheckpointEvery: -1}, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Kill()
+	if _, err := d.Run(); err != nil {
+		t.Fatal(err)
+	}
+	rel := db.Relation("F")
+	if !rel.SortedBy([]AttrID{a}) || rel.SortedBy([]AttrID{b}) {
+		t.Fatalf("base sorted by %v; the test needs it sorted by a, not b", rel.SortOrder())
+	}
+	// The first requery builds F's copy in order b; the insert patches it.
+	if _, err := d.Session().Head().Requery(adhoc); err != nil {
+		t.Fatal(err)
+	}
+	if len(moo.SortedCopyOrders(d.Session().eng, rel)) == 0 {
+		t.Fatal("the requery read no sorted copy of F")
+	}
+	ins := InsertRows("F", IntColumn([]int64{1}), IntColumn([]int64{1}), FloatColumn([]float64{1}))
+	if _, err := d.Apply(ins); err != nil {
+		t.Fatal(err)
+	}
+	want, err := d.Session().Head().Requery(adhoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Kill()
+
+	db, _, _, _ = tieDB(t)
+	rec, err := RecoverSession(dir, db, queries, DefaultOptions(), DurableOptions{CheckpointEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Kill()
+	got, err := rec.Session().Head().Requery(adhoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, w := got[0].Val(0, 0), want[0].Val(0, 0)
+	if math.Float64bits(g) != math.Float64bits(w) {
+		t.Fatalf("recovered requery sums to %v, the uninterrupted session's to %v", g, w)
+	}
+}

@@ -21,6 +21,12 @@ import (
 // keep it trivially, and a merge lands the inserts behind every existing
 // row of equal key. A relation sorted in place and then mutated therefore
 // equals SortedCopy of an arrival-order twin that took the same deltas.
+// Sorting a relation that is already sorted would break the invariant — a
+// stable sort leaves ties in the old sort order, not in arrival order — so
+// such a sort refines the requested order by the relation's own (see
+// Relation.refine): rows equal on the longer key are equal on the old order
+// too, hence in arrival order. A copy of a sorted base thus equals, fresh or
+// patched, SortedCopy of the arrival-order twin by the copy's SortOrder.
 
 // splice removes s[d] for each d of del and then inserts vals[k] in front
 // of position at[k], in place: surviving runs move left once to close the
@@ -361,9 +367,9 @@ func (r *Relation) mutate(dels, ins []Column) error {
 // plus row match and removed, its inserts are stably sorted by the copy's
 // sort order and merged behind the existing rows of equal key. The result
 // is, element for element, what SortedCopy of the mutated base returns —
-// within equal keys both hold the surviving rows in base order followed by
-// the inserts in block order — and the copy's key indexes follow in the
-// same pass. The copy's Version advances (consumers bound to its columns
+// within equal keys of the copy's SortOrder (refined by the base's order)
+// both hold the surviving rows in arrival order followed by the inserts in
+// block order — and the copy's key indexes follow in the same pass. The copy's Version advances (consumers bound to its columns
 // must rebind); nothing is logged.
 func (r *Relation) patchSorted(e DeltaEntry) error {
 	if err := r.mutate(e.Deletes, e.Inserts); err != nil {

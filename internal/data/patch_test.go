@@ -11,9 +11,11 @@ import (
 // patchWorld is a base relation plus the followers a maintained session
 // keeps over it: sorted copies per scan order, and key indexes on the base
 // and on the copies. Beside it, one twin per scan order is sorted in place
-// and takes every mutation the base takes, as a session's base does. check
-// brings every follower forward and compares it, and every twin, element for
-// element, with a structure freshly built from the base.
+// and takes every mutation the base takes, as a session's base does, and
+// keeps sorted copies of its own in the other orders. check brings every
+// follower forward and compares it, and every twin, element for element,
+// with a structure freshly built from the one it follows, and with a fresh
+// SortedCopy of the arrival-order base.
 type patchWorld struct {
 	t      *testing.T
 	base   *Relation
@@ -22,6 +24,10 @@ type patchWorld struct {
 	copies []*Relation
 	since  []int64
 	sorted []*Relation // sorted[i] is sorted in place by orders[i]
+	// twinCopies[i][j] is sorted[i]'s copy in orders[j] (nil for j = i),
+	// brought forward from sorted[i]'s delta log; twinSince its version.
+	twinCopies [][]*Relation
+	twinSince  [][]int64
 }
 
 func newPatchWorld(t *testing.T, nInt, nFloat int, logCap int) *patchWorld {
@@ -51,17 +57,22 @@ func newPatchWorld(t *testing.T, nInt, nFloat int, logCap int) *patchWorld {
 		w.orders = [][]AttrID{{ints[0]}, {ints[1], ints[0]}}
 		w.keys = [][]AttrID{{ints[0]}, {ints[1]}, {ints[1], ints[0]}}
 	default:
-		w.orders = [][]AttrID{{ints[0], ints[1]}, {ints[2], ints[0], ints[1]}}
+		w.orders = [][]AttrID{{ints[0], ints[1]}, {ints[2], ints[0], ints[1]}, {ints[1]}}
 		w.keys = [][]AttrID{{ints[0]}, {ints[1]}, {ints[2], ints[1]}, {ints[0], ints[1], ints[2]}}
 	}
 	w.copies = make([]*Relation, len(w.orders))
 	w.since = make([]int64, len(w.orders))
 	for _, order := range w.orders {
 		twin := w.base.clone()
+		if logCap > 0 {
+			twin.SetDeltaLogCap(logCap)
+		}
 		if err := twin.SortBy(order); err != nil {
 			t.Fatal(err)
 		}
 		w.sorted = append(w.sorted, twin)
+		w.twinCopies = append(w.twinCopies, make([]*Relation, len(w.orders)))
+		w.twinSince = append(w.twinSince, make([]int64, len(w.orders)))
 	}
 	return w
 }
@@ -206,7 +217,44 @@ func (w *patchWorld) check() {
 			w.t.Fatalf("order %v: sorted twin differs from a fresh SortedCopy\ntwin  %v\nfresh %v", order, twin.Cols, fresh.Cols)
 		}
 		w.checkIndexes(twin, "sorted twin")
+		for j, other := range w.orders {
+			if j != i {
+				w.checkTwinCopy(i, j, other)
+			}
+		}
 	}
+}
+
+// checkTwinCopy brings sorted twin i's copy in order forward (patched, or
+// rebuilt across a log gap) and requires it to equal a fresh SortedCopy of
+// the twin — the base case a recovered session takes — and a fresh
+// SortedCopy of the arrival-order base by the copy's SortOrder, which is
+// order refined by the twin's.
+func (w *patchWorld) checkTwinCopy(i, j int, order []AttrID) {
+	twin := w.sorted[i]
+	cp, version, err := twin.CatchUpSorted(w.twinCopies[i][j], w.twinSince[i][j], order)
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	w.twinCopies[i][j], w.twinSince[i][j] = cp, version
+	fresh, err := twin.SortedCopy(order)
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	if !cp.SortedBy(order) || !slices.Equal(cp.SortOrder(), fresh.SortOrder()) {
+		w.t.Fatalf("twin %v, order %v: copy sorted by %v, fresh copy by %v", w.orders[i], order, cp.SortOrder(), fresh.SortOrder())
+	}
+	if cp.Len() != fresh.Len() || !blocksEqual(cp.Cols, fresh.Cols) {
+		w.t.Fatalf("twin %v, order %v: patched copy differs from a fresh SortedCopy of the twin\npatched %v\nfresh   %v", w.orders[i], order, cp.Cols, fresh.Cols)
+	}
+	arrival, err := w.base.SortedCopy(cp.SortOrder())
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	if !blocksEqual(cp.Cols, arrival.Cols) {
+		w.t.Fatalf("twin %v, order %v: copy differs from the arrival-order base sorted by %v\ncopy %v\nbase %v", w.orders[i], order, cp.SortOrder(), cp.Cols, arrival.Cols)
+	}
+	w.checkIndexes(cp, "twin copy")
 }
 
 // step applies one operation of a delta tape and reports how many tape bytes

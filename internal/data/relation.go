@@ -2,6 +2,7 @@ package data
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -143,11 +144,14 @@ func (r *Relation) SortedBy(order []AttrID) bool {
 
 // SortBy sorts the relation in place lexicographically by the given discrete
 // attributes. It is a no-op if the relation is already sorted by a
-// compatible prefix. Numeric attributes cannot be sort keys.
+// compatible prefix. Numeric attributes cannot be sort keys. A relation that
+// is already sorted breaks ties by its current order (see refine), and its
+// new SortOrder is order followed by those tie-breaking attributes.
 func (r *Relation) SortBy(order []AttrID) error {
 	if r.SortedBy(order) {
 		return nil
 	}
+	order = r.refine(order)
 	perm, err := r.SortPerm(order)
 	if err != nil {
 		return err
@@ -155,9 +159,27 @@ func (r *Relation) SortBy(order []AttrID) error {
 	for i := range r.Cols {
 		r.Cols[i] = r.Cols[i].gather(perm)
 	}
-	r.sortOrder = append([]AttrID(nil), order...)
+	r.sortOrder = order
 	r.dropIndexes() // every row moved
 	return nil
+}
+
+// refine returns the key a sort of r by order uses: order followed by the
+// attributes of r's sort order that order does not name (a fresh slice).
+// Rows equal on it are equal on r's sort order too, so the stable sort keeps
+// them in the relative order r holds them in — arrival order (see the
+// tie-order invariant in patch.go) — and a structure sorted this way and
+// then patched by mutate, which merges behind equal keys of the same longer
+// order, equals one sorted afresh after the same deltas. An unsorted r
+// adds nothing: its rows already stand in arrival order.
+func (r *Relation) refine(order []AttrID) []AttrID {
+	out := append([]AttrID(nil), order...)
+	for _, a := range r.sortOrder {
+		if !slices.Contains(order, a) {
+			out = append(out, a)
+		}
+	}
+	return out
 }
 
 // sortKeys resolves the discrete key columns for a sort order in cols, a
@@ -179,11 +201,11 @@ func (r *Relation) sortKeys(cols []Column, order []AttrID) ([][]int64, error) {
 
 // SortPerm returns the stable permutation SortBy would apply: perm[i] is the
 // receiver row that lands at position i when the relation is sorted
-// lexicographically by order. Rows with equal keys keep their relative order
-// (ascending row ids), so the permutation is unique. The receiver is left
-// untouched.
+// lexicographically by order (refined by its current sort order, as SortBy
+// does). Rows with equal keys keep their relative order (ascending row
+// ids), so the permutation is unique. The receiver is left untouched.
 func (r *Relation) SortPerm(order []AttrID) ([]int32, error) {
-	keys, err := r.sortKeys(r.Cols, order)
+	keys, err := r.sortKeys(r.Cols, r.refine(order))
 	if err != nil {
 		return nil, err
 	}
@@ -200,7 +222,7 @@ func (r *Relation) SortPerm(order []AttrID) ([]int32, error) {
 // produce, which keeps float accumulation orders (and thus bit-exact
 // results) identical between the two scan strategies.
 func (r *Relation) SortIDsBy(order []AttrID, ids []int32) error {
-	keys, err := r.sortKeys(r.Cols, order)
+	keys, err := r.sortKeys(r.Cols, r.refine(order))
 	if err != nil {
 		return err
 	}
@@ -209,11 +231,14 @@ func (r *Relation) SortIDsBy(order []AttrID, ids []int32) error {
 }
 
 // SortedCopy returns a copy of the relation sorted by order, sharing no row
-// storage with the receiver. The receiver is left untouched. This full sort
-// is the base case of the copy's life: patchSorted brings it forward from
-// the receiver's delta log afterwards.
+// storage with the receiver. The receiver is left untouched. The copy starts
+// out in the receiver's sort order, so a sorted receiver's order breaks the
+// copy's ties (see SortBy). This full sort is the base case of the copy's
+// life: patchSorted brings it forward from the receiver's delta log
+// afterwards.
 func (r *Relation) SortedCopy(order []AttrID) (*Relation, error) {
-	cp := &Relation{Name: r.Name, Attrs: append([]AttrID(nil), r.Attrs...), n: r.n}
+	cp := &Relation{Name: r.Name, Attrs: append([]AttrID(nil), r.Attrs...), n: r.n,
+		sortOrder: append([]AttrID(nil), r.sortOrder...)}
 	cp.Cols = make([]Column, len(r.Cols))
 	for i, c := range r.Cols {
 		// Non-nil empty bases keep the column kind detectable when empty.

@@ -206,12 +206,29 @@ func (e *Engine) PlanBatch(queries []*query.Query) (*core.Plan, error) {
 	})
 }
 
-// Run plans and executes a batch of aggregate queries.
+// Run plans and executes a batch of aggregate queries. It never reorders the
+// database it reads; scans in an order a relation lacks read a sorted copy.
 func (e *Engine) Run(queries []*query.Query) (*BatchResult, error) {
+	return e.run(queries, false)
+}
+
+// RunOwned is Run for an engine whose caller owns its database — a
+// session's: between planning and executing, it sorts the bases in their
+// plan order (SortBases), so the plan's scans read them in place.
+func (e *Engine) RunOwned(queries []*query.Query) (*BatchResult, error) {
+	return e.run(queries, true)
+}
+
+func (e *Engine) run(queries []*query.Query, sortBases bool) (*BatchResult, error) {
 	start := time.Now()
 	plan, err := e.PlanBatch(queries)
 	if err != nil {
 		return nil, err
+	}
+	if sortBases {
+		if err := e.SortBases(plan); err != nil {
+			return nil, err
+		}
 	}
 	res, err := e.RunPlan(plan)
 	if err != nil {
@@ -492,8 +509,8 @@ func (e *Engine) sortedRel(rel *data.Relation, order []data.AttrID) (*data.Relat
 // the engine's sorted copies of it, and every kernel is dropped, since a
 // kernel may be bound to the old layout.
 //
-// Only an engine that owns its database — a session's — calls it: a batch
-// Run never reorders the database it reads.
+// Only an engine that owns its database calls it — RunOwned, and a
+// session's recovery: a batch Run never reorders the database it reads.
 func (e *Engine) SortBases(plan *core.Plan) error {
 	for _, n := range e.tree.Nodes {
 		order := plan.AttrOrder[n.ID]

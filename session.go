@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/data"
@@ -334,7 +333,7 @@ func (s *Session) restoreResult(res *moo.BatchResult) {
 //
 // lmfao:requires writerMu
 func (s *Session) runLocked(vote func(error) bool) (bool, error) {
-	res, err := s.recompute()
+	res, err := s.eng.RunOwned(s.queries)
 	ok := err == nil
 	if vote != nil {
 		ok = vote(err)
@@ -344,28 +343,6 @@ func (s *Session) runLocked(vote func(error) bool) (bool, error) {
 		s.publishLocked(res, nil)
 	}
 	return ok, err
-}
-
-// recompute plans the batch, sorts every base in its node's plan order —
-// the session owns the database, so its bases are the sorted relations its
-// scans read, and their mutations keep the order — and runs the plan.
-//
-// lmfao:requires writerMu
-func (s *Session) recompute() (*moo.BatchResult, error) {
-	start := time.Now()
-	plan, err := s.eng.PlanBatch(s.queries)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.eng.SortBases(plan); err != nil {
-		return nil, err
-	}
-	res, err := s.eng.RunPlan(plan)
-	if err != nil {
-		return nil, err
-	}
-	res.Elapsed = time.Since(start)
-	return res, nil
 }
 
 // stageRun is a writer stage job's recompute: runLocked under the writer
