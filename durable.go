@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/ivm"
 	"repro/internal/moo"
@@ -134,8 +135,10 @@ func openDurable(dir string, db *Database, queries []*Query, opts Options, dopts
 // database contents, query batch and options the session was originally
 // created with (the pristine-database contract): the plan is rebuilt over
 // the pristine base statistics, which pins it to the exact plan the
-// checkpointed views were materialized under, before the checkpoint's
-// relation contents are restored in place. The WAL is opened (truncating
+// checkpointed views were materialized under (a session plans once, at
+// construction, and runs only that plan), and every checkpointed view is
+// checked against it before the checkpoint's relation contents are
+// restored in place. The WAL is opened (truncating
 // any torn or corrupt tail to the last committed prefix) and the records
 // past the checkpoint replay through the normal Apply path, one update per
 // record — the same call sequence the original session executed. With no
@@ -146,7 +149,7 @@ func RecoverSession(dir string, db *Database, queries []*Query, opts Options, do
 	if err != nil {
 		return nil, err
 	}
-	if d.sinceCkpt, err = replay(d.sess, queries, ck, d.log); err != nil {
+	if d.sinceCkpt, err = replay(d.sess, ck, d.log); err != nil {
 		d.log.Abort()
 		return nil, err
 	}
@@ -155,10 +158,10 @@ func RecoverSession(dir string, db *Database, queries []*Query, opts Options, do
 
 // replay installs ck (or, with none, recomputes from the pristine base)
 // and replays the log records past it, returning how many it replayed.
-func replay(sess *Session, queries []*Query, ck *wal.Checkpoint, log *wal.Log) (int, error) {
+func replay(sess *Session, ck *wal.Checkpoint, log *wal.Log) (int, error) {
 	var after uint64
 	if ck != nil {
-		if err := restoreCheckpoint(sess, queries, ck); err != nil {
+		if err := restoreCheckpoint(sess, ck); err != nil {
 			return 0, err
 		}
 		after = ck.LSN
@@ -180,14 +183,12 @@ func replay(sess *Session, queries []*Query, ck *wal.Checkpoint, log *wal.Log) (
 }
 
 // restoreCheckpoint installs ck onto a freshly built session over the
-// pristine database: plan first (over pristine statistics), then relation
-// contents in their checkpointed sort orders, then the checkpointed view
-// DAG published as the session's current result.
-func restoreCheckpoint(sess *Session, queries []*Query, ck *wal.Checkpoint) error {
-	plan, err := sess.eng.PlanBatch(queries)
-	if err != nil {
-		return err
-	}
+// pristine database, whose plan was built at construction over pristine
+// statistics: it checks every checkpointed view against that plan, then
+// restores relation contents in their checkpointed sort orders, then
+// publishes the checkpointed view DAG as the session's current result.
+func restoreCheckpoint(sess *Session, ck *wal.Checkpoint) error {
+	plan := sess.plan
 	if len(ck.Views) != len(plan.Views) {
 		return fmt.Errorf("lmfao: checkpoint holds %d views but the plan builds %d — recover with the session's original queries and options", len(ck.Views), len(plan.Views))
 	}
@@ -195,8 +196,10 @@ func restoreCheckpoint(sess *Session, queries []*Query, ck *wal.Checkpoint) erro
 	// different plan must fail loudly here, not restore views whose layout
 	// the maintenance code would silently misinterpret.
 	for i, v := range ck.Views {
-		if v != nil && !slices.Equal(v.GroupBy, plan.Views[i].GroupBy) {
-			return fmt.Errorf("lmfao: checkpoint view %d groups by %v but the plan expects %v", i, v.GroupBy, plan.Views[i].GroupBy)
+		if v != nil {
+			if err := checkViewShape(plan, i, v); err != nil {
+				return err
+			}
 		}
 	}
 	missing := map[string]*data.Relation{}
@@ -235,6 +238,29 @@ func restoreCheckpoint(sess *Session, queries []*Query, ck *wal.Checkpoint) erro
 	}
 	sess.restoreResult(res)
 	return nil
+}
+
+// checkViewShape returns an error naming view i unless checkpointed view v
+// has the shape plan gives it: its group-by, its column count (Stride) and
+// its sort layout — the consumer key leading the sort order of an internal
+// view, the whole group-by of an output.
+func checkViewShape(plan *core.Plan, i int, v *moo.ViewData) error {
+	pv := plan.Views[i]
+	key := plan.ConsumerKeys[i]
+	if pv.IsOutput() {
+		key = pv.GroupBy
+	}
+	if slices.Equal(v.GroupBy, pv.GroupBy) && v.Stride == pv.NumCols() && slices.Equal(v.SKeyAttrs(), key) {
+		return nil
+	}
+	var name string
+	if pv.IsOutput() {
+		name = fmt.Sprintf("view %d (output of query %q)", i, plan.Queries[pv.Query].Name)
+	} else {
+		name = fmt.Sprintf("view %d (%s → %s)", i, plan.Tree.Nodes[pv.From].Rel.Name, plan.Tree.Nodes[pv.To].Rel.Name)
+	}
+	return fmt.Errorf("lmfao: checkpoint %s groups by %v with %d columns sorted by %v, but the plan expects %v with %d columns sorted by %v — recover with the session's original queries and options",
+		name, v.GroupBy, v.Stride, v.SKeyAttrs(), pv.GroupBy, pv.NumCols(), key)
 }
 
 // durableRelations lists what a checkpoint persists: every base relation

@@ -8,10 +8,12 @@ import (
 )
 
 // Describe renders the optimized plan in the style of the paper's Figure 3:
-// the query roots, the directional views along each join-tree edge with
-// their aggregate counts, the view groups with their join-attribute orders
-// (each attribute with its distinct count), and the group dependency graph.
-// It is the engine's EXPLAIN output.
+// the query roots (with the root cost model's estimate of the rows each
+// output emits, and the paper's root where the model chose another), the
+// directional views along each join-tree edge with their aggregate counts,
+// the view groups with their join-attribute orders (each attribute with its
+// distinct count), and the group dependency graph. It is the engine's
+// EXPLAIN output.
 func (p *Plan) Describe() string {
 	db := p.Tree.DB
 	var b strings.Builder
@@ -26,6 +28,12 @@ func (p *Plan) Describe() string {
 		fmt.Fprintf(&b, "  %-24s → %s", q.Name, p.Tree.Nodes[p.Roots[qi]].Rel.Name)
 		if len(q.GroupBy) > 0 {
 			fmt.Fprintf(&b, "  group-by (%s)", strings.Join(db.AttrNames(q.GroupBy), ", "))
+		}
+		if p.RootEmissions != nil {
+			fmt.Fprintf(&b, "  emits ~%.0f", p.RootEmissions[qi])
+			if paper := p.PaperRoots[qi]; paper != p.Roots[qi] {
+				fmt.Fprintf(&b, " (paper root %s)", p.Tree.Nodes[paper].Rel.Name)
+			}
 		}
 		b.WriteString("\n")
 	}

@@ -38,3 +38,38 @@ func TestDescribe(t *testing.T) {
 		t.Errorf("no group dependencies rendered:\n%s", out)
 	}
 }
+
+// TestDescribeShowsRootModel: with multiple roots, every root line carries
+// the cost model's emission estimate, and a query the model moved names
+// the paper's root.
+func TestDescribeShowsRootModel(t *testing.T) {
+	ds, batch := favoritaMI(t)
+	p, err := BuildPlan(ds.Tree, batch, PlanOptions{MultiRoot: true, MultiOutput: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := p.Describe()
+	moved := 0
+	for qi := range p.Queries {
+		if p.Roots[qi] != p.PaperRoots[qi] {
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Fatal("the model moved no MI query off its paper root")
+	}
+	if got := strings.Count(out, " emits ~"); got != len(p.Queries) {
+		t.Errorf("%d root lines carry an estimate, want %d:\n%s", got, len(p.Queries), out)
+	}
+	if got := strings.Count(out, "(paper root "); got != moved {
+		t.Errorf("%d root lines name a paper root, want %d:\n%s", got, moved, out)
+	}
+
+	single, err := BuildPlan(ds.Tree, batch, PlanOptions{MultiOutput: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := single.Describe(); strings.Contains(out, " emits ~") {
+		t.Errorf("a single-root plan prints root estimates:\n%s", out)
+	}
+}

@@ -78,14 +78,21 @@ func (p *Plan) attrOrders() [][]data.AttrID {
 // bind at node.
 func (p *Plan) nodeOrder(node int, views []int) []data.AttrID {
 	var sets [][]data.AttrID
-	var attrs []data.AttrID
 	p.keySets(node, views, func(k []data.AttrID) {
 		sets = append(sets, slices.Clone(k))
-		attrs = append(attrs, k...)
 	})
+	return cheapestOrder(p.Tree.Nodes[node].Rel, sets)
+}
+
+// cheapestOrder returns the cheapest order over rel of the union of the
+// attribute sets bound at its node (attrOrders' cost).
+func cheapestOrder(rel *data.Relation, sets [][]data.AttrID) []data.AttrID {
+	var attrs []data.AttrID
+	for _, k := range sets {
+		attrs = append(attrs, k...)
+	}
 	// Rank by increasing domain size, ties by ID: the candidate order and
 	// the tie-break of the search.
-	rel := p.Tree.Nodes[node].Rel
 	attrs = sortAttrs(attrs)
 	slices.SortStableFunc(attrs, func(a, b data.AttrID) int {
 		return cmp.Compare(rel.DistinctCount(a), rel.DistinctCount(b))

@@ -56,6 +56,13 @@ type Plan struct {
 	// queries (always nil for support-query indexes).
 	Monoids []*MonoidSpec
 	Roots   []int
+	// PaperRoots[q] is the root the paper's weight ranking picks for query
+	// q, where Find Roots' cost model starts (Roots differs from it where
+	// the model found a cheaper root), and RootEmissions[q] the model's
+	// estimate of the rows q's output emits at Roots[q]. Both are nil
+	// without MultiRoot.
+	PaperRoots    []int
+	RootEmissions []float64
 	// Views lists merged internal views followed by one output view per
 	// query; IDs equal slice positions.
 	Views []*View
@@ -103,8 +110,8 @@ func BuildPlan(t *jointree.Tree, queries []*query.Query, opts PlanOptions) (*Pla
 			return nil, err
 		}
 	}
-	roots := assignRoots(t, queries, opts.MultiRoot)
-	raw, outputs, rawCount, err := pushdown(t, queries, roots)
+	roots := findRoots(t, queries, opts.MultiRoot)
+	raw, outputs, rawCount, err := pushdown(t, queries, roots.roots)
 	if err != nil {
 		return nil, err
 	}
@@ -119,18 +126,20 @@ func BuildPlan(t *jointree.Tree, queries []*query.Query, opts PlanOptions) (*Pla
 	}
 
 	p := &Plan{
-		Tree:         t,
-		Queries:      queries,
-		UserQueries:  userCount,
-		Monoids:      append(monoids, make([]*MonoidSpec, len(queries)-userCount)...),
-		Roots:        roots,
-		Views:        views,
-		OutputView:   make([]int, len(queries)),
-		Groups:       groups,
-		GroupDeps:    deps,
-		Provenance:   computeProvenance(t, views),
-		CountCol:     countCol,
-		ConsumerKeys: computeConsumerKeys(t, views),
+		Tree:          t,
+		Queries:       queries,
+		UserQueries:   userCount,
+		Monoids:       append(monoids, make([]*MonoidSpec, len(queries)-userCount)...),
+		Roots:         roots.roots,
+		PaperRoots:    roots.paper,
+		RootEmissions: roots.emit,
+		Views:         views,
+		OutputView:    make([]int, len(queries)),
+		Groups:        groups,
+		GroupDeps:     deps,
+		Provenance:    computeProvenance(t, views),
+		CountCol:      countCol,
+		ConsumerKeys:  computeConsumerKeys(t, views),
 	}
 	p.AttrOrder = p.attrOrders()
 	totalAggs := 0

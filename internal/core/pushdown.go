@@ -99,19 +99,7 @@ func (b *pushdownBuilder) buildTerm(qi, node, parent int, fsub []data.AttrID, fa
 		}
 		rest = keep
 
-		// F_c = (F ∩ (ω_subtree \ ω_node)) ∪ (ω_node ∩ ω_child): carried
-		// group-by attributes plus the join key with the child.
-		var fc []data.AttrID
-		for _, g := range fsub {
-			if containsAttr(below, g) && !n.HasAttr(g) {
-				fc = append(fc, g)
-			}
-		}
-		for _, a := range b.t.PathAttrs(node, c) {
-			fc = append(fc, a)
-		}
-		fc = sortAttrs(fc)
-
+		fc := childGroupBy(b.t, node, c, fsub)
 		childAgg, err := b.buildTerm(qi, c, node, fc, sub)
 		if err != nil {
 			return ProdAgg{}, err
@@ -125,6 +113,28 @@ func (b *pushdownBuilder) buildTerm(qi, node, parent int, fsub []data.AttrID, fa
 			rest[0].Attr, node)
 	}
 	return pa, nil
+}
+
+// childGroupBy returns F_c, the group-by of the view flowing from child c
+// into node when the view out of node groups by fsub: F_c = (fsub ∩
+// (ω_subtree \ ω_node)) ∪ (ω_node ∩ ω_child), the group-by attributes
+// carried up from c's subtree plus the join key with c. Pushdown and the
+// root cost model (roots.go) both derive view keys through it.
+func childGroupBy(t *jointree.Tree, node, c int, fsub []data.AttrID) []data.AttrID {
+	n := t.Nodes[node]
+	var fc, below []data.AttrID
+	for _, g := range fsub {
+		if n.HasAttr(g) {
+			continue
+		}
+		if below == nil {
+			below = t.AttrsBelow(c, node)
+		}
+		if containsAttr(below, g) {
+			fc = append(fc, g)
+		}
+	}
+	return sortAttrs(append(fc, t.PathAttrs(node, c)...))
 }
 
 // getView returns the raw directional view for (query, from→to), creating it

@@ -209,26 +209,10 @@ func (e *Engine) PlanBatch(queries []*query.Query) (*core.Plan, error) {
 // Run plans and executes a batch of aggregate queries. It never reorders the
 // database it reads; scans in an order a relation lacks read a sorted copy.
 func (e *Engine) Run(queries []*query.Query) (*BatchResult, error) {
-	return e.run(queries, false)
-}
-
-// RunOwned is Run for an engine whose caller owns its database — a
-// session's: between planning and executing, it sorts the bases in their
-// plan order (SortBases), so the plan's scans read them in place.
-func (e *Engine) RunOwned(queries []*query.Query) (*BatchResult, error) {
-	return e.run(queries, true)
-}
-
-func (e *Engine) run(queries []*query.Query, sortBases bool) (*BatchResult, error) {
 	start := time.Now()
 	plan, err := e.PlanBatch(queries)
 	if err != nil {
 		return nil, err
-	}
-	if sortBases {
-		if err := e.SortBases(plan); err != nil {
-			return nil, err
-		}
 	}
 	res, err := e.RunPlan(plan)
 	if err != nil {
@@ -236,6 +220,17 @@ func (e *Engine) run(queries []*query.Query, sortBases bool) (*BatchResult, erro
 	}
 	res.Elapsed = time.Since(start)
 	return res, nil
+}
+
+// RunOwned executes plan for an engine whose caller owns its database — a
+// session's, which plans once and runs that plan on every recompute: it
+// first sorts the bases in their plan order (SortBases), so the plan's
+// scans read them in place.
+func (e *Engine) RunOwned(plan *core.Plan) (*BatchResult, error) {
+	if err := e.SortBases(plan); err != nil {
+		return nil, err
+	}
+	return e.RunPlan(plan)
 }
 
 // RunPlan executes an existing logical plan from scratch over the current

@@ -194,8 +194,12 @@ type ApplyResult struct {
 // contract (Run / Apply / ApplyAsync / Snapshot / Wait / Close), so
 // serving-tier code never special-cases the shard count.
 type Session struct {
-	eng     *Engine
-	queries []*Query
+	eng *Engine
+	// plan is the batch's plan, built once at construction over the
+	// adopted database: every recompute executes it, and recovery checks a
+	// checkpoint's views against it, so a plan decision that follows
+	// statistics (roots, attribute orders) never moves under updates.
+	plan *core.Plan
 
 	// writerMu serializes the maintenance side. The read side never takes
 	// it: snapshot acquisition is the atomic load below.
@@ -213,10 +217,11 @@ type Session struct {
 }
 
 // NewSession builds an engine over db with TrackCounts enabled and prepares
-// a maintainable session for the query batch. The session adopts db: Run
-// reorders each base relation's rows into its join-tree node's plan order
-// (the order the scans read, so the base is the only copy of its rows),
-// and later updates keep that order. NewSession itself reorders nothing.
+// a maintainable session for the query batch, planning it once over db's
+// current statistics. The session adopts db: Run reorders each base
+// relation's rows into its join-tree node's plan order (the order the scans
+// read, so the base is the only copy of its rows), and later updates keep
+// that order. NewSession itself reorders nothing.
 func NewSession(db *Database, queries []*Query, opts Options) (*Session, error) {
 	opts.TrackCounts = true
 	eng, err := moo.NewEngine(db, opts)
@@ -237,7 +242,11 @@ func NewSessionWithEngine(eng *Engine, queries []*Query) (*Session, error) {
 	if len(queries) == 0 {
 		return nil, fmt.Errorf("lmfao: empty session batch")
 	}
-	s := &Session{eng: eng, queries: queries}
+	plan, err := eng.PlanBatch(queries)
+	if err != nil {
+		return nil, err
+	}
+	s := &Session{eng: eng, plan: plan}
 	s.w.sess = s
 	return s, nil
 }
@@ -290,8 +299,8 @@ func (s *Session) requeryLocked(queries []*query.Query) (*moo.BatchResult, error
 	return s.eng.Run(queries)
 }
 
-// Run (re)computes the batch from scratch, caches the full view DAG and
-// publishes it as a new snapshot, which it returns.
+// Run (re)computes the batch from scratch under the session's plan, caches
+// the full view DAG and publishes it as a new snapshot, which it returns.
 //
 // lmfao:acquires writerMu
 func (s *Session) Run() (Queryable, error) {
@@ -333,7 +342,7 @@ func (s *Session) restoreResult(res *moo.BatchResult) {
 //
 // lmfao:requires writerMu
 func (s *Session) runLocked(vote func(error) bool) (bool, error) {
-	res, err := s.eng.RunOwned(s.queries)
+	res, err := s.eng.RunOwned(s.plan)
 	ok := err == nil
 	if vote != nil {
 		ok = vote(err)
