@@ -280,11 +280,12 @@ func durableRelations(eng *Engine) []*data.Relation {
 // checkpoint durably snapshots the session's current state. Writer-only.
 // It syncs the log first (a checkpoint must never cover unsynced records),
 // captures the relations' contents and versions plus the maintained view
-// DAG, writes the checkpoint file atomically, prunes old ones, and pins
-// each relation's delta log at the covered version so the in-memory
-// retention cap cannot evict entries a recovery from this checkpoint (or a
-// log-driven consumer resuming from it) still needs. The pins are released
-// implicitly when the next checkpoint re-pins at a higher version.
+// DAG, writes the checkpoint file atomically, pins each relation's delta
+// log at the covered version, then prunes old files. The pins keep the
+// in-memory retention cap from evicting entries a recovery from this
+// checkpoint (or a log-driven consumer resuming from it) still needs; they
+// are released implicitly when the next checkpoint re-pins at a higher
+// version.
 //
 // lmfao:retains-pin
 func (d *DurableSession) checkpoint() error {
@@ -317,13 +318,14 @@ func (d *DurableSession) checkpoint() error {
 		}
 		return err
 	}
-	if err := wal.PruneCheckpoints(ckptDir(d.dir), d.opts.CheckpointKeep); err != nil {
-		return err
-	}
 	for _, rel := range db.Relations() {
 		rel.PinDeltaLog(ck.Versions[rel.Name])
 	}
 	d.sinceCkpt = 0
+	// The checkpoint is durable and recorded; pruning is cleanup. What it
+	// cannot remove now it retries after the next checkpoint, and it never
+	// fails the round that committed.
+	_ = wal.PruneCheckpoints(ckptDir(d.dir), d.opts.CheckpointKeep)
 	return nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"repro/internal/data"
+	"repro/internal/wire"
 )
 
 // Binary codec for ViewData, used by the WAL checkpoint format
@@ -32,31 +33,33 @@ var ErrViewCorrupt = errors.New("moo: corrupt view encoding")
 const maxViewDim = 1 << 16
 
 // AppendBinary appends a self-delimiting binary encoding of the view to buf
-// and returns the extended slice.
+// and returns the extended slice: Encode into a memory Writer.
 func (v *ViewData) AppendBinary(buf []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(v.GroupBy)))
+	w := wire.NewBuffer(buf)
+	v.Encode(w)
+	return w.Bytes()
+}
+
+// Encode writes the view's self-delimiting binary encoding to w.
+func (v *ViewData) Encode(w *wire.Writer) {
+	w.Uvarint(uint64(len(v.GroupBy)))
 	for _, a := range v.GroupBy {
-		buf = binary.AppendUvarint(buf, uint64(uint32(a)))
+		w.Uvarint(uint64(uint32(a)))
 	}
 	// Sort layout: format byte 1, consumer-key positions, extra positions.
-	buf = append(buf, 1)
+	w.Byte(1)
 	for _, pos := range [][]int{v.order[:v.nskey], v.order[v.nskey:]} {
-		buf = binary.AppendUvarint(buf, uint64(len(pos)))
+		w.Uvarint(uint64(len(pos)))
 		for _, p := range pos {
-			buf = binary.AppendUvarint(buf, uint64(p))
+			w.Uvarint(uint64(p))
 		}
 	}
-	buf = binary.AppendUvarint(buf, uint64(v.rows))
-	buf = binary.AppendUvarint(buf, uint64(v.Stride))
+	w.Uvarint(uint64(v.rows))
+	w.Uvarint(uint64(v.Stride))
 	for _, col := range v.Keys {
-		for _, k := range col[:v.rows] {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(k))
-		}
+		w.Int64s(col[:v.rows])
 	}
-	for _, val := range v.Vals[:v.rows*v.Stride] {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(val))
-	}
-	return buf
+	w.Float64s(v.Vals[:v.rows*v.Stride])
 }
 
 // DecodeViewData decodes one AppendBinary encoding from the front of b,

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/ivm"
 	"repro/internal/moo"
+	"repro/internal/wire"
 )
 
 // Checkpoint is a durable snapshot of a maintained session's full state as
@@ -47,10 +49,15 @@ type RelationState struct {
 // u32le CRC-32C of the payload, payload. The payload records each
 // relation's sort order before its rows. Files written before orders were
 // recorded (magic "LMFAOCK1", u32le payload length, no orders) still
-// decode, with every Order nil. Files are written to a .tmp name, fsynced,
-// and renamed into place (then the directory is fsynced), so a crash
-// mid-write leaves either no checkpoint or a stale .tmp that recovery
-// ignores.
+// decode, with every Order nil.
+//
+// A file is streamed to a .tmp name behind a zeroed header slot, through
+// one chunk buffer that is checksummed as each chunk leaves; the header is
+// written over the slot last, then the file is fsynced and renamed into
+// place (then the directory is fsynced). A crash mid-write leaves either
+// no checkpoint or a stale .tmp that recovery ignores, and a .tmp whose
+// header was never written has no magic, so it could not be mistaken for a
+// checkpoint even under the right name.
 const (
 	ckptMagic   = "LMFAOCK2"
 	ckptMagicV1 = "LMFAOCK1"
@@ -63,21 +70,21 @@ func ckptName(lsn uint64) string {
 	return fmt.Sprintf("ckpt-%016x%s", lsn, ckptSuffix)
 }
 
-// WriteCheckpoint durably writes ck into dir. With failBeforeSync set (the
-// injected crash point for recovery testing) the bytes are written but
-// neither fsynced nor renamed into place — exactly the state a crash
+// WriteCheckpoint durably writes ck into dir and returns once the file is
+// renamed into place and the directory synced. With failBeforeSync set
+// (the injected crash point for recovery testing) the bytes are written
+// but neither fsynced nor renamed into place — exactly the state a crash
 // between write and commit leaves — and ErrInjectedCrash is returned.
 func WriteCheckpoint(dir string, ck *Checkpoint, failBeforeSync bool) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	buf := encodeCheckpointFile(ck)
 	tmp := filepath.Join(dir, ckptName(ck.LSN)+tmpSuffix)
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(buf); err != nil {
+	if err := streamCheckpoint(f, ck); err != nil {
 		f.Close()
 		return err
 	}
@@ -96,6 +103,46 @@ func WriteCheckpoint(dir string, ck *Checkpoint, failBeforeSync bool) error {
 		return err
 	}
 	return syncDir(dir)
+}
+
+// streamCheckpoint writes ck's file encoding to f: a zeroed header slot,
+// the payload through a streaming Writer whose sink checksums each chunk
+// on its way out, then the header over the slot.
+func streamCheckpoint(f *os.File, ck *Checkpoint) error {
+	var hdr [ckptHeader]byte
+	if _, err := f.Write(hdr[:]); err != nil {
+		return err
+	}
+	sink := &checksumSink{f: f}
+	w := wire.NewStream(sink)
+	encodeCheckpoint(w, ck)
+	if err := w.Flush(); err != nil {
+		return err
+	}
+	putHeader(hdr[:], sink.n, sink.crc)
+	_, err := f.WriteAt(hdr[:], 0)
+	return err
+}
+
+// checksumSink passes a checkpoint's payload chunks to its file, folding
+// each into the length and CRC-32C that the header records.
+type checksumSink struct {
+	f   *os.File
+	n   uint64
+	crc uint32
+}
+
+func (s *checksumSink) Write(p []byte) (int, error) {
+	s.n += uint64(len(p))
+	s.crc = crc32.Update(s.crc, castagnoli, p)
+	return s.f.Write(p)
+}
+
+// putHeader fills an LMFAOCK2 header: magic, payload length, checksum.
+func putHeader(hdr []byte, n uint64, sum uint32) {
+	copy(hdr, ckptMagic)
+	binary.LittleEndian.PutUint64(hdr[len(ckptMagic):], n)
+	binary.LittleEndian.PutUint32(hdr[len(ckptMagic)+8:], sum)
 }
 
 // LatestCheckpoint returns the newest checkpoint in dir that validates
@@ -150,19 +197,6 @@ func ReadCheckpoint(path string) (*Checkpoint, error) {
 	return decodeCheckpointFile(b)
 }
 
-// encodeCheckpointFile returns ck's file encoding: the header, with the
-// payload's length and checksum filled in once the payload is encoded
-// behind it.
-func encodeCheckpointFile(ck *Checkpoint) []byte {
-	buf := make([]byte, ckptHeader)
-	copy(buf, ckptMagic)
-	buf = encodeCheckpoint(buf, ck)
-	payload := buf[ckptHeader:]
-	binary.LittleEndian.PutUint64(buf[len(ckptMagic):], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(buf[len(ckptMagic)+8:], crc32.Checksum(payload, castagnoli))
-	return buf
-}
-
 // decodeCheckpointFile validates and decodes a checkpoint file of either
 // layout: magic, payload length and checksum, then the payload. Bytes
 // behind the payload are ignored.
@@ -191,70 +225,64 @@ func decodeCheckpointFile(b []byte) (*Checkpoint, error) {
 	return decodeCheckpoint(payload, magic == ckptMagic)
 }
 
-// PruneCheckpoints removes stale .tmp files and all but the keep newest
-// checkpoint files from dir.
+// PruneCheckpoints removes stale .tmp entries and all but the keep newest
+// checkpoint files from dir. It removes everything it can: an entry it
+// cannot remove is skipped, and the joined errors of all such entries are
+// returned once the rest are gone.
 func PruneCheckpoints(dir string, keep int) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return err
 	}
+	var errs []error
 	for _, e := range entries {
 		if strings.HasSuffix(e.Name(), tmpSuffix) {
-			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
-				return err
-			}
+			errs = append(errs, os.Remove(filepath.Join(dir, e.Name())))
 		}
 	}
 	lsns, err := listCheckpoints(dir)
 	if err != nil {
-		return err
+		return errors.Join(append(errs, err)...)
 	}
-	if keep < 1 {
-		keep = 1
+	for _, lsn := range lsns[:max(0, len(lsns)-max(keep, 1))] {
+		errs = append(errs, os.Remove(filepath.Join(dir, ckptName(lsn))))
 	}
-	for len(lsns) > keep {
-		if err := os.Remove(filepath.Join(dir, ckptName(lsns[0]))); err != nil {
-			return err
-		}
-		lsns = lsns[1:]
-	}
-	return nil
+	return errors.Join(errs...)
 }
 
-// encodeCheckpoint appends ck's payload encoding to buf. Version-vector
+// encodeCheckpoint writes ck's payload encoding to w. Version-vector
 // entries are written in sorted name order so encoding is deterministic.
-func encodeCheckpoint(buf []byte, ck *Checkpoint) []byte {
-	buf = binary.AppendUvarint(buf, ck.LSN)
+func encodeCheckpoint(w *wire.Writer, ck *Checkpoint) {
+	w.Uvarint(ck.LSN)
 	names := make([]string, 0, len(ck.Versions))
 	for name := range ck.Versions {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	buf = binary.AppendUvarint(buf, uint64(len(names)))
+	w.Uvarint(uint64(len(names)))
 	for _, name := range names {
-		buf = appendString(buf, name)
-		buf = binary.AppendUvarint(buf, uint64(ck.Versions[name]))
+		w.String(name)
+		w.Uvarint(uint64(ck.Versions[name]))
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(ck.Relations)))
+	w.Uvarint(uint64(len(ck.Relations)))
 	for _, rs := range ck.Relations {
-		buf = appendString(buf, rs.Name)
-		buf = binary.AppendUvarint(buf, uint64(rs.Version))
-		buf = binary.AppendUvarint(buf, uint64(len(rs.Order)))
+		w.String(rs.Name)
+		w.Uvarint(uint64(rs.Version))
+		w.Uvarint(uint64(len(rs.Order)))
 		for _, a := range rs.Order {
-			buf = binary.AppendUvarint(buf, uint64(a))
+			w.Uvarint(uint64(a))
 		}
-		buf = appendBlock(buf, rs.Cols)
+		writeBlock(w, rs.Cols)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(ck.Views)))
+	w.Uvarint(uint64(len(ck.Views)))
 	for _, v := range ck.Views {
 		if v == nil {
-			buf = append(buf, 0)
+			w.Byte(0)
 			continue
 		}
-		buf = append(buf, 1)
-		buf = v.AppendBinary(buf)
+		w.Byte(1)
+		v.Encode(w)
 	}
-	return buf
 }
 
 // decodeCheckpoint decodes a payload; withOrders tells an LMFAOCK2 payload,
@@ -368,11 +396,6 @@ func decodeOrder(p []byte) ([]data.AttrID, []byte, error) {
 		p = p[n:]
 	}
 	return order, p, nil
-}
-
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
 }
 
 func decodeString(b []byte) (string, []byte, error) {

@@ -7,6 +7,7 @@ import (
 	"math"
 
 	"repro/internal/data"
+	"repro/internal/wire"
 )
 
 // Record is one committed log entry: a global, monotonically increasing log
@@ -42,44 +43,37 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // block); Log.Append validates this before encoding.
 func AppendRecord(buf []byte, rec Record) []byte {
 	start := len(buf)
-	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0)
-	buf = binary.AppendUvarint(buf, rec.LSN)
-	buf = appendDelta(buf, rec.Delta)
+	w := wire.NewBuffer(append(buf, 0, 0, 0, 0, 0, 0, 0, 0))
+	w.Uvarint(rec.LSN)
+	w.String(rec.Delta.Relation)
+	writeBlock(w, rec.Delta.Inserts)
+	writeBlock(w, rec.Delta.Deletes)
+	buf = w.Bytes()
 	payload := buf[start+frameHeaderLen:]
 	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, castagnoli))
 	return buf
 }
 
-func appendDelta(buf []byte, d data.Delta) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(d.Relation)))
-	buf = append(buf, d.Relation...)
-	buf = appendBlock(buf, d.Inserts)
-	buf = appendBlock(buf, d.Deletes)
-	return buf
-}
-
-func appendBlock(buf []byte, cols []data.Column) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(cols)))
+// writeBlock writes a block of equal-length columns: the column count, then
+// (for a non-empty block) the row count and each column's kind byte and
+// values.
+func writeBlock(w *wire.Writer, cols []data.Column) {
+	w.Uvarint(uint64(len(cols)))
 	if len(cols) == 0 {
-		return buf
+		return
 	}
 	n := cols[0].Len()
-	buf = binary.AppendUvarint(buf, uint64(n))
+	w.Uvarint(uint64(n))
 	for _, c := range cols {
 		if c.IsInt() {
-			buf = append(buf, 0)
-			for _, v := range c.Ints[:n] {
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
-			}
+			w.Byte(0)
+			w.Int64s(c.Ints[:n])
 		} else {
-			buf = append(buf, 1)
-			for _, v := range c.Floats[:n] {
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-			}
+			w.Byte(1)
+			w.Float64s(c.Floats[:n])
 		}
 	}
-	return buf
 }
 
 // validDelta rejects deltas AppendRecord cannot frame losslessly: within

@@ -8,9 +8,10 @@
 // per a configurable policy (every commit by default) and segments rotate at
 // a size bound. A checkpoint durably snapshots the session's full state —
 // base-relation contents and versions, the materialized view DAG, and the
-// ivm.VersionVector it reflects — through a specific LSN, written to a
-// temporary file and atomically renamed so a half-written checkpoint is
-// never mistaken for a valid one.
+// ivm.VersionVector it reflects — through a specific LSN, streamed to a
+// temporary file through one bounded chunk buffer (internal/wire, the
+// encoder records use too) and atomically renamed so a half-written
+// checkpoint is never mistaken for a valid one.
 //
 // Recovery is checkpoint-plus-suffix: load the newest checkpoint that
 // validates, then replay the log records with larger LSNs through the normal
