@@ -78,7 +78,7 @@ type chainTab struct {
 // buildChains splits every depth's running-sum chains into arity classes and
 // renumbers each depth's running sums class by class, so a class writes one
 // contiguous run of R_d. It returns the renumbering, sid[d][logical id]; the
-// logical lists keep their ids for the source generator.
+// logical lists keep their ids, and buildEmitGroups maps them through sid.
 func (gp *groupPlan) buildChains() (sid [][]int32) {
 	sid = make([][]int32, gp.L+1)
 	sid[gp.L] = make([]int32, len(gp.leafSlots))
@@ -183,9 +183,9 @@ type inputSpec struct {
 	carried    bool  // has extras
 }
 
-// groupPlan is the compiled multi-output program of one view group. The
-// source generator renders its logical lists (slot specs, suffix chains,
-// emitSpecs); the scan runs their flat form, which addresses every slot by
+// groupPlan is the compiled multi-output program of one view group. Its
+// logical lists (slot specs, suffix chains, emitSpecs) are built first and
+// lowered once; the scan runs their flat form, which addresses every slot by
 // its register in an execution context's register file: register 0 holds
 // the constant 1, then come the global slots, then each depth's (regBase).
 type groupPlan struct {

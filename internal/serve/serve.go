@@ -20,7 +20,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -303,8 +302,7 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 		}
 		req = lookupRequest{Query: idx, Key: key}
 	case http.MethodPost:
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "bad lookup body: %v", err)
+		if !decodeBody(w, r, &req, "lookup") {
 			return
 		}
 	default:
@@ -336,8 +334,7 @@ func (s *Server) handleRequery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req requeryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad requery body: %v", err)
+	if !decodeBody(w, r, &req, "requery") {
 		return
 	}
 	if len(req.Queries) == 0 {
@@ -396,8 +393,7 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req applyRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad apply body: %v", err)
+	if !decodeBody(w, r, &req, "apply") {
 		return
 	}
 	if len(req.Updates) == 0 {
@@ -631,8 +627,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, app strin
 		return
 	}
 	var req predictRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad predict body: %v", err)
+	if !decodeBody(w, r, &req, "predict") {
 		return
 	}
 	sn, ok := s.requireSnapshot(w)

@@ -402,3 +402,19 @@ func TestServeRequeryEndpoint(t *testing.T) {
 		t.Fatalf("empty requery = %d, want 400", w.Code)
 	}
 }
+
+// TestServeBodyLimit pins the outcome of a bad body on every endpoint that
+// decodes one: over maxBodyBytes is 413, malformed JSON is 400.
+func TestServeBodyLimit(t *testing.T) {
+	srv, _ := newTestServer(t, AdmissionOptions{})
+	srv.apps = &Apps{} // routes /v1/models/*/predict to its body decode
+	oversized := `{"updates":[` + strings.Repeat(" ", maxBodyBytes) + `]}`
+	for _, target := range []string{"/v1/lookup", "/v1/requery", "/v1/apply", "/v1/models/linreg/predict"} {
+		if w := do(srv, http.MethodPost, target, oversized, nil); w.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with an oversized body = %d, want 413: %s", target, w.Code, w.Body)
+		}
+		if w := do(srv, http.MethodPost, target, `{"updates":`, nil); w.Code != http.StatusBadRequest {
+			t.Errorf("POST %s with a malformed body = %d, want 400: %s", target, w.Code, w.Body)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -226,6 +227,27 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	_ = enc.Encode(v)
+}
+
+// maxBodyBytes bounds every request body, so one request cannot hold the
+// server's memory; a bulk apply of tens of thousands of rows fits.
+const maxBodyBytes = 8 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most maxBodyBytes. On
+// failure it writes 413 for an oversized body or 400 for any other error,
+// naming the body what, and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, what string) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooBig):
+		writeError(w, http.StatusRequestEntityTooLarge, "%s body exceeds %d bytes", what, maxBodyBytes)
+	default:
+		writeError(w, http.StatusBadRequest, "bad %s body: %v", what, err)
+	}
+	return false
 }
 
 // writeError writes the uniform error envelope.

@@ -55,7 +55,6 @@ package lmfao
 
 import (
 	"repro/internal/baseline"
-	"repro/internal/codegen"
 	"repro/internal/data"
 	"repro/internal/jointree"
 	"repro/internal/moo"
@@ -207,12 +206,6 @@ func ACDCOptions() Options { return moo.ACDCOptions() }
 
 // BuildJoinTree constructs a join tree over the database's relations.
 func BuildJoinTree(db *Database) (*JoinTree, error) { return jointree.Build(db) }
-
-// GenerateSource emits specialized Go source for the batch — the analogue of
-// the paper's Compilation layer output (Figure 4).
-func GenerateSource(tree *JoinTree, queries []*Query) ([]byte, error) {
-	return codegen.Generate(tree, queries, codegen.DefaultOptions())
-}
 
 // Baseline is the materialize-then-scan competitor engine (the paper's
 // PostgreSQL / MonetDB / DBX proxy).

@@ -111,23 +111,6 @@ func TestPublicAPIBaseline(t *testing.T) {
 	}
 }
 
-func TestPublicAPICodegen(t *testing.T) {
-	db, _, city, sales := publicAPIDB(t)
-	tree, err := lmfao.BuildJoinTree(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := lmfao.GenerateSource(tree, []*lmfao.Query{
-		lmfao.NewQuery("q", []lmfao.AttrID{city}, lmfao.Sum(sales)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(src) == 0 {
-		t.Fatal("no source generated")
-	}
-}
-
 func TestPublicAPILinearRegression(t *testing.T) {
 	db := lmfao.NewDatabase()
 	k := db.Attr("k", lmfao.Key)

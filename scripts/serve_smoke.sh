@@ -66,6 +66,11 @@ check POST /v1/requery 400 '{"queries":["nonsense"]}'
 check POST /v1/apply 200 '{"updates":[{"relation":"Inventory","inserts":[[1,1,1,5]]}]}'
 check POST '/v1/apply?mode=async' 202 '{"updates":[{"relation":"Inventory","inserts":[[1,1,2,5]]}]}'
 check POST /v1/apply 400 '{"updates":[{"relation":"NoSuch","inserts":[[1]]}]}'
+# A body over the server's 8 MiB limit is refused with 413.
+BIG="$(mktemp)"
+{ printf '{"updates":['; head -c 9000000 /dev/zero | tr '\0' ' '; printf ']}'; } >"$BIG"
+check POST /v1/apply 413 "@$BIG"
+rm -f "$BIG"
 # Applications: every fit endpoint, plus a predictor error path.
 check POST /v1/models/linreg/fit 200
 check POST /v1/models/polyreg/fit 200
