@@ -11,14 +11,15 @@
 //
 // Absolute numbers depend on the machine and the synthetic scale; what must
 // reproduce is the paper's shape: who wins, by what order of magnitude, and
-// how each optimization layer contributes (see EXPERIMENTS.md).
+// how each optimization layer contributes (README § Benchmarks).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -27,176 +28,83 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/ml/linreg"
+	"repro/internal/ml/tree"
 	"repro/internal/moo"
-	"repro/internal/query"
 	"repro/internal/workloads"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run parses args, prints the selected experiments to stdout and returns
+// the exit status: 0 on success, 1 when an experiment fails, 2 on a usage
+// error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("lmfao-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		table    = flag.String("table", "all", "which experiment: 1|2|3|4|5|fig5|all")
-		scale    = flag.Float64("scale", 0.001, "dataset scale factor (1.0 = paper size)")
-		seed     = flag.Int64("seed", 2019, "generator seed")
-		runs     = flag.Int("runs", 2, "timed runs to average (after one warm-up)")
-		datasets = flag.String("datasets", "", "comma-separated subset (default: all)")
-		threads  = flag.Int("threads", 0, "engine threads (default: min(4, NumCPU))")
-
-		updateFrac    = flag.Float64("update-frac", 0.01, "update-batch size as a fraction of the target relation's rows")
-		updateBatches = flag.Int("update-batches", 3, "update batches to apply and time")
-
-		shards       = flag.Int("shards", 0, "benchmark sharded maintenance throughput at N shards vs 1 shard (default dataset: retailer)")
-		shardBatches = flag.Int("shard-batches", 32, "update batches to stream through the sharded session")
-		shardRows    = flag.Int("shard-rows", 256, "rows per sharded update batch (half inserts, half deletes)")
-		benchJSON    = flag.String("bench-json", "", "write the -shards/-apps benchmark result as JSON to this file")
-
-		apps = flag.Bool("apps", false, "benchmark application re-fit from serving snapshots (1/2/4 shards) vs engine recompute under an update stream (default dataset: retailer; uses -update-frac and -update-batches)")
-
-		monoidMode = flag.Bool("monoid", false, "benchmark maintained monoid aggregates (MIN/MAX, COUNT DISTINCT, top-k) vs recompute under dimension deltas (default dataset: retailer; uses -update-frac and -update-batches; writes BENCH_monoid.json unless -bench-json overrides)")
-
-		walMode    = flag.Bool("wal", false, "benchmark WAL-logged vs unlogged maintenance and recovery time vs log-suffix length (default dataset: retailer; uses -update-frac; writes BENCH_wal.json unless -bench-json overrides)")
-		walBatches = flag.Int("wal-batches", 32, "update batches for the -wal logged-vs-unlogged stream")
-
-		serveMode    = flag.Bool("serve", false, "benchmark the HTTP serving tier: lookup latency under a maintenance stream, closed and open loop plus a shed-load phase (default dataset: retailer; writes BENCH_serve.json unless -bench-json overrides)")
-		serveWorkers = flag.Int("serve-workers", 4, "closed-loop concurrent clients for -serve")
-		serveRate    = flag.Int("serve-rate", 200, "open-loop arrival rate, requests/s, for -serve")
-		serveSeconds = flag.Int("serve-seconds", 2, "duration of each -serve load phase, seconds")
+		table    = fs.String("table", "all", "which experiment: 1|2|3|4|5|fig5|all")
+		scale    = fs.Float64("scale", 0.001, "dataset scale factor (1.0 = paper size)")
+		seed     = fs.Int64("seed", 2019, "generator seed")
+		runs     = fs.Int("runs", 2, "timed runs to average (after one warm-up)")
+		datasets = fs.String("datasets", "", "comma-separated subset (default: all)")
+		threads  = fs.Int("threads", 0, "engine threads (default: min(4, NumCPU))")
 	)
-	flag.Parse()
-
-	if *shards > 0 {
-		scaleSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "scale" {
-				scaleSet = true
-			}
-		})
-		if !scaleSet {
-			// Partition pruning needs a non-toy fact table to show; default
-			// the shard bench to the maintenance-bench scale.
-			*scale = 0.01
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		h := &harness{scale: *scale, seed: *seed, runs: *runs, threads: *threads}
-		if err := h.shardBench(updateDatasets(*datasets), *shards, *shardBatches, *shardRows, *benchJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "lmfao-bench: shards: %v\n", err)
-			os.Exit(1)
-		}
-		return
+		return 2
 	}
 
-	if *apps {
-		scaleSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "scale" {
-				scaleSet = true
-			}
-		})
-		if !scaleSet {
-			// Match the maintenance-bench scale: refit-vs-recompute needs a
-			// non-toy fact table to show the aggregate-recomputation cost.
-			*scale = 0.01
-		}
-		h := &harness{scale: *scale, seed: *seed, runs: *runs, threads: *threads}
-		if err := h.appsBench(updateDatasets(*datasets), *updateFrac, *updateBatches, *benchJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "lmfao-bench: apps: %v\n", err)
-			os.Exit(1)
-		}
-		return
+	h := &harness{out: stdout, scale: *scale, seed: *seed, runs: *runs, threads: *threads}
+	// Experiments in the order -table all prints them.
+	experiments := []struct {
+		name string
+		fn   func([]string) error
+	}{
+		{"1", h.table1}, {"2", h.table2}, {"3", h.table3},
+		{"fig5", h.figure5}, {"4", h.table4}, {"5", h.table5},
 	}
-
-	if *walMode {
-		scaleSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "scale" {
-				scaleSet = true
-			}
-		})
-		if !scaleSet {
-			// Log overhead only means something against non-toy maintenance
-			// work; match the maintenance-bench scale.
-			*scale = 0.01
-		}
-		path := *benchJSON
-		if path == "" {
-			path = "BENCH_wal.json"
-		}
-		h := &harness{scale: *scale, seed: *seed, runs: *runs, threads: *threads}
-		if err := h.walBench(updateDatasets(*datasets), *updateFrac, *walBatches, path); err != nil {
-			fmt.Fprintf(os.Stderr, "lmfao-bench: wal: %v\n", err)
-			os.Exit(1)
-		}
-		return
+	known := *table == "all"
+	for _, e := range experiments {
+		known = known || e.name == *table
 	}
-
-	if *serveMode {
-		scaleSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "scale" {
-				scaleSet = true
-			}
-		})
-		if !scaleSet {
-			// Serving latency against a toy snapshot is meaningless; match
-			// the maintenance-bench scale.
-			*scale = 0.01
-		}
-		path := *benchJSON
-		if path == "" {
-			path = "BENCH_serve.json"
-		}
-		h := &harness{scale: *scale, seed: *seed, runs: *runs, threads: *threads}
-		if err := h.serveBench(updateDatasets(*datasets), *serveWorkers, *serveRate, *serveSeconds, path); err != nil {
-			fmt.Fprintf(os.Stderr, "lmfao-bench: serve: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *monoidMode {
-		scaleSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "scale" {
-				scaleSet = true
-			}
-		})
-		if !scaleSet {
-			// The re-fold-vs-recompute gap only shows against a non-toy fact
-			// scan; match the maintenance-bench scale.
-			*scale = 0.01
-		}
-		path := *benchJSON
-		if path == "" {
-			path = "BENCH_monoid.json"
-		}
-		h := &harness{scale: *scale, seed: *seed, runs: *runs, threads: *threads}
-		if err := h.monoidBench(updateDatasets(*datasets), *updateFrac, *updateBatches, path); err != nil {
-			fmt.Fprintf(os.Stderr, "lmfao-bench: monoid: %v\n", err)
-			os.Exit(1)
-		}
-		return
+	switch {
+	case !known:
+		return usageError(fs, "-table %q: want 1|2|3|4|5|fig5|all", *table)
+	case *runs < 1:
+		return usageError(fs, "-runs %d: want at least 1", *runs)
 	}
 
 	names := datagen.All()
 	if *datasets != "" {
 		names = strings.Split(*datasets, ",")
 	}
-	h := &harness{scale: *scale, seed: *seed, runs: *runs, threads: *threads}
-	run := func(name string, fn func([]string) error) {
-		if *table == "all" || *table == name {
-			if err := fn(names); err != nil {
-				fmt.Fprintf(os.Stderr, "lmfao-bench: %s: %v\n", name, err)
-				os.Exit(1)
-			}
+	for _, e := range experiments {
+		if *table != "all" && *table != e.name {
+			continue
+		}
+		if err := e.fn(names); err != nil {
+			fmt.Fprintf(stderr, "lmfao-bench: %s: %v\n", e.name, err)
+			return 1
 		}
 	}
-	run("1", h.table1)
-	run("2", h.table2)
-	run("3", h.table3)
-	run("fig5", h.figure5)
-	run("4", h.table4)
-	run("5", h.table5)
+	return 0
+}
+
+// usageError reports a flag value the flag package accepted but the command
+// cannot run, the way the flag package reports a malformed one.
+func usageError(fs *flag.FlagSet, format string, args ...any) int {
+	fmt.Fprintf(fs.Output(), "invalid value: "+format+"\n", args...)
+	fs.Usage()
+	return 2
 }
 
 type harness struct {
+	out     io.Writer
 	scale   float64
 	seed    int64
 	runs    int
@@ -248,13 +156,13 @@ func (h *harness) timeIt(fn func() error) (time.Duration, error) {
 	return total / time.Duration(h.runs), nil
 }
 
-func newTab() *tabwriter.Writer {
-	return tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+func (h *harness) newTab() *tabwriter.Writer {
+	return tabwriter.NewWriter(h.out, 2, 4, 2, ' ', 0)
 }
 
 func (h *harness) table1(names []string) error {
-	fmt.Printf("\nTable 1: dataset characteristics (scale %g)\n", h.scale)
-	w := newTab()
+	fmt.Fprintf(h.out, "\nTable 1: dataset characteristics (scale %g)\n", h.scale)
+	w := h.newTab()
 	fmt.Fprintln(w, "\t"+strings.Join(names, "\t"))
 	rows := map[string][]string{}
 	order := []string{"Tuples in Database", "Size of Database", "Tuples in Join Result",
@@ -290,8 +198,8 @@ func (h *harness) table1(names []string) error {
 }
 
 func (h *harness) table2(names []string) error {
-	fmt.Printf("\nTable 2: aggregates (A), intermediates (I), views (V), groups (G), output size\n")
-	w := newTab()
+	fmt.Fprintf(h.out, "\nTable 2: aggregates (A), intermediates (I), views (V), groups (G), output size\n")
+	w := h.newTab()
 	fmt.Fprintln(w, "dataset\tbatch\tA\tI\tV\tG\tsize")
 	for _, name := range names {
 		ds, err := h.dataset(name)
@@ -322,8 +230,8 @@ func (h *harness) table2(names []string) error {
 }
 
 func (h *harness) table3(names []string) error {
-	fmt.Printf("\nTable 3: aggregate batch runtimes — LMFAO vs DBX proxy (per-query streamed join)\n")
-	w := newTab()
+	fmt.Fprintf(h.out, "\nTable 3: aggregate batch runtimes — LMFAO vs DBX proxy (per-query streamed join)\n")
+	w := h.newTab()
 	fmt.Fprintln(w, "batch\tsystem\t"+strings.Join(names, "\t"))
 	for _, wl := range workloads.Names() {
 		var lmfaoRow, dbxRow, speedupRow []string
@@ -368,7 +276,7 @@ func (h *harness) table3(names []string) error {
 }
 
 func (h *harness) figure5(names []string) error {
-	fmt.Printf("\nFigure 5: covar-matrix ablation (cumulative optimizations; speedup over previous level)\n")
+	fmt.Fprintf(h.out, "\nFigure 5: covar-matrix ablation (cumulative optimizations; speedup over previous level)\n")
 	variants := []struct {
 		name string
 		opts moo.Options
@@ -378,9 +286,9 @@ func (h *harness) figure5(names []string) error {
 		{"+multi-output", moo.Options{Compiled: true, MultiOutput: true, Threads: 1}},
 		{"+multi-root", moo.Options{Compiled: true, MultiOutput: true, MultiRoot: true, Threads: 1}},
 		{"+parallel", moo.Options{Compiled: true, MultiOutput: true, MultiRoot: true,
-			Threads: fig5Threads(), DomainParallelRows: 16384}},
+			Threads: moo.DefaultOptions().Threads, DomainParallelRows: 16384}},
 	}
-	w := newTab()
+	w := h.newTab()
 	fmt.Fprintln(w, "level\t"+strings.Join(names, "\t"))
 	prev := map[string]time.Duration{}
 	for _, v := range variants {
@@ -412,8 +320,8 @@ func (h *harness) figure5(names []string) error {
 }
 
 func (h *harness) table4(names []string) error {
-	fmt.Printf("\nTable 4: learning linear regression and regression trees\n")
-	w := newTab()
+	fmt.Fprintf(h.out, "\nTable 4: learning linear regression and regression trees\n")
+	w := h.newTab()
 	fmt.Fprintln(w, "dataset\tstep\ttime")
 	for _, name := range []string{"retailer", "favorita"} {
 		if !contains(names, name) {
@@ -448,8 +356,10 @@ func (h *harness) table4(names []string) error {
 		if err != nil {
 			return err
 		}
+		// TensorFlow proxy: full-batch gradient descent over the flat join.
 		tTF, err := h.timeIt(func() error {
-			return learnMaterializedLR(flat, ds, spec, 1)
+			_, err := linreg.LearnMaterialized(flat, ds.DB, spec, 1, 1e-7)
+			return err
 		})
 		if err != nil {
 			return err
@@ -461,7 +371,8 @@ func (h *harness) table4(names []string) error {
 		// the covar matrix (the paper notes TensorFlow "would require more
 		// epochs to converge to the solution of LMFAO").
 		tTFc, err := h.timeIt(func() error {
-			return learnMaterializedLR(flat, ds, spec, 100)
+			_, err := linreg.LearnMaterialized(flat, ds.DB, spec, 100, 1e-7)
+			return err
 		})
 		if err != nil {
 			return err
@@ -478,8 +389,10 @@ func (h *harness) table4(names []string) error {
 		}
 		fmt.Fprintf(w, "\tRegression tree (LMFAO, depth 4)\t%s\n", fmtDur(tRT))
 
+		// MADlib proxy: CART over the flat join.
 		tRTm, err := h.timeIt(func() error {
-			return learnMaterializedTree(flat, ds, name)
+			_, err := tree.LearnMaterialized(flat, ds.DB, tspec)
+			return err
 		})
 		if err != nil {
 			return err
@@ -493,8 +406,8 @@ func (h *harness) table5(names []string) error {
 	if !contains(names, "tpcds") {
 		return nil
 	}
-	fmt.Printf("\nTable 5: classification trees over TPC-DS\n")
-	w := newTab()
+	fmt.Fprintf(h.out, "\nTable 5: classification trees over TPC-DS\n")
+	w := h.newTab()
 	ds, err := h.dataset("tpcds")
 	if err != nil {
 		return err
@@ -523,26 +436,14 @@ func (h *harness) table5(names []string) error {
 		return err
 	}
 	tCTm, err := h.timeIt(func() error {
-		return learnMaterializedTree(flat, ds, "tpcds")
+		_, err := tree.LearnMaterialized(flat, ds.DB, spec)
+		return err
 	})
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "Classification tree (materialized; excl. join)\t%s\n", fmtDur(tCTm))
 	return w.Flush()
-}
-
-// fig5Threads matches the paper's 4-thread setup without oversubscribing
-// smaller hosts.
-func fig5Threads() int {
-	t := runtime.NumCPU()
-	if t > 4 {
-		t = 4
-	}
-	if t < 1 {
-		t = 1
-	}
-	return t
 }
 
 func contains(ss []string, s string) bool {
@@ -588,23 +489,3 @@ func fmtDur(d time.Duration) string {
 		return fmt.Sprintf("%dµs", d.Microseconds())
 	}
 }
-
-// learnMaterializedLR is the TensorFlow proxy: gradient descent over the
-// flat training set.
-func learnMaterializedLR(flat *lmfao.Relation, ds *datagen.Dataset, spec lmfao.LinRegSpec, epochs int) error {
-	_, err := materializedLR(flat, ds, spec, epochs)
-	return err
-}
-
-func learnMaterializedTree(flat *lmfao.Relation, ds *datagen.Dataset, name string) error {
-	var spec lmfao.TreeSpec
-	if name == "tpcds" {
-		spec = workloads.CTSpec(ds)
-	} else {
-		spec = workloads.RTSpec(ds)
-	}
-	_, err := materializedTree(flat, ds, spec)
-	return err
-}
-
-var _ = query.CountAgg // keep the import for workload extensions
