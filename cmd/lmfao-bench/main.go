@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 	"text/tabwriter"
@@ -77,6 +78,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usageError(fs, "-table %q: want 1|2|3|4|5|fig5|all", *table)
 	case *runs < 1:
 		return usageError(fs, "-runs %d: want at least 1", *runs)
+	case !(*scale > 0) || math.IsInf(*scale, 1):
+		return usageError(fs, "-scale %v: want a finite number > 0", *scale)
 	}
 
 	names := datagen.All()

@@ -13,6 +13,8 @@ func TestRejectsUnrunnableFlags(t *testing.T) {
 		{"-runs", "0"},
 		{"-runs", "-1"},
 		{"-runs", "two"},
+		{"-scale", "0"},
+		{"-scale", "-1"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 2 {

@@ -31,6 +31,21 @@ import (
 	"repro/internal/workloads"
 )
 
+// Server timeouts, fixed: a client has readHeaderTimeout to send its
+// headers and readTimeout for the whole request, body included, so a
+// stalled or trickling client cannot hold a connection (and its goroutine)
+// forever; idleTimeout closes kept-alive connections that send nothing.
+// The largest body the server accepts is 8 MiB (internal/serve's cap);
+// on loopback it arrives in tens of milliseconds, so 10 s leaves a margin
+// of two orders of magnitude, and a remote client needs about 7 Mbit/s to
+// send it. There is no WriteTimeout: it would also bound the handler, and
+// a requery or model fit may legitimately run longer.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 10 * time.Second
+	idleTimeout       = 60 * time.Second
+)
+
 func main() {
 	var (
 		addr    = flag.String("addr", "127.0.0.1:8347", "listen address")
@@ -97,7 +112,8 @@ func run(addr, dataset string, scale float64, seed int64, threads, shards int, d
 		return err
 	}
 
-	httpSrv := &http.Server{Addr: addr, Handler: srv}
+	httpSrv := &http.Server{Addr: addr, Handler: srv,
+		ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout, IdleTimeout: idleTimeout}
 	errCh := make(chan error, 1)
 	go func() {
 		log.Printf("serving on http://%s", addr)

@@ -22,7 +22,9 @@ type DurableOptions struct {
 	// CheckpointEvery checkpoints after this many logged updates (0 =
 	// DefaultCheckpointEvery; negative disables automatic checkpoints —
 	// Close and explicit Checkpoint calls still write them). Recovery
-	// replays at most this many log records, so it bounds restart time.
+	// re-applies at most this many log records past the newest checkpoint,
+	// but it still decodes the whole log, so it does not bound restart
+	// time.
 	CheckpointEvery int
 	// CheckpointKeep is how many recent checkpoints to retain (minimum and
 	// default 2: the newest plus one fallback in case the newest is torn).
@@ -280,14 +282,7 @@ func durableRelations(eng *Engine) []*data.Relation {
 // checkpoint durably snapshots the session's current state. Writer-only.
 // It syncs the log first (a checkpoint must never cover unsynced records),
 // captures the relations' contents and versions plus the maintained view
-// DAG, writes the checkpoint file atomically, pins each relation's delta
-// log at the covered version, then prunes old files. The pins keep the
-// in-memory retention cap from evicting entries a recovery from this
-// checkpoint (or a log-driven consumer resuming from it) still needs; they
-// are released implicitly when the next checkpoint re-pins at a higher
-// version.
-//
-// lmfao:retains-pin
+// DAG, writes the checkpoint file atomically, then prunes old files.
 func (d *DurableSession) checkpoint() error {
 	if err := d.Wedged(); err != nil {
 		return err
@@ -302,10 +297,9 @@ func (d *DurableSession) checkpoint() error {
 		d.wedge(err)
 		return err
 	}
-	db := s.eng.DB()
 	ck := &wal.Checkpoint{
 		LSN:      d.log.LastLSN(),
-		Versions: ivm.CaptureVersions(db),
+		Versions: ivm.CaptureVersions(s.eng.DB()),
 		Views:    s.res.Materialized,
 	}
 	for _, rel := range durableRelations(s.eng) {
@@ -317,9 +311,6 @@ func (d *DurableSession) checkpoint() error {
 			d.wedge(err)
 		}
 		return err
-	}
-	for _, rel := range db.Relations() {
-		rel.PinDeltaLog(ck.Versions[rel.Name])
 	}
 	d.sinceCkpt = 0
 	// The checkpoint is durable and recorded; pruning is cleanup. What it

@@ -1,7 +1,6 @@
 package lmfao
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -13,9 +12,7 @@ import (
 // across N shards, each maintained by its own DurableSession with its own
 // write-ahead log and checkpoints under dir/shard-N/. A manifest
 // (dir/MANIFEST.json) records the partitioning so recovery re-partitions
-// the pristine database identically, and every coordinated checkpoint
-// appends one line to dir/CHECKPOINTS.jsonl with the per-shard LSNs and the
-// merged ShardVector it covers.
+// the pristine database identically.
 //
 // Shard writers never coalesce: each logs and applies its updates one
 // record at a time, in routing order, which is what makes per-shard
@@ -23,9 +20,8 @@ import (
 // would make the replayed version vector diverge from the live one.
 //
 // Checkpoints are coordinated by the fanout: a checkpoint round enqueues
-// one checkpoint job on every shard behind all accepted work, and the
-// per-shard LSNs and version vectors those jobs report become the record.
-// Automatic rounds trigger on the total update count across shards
+// one checkpoint job on every shard behind all accepted work. Automatic
+// rounds trigger on the total update count across shards
 // (DurableOptions.CheckpointEvery), behind the call that crossed the
 // interval whatever its outcome; the per-shard automatic policy is disabled
 // in favor of this coordination.
@@ -45,19 +41,7 @@ type shardManifest struct {
 	Key    []AttrID `json:"key"`
 }
 
-// ShardCheckpointRecord is one line of a durable sharded session's
-// checkpoint log (dir/CHECKPOINTS.jsonl): the per-shard WAL positions of
-// one coordinated checkpoint round and the merged version vector the
-// checkpointed states reflect.
-type ShardCheckpointRecord struct {
-	// LSNs holds each shard's last committed LSN at the checkpoint.
-	LSNs []uint64 `json:"lsns"`
-	// Vector is the merged ShardVector the checkpoint covers.
-	Vector ShardVector `json:"vector"`
-}
-
 func manifestPath(dir string) string    { return filepath.Join(dir, "MANIFEST.json") }
-func checkpointLog(dir string) string   { return filepath.Join(dir, "CHECKPOINTS.jsonl") }
 func shardDir(dir string, i int) string { return filepath.Join(dir, fmt.Sprintf("shard-%d", i)) }
 
 // NewDurableShardedSession partitions db per so and builds one
@@ -124,8 +108,7 @@ func newDurableSharded(db *Database, m shardManifest, dopts DurableOptions, dir 
 	if err != nil {
 		return nil, err
 	}
-	s.every = dopts.CheckpointEvery
-	s.record = func(rec ShardCheckpointRecord) error { return appendCheckpointRecord(dir, rec) }
+	s.durable, s.every = true, dopts.CheckpointEvery
 	return s, nil
 }
 
@@ -137,8 +120,7 @@ func (s *DurableShardedSession) Shard(i int) *DurableSession { return s.shards[i
 func (s *DurableShardedSession) Dir() string { return s.dir }
 
 // Checkpoint forces one coordinated checkpoint round: every shard
-// checkpoints behind all accepted work, then the covered per-shard LSNs and
-// merged vector are appended to the checkpoint log.
+// checkpoints behind all accepted work.
 func (s *DurableShardedSession) Checkpoint() error {
 	return (<-s.submit(s.perShard(job{ckpt: true}), true)).Err
 }
@@ -147,34 +129,6 @@ func (s *DurableShardedSession) Checkpoint() error {
 // shutdown of a simulated whole-process crash (testing). Idempotent with
 // Close.
 func (s *DurableShardedSession) Kill() { s.shutdown(true) }
-
-// ReadShardCheckpoints returns a durable sharded session's checkpoint log
-// records, oldest first (empty if no checkpoint round completed). Torn
-// trailing lines — a crash mid-append — are ignored.
-func ReadShardCheckpoints(dir string) ([]ShardCheckpointRecord, error) {
-	f, err := os.Open(checkpointLog(dir))
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var out []ShardCheckpointRecord
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
-	for sc.Scan() {
-		var rec ShardCheckpointRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			break
-		}
-		out = append(out, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
 
 func writeManifest(dir string, m shardManifest) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -226,25 +180,4 @@ func readManifest(dir string) (shardManifest, error) {
 		return m, fmt.Errorf("lmfao: corrupt shard manifest: %+v", m)
 	}
 	return m, nil
-}
-
-// appendCheckpointRecord appends one JSONL line to the checkpoint log and
-// fsyncs it.
-func appendCheckpointRecord(dir string, rec ShardCheckpointRecord) error {
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	f, err := os.OpenFile(checkpointLog(dir), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(append(b, '\n'))
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

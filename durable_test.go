@@ -1,16 +1,37 @@
 package lmfao
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/data"
+	"repro/internal/wal"
 )
 
-// TestDurableShardedCheckpointAfterFailedRound pins the recovery bound of a
-// durable sharded session — recovery replays at most CheckpointEvery
-// records — across a failed round: a round that crosses the interval and
-// fails still gets its coordinated checkpoint, so by the end of the next
-// round the checkpoint log has grown.
+// newestShardCheckpoints returns the newest valid checkpoint of each of the
+// n shards of the durable sharded session under dir.
+func newestShardCheckpoints(t *testing.T, dir string, n int) []*wal.Checkpoint {
+	t.Helper()
+	cks := make([]*wal.Checkpoint, n)
+	for i := range cks {
+		ck, err := wal.LatestCheckpoint(ckptDir(shardDir(dir, i)))
+		if err != nil || ck == nil {
+			t.Fatalf("shard %d: no checkpoint (err=%v)", i, err)
+		}
+		cks[i] = ck
+	}
+	return cks
+}
+
+// TestDurableShardedCheckpointAfterFailedRound pins the checkpoint interval
+// of a durable sharded session — recovery re-applies at most
+// CheckpointEvery records past the newest checkpoint, though it still
+// decodes the whole log — across a failed round: a round that crosses the
+// interval and fails still gets its coordinated checkpoint, so by the end
+// of the next round some shard's newest checkpoint has moved past the LSN
+// it had before.
 func TestDurableShardedCheckpointAfterFailedRound(t *testing.T) {
 	db, _, amount, region := sessionFixture(t)
 	queries := []*Query{NewQuery("byregion", []AttrID{region}, Count(), Sum(amount))}
@@ -23,21 +44,13 @@ func TestDurableShardedCheckpointAfterFailedRound(t *testing.T) {
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	records := func() int {
-		t.Helper()
-		recs, err := ReadShardCheckpoints(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return len(recs)
-	}
 	good := func(v float64) Update {
 		return InsertRows("sales", IntColumn([]int64{0}), FloatColumn([]float64{v}))
 	}
 	if _, err := s.Apply(good(1)); err != nil {
 		t.Fatal(err)
 	}
-	before := records()
+	before := newestShardCheckpoints(t, dir, s.NumShards())
 	bad := DeleteRows("sales", IntColumn([]int64{2}), FloatColumn([]float64{999}))
 	if _, err := s.Apply(bad); err == nil {
 		t.Fatal("delete of a missing tuple succeeded")
@@ -45,8 +58,12 @@ func TestDurableShardedCheckpointAfterFailedRound(t *testing.T) {
 	if _, err := s.Apply(good(2)); err != nil {
 		t.Fatal(err)
 	}
-	if got := records(); got <= before {
-		t.Fatalf("checkpoint log has %d records after the round following a failed crossing, %d before it: the failed round skipped the interval", got, before)
+	moved := false
+	for i, ck := range newestShardCheckpoints(t, dir, s.NumShards()) {
+		moved = moved || ck.LSN > before[i].LSN
+	}
+	if !moved {
+		t.Fatalf("no shard checkpointed past its LSN before a failed round that crossed the interval: the failed round skipped the interval")
 	}
 }
 
@@ -84,5 +101,38 @@ func TestDurablePruneFailureKeepsCommitting(t *testing.T) {
 	}
 	if d.sinceCkpt != 0 {
 		t.Fatalf("%d updates since the last checkpoint, want 0 after 10 updates at interval 2", d.sinceCkpt)
+	}
+}
+
+// TestDurableDeltaLogStaysCapped: a durable session's delta logs are
+// bounded by the retention cap alone, whatever the checkpoint interval —
+// recovery reads the on-disk log, never the in-memory one, so a checkpoint
+// keeps no suffix of it alive.
+func TestDurableDeltaLogStaysCapped(t *testing.T) {
+	for _, every := range []int{-1, 4000} {
+		t.Run(fmt.Sprint(every), func(t *testing.T) {
+			db, _, amount, region := sessionFixture(t)
+			queries := []*Query{NewQuery("byregion", []AttrID{region}, Count(), Sum(amount))}
+			d, err := NewDurableSession(db, queries, DefaultOptions(), DurableOptions{CheckpointEvery: every}, t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			if _, err := d.Run(); err != nil {
+				t.Fatal(err)
+			}
+			updates := make([]Update, data.DefaultDeltaLogCap+64)
+			for i := range updates {
+				updates[i] = InsertRows("sales", IntColumn([]int64{int64(i % 3)}), FloatColumn([]float64{float64(i)}))
+			}
+			if _, err := d.Apply(updates...); err != nil {
+				t.Fatal(err)
+			}
+			for _, rel := range db.Relations() {
+				if got, max := len(rel.DeltaLog(0)), rel.DeltaLogCap(); got > max {
+					t.Errorf("relation %q retains %d delta-log entries, cap %d", rel.Name, got, max)
+				}
+			}
+		})
 	}
 }

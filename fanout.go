@@ -27,9 +27,10 @@ type fanout struct {
 	// mu orders enqueueing against Close and guards closed and sinceCkpt.
 	mu     sync.Mutex
 	closed bool
-	// record persists a coordinated checkpoint record (logged writers
-	// only); every is its interval in routed updates, ≤ 0 for none.
-	record    func(ShardCheckpointRecord) error
+	// durable marks a fanout over logged writers, whose Run, interval
+	// trigger and Close end in a checkpoint on every shard; every is that
+	// interval in routed updates, ≤ 0 for none.
+	durable   bool
 	every     int
 	sinceCkpt int
 
@@ -74,11 +75,10 @@ func (f *fanout) ShardKey() []AttrID { return append([]AttrID(nil), f.key...) }
 // result, and the shard snapshots publish only when all of them succeeded.
 // A failed Run therefore changes nothing observable — every shard keeps
 // serving its previous snapshot, and Head never merges recomputed shards
-// with stale ones. On a durable session each shard then checkpoints, and
-// one coordinated record covers the round.
+// with stale ones. On a durable session each shard then checkpoints.
 func (f *fanout) Run() (Queryable, error) {
 	jobs := f.perShard(job{stage: newStagedRun(len(f.sessions))})
-	if err := (<-f.submit(jobs, f.record != nil)).Err; err != nil {
+	if err := (<-f.submit(jobs, f.durable)).Err; err != nil {
 		return nil, err
 	}
 	return f.Head(), nil
@@ -94,7 +94,7 @@ func (f *fanout) Run() (Queryable, error) {
 // maintenance rounds that covered this call's updates. On a durable
 // session, a call that crosses the checkpoint interval also checkpoints
 // every shard behind its round — whatever the round's outcome — and
-// delivers after the coordinated record is written.
+// delivers after every shard's checkpoint.
 //
 // Error contract: a delivered Err means at least one of THIS call's updates
 // did not commit on some shard — calls whose updates all landed in failed
@@ -141,8 +141,8 @@ func (f *fanout) perShard(j job) []*job {
 }
 
 // submit is the fanout's one accept gate: it enqueues a call's jobs unless
-// the session is closed. ck marks a call whose stage or checkpoint jobs fill
-// a coordinated checkpoint record; a call of update jobs that crosses the
+// the session is closed. ck marks a call whose jobs checkpoint every shard,
+// which restarts the interval; a call of update jobs that crosses the
 // interval gets one checkpoint job per shard behind its round.
 func (f *fanout) submit(jobs []*job, ck bool) <-chan ApplyResult {
 	f.mu.Lock()
@@ -153,10 +153,13 @@ func (f *fanout) submit(jobs []*job, ck bool) <-chan ApplyResult {
 	for _, j := range jobs {
 		f.sinceCkpt += len(j.updates)
 	}
-	if !ck && f.record != nil && f.every > 0 && f.sinceCkpt >= f.every {
+	if !ck && f.durable && f.every > 0 && f.sinceCkpt >= f.every {
 		jobs, ck = append(jobs, f.perShard(job{ckpt: true})...), true
 	}
-	return f.enqueueLocked(jobs, ck)
+	if ck {
+		f.sinceCkpt = 0
+	}
+	return f.enqueueLocked(jobs)
 }
 
 // enqueueLocked hands jobs to their shard writers as the parts of one
@@ -164,13 +167,8 @@ func (f *fanout) submit(jobs []*job, ck bool) <-chan ApplyResult {
 // receives calls in one order.
 //
 // lmfao:requires mu
-func (f *fanout) enqueueLocked(jobs []*job, ck bool) <-chan ApplyResult {
+func (f *fanout) enqueueLocked(jobs []*job) <-chan ApplyResult {
 	r := newAsyncResult(len(jobs))
-	if ck {
-		f.sinceCkpt = 0
-		r.ck = &ShardCheckpointRecord{LSNs: make([]uint64, len(f.sessions)), Vector: make(ShardVector, len(f.sessions))}
-		r.record = f.record
-	}
 	if len(jobs) == 0 {
 		r.ch <- ApplyResult{}
 	}
@@ -218,8 +216,7 @@ func (f *fanout) Wait() {
 
 // Close drains every shard's accepted work and stops its writer. Further
 // maintenance calls fail; snapshots and shard sessions stay readable. On a
-// durable session each shard drains into a final checkpoint and one
-// coordinated record covers them. Idempotent.
+// durable session each shard drains into a final checkpoint. Idempotent.
 func (f *fanout) Close() { f.shutdown(false) }
 
 // shutdown is Close, or on kill the shutdown of a simulated whole-process
@@ -229,9 +226,9 @@ func (f *fanout) shutdown(kill bool) {
 	f.mu.Lock()
 	already := f.closed
 	f.closed = true
-	if !already && f.record != nil && !kill {
+	if !already && f.durable && !kill {
 		// The final checkpoint round, drained by the closes below.
-		f.enqueueLocked(f.perShard(job{ckpt: true}), true)
+		f.enqueueLocked(f.perShard(job{ckpt: true}))
 	}
 	f.mu.Unlock()
 	if already {

@@ -1,7 +1,7 @@
 // Package analysis is the engine's static-analysis suite: a minimal,
 // dependency-free reimplementation of the go/analysis driver pattern plus
 // the custom analyzers that machine-check this codebase's layer contracts
-// (snapshot publication, lock protocols, delta-log pinning, checkpoint
+// (snapshot publication, lock protocols, atomic fields, checkpoint
 // durability, sentinel errors, godoc coverage). cmd/lmfao-vet exposes the
 // suite through the `go vet -vettool` protocol; the per-analyzer contracts
 // live in the analyzer subpackages and the comment-directive grammar they

@@ -43,12 +43,6 @@
 //	    acquisition without deleting the contract fails vet (the PR 8
 //	    Run-vs-Close regression guard).
 //
-//	// lmfao:retains-pin
-//	    The function calls PinDeltaLog and intentionally keeps the pin
-//	    beyond its own return (ownership passes to a longer-lived
-//	    protocol, e.g. a checkpoint cycle that re-pins). Exempts the
-//	    function from pinpair's unpin-on-all-paths rule.
-//
 // On any source line (trailing or leading comment):
 //
 //	//lmfao:ignore <analyzer> [<analyzer>...] [— reason]
@@ -69,7 +63,6 @@ const (
 	PrePublish            = "pre-publish"
 	Requires              = "requires"
 	Acquires              = "acquires"
-	RetainsPin            = "retains-pin"
 	Ignore                = "ignore"
 )
 

@@ -14,7 +14,7 @@ func TestParseDirectives(t *testing.T) {
 //
 // lmfao:requires writerMu
 // lmfao:acquires closeMu.R
-//lmfao:retains-pin
+//lmfao:pre-publish
 func doSomething() {}
 `
 	fset := token.NewFileSet()
@@ -34,12 +34,12 @@ func doSomething() {}
 	if ds[1].Name != Acquires || ds[1].Args != "closeMu.R" {
 		t.Errorf("directive 1 = %+v, want acquires closeMu.R", ds[1])
 	}
-	if ds[2].Name != RetainsPin || ds[2].Args != "" {
-		t.Errorf("directive 2 = %+v, want retains-pin (pragma style)", ds[2])
+	if ds[2].Name != PrePublish || ds[2].Args != "" {
+		t.Errorf("directive 2 = %+v, want pre-publish (pragma style)", ds[2])
 	}
 
-	if !Has(doc, Requires) || Has(doc, PrePublish) {
-		t.Errorf("Has: requires=%v pre-publish=%v, want true/false", Has(doc, Requires), Has(doc, PrePublish))
+	if !Has(doc, Requires) || Has(doc, ImmutableAfterPublish) {
+		t.Errorf("Has: requires=%v immutable-after-publish=%v, want true/false", Has(doc, Requires), Has(doc, ImmutableAfterPublish))
 	}
 	if arg, ok := Arg(doc, Acquires); !ok || arg != "closeMu.R" {
 		t.Errorf("Arg(acquires) = %q, %v; want closeMu.R, true", arg, ok)
@@ -68,7 +68,7 @@ func TestIgnoredLines(t *testing.T) {
 	const src = `package x
 
 func f() {
-	a := 1 //lmfao:ignore pinpair atomicfield — reason words here
+	a := 1 //lmfao:ignore lockheld atomicfield — reason words here
 	_ = a
 	// lmfao:ignore senterr
 	b := 2
@@ -81,8 +81,8 @@ func f() {
 		t.Fatal(err)
 	}
 	ig := IgnoredLines(fset, f)
-	if !ig[4]["pinpair"] || !ig[4]["atomicfield"] {
-		t.Errorf("line 4 ignores = %v, want pinpair and atomicfield", ig[4])
+	if !ig[4]["lockheld"] || !ig[4]["atomicfield"] {
+		t.Errorf("line 4 ignores = %v, want lockheld and atomicfield", ig[4])
 	}
 	if ig[4]["reason"] || ig[4]["—"] {
 		t.Errorf("line 4 parsed prose after the reason separator as analyzer names: %v", ig[4])

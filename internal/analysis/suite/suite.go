@@ -12,7 +12,6 @@ import (
 	"repro/internal/analysis/docdrift"
 	"repro/internal/analysis/fsyncrename"
 	"repro/internal/analysis/lockheld"
-	"repro/internal/analysis/pinpair"
 	"repro/internal/analysis/publishedmut"
 	"repro/internal/analysis/senterr"
 )
@@ -23,7 +22,6 @@ var All = []*analysis.Analyzer{
 	docdrift.Analyzer,
 	fsyncrename.Analyzer,
 	lockheld.Analyzer,
-	pinpair.Analyzer,
 	publishedmut.Analyzer,
 	senterr.Analyzer,
 }

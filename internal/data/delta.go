@@ -137,46 +137,12 @@ func (r *Relation) DeltaLogTruncatedThrough() int64 {
 	return r.logDropped
 }
 
-// PinDeltaLog marks entries with Seq > seq as required: neither the
-// retention cap nor TruncateDeltaLog will evict them until the pin moves
-// forward or is removed. A WAL-backed session pins each relation at the
-// version its newest durable checkpoint covers, so the log always retains
-// the exact suffix a consumer resuming from that checkpoint must replay —
-// without the cap silently punching a hole in it under steady updates.
-// Repinning at a later seq releases the older range. Safe to call
-// concurrently with the single writer's mutations.
-func (r *Relation) PinDeltaLog(seq int64) {
-	r.logMu.Lock()
-	r.logPin = seq
-	r.logPinned = true
-	r.logMu.Unlock()
-}
-
-// UnpinDeltaLog removes the retention pin; eviction reverts to the plain
-// cap policy.
-func (r *Relation) UnpinDeltaLog() {
-	r.logMu.Lock()
-	r.logPinned = false
-	r.logMu.Unlock()
-}
-
-// DeltaLogPin returns the current retention pin and whether one is set.
-func (r *Relation) DeltaLogPin() (int64, bool) {
-	r.logMu.Lock()
-	defer r.logMu.Unlock()
-	return r.logPin, r.logPinned
-}
-
 // TruncateDeltaLog drops log entries with Seq <= upTo, reclaiming their
 // tuple snapshots. Pass the last Seq a consumer has durably processed. The
-// dropped range is recorded in DeltaLogTruncatedThrough. A retention pin
-// (PinDeltaLog) clamps the truncation: pinned entries survive.
+// dropped range is recorded in DeltaLogTruncatedThrough.
 func (r *Relation) TruncateDeltaLog(upTo int64) {
 	r.logMu.Lock()
 	defer r.logMu.Unlock()
-	if r.logPinned && upTo > r.logPin {
-		upTo = r.logPin
-	}
 	keep := r.log[:0]
 	for _, e := range r.log {
 		if e.Seq > upTo {
@@ -193,25 +159,12 @@ func (r *Relation) TruncateDeltaLog(upTo int64) {
 
 // logDeltaLocked appends an entry, enforcing the retention cap. Caller holds
 // logMu. A cap shrunk below the current length (SetDeltaLogCap) evicts the
-// whole overhang here, so `over` may exceed 1. A retention pin
-// (PinDeltaLog) limits eviction to entries at or below the pin: the log may
-// then exceed the cap, trading memory for the replayability of the pinned
-// suffix.
+// whole overhang here, so `over` may exceed 1.
 func (r *Relation) logDeltaLocked(e DeltaEntry) {
 	r.log = append(r.log, e)
 	max := r.effectiveLogCap()
 	if len(r.log) > max {
 		over := len(r.log) - max
-		if r.logPinned {
-			allowed := 0
-			for allowed < over && r.log[allowed].Seq <= r.logPin {
-				allowed++
-			}
-			over = allowed
-		}
-		if over == 0 {
-			return
-		}
 		if dropped := r.log[over-1].Seq; dropped > r.logDropped {
 			r.logDropped = dropped
 		}

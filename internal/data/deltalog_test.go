@@ -180,74 +180,14 @@ func TestDatabaseDeltaLogCapDefault(t *testing.T) {
 	}
 }
 
-// TestDeltaLogPin is the regression test for truncation racing a pinned
-// snapshot: while a pin is set (a durable checkpoint still references the
-// suffix after it), neither the retention cap nor explicit truncation may
-// evict entries with Seq > pin.
-func TestDeltaLogPin(t *testing.T) {
-	rel := deltaLogFixture(t)
-	rel.SetDeltaLogCap(4)
-	for i := int64(1); i <= 4; i++ {
-		appendOne(t, rel, i)
-	}
-
-	// Pin at 2: entries 3.. must survive any pressure.
-	rel.PinDeltaLog(2)
-	if pin, ok := rel.DeltaLogPin(); !ok || pin != 2 {
-		t.Fatalf("pin = %d,%v, want 2,true", pin, ok)
-	}
-
-	// Explicit truncation beyond the pin is clamped to it.
-	rel.TruncateDeltaLog(4)
-	if got := rel.DeltaLogTruncatedThrough(); got != 2 {
-		t.Fatalf("truncate(4) under pin 2: truncatedThrough = %d, want 2", got)
-	}
-	if log := rel.DeltaLog(2); len(log) != 2 || log[0].Seq != 3 {
-		t.Fatalf("suffix after pin: %d entries, first %d", len(log), log[0].Seq)
-	}
-
-	// Cap pressure cannot evict past the pin either: the log grows beyond
-	// the configured cap rather than dropping pinned entries.
-	for i := int64(5); i <= 9; i++ {
-		appendOne(t, rel, i)
-	}
-	if got := rel.DeltaLogTruncatedThrough(); got != 2 {
-		t.Fatalf("cap pressure under pin 2: truncatedThrough = %d, want 2", got)
-	}
-	if log := rel.DeltaLog(2); len(log) != 7 || log[0].Seq != 3 {
-		t.Fatalf("pinned log: %d entries, first %d, want 7 from 3", len(log), log[0].Seq)
-	}
-
-	// Moving the pin forward releases the older suffix on the next append.
-	rel.PinDeltaLog(7)
-	appendOne(t, rel, 10)
-	if got := rel.DeltaLogTruncatedThrough(); got < 3 {
-		t.Fatalf("after advancing pin: truncatedThrough = %d, want >= 3", got)
-	}
-	if log := rel.DeltaLog(7); len(log) != 3 || log[0].Seq != 8 {
-		t.Fatalf("after advancing pin: %d entries, first %d", len(log), log[0].Seq)
-	}
-
-	// Unpinning restores plain cap behavior.
-	rel.UnpinDeltaLog()
-	if _, ok := rel.DeltaLogPin(); ok {
-		t.Fatal("pin still set after UnpinDeltaLog")
-	}
-	appendOne(t, rel, 11)
-	if got := len(rel.DeltaLog(0)); got > 4 {
-		t.Fatalf("after unpin: %d retained, want <= cap 4", got)
-	}
-}
-
 // TestRelationRestore verifies checkpoint restoration: contents and version
 // replaced wholesale, the delta log emptied with its high-water mark moved to
-// the restored version, and any pin cleared.
+// the restored version.
 func TestRelationRestore(t *testing.T) {
 	rel := deltaLogFixture(t)
 	for i := int64(1); i <= 3; i++ {
 		appendOne(t, rel, i)
 	}
-	rel.PinDeltaLog(1) //lmfao:ignore pinpair — Restore below clears the pin wholesale; that is the behavior under test
 
 	if err := rel.Restore([]Column{NewIntColumn([]int64{7, 8})}, 42, nil); err != nil {
 		t.Fatal(err)
@@ -263,9 +203,6 @@ func TestRelationRestore(t *testing.T) {
 	}
 	if got := rel.DeltaLogTruncatedThrough(); got != 42 {
 		t.Fatalf("restored truncatedThrough = %d, want 42", got)
-	}
-	if _, ok := rel.DeltaLogPin(); ok {
-		t.Fatal("pin survived Restore")
 	}
 
 	// Post-restore appends continue from the restored version.

@@ -42,10 +42,6 @@ type Relation struct {
 	// logCap bounds the retained log entries; 0 means DefaultDeltaLogCap
 	// (see SetDeltaLogCap).
 	logCap int
-	// logPin, when logPinned, is the highest Seq eviction may drop: entries
-	// after it are needed by a durable consumer (see PinDeltaLog).
-	logPin    int64
-	logPinned bool
 
 	// keyIdx holds the relation's key indexes, one per attribute list (see
 	// KeyIndex) — a handful, found by a linear scan. Mutations patch them in
@@ -301,7 +297,6 @@ func (r *Relation) Restore(cols []Column, version int64, order []AttrID) error {
 	}
 	r.log = r.log[:0]
 	r.logDropped = version
-	r.logPinned = false
 	r.logMu.Unlock()
 	return nil
 }

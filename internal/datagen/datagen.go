@@ -33,6 +33,16 @@ type Config struct {
 // DefaultConfig is a laptop-friendly scale.
 func DefaultConfig() Config { return Config{Scale: 0.001, Seed: 2019} }
 
+// check rejects a scale that is not finite and positive. Below the tables'
+// minimum sizes every scale builds the same database, so a zero or
+// negative one would silently stand for the smallest.
+func (c Config) check() error {
+	if !(c.Scale > 0) || math.IsInf(c.Scale, 1) {
+		return fmt.Errorf("datagen: scale %v is not a finite number > 0", c.Scale)
+	}
+	return nil
+}
+
 // Dataset bundles a generated database with its join tree and the workload
 // attribute sets used by the paper's experiments.
 type Dataset struct {

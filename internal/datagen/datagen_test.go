@@ -1,6 +1,9 @@
 package datagen
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/data"
@@ -29,6 +32,23 @@ func allTiny(t *testing.T) []*Dataset {
 func TestByNameUnknown(t *testing.T) {
 	if _, err := ByName("nope"); err == nil {
 		t.Fatal("unknown dataset accepted")
+	}
+}
+
+func TestRejectsBadScale(t *testing.T) {
+	for _, scale := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		for _, name := range All() {
+			build, err := ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = build(Config{Scale: scale, Seed: 7})
+			if err == nil {
+				t.Errorf("%s accepted scale %v", name, scale)
+			} else if want := fmt.Sprint(scale); !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not name scale %s", name, err, want)
+			}
+		}
 	}
 }
 

@@ -19,6 +19,9 @@ import (
 //
 // The regression label is unit_sales (paper §4.2 predicts units sold).
 func Favorita(cfg Config) (*Dataset, error) {
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
 	db := data.NewDatabase()
 

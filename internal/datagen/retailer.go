@@ -20,6 +20,9 @@ import (
 // The regression label is inventoryunits (paper §4.2 predicts the number of
 // inventory units).
 func Retailer(cfg Config) (*Dataset, error) {
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	db := data.NewDatabase()
 

@@ -14,6 +14,9 @@ import (
 // the paper's own preprocessing. The classification label is c_preferred
 // ("predict whether a customer is a preferred customer", §4.2).
 func TPCDS(cfg Config) (*Dataset, error) {
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 3))
 	db := data.NewDatabase()
 

@@ -21,6 +21,9 @@ import (
 // The prediction target is review_stars (paper: "review ratings that users
 // give to businesses").
 func Yelp(cfg Config) (*Dataset, error) {
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 2))
 	db := data.NewDatabase()
 

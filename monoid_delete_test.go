@@ -116,15 +116,12 @@ func TestMonoidDeleteThenReinsert(t *testing.T) {
 }
 
 // TestMonoidDeleteUnderDeltaLogPressure runs the delete-and-re-fold stream
-// with the sales delta log capped at a single retained entry and a pin
-// holding the pre-stream suffix: re-scans must stay correct when the log
-// evicts aggressively, and the pin must keep the full suffix replayable
-// for a consumer resuming from the pinned version.
+// with the sales delta log capped at a single retained entry: re-scans must
+// stay correct when the log evicts aggressively, and the log must hold no
+// more than the cap.
 func TestMonoidDeleteUnderDeltaLogPressure(t *testing.T) {
 	db, sess := monoidFixture(t)
 	sales := db.Relation("sales")
-	pinAt := sales.Version()
-	sales.PinDeltaLog(pinAt)
 	sales.SetDeltaLogCap(1)
 
 	applySales(t, sess, nil, [][2]int64{{1, 8}})
@@ -134,24 +131,12 @@ func TestMonoidDeleteUnderDeltaLogPressure(t *testing.T) {
 	applySales(t, sess, nil, [][2]int64{{1, 9}})
 	requireExtrema(t, sess, "capped delete 3", 10, 1, 5, 5)
 
-	// The pin must have overridden the cap: all entries after pinAt are
-	// still retained, so a consumer checkpointed at pinAt can replay.
-	if got := len(sales.DeltaLog(pinAt)); got != 4 {
-		t.Fatalf("pinned delta log retains %d entries, want 4", got)
-	}
-	if tr := sales.DeltaLogTruncatedThrough(); tr > pinAt {
-		t.Fatalf("pinned suffix was truncated through %d (pin at %d)", tr, pinAt)
-	}
-
-	// Releasing the pin lets the cap reclaim the backlog on the next
-	// logged delta, and maintenance stays correct afterwards.
-	sales.UnpinDeltaLog()
 	applySales(t, sess, nil, [][2]int64{{0, 5}})
 	if sess.Result().Results[0].Lookup(10) >= 0 {
 		t.Fatal("region 10 should vanish after losing its last tuple")
 	}
-	requireExtrema(t, sess, "after unpin", 20, 2, 2, 7)
+	requireExtrema(t, sess, "capped delete 4", 20, 2, 2, 7)
 	if got := len(sales.DeltaLog(0)); got != 1 {
-		t.Fatalf("after unpin, delta log retains %d entries, want cap=1", got)
+		t.Fatalf("delta log retains %d entries, want cap=1", got)
 	}
 }

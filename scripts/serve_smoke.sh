@@ -71,6 +71,22 @@ BIG="$(mktemp)"
 { printf '{"updates":['; head -c 9000000 /dev/zero | tr '\0' ' '; printf ']}'; } >"$BIG"
 check POST /v1/apply 413 "@$BIG"
 rm -f "$BIG"
+# A client that trickles its body (100 kB at 2 kB/s, about 50 s) holds it
+# open past the server's 10 s read timeout and must be dropped: curl has to
+# end well before its own 25 s deadline, which it reports as exit 28.
+SLOW="$(mktemp)"
+{ printf '{"updates":['; head -c 100000 /dev/zero | tr '\0' ' '; printf ']}'; } >"$SLOW"
+start=$(date +%s)
+rc=0
+curl -s -o /dev/null --max-time 25 --limit-rate 2k -H 'Expect:' -X POST --data-binary "@$SLOW" "$BASE/v1/apply" || rc=$?
+elapsed=$(($(date +%s) - start))
+rm -f "$SLOW"
+if [ "$rc" -eq 28 ] || [ "$elapsed" -ge 25 ]; then
+  echo "FAIL: a trickled body held the connection for ${elapsed}s (curl exit $rc)" >&2
+  fail=1
+else
+  echo "ok: trickled body dropped after ${elapsed}s"
+fi
 # Applications: every fit endpoint, plus a predictor error path.
 check POST /v1/models/linreg/fit 200
 check POST /v1/models/polyreg/fit 200

@@ -226,7 +226,8 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 // TestCloseDurableShardedDrainsCheckpointRound pins the drain contract for
 // a round that crosses the coordinated checkpoint interval: the round's
 // checkpoint is part of it, so a Close right after ApplyAsync drains the
-// round and its checkpoint instead of failing them with errSessionClosed.
+// round and its checkpoint instead of failing them with errSessionClosed,
+// and Close's final round leaves every shard checkpointed at its last LSN.
 func TestCloseDurableShardedDrainsCheckpointRound(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		db, _, amount, region := sessionFixture(t)
@@ -248,13 +249,10 @@ func TestCloseDurableShardedDrainsCheckpointRound(t *testing.T) {
 		if res := <-ch; res.Err != nil {
 			t.Fatalf("round accepted before Close failed: %v", res.Err)
 		}
-		recs, err := ReadShardCheckpoints(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Run, the crossing round and Close each record one line.
-		if len(recs) != 3 {
-			t.Fatalf("%d checkpoint records, want 3", len(recs))
+		for sh, ck := range newestShardCheckpoints(t, dir, s.NumShards()) {
+			if last := s.Shard(sh).LastLSN(); ck.LSN != last {
+				t.Fatalf("shard %d: newest checkpoint at LSN %d after Close, want its last LSN %d", sh, ck.LSN, last)
+			}
 		}
 		if got := lookupRow(t, s.Head().Result(1)); got[0] != 100 {
 			t.Fatalf("total after drained Close = %v, want 100", got[0])

@@ -48,10 +48,6 @@ type job struct {
 	// shard is the job's writer index in a fanout call, -1 for a call on
 	// one writer.
 	shard int
-	// lsn and vv are the position a logged writer checkpointed at, reported
-	// by stage and ckpt jobs for the coordinated checkpoint record.
-	lsn uint64
-	vv  VersionVector
 }
 
 func (j *job) isUpdate() bool { return j.stage == nil && !j.ckpt }
@@ -240,21 +236,14 @@ func (w *writer) maintain(updates []Update) ([]*ApplyStats, error) {
 // barrier runs a stage or checkpoint job. A stage computes the batch from
 // scratch, waits until every writer of the stage has computed, and
 // publishes only if all of them succeeded. On a logged writer both end in
-// a checkpoint, whose position the job reports.
+// a checkpoint.
 func (w *writer) barrier(j *job) error {
 	if j.stage != nil {
 		if ok, err := w.sess.stageRun(j.stage.vote); !ok || w.dur == nil {
 			return err
 		}
 	}
-	if err := w.dur.checkpoint(); err != nil {
-		return err
-	}
-	j.lsn = w.dur.log.LastLSN()
-	if h := w.sess.Head(); h != nil {
-		j.vv = h.VersionVector()
-	}
-	return nil
+	return w.dur.checkpoint()
 }
 
 // stagedRun makes one full recompute all-or-nothing across writers: each
@@ -287,15 +276,11 @@ func (st *stagedRun) vote(err error) bool {
 }
 
 // asyncResult gathers the parts of one maintenance call — one job per
-// writer it reached — into a single ApplyResult. A call that checkpoints
-// every shard of a durable fanout fills ck from its stage or checkpoint
-// jobs, and record persists it before the result is delivered.
+// writer it reached — into a single ApplyResult.
 type asyncResult struct {
 	mu        sync.Mutex
 	remaining int
 	out       ApplyResult
-	ck        *ShardCheckpointRecord
-	record    func(ShardCheckpointRecord) error
 	ch        chan ApplyResult
 }
 
@@ -304,7 +289,7 @@ func newAsyncResult(parts int) *asyncResult {
 }
 
 // deliver folds one job's part into the call's result; the last part sends
-// it. A failed stage or checkpoint part drops the coordinated record.
+// it.
 func (r *asyncResult) deliver(j *job, stats []*ApplyStats, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -315,20 +300,8 @@ func (r *asyncResult) deliver(j *job, stats []*ApplyStats, err error) {
 	if err != nil && r.out.Err == nil {
 		r.out.Err = err
 	}
-	if r.ck != nil && !j.isUpdate() {
-		if err != nil {
-			r.ck = nil
-		} else {
-			r.ck.LSNs[j.shard], r.ck.Vector[j.shard] = j.lsn, j.vv
-		}
-	}
 	if r.remaining--; r.remaining > 0 {
 		return
-	}
-	if r.ck != nil {
-		if err := r.record(*r.ck); err != nil && r.out.Err == nil {
-			r.out.Err = err
-		}
 	}
 	r.ch <- r.out
 }
