@@ -1,12 +1,10 @@
 package lmfao
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
-	"repro/internal/data"
 	"repro/internal/wal"
 )
 
@@ -101,38 +99,5 @@ func TestDurablePruneFailureKeepsCommitting(t *testing.T) {
 	}
 	if d.sinceCkpt != 0 {
 		t.Fatalf("%d updates since the last checkpoint, want 0 after 10 updates at interval 2", d.sinceCkpt)
-	}
-}
-
-// TestDurableDeltaLogStaysCapped: a durable session's delta logs are
-// bounded by the retention cap alone, whatever the checkpoint interval —
-// recovery reads the on-disk log, never the in-memory one, so a checkpoint
-// keeps no suffix of it alive.
-func TestDurableDeltaLogStaysCapped(t *testing.T) {
-	for _, every := range []int{-1, 4000} {
-		t.Run(fmt.Sprint(every), func(t *testing.T) {
-			db, _, amount, region := sessionFixture(t)
-			queries := []*Query{NewQuery("byregion", []AttrID{region}, Count(), Sum(amount))}
-			d, err := NewDurableSession(db, queries, DefaultOptions(), DurableOptions{CheckpointEvery: every}, t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer d.Close()
-			if _, err := d.Run(); err != nil {
-				t.Fatal(err)
-			}
-			updates := make([]Update, data.DefaultDeltaLogCap+64)
-			for i := range updates {
-				updates[i] = InsertRows("sales", IntColumn([]int64{int64(i % 3)}), FloatColumn([]float64{float64(i)}))
-			}
-			if _, err := d.Apply(updates...); err != nil {
-				t.Fatal(err)
-			}
-			for _, rel := range db.Relations() {
-				if got, max := len(rel.DeltaLog(0)), rel.DeltaLogCap(); got > max {
-					t.Errorf("relation %q retains %d delta-log entries, cap %d", rel.Name, got, max)
-				}
-			}
-		})
 	}
 }

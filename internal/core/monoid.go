@@ -170,14 +170,3 @@ func (p *Plan) VisibleCols(qi int) int {
 	}
 	return n
 }
-
-// HasMonoids reports whether any user query carries monoid aggregates (and
-// hence whether the plan has support queries and needs result assembly).
-func (p *Plan) HasMonoids() bool {
-	for _, spec := range p.Monoids {
-		if spec != nil {
-			return true
-		}
-	}
-	return false
-}

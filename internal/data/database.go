@@ -11,10 +11,6 @@ type Database struct {
 	dicts     map[AttrID]*Dictionary
 	relations []*Relation
 	relByName map[string]*Relation
-	// deltaLogCap is the database-wide delta-log retention default applied
-	// to relations as they are added (see SetDeltaLogCap); 0 leaves
-	// relations on DefaultDeltaLogCap.
-	deltaLogCap int
 }
 
 // NewDatabase returns an empty database.
@@ -61,19 +57,6 @@ func (db *Database) NumAttrs() int { return len(db.attrs) }
 // Dict returns the dictionary for a categorical attribute (nil otherwise).
 func (db *Database) Dict(id AttrID) *Dictionary { return db.dicts[id] }
 
-// SetDeltaLogCap sets the delta-log retention cap (clamped to at least 1)
-// on every registered relation and records it as the default for relations
-// added later. A later Relation.SetDeltaLogCap overrides it per relation.
-func (db *Database) SetDeltaLogCap(n int) {
-	if n < 1 {
-		n = 1
-	}
-	db.deltaLogCap = n
-	for _, r := range db.relations {
-		r.SetDeltaLogCap(n)
-	}
-}
-
 // AddRelation registers rel with the database after validating it.
 func (db *Database) AddRelation(rel *Relation) error {
 	if _, dup := db.relByName[rel.Name]; dup {
@@ -81,9 +64,6 @@ func (db *Database) AddRelation(rel *Relation) error {
 	}
 	if err := rel.validate(db); err != nil {
 		return fmt.Errorf("data: relation %q: %w", rel.Name, err)
-	}
-	if db.deltaLogCap > 0 {
-		rel.SetDeltaLogCap(db.deltaLogCap)
 	}
 	db.relations = append(db.relations, rel)
 	db.relByName[rel.Name] = rel

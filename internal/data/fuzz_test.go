@@ -205,7 +205,7 @@ func FuzzSplitRelation(f *testing.F) {
 	})
 }
 
-// FuzzRelationDelta drives the delta log with arbitrary tapes: append and
+// FuzzRelationDelta drives a relation with arbitrary delta tapes: append and
 // delete batches must keep the relation consistent (length bookkeeping,
 // version monotonicity) and failed deletes must leave it untouched.
 func FuzzRelationDelta(f *testing.F) {

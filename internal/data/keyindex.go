@@ -22,7 +22,7 @@ import (
 // themselves are in (key, id) order.
 //
 // An index belongs to its relation and is kept current by the relation's
-// mutations (Append, DeleteRows, patchSorted), which patch the postings in
+// mutations (ApplyDelta, Append, DeleteRows), which patch the postings in
 // place — positions shift monotonically, so one remap pass plus O(|delta|)
 // searched edits bring it forward (see patch.go). Lookups read the
 // relation's rows, so like row reads they must not race with the relation's

@@ -115,8 +115,8 @@ func (r *Relation) PartitionBy(attrs []AttrID, n int) ([]*Relation, error) {
 	return out, nil
 }
 
-// clone returns a deep copy of the relation (fresh column storage, no delta
-// log, no caches).
+// clone returns a deep copy of the relation (fresh column storage, no
+// caches).
 func (r *Relation) clone() *Relation {
 	return NewRelation(r.Name, append([]AttrID(nil), r.Attrs...), copyBlock(r.Cols))
 }
@@ -154,9 +154,6 @@ func PartitionDatabase(db *Database, fact string, key []AttrID, n int) ([]*Datab
 			a := db.attrs[i]
 			shard.Attr(a.Name, a.Kind)
 		}
-		if db.deltaLogCap > 0 {
-			shard.deltaLogCap = db.deltaLogCap
-		}
 		for _, r := range db.relations {
 			rel := parts[s]
 			if r.Name != fact {
@@ -164,16 +161,6 @@ func PartitionDatabase(db *Database, fact string, key []AttrID, n int) ([]*Datab
 			}
 			if err := shard.AddRelation(rel); err != nil {
 				return nil, fmt.Errorf("data: partition shard %d: %w", s, err)
-			}
-			// Carry an explicitly configured per-relation retention cap onto
-			// the shard, after AddRelation has applied the database-wide
-			// default — the per-relation setting overrides it, as on the
-			// source.
-			r.logMu.Lock()
-			relCap := r.logCap
-			r.logMu.Unlock()
-			if relCap > 0 {
-				rel.SetDeltaLogCap(relCap)
 			}
 		}
 		out[s] = shard

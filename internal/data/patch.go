@@ -6,7 +6,8 @@ import (
 )
 
 // Physical design under updates. A relation's rows, a sorted copy of them and
-// every key index are kept current by one operation, mutate, whose cost is
+// every key index are kept current by one operation, mutate — a copy takes
+// each delta its base takes (Relation.ApplyDelta on both) — whose cost is
 // proportional to the delta: O(|δ| log |R|) searching to find what the delta
 // touches, then allocation-free linear passes (memmove between the touched
 // positions) over the affected arrays. Nothing is re-sorted or re-hashed —
@@ -306,7 +307,7 @@ func (r *Relation) planIndex(ix *KeyIndex, del []int32, ins []Column, src, at, f
 // and adds the tuples of ins, patching the rows and every key index in
 // place. A sorted relation stays sorted: the inserts merge into its sort
 // order (see landing) — a base sorted in its plan order, or a sorted copy
-// following its base; an unsorted one appends them. Either block may be
+// taking its base's delta; an unsorted one appends them. Either block may be
 // nil. An unmatched delete tuple fails the call before anything is touched.
 func (r *Relation) mutate(dels, ins []Column) error {
 	nd, ni := blockLen(dels), blockLen(ins)
@@ -360,54 +361,4 @@ func (r *Relation) mutate(dels, ins []Column) error {
 		}
 	}
 	return nil
-}
-
-// patchSorted brings a sorted copy forward by one entry of its base
-// relation's delta log: the entry's deletes are found by key-range search
-// plus row match and removed, its inserts are stably sorted by the copy's
-// sort order and merged behind the existing rows of equal key. The result
-// is, element for element, what SortedCopy of the mutated base returns —
-// within equal keys of the copy's SortOrder (refined by the base's order)
-// both hold the surviving rows in arrival order followed by the inserts in
-// block order — and the copy's key indexes follow in the same pass. The copy's Version advances (consumers bound to its columns
-// must rebind); nothing is logged.
-func (r *Relation) patchSorted(e DeltaEntry) error {
-	if err := r.mutate(e.Deletes, e.Inserts); err != nil {
-		return err
-	}
-	r.mutated(nil)
-	return nil
-}
-
-// CatchUpSorted returns r sorted by order at r's current version, with that
-// version. cp is the caller's previous result (nil for none) and since the
-// version it was returned at: when r's delta log still holds every entry
-// after since, cp is patched forward entry by entry (patchSorted) and
-// returned; otherwise — no previous copy, or a gap in the log behind
-// DeltaLogTruncatedThrough — the copy is built by a full SortedCopy, the
-// base case of the same life cycle. Either way the result equals, element
-// for element, a fresh SortedCopy of r. Must not race with r's writer.
-func (r *Relation) CatchUpSorted(cp *Relation, since int64, order []AttrID) (*Relation, int64, error) {
-	version := r.Version()
-	if cp != nil && since == version {
-		return cp, version, nil
-	}
-	if cp != nil && since >= r.DeltaLogTruncatedThrough() {
-		entries := r.DeltaLog(since)
-		// Every mutation logs one entry per version step; anything else
-		// (an unlogged change) leaves the log unable to explain the base.
-		if int64(len(entries)) == version-since {
-			for _, e := range entries {
-				if err := cp.patchSorted(e); err != nil {
-					return nil, 0, fmt.Errorf("data: sorted copy of %q diverged from its delta log: %w", r.Name, err)
-				}
-			}
-			return cp, version, nil
-		}
-	}
-	cp, err := r.SortedCopy(order)
-	if err != nil {
-		return nil, 0, err
-	}
-	return cp, version, nil
 }

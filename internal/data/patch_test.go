@@ -3,7 +3,6 @@ package data
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 )
@@ -12,25 +11,22 @@ import (
 // keeps over it: sorted copies per scan order, and key indexes on the base
 // and on the copies. Beside it, one twin per scan order is sorted in place
 // and takes every mutation the base takes, as a session's base does, and
-// keeps sorted copies of its own in the other orders. check brings every
-// follower forward and compares it, and every twin, element for element,
-// with a structure freshly built from the one it follows, and with a fresh
-// SortedCopy of the arrival-order base.
+// keeps sorted copies of its own in the other orders. Every follower takes
+// the same delta as the relation it follows. check compares each follower,
+// and every twin, element for element, with a structure freshly built from
+// the one it follows, and with a fresh SortedCopy of the arrival-order base.
 type patchWorld struct {
 	t      *testing.T
 	base   *Relation
 	orders [][]AttrID
 	keys   [][]AttrID // index attribute lists (discrete attrs only)
 	copies []*Relation
-	since  []int64
 	sorted []*Relation // sorted[i] is sorted in place by orders[i]
-	// twinCopies[i][j] is sorted[i]'s copy in orders[j] (nil for j = i),
-	// brought forward from sorted[i]'s delta log; twinSince its version.
+	// twinCopies[i][j] is sorted[i]'s copy in orders[j] (nil for j = i).
 	twinCopies [][]*Relation
-	twinSince  [][]int64
 }
 
-func newPatchWorld(t *testing.T, nInt, nFloat int, logCap int) *patchWorld {
+func newPatchWorld(t *testing.T, nInt, nFloat int) *patchWorld {
 	t.Helper()
 	w := &patchWorld{t: t}
 	var attrs []AttrID
@@ -44,9 +40,6 @@ func newPatchWorld(t *testing.T, nInt, nFloat int, logCap int) *patchWorld {
 		cols = append(cols, NewFloatColumn(nil))
 	}
 	w.base = NewRelation("r", attrs, cols)
-	if logCap > 0 {
-		w.base.SetDeltaLogCap(logCap)
-	}
 	ints := attrs[:nInt]
 	switch nInt {
 	case 0:
@@ -60,37 +53,64 @@ func newPatchWorld(t *testing.T, nInt, nFloat int, logCap int) *patchWorld {
 		w.orders = [][]AttrID{{ints[0], ints[1]}, {ints[2], ints[0], ints[1]}, {ints[1]}}
 		w.keys = [][]AttrID{{ints[0]}, {ints[1]}, {ints[2], ints[1]}, {ints[0], ints[1], ints[2]}}
 	}
-	w.copies = make([]*Relation, len(w.orders))
-	w.since = make([]int64, len(w.orders))
 	for _, order := range w.orders {
 		twin := w.base.clone()
-		if logCap > 0 {
-			twin.SetDeltaLogCap(logCap)
-		}
 		if err := twin.SortBy(order); err != nil {
 			t.Fatal(err)
 		}
 		w.sorted = append(w.sorted, twin)
-		w.twinCopies = append(w.twinCopies, make([]*Relation, len(w.orders)))
-		w.twinSince = append(w.twinSince, make([]int64, len(w.orders)))
 	}
+	w.rebuild()
 	return w
 }
 
-// apply runs one mutation on the base and on every sorted twin; they must
-// agree on whether it succeeds.
-func (w *patchWorld) apply(op func(*Relation, []Column) error, blk []Column) error {
-	err := op(w.base, blk)
+// rebuild drops every follower and builds it afresh from the relation it
+// follows (SortedCopy): the base case a follower starts from, here taken
+// from a base that earlier deltas already mutated.
+func (w *patchWorld) rebuild() {
+	sortedCopy := func(rel *Relation, order []AttrID) *Relation {
+		cp, err := rel.SortedCopy(order)
+		if err != nil {
+			w.t.Fatal(err)
+		}
+		return cp
+	}
+	w.copies = make([]*Relation, len(w.orders))
+	w.twinCopies = make([][]*Relation, len(w.orders))
+	for i, order := range w.orders {
+		w.copies[i] = sortedCopy(w.base, order)
+		w.twinCopies[i] = make([]*Relation, len(w.orders))
+		for j, other := range w.orders {
+			if j != i {
+				w.twinCopies[i][j] = sortedCopy(w.sorted[i], other)
+			}
+		}
+	}
+}
+
+// apply runs one delta on the base, on every sorted twin and on every
+// follower; they must agree on whether it succeeds.
+func (w *patchWorld) apply(d Delta) error {
+	err := w.base.ApplyDelta(d)
+	same := func(rel *Relation, what string) {
+		if ferr := rel.ApplyDelta(d); (ferr == nil) != (err == nil) {
+			w.t.Fatalf("%s sorted by %v returned %v, base %v", what, rel.SortOrder(), ferr, err)
+		}
+	}
 	for i, twin := range w.sorted {
-		if terr := op(twin, blk); (terr == nil) != (err == nil) {
-			w.t.Fatalf("order %v: sorted twin returned %v, base %v", w.orders[i], terr, err)
+		same(twin, "sorted twin")
+		same(w.copies[i], "copy")
+		for _, cp := range w.twinCopies[i] {
+			if cp != nil {
+				same(cp, "twin copy")
+			}
 		}
 	}
 	return err
 }
 
-func (w *patchWorld) append(blk []Column) error { return w.apply((*Relation).Append, blk) }
-func (w *patchWorld) delete(blk []Column) error { return w.apply((*Relation).DeleteRows, blk) }
+func (w *patchWorld) append(blk []Column) error { return w.apply(Delta{Inserts: blk}) }
+func (w *patchWorld) delete(blk []Column) error { return w.apply(Delta{Deletes: blk}) }
 
 // block builds a tuple block in the base's schema from small value codes, so
 // that duplicates (of keys and of whole rows) are common.
@@ -196,11 +216,7 @@ func (w *patchWorld) check() {
 	}
 	w.checkIndexes(w.base, "base")
 	for i, order := range w.orders {
-		cp, version, err := w.base.CatchUpSorted(w.copies[i], w.since[i], order)
-		if err != nil {
-			w.t.Fatal(err)
-		}
-		w.copies[i], w.since[i] = cp, version
+		cp := w.copies[i]
 		fresh, err := w.base.SortedCopy(order)
 		if err != nil {
 			w.t.Fatal(err)
@@ -225,18 +241,12 @@ func (w *patchWorld) check() {
 	}
 }
 
-// checkTwinCopy brings sorted twin i's copy in order forward (patched, or
-// rebuilt across a log gap) and requires it to equal a fresh SortedCopy of
-// the twin — the base case a recovered session takes — and a fresh
-// SortedCopy of the arrival-order base by the copy's SortOrder, which is
-// order refined by the twin's.
+// checkTwinCopy requires sorted twin i's copy in order to equal a fresh
+// SortedCopy of the twin — the base case a recovered session takes — and a
+// fresh SortedCopy of the arrival-order base by the copy's SortOrder, which
+// is order refined by the twin's.
 func (w *patchWorld) checkTwinCopy(i, j int, order []AttrID) {
-	twin := w.sorted[i]
-	cp, version, err := twin.CatchUpSorted(w.twinCopies[i][j], w.twinSince[i][j], order)
-	if err != nil {
-		w.t.Fatal(err)
-	}
-	w.twinCopies[i][j], w.twinSince[i][j] = cp, version
+	twin, cp := w.sorted[i], w.twinCopies[i][j]
 	fresh, err := twin.SortedCopy(order)
 	if err != nil {
 		w.t.Fatal(err)
@@ -271,8 +281,14 @@ func (w *patchWorld) step(tape []byte) int {
 		return 1
 	}
 	switch op {
-	case 0, 1: // insert
+	case 0: // insert
 		if err := w.append(w.block(args)); err != nil {
+			t.Fatal(err)
+		}
+	case 1: // delete live rows and insert new ones in one delta
+		half := (n + 1) / 2
+		d := Delta{Deletes: w.liveRows(args[:half]), Inserts: w.block(args[half:])}
+		if err := w.apply(d); err != nil {
 			t.Fatal(err)
 		}
 	case 2: // delete live rows (one of k duplicates, whenever duplicates exist)
@@ -307,11 +323,11 @@ func (w *patchWorld) step(tape []byte) int {
 				blk[c].Floats[0] = 99
 			}
 		}
-		before, version, logLen := copyBlock(w.base.Cols), w.base.Version(), len(w.base.DeltaLog(0))
+		before, version := copyBlock(w.base.Cols), w.base.Version()
 		if err := w.delete(blk); err == nil {
 			t.Fatal("delete of an absent tuple succeeded")
 		}
-		if !blocksEqual(before, w.base.Cols) || w.base.Version() != version || len(w.base.DeltaLog(0)) != logLen {
+		if !blocksEqual(before, w.base.Cols) || w.base.Version() != version {
 			t.Fatal("failed delete touched the relation")
 		}
 	case 6: // several mutations between two looks at the followers
@@ -334,12 +350,12 @@ func (w *patchWorld) step(tape []byte) int {
 
 // FuzzPhysicalPatch drives random schemas through random delta tapes —
 // duplicate rows, deletes of one of k duplicates, deletes that empty the
-// relation, insert-then-delete of the same row in one round, failed deletes,
-// and a delta-log cap small enough that eviction forces the rebuild base
-// case — and after every step requires each patched sorted copy, each
-// relation sorted in place and mutated like the base, and each patched key
-// index to equal, element for element, a fresh SortedCopy and KeyIndex of
-// the mutated relation.
+// relation, mixed deltas, insert-then-delete of the same row in one round,
+// failed deletes, and (per a schema bit) followers dropped and rebuilt
+// mid-tape from the mutated relation — and after every step requires each
+// patched sorted copy, each relation sorted in place and mutated like the
+// base, and each patched key index to equal, element for element, a fresh
+// SortedCopy and KeyIndex of the mutated relation.
 func FuzzPhysicalPatch(f *testing.F) {
 	f.Add(byte(0x00), []byte{0x60, 1, 2, 3, 0x42, 0, 1, 0x43, 0x64, 7, 7, 9})
 	f.Add(byte(0x16), []byte{0xe0, 1, 1, 1, 1, 5, 5, 5, 0x22, 0, 0x22, 0, 0x22, 0})
@@ -347,52 +363,52 @@ func FuzzPhysicalPatch(f *testing.F) {
 	f.Add(byte(0x37), []byte{0xc0, 3, 3, 3, 3, 3, 3, 0xc6, 0, 1, 2, 3, 4, 5, 0xa4, 200, 100, 50, 25, 12})
 	f.Add(byte(0xf3), []byte{0x20, 255, 0x46, 0, 200, 0x03, 0x20, 1})
 	f.Fuzz(func(t *testing.T, schema byte, tape []byte) {
-		nInt, nFloat := int(schema&3), int(schema>>2&1)
-		if nInt == 0 {
-			nFloat = 1 + int(schema>>2&1)
-		}
-		logCap := 0
-		if schema&0x10 != 0 {
-			logCap = 1 + int(schema>>5) // 1..8: evictions between looks
-		}
 		if len(tape) > 256 {
 			tape = tape[:256] // every step re-sorts for the comparison: keep execs cheap
 		}
-		w := newPatchWorld(t, nInt, nFloat, logCap)
-		w.check()
-		for len(tape) > 0 {
-			tape = tape[w.step(tape):]
-			w.check()
-		}
+		runPatchTape(t, int(schema), tape)
 	})
 }
 
+// runPatchTape runs a delta tape over the schema the schema code picks:
+// bits 0-1 the discrete columns, bit 2 the numeric ones, bit 4 whether the
+// followers are rebuilt every 1 + bits 5-7 steps.
+func runPatchTape(t *testing.T, schema int, tape []byte) {
+	nInt, nFloat := schema&3, schema>>2&1
+	if nInt == 0 {
+		nFloat = 1 + schema>>2&1
+	}
+	rebuildEvery := 0
+	if schema&0x10 != 0 {
+		rebuildEvery = 1 + schema>>5&7
+	}
+	w := newPatchWorld(t, nInt, nFloat)
+	w.check()
+	for step := 1; len(tape) > 0; step++ {
+		tape = tape[w.step(tape):]
+		w.check()
+		if rebuildEvery > 0 && step%rebuildEvery == 0 {
+			w.rebuild()
+		}
+	}
+}
+
 // TestPhysicalPatchRandom is the fuzz property under go test: long random
-// tapes over every schema shape, with and without delta-log eviction.
+// tapes over every schema shape, with and without followers rebuilt
+// mid-tape.
 func TestPhysicalPatchRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for schema := 0; schema < 256; schema += 5 {
 		tape := make([]byte, 120)
 		rng.Read(tape)
-		nInt, nFloat := schema&3, schema>>2&1
-		if nInt == 0 {
-			nFloat = 1 + schema>>2&1
-		}
-		logCap := 0
-		if schema&0x10 != 0 {
-			logCap = 1 + schema>>5
-		}
-		w := newPatchWorld(t, nInt, nFloat, logCap)
-		for len(tape) > 0 {
-			tape = tape[w.step(tape):]
-			w.check()
-		}
+		runPatchTape(t, schema, tape)
 	}
 }
 
 // TestFailedDeleteTouchesNothing is the mutation contract's atomic half: a
-// delete block with one unmatched tuple leaves rows, version, delta log,
-// sorted copies and indexes exactly as they were.
+// delete block with one unmatched tuple — alone, or beside valid inserts in
+// one delta — and a valid delete beside an insert block of the wrong shape
+// leave rows, version, sorted copies and indexes exactly as they were.
 func TestFailedDeleteTouchesNothing(t *testing.T) {
 	cases := []struct {
 		name string
@@ -404,6 +420,7 @@ func TestFailedDeleteTouchesNothing(t *testing.T) {
 		{"one duplicate too many", [][]int64{{3, 3}, {30, 30}}, []float64{3.5, 3.5}},
 		{"only the last tuple misses", [][]int64{{1, 2, 2, 4}, {10, 20, 21, 40}}, []float64{0.5, 1.5, 4.5, 4.5}},
 	}
+	ins := []Column{NewIntColumn([]int64{6}), NewIntColumn([]int64{60}), NewFloatColumn([]float64{6})}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rel := keyIndexFixture(t)
@@ -412,33 +429,37 @@ func TestFailedDeleteTouchesNothing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// A logged prefix the failed delete must preserve.
+			// A mutated prefix the failed delete must preserve.
 			if err := rel.Append([]Column{NewIntColumn([]int64{4}), NewIntColumn([]int64{40}), NewFloatColumn([]float64{4})}); err != nil {
 				t.Fatal(err)
 			}
-			cp, since, err := rel.CatchUpSorted(nil, 0, order)
+			cp, err := rel.SortedCopy(order)
 			if err != nil {
 				t.Fatal(err)
 			}
 			rows, perm, cpRows := copyBlock(rel.Cols), slices.Clone(ix.perm), copyBlock(cp.Cols)
-			version, log := rel.Version(), rel.DeltaLog(0)
+			version, cpVersion := rel.Version(), cp.Version()
 
-			err = rel.DeleteRows([]Column{NewIntColumn(tc.del[0]), NewIntColumn(tc.del[1]), NewFloatColumn(tc.x)})
-			if err == nil {
-				t.Fatal("delete with an unmatched tuple succeeded")
-			}
-			if !blocksEqual(rows, rel.Cols) || rel.Len() != rows[0].Len() {
-				t.Fatal("rows changed")
-			}
-			if rel.Version() != version || !reflect.DeepEqual(rel.DeltaLog(0), log) {
-				t.Fatal("version or delta log changed")
-			}
-			if !slices.Equal(perm, ix.perm) {
-				t.Fatal("key index changed")
-			}
-			cp2, since2, err := rel.CatchUpSorted(cp, since, order)
-			if err != nil || cp2 != cp || since2 != since || !blocksEqual(cpRows, cp.Cols) {
-				t.Fatalf("sorted copy changed (err %v)", err)
+			del := []Column{NewIntColumn(tc.del[0]), NewIntColumn(tc.del[1]), NewFloatColumn(tc.x)}
+			short := Delta{Deletes: rel.GatherRows([]int32{0}).Cols, Inserts: ins[:2]}
+			for _, d := range []Delta{{Deletes: del}, {Deletes: del, Inserts: ins}, short} {
+				for _, r := range []*Relation{rel, cp} {
+					if err := r.ApplyDelta(d); err == nil {
+						t.Fatalf("delta %v succeeded", d)
+					}
+				}
+				if !blocksEqual(rows, rel.Cols) || rel.Len() != rows[0].Len() {
+					t.Fatal("rows changed")
+				}
+				if rel.Version() != version {
+					t.Fatal("version changed")
+				}
+				if !slices.Equal(perm, ix.perm) {
+					t.Fatal("key index changed")
+				}
+				if !blocksEqual(cpRows, cp.Cols) || cp.Version() != cpVersion {
+					t.Fatal("sorted copy changed")
+				}
 			}
 		})
 	}
@@ -462,7 +483,7 @@ func TestRelayoutDropsPatchedState(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range shards {
-		if len(s.keyIdx) != 0 || s.Version() != 0 || len(s.DeltaLog(0)) != 0 {
+		if len(s.keyIdx) != 0 || s.Version() != 0 {
 			t.Fatal("a shard inherited patched state")
 		}
 	}
@@ -480,23 +501,6 @@ func TestRelayoutDropsPatchedState(t *testing.T) {
 	}
 	if ix2 == ix || !slices.Equal(ix2.Rows(PackKey(4)), []int32{1}) {
 		t.Fatal("index after Restore does not describe the restored rows")
-	}
-	// A sorted copy from before the Restore cannot be caught up from the log.
-	cp, since, err := rel.CatchUpSorted(nil, 0, []AttrID{a})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rel.Restore([]Column{
-		NewIntColumn([]int64{9}), NewIntColumn([]int64{90}), NewFloatColumn([]float64{9}),
-	}, 9, nil); err != nil {
-		t.Fatal(err)
-	}
-	cp2, _, err := rel.CatchUpSorted(cp, since, []AttrID{a})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp2 == cp || cp2.Len() != 1 {
-		t.Fatal("a copy older than a Restore must be rebuilt")
 	}
 	if err := rel.SortBy([]AttrID{rel.Attrs[1]}); err != nil {
 		t.Fatal(err)
@@ -604,11 +608,12 @@ func BenchmarkApplyDeltaSorted(b *testing.B) {
 	}
 }
 
+// BenchmarkSortedCopyPatch times bringing a sorted copy forward by applying
+// its base's delta to it.
 func BenchmarkSortedCopyPatch(b *testing.B) {
 	rel := benchFact(benchRows)
 	rng := rand.New(rand.NewSource(3))
-	order := []AttrID{0, 1, 2}
-	cp, since, err := rel.CatchUpSorted(nil, 0, order)
+	cp, err := rel.SortedCopy([]AttrID{0, 1, 2})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -617,24 +622,22 @@ func BenchmarkSortedCopyPatch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		d := benchDeltaOf(rng, rel)
-		if err := rel.DeleteRows(d.Deletes); err != nil {
-			b.Fatal(err)
-		}
-		if err := rel.Append(d.Inserts); err != nil {
+		if err := rel.ApplyDelta(d); err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if cp, since, err = rel.CatchUpSorted(cp, since, order); err != nil {
+		if err := cp.ApplyDelta(d); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
+// BenchmarkKeyIndexPatch is BenchmarkSortedCopyPatch with a key index on
+// the copy that the delta patches too.
 func BenchmarkKeyIndexPatch(b *testing.B) {
 	rel := benchFact(benchRows)
 	rng := rand.New(rand.NewSource(4))
-	order := []AttrID{0, 1, 2}
-	cp, since, err := rel.CatchUpSorted(nil, 0, order)
+	cp, err := rel.SortedCopy([]AttrID{0, 1, 2})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -646,14 +649,11 @@ func BenchmarkKeyIndexPatch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		d := benchDeltaOf(rng, rel)
-		if err := rel.DeleteRows(d.Deletes); err != nil {
-			b.Fatal(err)
-		}
-		if err := rel.Append(d.Inserts); err != nil {
+		if err := rel.ApplyDelta(d); err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if cp, since, err = rel.CatchUpSorted(cp, since, order); err != nil {
+		if err := cp.ApplyDelta(d); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := cp.KeyIndex([]AttrID{2}); err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // Relation is an in-memory columnar relation. Columns are parallel to Attrs.
@@ -25,23 +26,11 @@ type Relation struct {
 	distinctMu sync.Mutex
 	distinct   map[AttrID]int
 
-	// logMu guards version, log, logDropped and logCap: the snapshot
-	// publication protocol (lmfao.Session) reads versions and delta-log
-	// suffixes concurrently with the single writer's mutations, so the
-	// version bump and log append commit under one critical section.
-	// Column data itself stays single-writer: mutating rows must not race
-	// with row reads.
-	logMu sync.Mutex
-	// version counts in-place mutations (see Version); log records the
-	// applied deltas (see DeltaLog).
-	version int64
-	log     []DeltaEntry
-	// logDropped is the highest Seq ever evicted from the log, by the
-	// retention cap or TruncateDeltaLog (see DeltaLogTruncatedThrough).
-	logDropped int64
-	// logCap bounds the retained log entries; 0 means DefaultDeltaLogCap
-	// (see SetDeltaLogCap).
-	logCap int
+	// version counts applied deltas (see Version). It is atomic because
+	// the snapshot publication protocol (lmfao.Session) reads versions
+	// concurrently with the single writer's mutations. Column data itself
+	// stays single-writer: mutating rows must not race with row reads.
+	version atomic.Int64
 
 	// keyIdx holds the relation's key indexes, one per attribute list (see
 	// KeyIndex) — a handful, found by a linear scan. Mutations patch them in
@@ -230,20 +219,11 @@ func (r *Relation) SortIDsBy(order []AttrID, ids []int32) error {
 // storage with the receiver. The receiver is left untouched. The copy starts
 // out in the receiver's sort order, so a sorted receiver's order breaks the
 // copy's ties (see SortBy). This full sort is the base case of the copy's
-// life: patchSorted brings it forward from the receiver's delta log
-// afterwards.
+// life: applying each later delta of the receiver to the copy as well
+// (ApplyDelta) keeps it equal to a fresh SortedCopy.
 func (r *Relation) SortedCopy(order []AttrID) (*Relation, error) {
-	cp := &Relation{Name: r.Name, Attrs: append([]AttrID(nil), r.Attrs...), n: r.n,
+	cp := &Relation{Name: r.Name, Attrs: append([]AttrID(nil), r.Attrs...), Cols: copyBlock(r.Cols), n: r.n,
 		sortOrder: append([]AttrID(nil), r.sortOrder...)}
-	cp.Cols = make([]Column, len(r.Cols))
-	for i, c := range r.Cols {
-		// Non-nil empty bases keep the column kind detectable when empty.
-		if c.IsInt() {
-			cp.Cols[i] = Column{Ints: append([]int64{}, c.Ints...)}
-		} else {
-			cp.Cols[i] = Column{Floats: append([]float64{}, c.Floats...)}
-		}
-	}
 	if err := cp.SortBy(order); err != nil {
 		return nil, err
 	}
@@ -257,9 +237,7 @@ func (r *Relation) SortedCopy(order []AttrID) (*Relation, error) {
 // order is checked in one linear pass over the key columns; rows that
 // violate it, or an order naming a missing or numeric attribute, fail the
 // call with the relation untouched. Distinct counts and key indexes are
-// dropped, and the delta log resets to empty with DeltaLogTruncatedThrough
-// = version, since the pre-restore entries are not reconstructible from a
-// checkpoint. Single-writer: must not race with row reads.
+// dropped. Single-writer: must not race with row reads.
 func (r *Relation) Restore(cols []Column, version int64, order []AttrID) error {
 	n, err := r.checkBlock(cols)
 	if err != nil {
@@ -290,14 +268,7 @@ func (r *Relation) Restore(cols []Column, version int64, order []AttrID) error {
 	r.distinct = nil
 	r.distinctMu.Unlock()
 	r.dropIndexes()
-	r.logMu.Lock()
-	r.version = version
-	for i := range r.log {
-		r.log[i] = DeltaEntry{}
-	}
-	r.log = r.log[:0]
-	r.logDropped = version
-	r.logMu.Unlock()
+	r.version.Store(version)
 	return nil
 }
 

@@ -30,9 +30,6 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultConfig is a laptop-friendly scale.
-func DefaultConfig() Config { return Config{Scale: 0.001, Seed: 2019} }
-
 // check rejects a scale that is not finite and positive. Below the tables'
 // minimum sizes every scale builds the same database, so a zero or
 // negative one would silently stand for the smallest.

@@ -66,6 +66,11 @@ type ApplyStats struct {
 // (found through data.KeyIndex indexes, built on first use and patched under
 // later deltas) instead of the full relation.
 //
+// d took its base relation one version step, from the version prev
+// reflects; the engine's sorted copies of the relation that reflect that
+// version take d as well (patchCopies), so they stay current without a
+// re-sort.
+//
 // A delta against a base relation folded into a materialized hypertree bag
 // is expanded into the bag's delta (joined with the bag's other members) and
 // maintained at the bag node; as a side effect the bag's materialized
@@ -102,6 +107,8 @@ func (e *Engine) Apply(prev *BatchResult, d data.Delta) (*BatchResult, *ApplySta
 		node, d = bag, expanded
 		stats.Bag = bag.Rel.Name
 	} else if err := d.Validate(node.Rel); err != nil {
+		return nil, nil, err
+	} else if err := e.patchCopies(node.Rel, d, node.Rel.Version()-1); err != nil {
 		return nil, nil, err
 	}
 	if d.Empty() {
@@ -247,33 +254,24 @@ func (e *Engine) SyncBagMember(d data.Delta) error {
 }
 
 // foldBagDelta expands a member delta into the bag's delta and folds it into
-// the bag's materialized relation, keeping it mirroring the natural join of
-// its (already-mutated) members. Returns the expanded delta for maintenance.
+// the bag's materialized relation and the engine's sorted copies of it,
+// keeping them mirroring the natural join of its (already-mutated) members.
+// Returns the expanded delta for maintenance.
 func (e *Engine) foldBagDelta(bag *jointree.Node, d data.Delta) (data.Delta, error) {
 	expanded, err := e.expandBagDelta(bag, d)
 	if err != nil {
 		return data.Delta{}, err
 	}
-	if expanded.DeleteRows() > 0 {
-		if err := bag.Rel.DeleteRows(expanded.Deletes); err != nil {
-			return data.Delta{}, fmt.Errorf("moo: bag %q out of sync with member %q: %w",
-				bag.Rel.Name, d.Relation, err)
-		}
+	from := bag.Rel.Version()
+	if err := bag.Rel.ApplyDelta(expanded); err != nil {
+		return data.Delta{}, fmt.Errorf("moo: bag %q out of sync with member %q: %w",
+			bag.Rel.Name, d.Relation, err)
 	}
-	if expanded.InsertRows() > 0 {
-		if err := bag.Rel.Append(expanded.Inserts); err != nil {
-			return data.Delta{}, err
-		}
-	}
-	// The bag relation lives only in the join tree, and the one consumer of
-	// its delta log is the engine's own sorted copies of it: bring those
-	// forward now, then reclaim the expanded tuple snapshots the mutations
-	// above just logged instead of pinning up to a full retention cap of
-	// join blocks per bag.
-	if err := e.syncSortedCopies(bag.Rel); err != nil {
+	// The bag relation lives only in the join tree: its sorted copies are
+	// the engine's own, brought forward with the expanded delta.
+	if err := e.patchCopies(bag.Rel, expanded, from); err != nil {
 		return data.Delta{}, err
 	}
-	bag.Rel.TruncateDeltaLog(bag.Rel.Version())
 	return expanded, nil
 }
 

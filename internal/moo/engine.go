@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -106,13 +105,14 @@ type sortKey struct {
 }
 
 // sortEntry is a persistent sorted copy of a base relation; version is the
-// base version it reflects. When the base has moved on, the copy is brought
-// forward from the base's delta log (data.Relation.CatchUpSorted) — patched
-// in place at a cost proportional to the delta, never re-sorted while the
-// log explains the change. The copy's join-key indexes are patched with it,
-// so compiled kernels resolve semi-join probes against the same copy and the
-// same indexes across Apply calls. mu serializes bringing the copy forward:
-// Run's worker pool may ask for one copy from several goroutines.
+// base version it reflects. The engine applies each delta it maintains to
+// the copies of the changed relation as well (patchCopies) — patched in place
+// at a cost proportional to the delta, together with the copy's join-key
+// indexes, so compiled kernels resolve semi-join probes against the same
+// copy and the same indexes across Apply calls. A copy whose base changed
+// without the engine seeing the change is rebuilt on its next read
+// (sortedRel). mu serializes bringing the copy forward: Run's worker pool
+// may ask for one copy from several goroutines.
 type sortEntry struct {
 	mu      sync.Mutex
 	version int64
@@ -464,11 +464,10 @@ func (e *Engine) orderID(order []data.AttrID) int {
 
 // sortedRel returns rel sorted by order: the base relation itself when it is
 // already compatible — always, for a session's bases in their plan order
-// (SortBases) — else the engine's persistent sorted copy, brought
-// forward to the base's current version. Only the first request for a
-// (relation, order) pair — or a gap in the base's delta log — pays a full
-// sort; after a delta the copy and its key indexes are patched in place.
-// The returned relation is therefore only valid until the next base
+// (SortBases) — else the engine's persistent sorted copy. The first request
+// for a (relation, order) pair pays a full sort, and so does a request after
+// the base changed without the engine applying the change to the copy
+// (patchCopies). The returned relation is only valid until the next base
 // mutation: callers on the write side rebind per round (maintKernel.bind
 // watches the copy's Version).
 func (e *Engine) sortedRel(rel *data.Relation, order []data.AttrID) (*data.Relation, error) {
@@ -485,13 +484,50 @@ func (e *Engine) sortedRel(rel *data.Relation, order []data.AttrID) (*data.Relat
 	e.mu.Unlock()
 	ent.mu.Lock()
 	defer ent.mu.Unlock()
-	cp, version, err := rel.CatchUpSorted(ent.rel, ent.version, order)
-	if err != nil {
-		ent.rel = nil // possibly patched halfway: rebuild on the next request
-		return nil, err
+	if version := rel.Version(); ent.rel == nil || ent.version != version {
+		cp, err := rel.SortedCopy(order)
+		if err != nil {
+			return nil, err
+		}
+		ent.rel, ent.version = cp, version
 	}
-	ent.rel, ent.version = cp, version
-	return cp, nil
+	return ent.rel, nil
+}
+
+// patchCopies applies d, the delta that just took rel from version from to
+// its current version, to every persistent sorted copy of rel that reflects
+// from, so that each stays equal to a fresh SortedCopy of rel. Copies at any
+// other version are left for sortedRel to rebuild. An empty d took no step
+// and patches nothing.
+func (e *Engine) patchCopies(rel *data.Relation, d data.Delta, from int64) error {
+	if d.Empty() {
+		return nil
+	}
+	e.mu.Lock()
+	var ents []*sortEntry
+	for key, ent := range e.sortCache {
+		if key.rel == rel {
+			ents = append(ents, ent)
+		}
+	}
+	e.mu.Unlock()
+	version := rel.Version()
+	for _, ent := range ents {
+		ent.mu.Lock()
+		var err error
+		if ent.rel != nil && ent.version == from {
+			if err = ent.rel.ApplyDelta(d); err == nil {
+				ent.version = version
+			} else {
+				ent.rel = nil // possibly diverged: rebuild on the next request
+			}
+		}
+		ent.mu.Unlock()
+		if err != nil {
+			return fmt.Errorf("moo: sorted copy of %q diverged from its base: %w", rel.Name, err)
+		}
+	}
+	return nil
 }
 
 // SortBases sorts the relation of every plain join-tree node in place by
@@ -540,29 +576,4 @@ func SortedCopyOrders(e *Engine, rel *data.Relation) [][]data.AttrID {
 		}
 	}
 	return out
-}
-
-// syncSortedCopies brings every persistent sorted copy of rel forward to its
-// current version — for a relation whose delta log is about to be truncated
-// (materialized bags), so that the copies never meet a gap in it.
-func (e *Engine) syncSortedCopies(rel *data.Relation) error {
-	e.mu.Lock()
-	var orders [][]data.AttrID
-	for key := range e.sortCache {
-		if key.rel == rel {
-			orders = append(orders, e.orders[key.order])
-		}
-	}
-	e.mu.Unlock()
-	for _, order := range orders {
-		if _, err := e.sortedRel(rel, order); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// SortAttrIDs is a helper for deterministic attribute ordering in callers.
-func SortAttrIDs(ids []data.AttrID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }

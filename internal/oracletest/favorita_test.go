@@ -49,7 +49,7 @@ func favoritaMonoidQueries(ds *datagen.Dataset) []*query.Query {
 // the full configuration (larger dataset, 10 Apply rounds, bigger deltas) in
 // the dedicated race job.
 func TestFavoritaMonoidOracle(t *testing.T) {
-	scale, steps, maxRows := 0.0, 3, 12
+	scale, steps, maxRows := 1e-9, 3, 12
 	if !testing.Short() {
 		scale, steps, maxRows = 0.0002, 10, 32
 	}

@@ -2,8 +2,10 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -415,6 +417,37 @@ func TestServeBodyLimit(t *testing.T) {
 		}
 		if w := do(srv, http.MethodPost, target, `{"updates":`, nil); w.Code != http.StatusBadRequest {
 			t.Errorf("POST %s with a malformed body = %d, want 400: %s", target, w.Code, w.Body)
+		}
+	}
+}
+
+// timedOutBody yields a few bytes of JSON and then the error a connection
+// read past its deadline returns.
+type timedOutBody struct{ sent bool }
+
+var errBodyTimeout = fmt.Errorf("read tcp 127.0.0.1:8080->127.0.0.1:53412: %w", os.ErrDeadlineExceeded)
+
+func (b *timedOutBody) Read(p []byte) (int, error) {
+	if b.sent {
+		return 0, errBodyTimeout
+	}
+	b.sent = true
+	return copy(p, `{"updates":[`), nil
+}
+
+// TestServeBodyReadTimeout: a body the read deadline cuts off is answered
+// with 408 and a fixed message that does not carry the transport error.
+func TestServeBodyReadTimeout(t *testing.T) {
+	srv, _ := newTestServer(t, AdmissionOptions{})
+	srv.apps = &Apps{}
+	for _, target := range []string{"/v1/lookup", "/v1/requery", "/v1/apply", "/v1/models/linreg/predict"} {
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, target, &timedOutBody{}))
+		if w.Code != http.StatusRequestTimeout {
+			t.Errorf("POST %s with a timed-out body = %d, want 408: %s", target, w.Code, w.Body)
+		}
+		if body := w.Body.String(); strings.Contains(body, errBodyTimeout.Error()) || strings.Contains(body, "127.0.0.1") {
+			t.Errorf("POST %s: the response echoes the transport error: %s", target, body)
 		}
 	}
 }

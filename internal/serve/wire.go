@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"os"
 	"strconv"
 	"strings"
 
@@ -234,20 +236,42 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 const maxBodyBytes = 8 << 20
 
 // decodeBody decodes r's JSON body into v, reading at most maxBodyBytes. On
-// failure it writes 413 for an oversized body or 400 for any other error,
-// naming the body what, and returns false.
+// failure it writes 413 for an oversized body, 408 for a body the read
+// deadline cut off, and 400 for any other error, naming the body what, and
+// returns false. A decode error is echoed; a transport error is not, since
+// its text carries the connection's addresses.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any, what string) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	body := &recordingReader{r: http.MaxBytesReader(w, r.Body, maxBodyBytes)}
+	err := json.NewDecoder(body).Decode(v)
 	var tooBig *http.MaxBytesError
 	switch {
 	case err == nil:
 		return true
 	case errors.As(err, &tooBig):
 		writeError(w, http.StatusRequestEntityTooLarge, "%s body exceeds %d bytes", what, maxBodyBytes)
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		writeError(w, http.StatusRequestTimeout, "%s body not received in time", what)
+	case body.err != nil:
+		writeError(w, http.StatusBadRequest, "%s body could not be read", what)
 	default:
 		writeError(w, http.StatusBadRequest, "bad %s body: %v", what, err)
 	}
 	return false
+}
+
+// recordingReader passes reads through and keeps the last error other than
+// io.EOF: the transport's, as opposed to one the JSON decoder raises.
+type recordingReader struct {
+	r   io.Reader
+	err error
+}
+
+func (b *recordingReader) Read(p []byte) (int, error) {
+	n, err := b.r.Read(p)
+	if err != nil && err != io.EOF {
+		b.err = err
+	}
+	return n, err
 }
 
 // writeError writes the uniform error envelope.

@@ -2,6 +2,7 @@ package lmfao
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -78,11 +79,6 @@ func TestSessionIncrementalMaintenance(t *testing.T) {
 	if got := lookupRow(t, res.Results[1])[0]; got != 40 {
 		t.Fatalf("scalar total after update = %g, want 40", got)
 	}
-
-	// The base relation's delta log recorded both halves.
-	if entries := db.Relation("sales").DeltaLog(0); len(entries) != 2 {
-		t.Fatalf("delta log has %d entries, want 2 (delete + append)", len(entries))
-	}
 }
 
 // TestSessionSnapshotIsolation pins the publication protocol: a snapshot
@@ -124,8 +120,8 @@ func TestSessionSnapshotIsolation(t *testing.T) {
 	if cur.VersionVector().Equal(oldVV) {
 		t.Fatalf("version vector unchanged across a mutating round: %v", oldVV)
 	}
-	if got, want := cur.VersionVector()["sales"], oldVV["sales"]+2; got != want {
-		t.Fatalf("sales version = %d, want %d (delete + append)", got, want)
+	if got, want := cur.VersionVector()["sales"], oldVV["sales"]+1; got != want {
+		t.Fatalf("sales version = %d, want %d (one step per delta)", got, want)
 	}
 
 	// The old snapshot still serves the pre-update state.
@@ -212,6 +208,77 @@ func TestSessionDeleteMissingRowFails(t *testing.T) {
 	if got := lookupRow(t, sess.Result().Results[0])[0]; got != 15 {
 		t.Fatalf("total after failed delete = %g, want 15", got)
 	}
+}
+
+// TestSessionMalformedUpdateTouchesNothing: an update whose insert block does
+// not fit the relation is rejected whole — its valid deletes included — so
+// the base, its version and the served views stay as they were, and the
+// next valid update is maintained from there.
+func TestSessionMalformedUpdateTouchesNothing(t *testing.T) {
+	db, _, amount, region := sessionFixture(t)
+	queries := []*Query{
+		NewQuery("byregion", []AttrID{region}, Count(), Sum(amount)),
+		NewQuery("total", nil, Sum(amount)),
+	}
+	sess, err := NewSession(db, queries, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// servedMatchesRun requires the served snapshot to hold exactly the
+	// groups and aggregates a fresh engine computes over the current base.
+	servedMatchesRun := func(when string) {
+		t.Helper()
+		eng, err := NewEngine(db, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := eng.Run(queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		head := sess.Head()
+		for q := range queries {
+			got, fresh := head.Result(q), want.Results[q]
+			if got.NumRows() != fresh.NumRows() {
+				t.Fatalf("%s: %s serves %d groups, a fresh run has %d", when, queries[q].Name, got.NumRows(), fresh.NumRows())
+			}
+			for i := 0; i < fresh.NumRows(); i++ {
+				row, ok := head.Lookup(q, fresh.Key(i)...)
+				if !ok {
+					t.Fatalf("%s: %s lacks group %v", when, queries[q].Name, fresh.Key(i))
+				}
+				for c, v := range row {
+					if v != fresh.Val(i, c) {
+						t.Fatalf("%s: %s group %v column %d = %g, fresh run %g", when, queries[q].Name, fresh.Key(i), c, v, fresh.Val(i, c))
+					}
+				}
+			}
+		}
+	}
+	sales := db.Relation("sales")
+	stores, amounts, version := slices.Clone(sales.Cols[0].Ints), slices.Clone(sales.Cols[1].Floats), sales.Version()
+
+	_, err = sess.Apply(Update{
+		Relation: "sales",
+		Deletes:  []Column{IntColumn([]int64{2}), FloatColumn([]float64{5})},
+		Inserts:  []Column{IntColumn([]int64{0})}, // one column short
+	})
+	if err == nil {
+		t.Fatal("an update with a short insert block succeeded")
+	}
+	if !slices.Equal(sales.Cols[0].Ints, stores) || !slices.Equal(sales.Cols[1].Floats, amounts) || sales.Version() != version {
+		t.Fatalf("the rejected update moved sales to %v %v at version %d, from %v %v at %d",
+			sales.Cols[0].Ints, sales.Cols[1].Floats, sales.Version(), stores, amounts, version)
+	}
+	servedMatchesRun("after the rejected update")
+
+	if _, err := sess.Apply(InsertRows("sales", IntColumn([]int64{2}), FloatColumn([]float64{7}))); err != nil {
+		t.Fatal(err)
+	}
+	servedMatchesRun("after the next valid update")
 }
 
 // TestKernelCacheScopedToLivePlan runs an engine many times, collecting the
