@@ -1,6 +1,6 @@
-// Package docdrift is the godoc coverage gate, ported from the CI shell
-// script (scripts/check_package_comments.sh) into a typed analyzer. Three
-// phases:
+// Package docdrift is the godoc coverage gate. It runs with the rest of the
+// lmfao-vet suite (go vet -vettool in CI's lint job, and
+// TestSuiteCleanOnHead under go test). Three phases:
 //
 //  1. every package (commands included) must have a package comment;
 //  2. every exported top-level symbol of the packages listed in

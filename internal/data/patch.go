@@ -1,6 +1,7 @@
 package data
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 )
@@ -128,6 +129,10 @@ func (r *Relation) locator() (*KeyIndex, error) {
 	return r.index(attrs)
 }
 
+// ErrUnmatchedDelete reports a delete tuple that matches no remaining row
+// of its relation: the caller asked to remove data that is not there.
+var ErrUnmatchedDelete = errors.New("delete tuples have no matching row")
+
 // findVictims resolves each tuple of the delete block to the position of one
 // distinct matching row — the first matches in row order, as a scan of the
 // whole relation would pick them — and returns the positions ascending. The
@@ -175,7 +180,7 @@ func (r *Relation) findVictims(dels []Column, nd int) ([]int32, error) {
 		g = h
 	}
 	if missing := nd - len(victims); missing > 0 {
-		return nil, fmt.Errorf("data: relation %q: %d delete tuples have no matching row", r.Name, missing)
+		return nil, fmt.Errorf("data: relation %q: %d %w", r.Name, missing, ErrUnmatchedDelete)
 	}
 	slices.Sort(victims)
 	return victims, nil

@@ -65,34 +65,74 @@ type CubeApp struct {
 	Spec lmfao.CubeSpec
 }
 
+// appNames lists every application the registry can hold, sorted.
+var appNames = []string{"chowliu", "cube", "linreg", "polyreg", "tree"}
+
 // Names lists the registered application names, sorted.
 func (a *Apps) Names() []string {
-	if a == nil {
-		return nil
-	}
 	var out []string
-	if a.LinReg != nil {
-		out = append(out, "linreg")
+	for _, name := range appNames {
+		if _, ok := a.learner(name); ok {
+			out = append(out, name)
+		}
 	}
-	if a.PolyReg != nil {
-		out = append(out, "polyreg")
-	}
-	if a.Tree != nil {
-		out = append(out, "tree")
-	}
-	if a.ChowLiu != nil {
-		out = append(out, "chowliu")
-	}
-	if a.Cube != nil {
-		out = append(out, "cube")
-	}
-	sort.Strings(out)
 	return out
 }
 
-// modelCache memoizes fitted models per (app, epoch vector): re-fitting is
-// pure over a snapshot, so two fits at the same epochs return the same
-// model and the second one is free.
+// learner is one registered application: the batch window its fit reads
+// (nil for the tree, which drives requeries over the whole snapshot), the
+// fit itself, and whether the fitted model predicts (has PredictRow).
+type learner struct {
+	win      *Window
+	fit      func(q lmfao.Queryable, db *lmfao.Database) (any, error)
+	predicts bool
+}
+
+// chowliuModel is the Chow-Liu learner's fitted value: the MI result and
+// the spanning tree's edges.
+type chowliuModel struct {
+	mi    *lmfao.MIResult
+	edges []lmfao.ChowLiuEdge
+}
+
+// predictor is the evaluation method the linreg, polyreg and tree models
+// share.
+type predictor interface {
+	PredictRow(flat *data.Relation, i int) (float64, error)
+}
+
+// learner returns the application registered as name.
+func (a *Apps) learner(name string) (learner, bool) {
+	switch {
+	case a == nil:
+	case name == "linreg" && a.LinReg != nil:
+		return learner{&a.LinReg.Win, func(q lmfao.Queryable, db *lmfao.Database) (any, error) {
+			return lmfao.LearnLinearRegressionClosedFormFrom(q, db, a.LinReg.Spec)
+		}, true}, true
+	case name == "polyreg" && a.PolyReg != nil:
+		return learner{&a.PolyReg.Win, func(q lmfao.Queryable, db *lmfao.Database) (any, error) {
+			return lmfao.LearnPolynomialRegressionFrom(q, db, a.PolyReg.Spec)
+		}, true}, true
+	case name == "tree" && a.Tree != nil:
+		return learner{nil, func(q lmfao.Queryable, db *lmfao.Database) (any, error) {
+			return lmfao.LearnDecisionTreeFrom(q, db, a.Tree.Spec)
+		}, true}, true
+	case name == "chowliu" && a.ChowLiu != nil:
+		return learner{&a.ChowLiu.Win, func(q lmfao.Queryable, db *lmfao.Database) (any, error) {
+			mi, edges, err := lmfao.LearnChowLiuTreeFrom(q, db, a.ChowLiu.Attrs)
+			return chowliuModel{mi, edges}, err
+		}, false}, true
+	case name == "cube" && a.Cube != nil:
+		return learner{&a.Cube.Win, func(q lmfao.Queryable, db *lmfao.Database) (any, error) {
+			return lmfao.ComputeDataCubeFrom(q, db, a.Cube.Spec)
+		}, false}, true
+	}
+	return learner{}, false
+}
+
+// modelCache holds one fitted model per application, with the epoch vector
+// it was fitted at: fitting is pure over a snapshot, so /fit and /predict
+// at the same epochs share one fit.
 type modelCache struct {
 	mu      sync.Mutex
 	entries map[string]cachedModel
@@ -124,37 +164,40 @@ func (c *modelCache) put(app, epochs string, v any) {
 	c.entries[app] = cachedModel{epochs: epochs, value: v}
 }
 
+// fitMeta is the part every /fit response shares: the epochs the model was
+// fitted at and whether it came from the cache.
+type fitMeta struct {
+	Epochs []uint64 `json:"epochs"`
+	Cached bool     `json:"cached"`
+}
+
 // linregModelWire renders a fitted linear-regression model.
 type linregModelWire struct {
 	Features  []string  `json:"features"`
 	Theta     []float64 `json:"theta"`
 	FinalLoss float64   `json:"finalLoss"`
-	Epochs    []uint64  `json:"epochs"`
-	Cached    bool      `json:"cached"`
+	fitMeta
 }
 
 // polyModelWire renders a fitted polynomial-regression model.
 type polyModelWire struct {
 	Monomials int       `json:"monomials"`
 	Theta     []float64 `json:"theta"`
-	Epochs    []uint64  `json:"epochs"`
-	Cached    bool      `json:"cached"`
+	fitMeta
 }
 
 // treeModelWire renders a learned decision tree.
 type treeModelWire struct {
-	Nodes  int      `json:"nodes"`
-	Depth  int      `json:"depth"`
-	Epochs []uint64 `json:"epochs"`
-	Cached bool     `json:"cached"`
+	Nodes int `json:"nodes"`
+	Depth int `json:"depth"`
+	fitMeta
 }
 
 // chowliuWire renders the Chow-Liu tree over the MI window.
 type chowliuWire struct {
-	Attrs  []string      `json:"attrs"`
-	Edges  []chowliuEdge `json:"edges"`
-	Epochs []uint64      `json:"epochs"`
-	Cached bool          `json:"cached"`
+	Attrs []string      `json:"attrs"`
+	Edges []chowliuEdge `json:"edges"`
+	fitMeta
 }
 
 type chowliuEdge struct {
@@ -169,8 +212,42 @@ type cubeWire struct {
 	Measures []string    `json:"measures"`
 	Rows     int         `json:"rows"`
 	Data     []resultRow `json:"data"`
-	Epochs   []uint64    `json:"epochs"`
-	Cached   bool        `json:"cached"`
+	fitMeta
+}
+
+// renderModel renders a fitted model as its /fit response, capping a
+// cube's rows at maxRows (0 = no cap).
+func renderModel(db *lmfao.Database, m any, meta fitMeta, maxRows int) any {
+	switch m := m.(type) {
+	case *lmfao.LinRegModel:
+		names := make([]string, len(m.Features))
+		for i, f := range m.Features {
+			names[i] = f.Name
+		}
+		return linregModelWire{names, m.Theta, m.FinalLoss, meta}
+	case *lmfao.PolyModel:
+		return polyModelWire{len(m.Monomials), m.Theta, meta}
+	case *lmfao.TreeModel:
+		return treeModelWire{m.Nodes, treeDepth(m.Root), meta}
+	case chowliuModel:
+		edges := make([]chowliuEdge, len(m.edges))
+		for i, e := range m.edges {
+			edges[i] = chowliuEdge{I: e.I, J: e.J, Weight: e.Weight}
+		}
+		return chowliuWire{db.AttrNames(m.mi.Attrs), edges, meta}
+	case *lmfao.CubeResult:
+		flat := m.Flatten()
+		n := len(flat)
+		if maxRows > 0 && n > maxRows {
+			n = maxRows
+		}
+		rows := make([]resultRow, n)
+		for i := range rows {
+			rows[i] = resultRow{Key: flat[i].Dims, Values: flat[i].Values}
+		}
+		return cubeWire{db.AttrNames(m.Spec.Dims), db.AttrNames(m.Spec.Measures), len(flat), rows, meta}
+	}
+	panic(fmt.Sprintf("serve: no rendering for model %T", m))
 }
 
 // predictRequest carries one input tuple, keyed by attribute name.
@@ -203,11 +280,11 @@ func rowRelation(db *lmfao.Database, row map[string]float64) (*data.Relation, er
 			return nil, fmt.Errorf("unknown attribute %q", name)
 		}
 		attrs[i] = id
-		if db.Attribute(id).Kind == data.Numeric {
-			cols[i] = data.NewFloatColumn([]float64{row[name]})
-		} else {
-			cols[i] = data.NewIntColumn([]int64{int64(row[name])})
+		col, err := wireColumn(db, id, []float64{row[name]})
+		if err != nil {
+			return nil, err
 		}
+		cols[i] = col
 	}
 	return data.NewRelation("input", attrs, cols), nil
 }

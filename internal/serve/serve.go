@@ -16,7 +16,9 @@
 // staleness, never a 5xx storm. Only explicitly-fresh work with no snapshot
 // fallback (POST /v1/requery, async applies over backlog) gets 429 with
 // Retry-After. A closed maintainer yields 503 on writes while every read
-// keeps serving the final published snapshot.
+// keeps serving the final published snapshot. Each registered application
+// has one fitted model per snapshot epoch vector, which /fit renders and
+// /predict evaluates.
 package serve
 
 import (
@@ -24,10 +26,10 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync/atomic"
 
 	lmfao "repro"
+	"repro/internal/data"
 	"repro/internal/query"
 )
 
@@ -52,6 +54,7 @@ type Config struct {
 // Server is the HTTP serving tier over one Maintainer. It implements
 // http.Handler; mount it on any mux or pass it to http.Server directly.
 type Server struct {
+	mux     *http.ServeMux
 	db      *lmfao.Database
 	m       lmfao.Maintainer
 	queries []*lmfao.Query
@@ -76,49 +79,43 @@ func NewServer(cfg Config) (*Server, error) {
 	if maxRows < 0 {
 		maxRows = 0
 	}
-	return &Server{
+	s := &Server{
+		mux:     http.NewServeMux(),
 		db:      cfg.DB,
 		m:       cfg.Maintainer,
 		queries: cfg.Queries,
 		apps:    cfg.Apps,
 		adm:     newAdmission(cfg.Admission),
 		maxRows: maxRows,
-	}, nil
+	}
+	for pattern, h := range map[string]http.HandlerFunc{
+		"GET /healthz":                  s.handleHealth,
+		"GET /v1/meta":                  s.handleMeta,
+		"GET /v1/versions":              s.handleVersions,
+		"GET /v1/epochs":                s.handleEpochs,
+		"GET /v1/stats":                 s.handleStats,
+		"GET /v1/results/{query}":       s.handleResult,
+		"GET /v1/lookup":                s.handleLookupQuery,
+		"POST /v1/lookup":               s.handleLookupBody,
+		"POST /v1/requery":              s.handleRequery,
+		"POST /v1/apply":                s.handleApply,
+		"GET /v1/models/{app}/fit":      s.handleFit,
+		"POST /v1/models/{app}/fit":     s.handleFit,
+		"POST /v1/models/{app}/predict": s.handlePredict,
+	} {
+		s.mux.HandleFunc(pattern, h)
+	}
+	return s, nil
 }
 
 // Shedded returns how many reads were served degraded (from the snapshot
 // after a failed admission) since the server started.
 func (s *Server) Shedded() uint64 { return s.shedded.Load() }
 
-// ServeHTTP routes the serving API. Paths are matched manually (the module
-// targets Go 1.21, which predates method patterns in ServeMux).
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	path := r.URL.Path
-	switch {
-	case path == "/healthz":
-		s.handleHealth(w, r)
-	case path == "/v1/meta":
-		s.handleMeta(w, r)
-	case path == "/v1/versions":
-		s.handleVersions(w, r)
-	case path == "/v1/epochs":
-		s.handleEpochs(w, r)
-	case path == "/v1/stats":
-		s.handleStats(w, r)
-	case strings.HasPrefix(path, "/v1/results/"):
-		s.handleResult(w, r, strings.TrimPrefix(path, "/v1/results/"))
-	case path == "/v1/lookup":
-		s.handleLookup(w, r)
-	case path == "/v1/requery":
-		s.handleRequery(w, r)
-	case path == "/v1/apply":
-		s.handleApply(w, r)
-	case strings.HasPrefix(path, "/v1/models/"):
-		s.handleModels(w, r, strings.TrimPrefix(path, "/v1/models/"))
-	default:
-		writeError(w, http.StatusNotFound, "no route for %s", path)
-	}
-}
+// ServeHTTP routes the request by method and path. An unknown path is
+// 404 and a known path asked with another method 405, with an Allow header
+// naming the methods it serves.
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // snapshot returns the latest published snapshot, or nil before first Run.
 func (s *Server) snapshot() lmfao.Queryable { return s.m.Snapshot() }
@@ -211,10 +208,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // handleResult dumps one query's materialized view. With ?fresh=1 the view
 // is recomputed through the Requerier hook under requery admission; when
 // admission fails the endpoint degrades to the snapshot view.
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request, rest string) {
-	idx, err := strconv.Atoi(rest)
+func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
+	idx, err := strconv.Atoi(r.PathValue("query"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad query index %q", rest)
+		writeError(w, http.StatusBadRequest, "bad query index %q", r.PathValue("query"))
 		return
 	}
 	sn, ok := s.requireSnapshot(w)
@@ -282,33 +279,34 @@ func (s *Server) freshResult(w http.ResponseWriter, r *http.Request, sn lmfao.Qu
 	return res[0], true
 }
 
-// handleLookup serves one group's aggregate row: GET with ?query=&key=a,b,c
-// or POST with a lookupRequest body. Out-of-range indices are rejected
-// with 404 before touching the snapshot, which would only report a miss.
-func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
-	var req lookupRequest
-	switch r.Method {
-	case http.MethodGet:
-		q := r.URL.Query()
-		idx, err := strconv.Atoi(q.Get("query"))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad ?query=%q", q.Get("query"))
-			return
-		}
-		key, err := parseKeyCSV(q.Get("key"))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad ?key: %v", err)
-			return
-		}
-		req = lookupRequest{Query: idx, Key: key}
-	case http.MethodPost:
-		if !decodeBody(w, r, &req, "lookup") {
-			return
-		}
-	default:
-		writeError(w, http.StatusMethodNotAllowed, "lookup wants GET or POST")
+// handleLookupQuery serves GET /v1/lookup?query=&key=a,b,c.
+func (s *Server) handleLookupQuery(w http.ResponseWriter, r *http.Request) {
+	q := r.URL.Query()
+	idx, err := strconv.Atoi(q.Get("query"))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "bad ?query=%q", q.Get("query"))
 		return
 	}
+	key, err := parseKeyCSV(q.Get("key"))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "bad ?key: %v", err)
+		return
+	}
+	s.lookup(w, lookupRequest{Query: idx, Key: key})
+}
+
+// handleLookupBody serves POST /v1/lookup with a lookupRequest body.
+func (s *Server) handleLookupBody(w http.ResponseWriter, r *http.Request) {
+	var req lookupRequest
+	if decodeBody(w, r, &req, "lookup") {
+		s.lookup(w, req)
+	}
+}
+
+// lookup serves one group's aggregate row. An out-of-range index is
+// rejected with 404 before touching the snapshot, which would only report
+// a miss.
+func (s *Server) lookup(w http.ResponseWriter, req lookupRequest) {
 	sn, ok := s.requireSnapshot(w)
 	if !ok {
 		return
@@ -329,10 +327,6 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 // for a batch the snapshot does not hold — so saturation is a 429 with
 // Retry-After, and rate-limited tenants get 429 too.
 func (s *Server) handleRequery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "requery wants POST")
-		return
-	}
 	var req requeryRequest
 	if !decodeBody(w, r, &req, "requery") {
 		return
@@ -344,6 +338,9 @@ func (s *Server) handleRequery(w http.ResponseWriter, r *http.Request) {
 	queries := make([]*lmfao.Query, len(req.Queries))
 	for i, qs := range req.Queries {
 		q, err := query.Parse(s.db, qs)
+		if err == nil {
+			err = q.Validate(s.db)
+		}
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "query %d: %v", i, err)
 			return
@@ -360,13 +357,11 @@ func (s *Server) handleRequery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !s.adm.allow(tenant(r)) {
-		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, "tenant over requery rate")
 		return
 	}
 	release, ok := s.adm.tryRequery()
 	if !ok {
-		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, "requery tier saturated (%d in flight)", cap(s.adm.requerySem))
 		return
 	}
@@ -388,10 +383,6 @@ func (s *Server) handleRequery(w http.ResponseWriter, r *http.Request) {
 // ApplyAsync under backlog admission and returns 202; a full backlog is 429
 // with Retry-After. A closed maintainer is 503 in both modes.
 func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "apply wants POST")
-		return
-	}
 	var req applyRequest
 	if !decodeBody(w, r, &req, "apply") {
 		return
@@ -406,14 +397,12 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !s.adm.allow(tenant(r)) {
-		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, "tenant over write rate")
 		return
 	}
 	if r.URL.Query().Get("mode") == "async" {
 		release, ok := s.adm.tryApply()
 		if !ok {
-			w.Header().Set("Retry-After", "1")
 			writeError(w, http.StatusTooManyRequests, "apply backlog full (%d pending)", s.adm.pendingApplies())
 			return
 		}
@@ -445,7 +434,8 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 
 // writeApplyError maps a maintenance error onto HTTP: a closed (or wedged
 // durable) maintainer is 503 — the backend is permanently or persistently
-// unavailable, not the request's fault — and anything else is 500.
+// unavailable, not the request's fault — a delete of a tuple the relation
+// does not hold is 409, and anything else is 500.
 func (s *Server) writeApplyError(w http.ResponseWriter, err error) {
 	if errors.Is(err, lmfao.ErrSessionClosed) {
 		writeError(w, http.StatusServiceUnavailable, "maintainer closed: %v", err)
@@ -455,265 +445,102 @@ func (s *Server) writeApplyError(w http.ResponseWriter, err error) {
 		writeError(w, http.StatusServiceUnavailable, "maintainer wedged: %v", err)
 		return
 	}
+	if errors.Is(err, data.ErrUnmatchedDelete) {
+		writeError(w, http.StatusConflict, "apply: %v", err)
+		return
+	}
 	writeError(w, http.StatusInternalServerError, "apply: %v", err)
 }
 
-// handleModels routes /v1/models/{app}[/fit|/predict].
-func (s *Server) handleModels(w http.ResponseWriter, r *http.Request, rest string) {
-	parts := strings.SplitN(rest, "/", 2)
-	app := parts[0]
-	action := ""
-	if len(parts) == 2 {
-		action = parts[1]
-	}
-	if s.apps == nil {
-		writeError(w, http.StatusNotFound, "no applications registered")
-		return
-	}
-	switch action {
-	case "fit":
-		s.handleFit(w, r, app)
-	case "predict":
-		s.handlePredict(w, r, app)
-	case "":
-		writeJSON(w, http.StatusOK, map[string]any{"apps": s.apps.Names()})
-	default:
-		writeError(w, http.StatusNotFound, "no model action %q (want fit or predict)", action)
-	}
-}
-
-// handleFit re-fits one application's model from the latest snapshot.
-// Fitting is expensive (matrix solves, tree search with requeries), so it
-// passes rate admission; models are cached per epoch vector, and a cache
-// hit skips admission entirely — it does no work.
-func (s *Server) handleFit(w http.ResponseWriter, r *http.Request, app string) {
-	if r.Method != http.MethodPost && r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "fit wants POST")
+// handleFit renders app's model at the latest snapshot, fitting it on a
+// cache miss (see model).
+func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
+	app := r.PathValue("app")
+	l, ok := s.apps.learner(app)
+	if !ok {
+		writeError(w, http.StatusNotFound, "no application %q", app)
 		return
 	}
 	sn, ok := s.requireSnapshot(w)
 	if !ok {
 		return
 	}
-	epochs := epochsOf(sn)
-	ekey := epochHeader(epochs)
-	if v, hit := s.cache.get(app, ekey); hit {
-		writeJSON(w, http.StatusOK, v)
-		return
+	m, cached, ok := s.model(w, r, sn, app, l)
+	if ok {
+		writeJSON(w, http.StatusOK, renderModel(s.db, m, fitMeta{epochsOf(sn), cached}, s.maxRows))
 	}
-	if !s.adm.allow(tenant(r)) {
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "tenant over fit rate")
-		return
-	}
-	resp, status, err := s.fit(sn, app, epochs)
-	if err != nil {
-		writeError(w, status, "%v", err)
-		return
-	}
-	s.cache.put(app, ekey, resp)
-	writeJSON(w, http.StatusOK, resp)
 }
 
-// fit dispatches to the application entry points over the app's batch
-// window. The returned status is only meaningful when err != nil.
-func (s *Server) fit(sn lmfao.Queryable, app string, epochs []uint64) (any, int, error) {
-	window := func(win Window) (lmfao.Queryable, error) {
-		return lmfao.SubQueryable(sn, win.Lo, win.Hi)
-	}
-	switch app {
-	case "linreg":
-		if s.apps.LinReg == nil {
-			return nil, http.StatusNotFound, fmt.Errorf("linreg not registered")
-		}
-		q, err := window(s.apps.LinReg.Win)
-		if err != nil {
-			return nil, http.StatusInternalServerError, err
-		}
-		m, err := lmfao.LearnLinearRegressionClosedFormFrom(q, s.db, s.apps.LinReg.Spec)
-		if err != nil {
-			return nil, http.StatusInternalServerError, err
-		}
-		names := make([]string, len(m.Features))
-		for i, f := range m.Features {
-			names[i] = f.Name
-		}
-		return linregModelWire{Features: names, Theta: m.Theta, FinalLoss: m.FinalLoss, Epochs: epochs}, 0, nil
-	case "polyreg":
-		if s.apps.PolyReg == nil {
-			return nil, http.StatusNotFound, fmt.Errorf("polyreg not registered")
-		}
-		q, err := window(s.apps.PolyReg.Win)
-		if err != nil {
-			return nil, http.StatusInternalServerError, err
-		}
-		m, err := lmfao.LearnPolynomialRegressionFrom(q, s.db, s.apps.PolyReg.Spec)
-		if err != nil {
-			return nil, http.StatusInternalServerError, err
-		}
-		return polyModelWire{Monomials: len(m.Monomials), Theta: m.Theta, Epochs: epochs}, 0, nil
-	case "tree":
-		if s.apps.Tree == nil {
-			return nil, http.StatusNotFound, fmt.Errorf("tree not registered")
-		}
-		// The tree learner drives the Requerier hook once per tree level;
-		// hold one requery slot for the whole fit so tree learning counts
-		// against the refinement tier like any other fresh work.
-		release, ok := s.adm.tryRequery()
-		if !ok {
-			return nil, http.StatusTooManyRequests, fmt.Errorf("requery tier saturated; retry later")
-		}
-		defer release()
-		m, err := lmfao.LearnDecisionTreeFrom(sn, s.db, s.apps.Tree.Spec)
-		if err != nil {
-			return nil, http.StatusInternalServerError, err
-		}
-		return treeModelWire{Nodes: m.Nodes, Depth: treeDepth(m.Root), Epochs: epochs}, 0, nil
-	case "chowliu":
-		if s.apps.ChowLiu == nil {
-			return nil, http.StatusNotFound, fmt.Errorf("chowliu not registered")
-		}
-		q, err := window(s.apps.ChowLiu.Win)
-		if err != nil {
-			return nil, http.StatusInternalServerError, err
-		}
-		mi, edges, err := lmfao.LearnChowLiuTreeFrom(q, s.db, s.apps.ChowLiu.Attrs)
-		if err != nil {
-			return nil, http.StatusInternalServerError, err
-		}
-		wireEdges := make([]chowliuEdge, len(edges))
-		for i, e := range edges {
-			wireEdges[i] = chowliuEdge{I: e.I, J: e.J, Weight: e.Weight}
-		}
-		return chowliuWire{Attrs: s.db.AttrNames(mi.Attrs), Edges: wireEdges, Epochs: epochs}, 0, nil
-	case "cube":
-		if s.apps.Cube == nil {
-			return nil, http.StatusNotFound, fmt.Errorf("cube not registered")
-		}
-		q, err := window(s.apps.Cube.Win)
-		if err != nil {
-			return nil, http.StatusInternalServerError, err
-		}
-		cr, err := lmfao.ComputeDataCubeFrom(q, s.db, s.apps.Cube.Spec)
-		if err != nil {
-			return nil, http.StatusInternalServerError, err
-		}
-		flat := cr.Flatten()
-		n := len(flat)
-		if s.maxRows > 0 && n > s.maxRows {
-			n = s.maxRows
-		}
-		rows := make([]resultRow, n)
-		for i := 0; i < n; i++ {
-			rows[i] = resultRow{Key: flat[i].Dims, Values: flat[i].Values}
-		}
-		return cubeWire{
-			Dims:     s.db.AttrNames(s.apps.Cube.Spec.Dims),
-			Measures: s.db.AttrNames(s.apps.Cube.Spec.Measures),
-			Rows:     len(flat),
-			Data:     rows,
-			Epochs:   epochs,
-		}, 0, nil
-	}
-	return nil, http.StatusNotFound, fmt.Errorf("unknown application %q", app)
-}
-
-// handlePredict evaluates a fitted predictor on one input tuple. The model
-// comes from the epoch cache, fitting on miss, so the first predict after a
-// maintenance round pays one fit and the rest are pure evaluations.
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, app string) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "predict wants POST")
+// handlePredict evaluates app's model at the latest snapshot on one input
+// tuple, fitting it on a cache miss (see model). An application without a
+// predictor is 404 before the body is read, a fit runs or a token is taken.
+func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
+	app := r.PathValue("app")
+	l, ok := s.apps.learner(app)
+	if !ok || !l.predicts {
+		writeError(w, http.StatusNotFound, "application %q has no predictor", app)
 		return
 	}
 	var req predictRequest
 	if !decodeBody(w, r, &req, "predict") {
 		return
 	}
-	sn, ok := s.requireSnapshot(w)
-	if !ok {
-		return
-	}
-	epochs := epochsOf(sn)
-	ekey := epochHeader(epochs)
-	cached, hit := s.cache.get(app+"/model", ekey)
-	if !hit {
-		m, status, err := s.fitPredictor(sn, app)
-		if err != nil {
-			writeError(w, status, "%v", err)
-			return
-		}
-		s.cache.put(app+"/model", ekey, m)
-		cached = m
-	}
 	flat, err := rowRelation(s.db, req.Row)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	var pred float64
-	switch m := cached.(type) {
-	case *lmfao.LinRegModel:
-		pred, err = m.PredictRow(flat, 0)
-	case *lmfao.PolyModel:
-		pred, err = m.PredictRow(flat, 0)
-	case *lmfao.TreeModel:
-		pred, err = m.PredictRow(flat, 0)
-	default:
-		writeError(w, http.StatusNotFound, "application %q has no predictor", app)
+	sn, ok := s.requireSnapshot(w)
+	if !ok {
 		return
 	}
+	m, _, ok := s.model(w, r, sn, app, l)
+	if !ok {
+		return
+	}
+	pred, err := m.(predictor).PredictRow(flat, 0)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "predict: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, predictResponse{Prediction: pred, Epochs: epochs})
+	writeJSON(w, http.StatusOK, predictResponse{Prediction: pred, Epochs: epochsOf(sn)})
 }
 
-// fitPredictor fits the raw model object (not the wire rendering) for the
-// predict path. Only the three predictors are valid here.
-func (s *Server) fitPredictor(sn lmfao.Queryable, app string) (any, int, error) {
-	switch app {
-	case "linreg":
-		if s.apps == nil || s.apps.LinReg == nil {
-			return nil, http.StatusNotFound, fmt.Errorf("linreg not registered")
-		}
-		q, err := lmfao.SubQueryable(sn, s.apps.LinReg.Win.Lo, s.apps.LinReg.Win.Hi)
-		if err != nil {
-			return nil, http.StatusInternalServerError, err
-		}
-		m, err := lmfao.LearnLinearRegressionClosedFormFrom(q, s.db, s.apps.LinReg.Spec)
-		if err != nil {
-			return nil, http.StatusInternalServerError, err
-		}
-		return m, 0, nil
-	case "polyreg":
-		if s.apps == nil || s.apps.PolyReg == nil {
-			return nil, http.StatusNotFound, fmt.Errorf("polyreg not registered")
-		}
-		q, err := lmfao.SubQueryable(sn, s.apps.PolyReg.Win.Lo, s.apps.PolyReg.Win.Hi)
-		if err != nil {
-			return nil, http.StatusInternalServerError, err
-		}
-		m, err := lmfao.LearnPolynomialRegressionFrom(q, s.db, s.apps.PolyReg.Spec)
-		if err != nil {
-			return nil, http.StatusInternalServerError, err
-		}
-		return m, 0, nil
-	case "tree":
-		if s.apps == nil || s.apps.Tree == nil {
-			return nil, http.StatusNotFound, fmt.Errorf("tree not registered")
-		}
+// model returns app's model fitted at sn's epochs and whether it came from
+// the cache, which holds one model per application. A miss fits under the
+// admission every fit pays: the tenant's token, plus a requery slot for a
+// learner that requeries (the tree drives Requery once per level), so a
+// fit is refused with 429 the same way from /fit and /predict. ok=false
+// means the error response has been written.
+func (s *Server) model(w http.ResponseWriter, r *http.Request, sn lmfao.Queryable, app string, l learner) (m any, cached, ok bool) {
+	epochs := epochHeader(epochsOf(sn))
+	if m, hit := s.cache.get(app, epochs); hit {
+		return m, true, true
+	}
+	if !s.adm.allow(tenant(r)) {
+		writeError(w, http.StatusTooManyRequests, "tenant over fit rate")
+		return nil, false, false
+	}
+	q := sn
+	if l.win == nil {
 		release, ok := s.adm.tryRequery()
 		if !ok {
-			return nil, http.StatusTooManyRequests, fmt.Errorf("requery tier saturated; retry later")
+			writeError(w, http.StatusTooManyRequests, "requery tier saturated; retry later")
+			return nil, false, false
 		}
 		defer release()
-		m, err := lmfao.LearnDecisionTreeFrom(sn, s.db, s.apps.Tree.Spec)
-		if err != nil {
-			return nil, http.StatusInternalServerError, err
+	} else {
+		var err error
+		if q, err = lmfao.SubQueryable(sn, l.win.Lo, l.win.Hi); err != nil {
+			writeError(w, http.StatusInternalServerError, "%v", err)
+			return nil, false, false
 		}
-		return m, 0, nil
 	}
-	return nil, http.StatusNotFound, fmt.Errorf("application %q has no predictor", app)
+	m, err := l.fit(q, s.db)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "%v", err)
+		return nil, false, false
+	}
+	s.cache.put(app, epochs, m)
+	return m, false, true
 }

@@ -383,7 +383,8 @@ func TestServeAsyncApplyBackpressure(t *testing.T) {
 }
 
 // TestServeRequeryEndpoint pins the ad-hoc requery path: parsed wire
-// queries evaluate behind the snapshot and bad syntax is a 400.
+// queries evaluate behind the snapshot, and bad syntax or a query that
+// does not validate (a numeric group-by) is a 400.
 func TestServeRequeryEndpoint(t *testing.T) {
 	srv, _ := newTestServer(t, AdmissionOptions{})
 	w := do(srv, http.MethodPost, "/v1/requery", `{"queries":["by_region(region; SUM amount)"]}`, nil)
@@ -400,6 +401,9 @@ func TestServeRequeryEndpoint(t *testing.T) {
 	if w := do(srv, http.MethodPost, "/v1/requery", `{"queries":["nonsense"]}`, nil); w.Code != http.StatusBadRequest {
 		t.Fatalf("unparsable requery = %d, want 400", w.Code)
 	}
+	if w := do(srv, http.MethodPost, "/v1/requery", `{"queries":["bad(amount; SUM 1)"]}`, nil); w.Code != http.StatusBadRequest {
+		t.Fatalf("requery grouped by a numeric attribute = %d, want 400: %s", w.Code, w.Body)
+	}
 	if w := do(srv, http.MethodPost, "/v1/requery", `{"queries":[]}`, nil); w.Code != http.StatusBadRequest {
 		t.Fatalf("empty requery = %d, want 400", w.Code)
 	}
@@ -409,7 +413,7 @@ func TestServeRequeryEndpoint(t *testing.T) {
 // decodes one: over maxBodyBytes is 413, malformed JSON is 400.
 func TestServeBodyLimit(t *testing.T) {
 	srv, _ := newTestServer(t, AdmissionOptions{})
-	srv.apps = &Apps{} // routes /v1/models/*/predict to its body decode
+	srv.apps = &Apps{LinReg: &LinRegApp{}} // registers the predict route's application
 	oversized := `{"updates":[` + strings.Repeat(" ", maxBodyBytes) + `]}`
 	for _, target := range []string{"/v1/lookup", "/v1/requery", "/v1/apply", "/v1/models/linreg/predict"} {
 		if w := do(srv, http.MethodPost, target, oversized, nil); w.Code != http.StatusRequestEntityTooLarge {
@@ -439,7 +443,7 @@ func (b *timedOutBody) Read(p []byte) (int, error) {
 // with 408 and a fixed message that does not carry the transport error.
 func TestServeBodyReadTimeout(t *testing.T) {
 	srv, _ := newTestServer(t, AdmissionOptions{})
-	srv.apps = &Apps{}
+	srv.apps = &Apps{LinReg: &LinRegApp{}}
 	for _, target := range []string{"/v1/lookup", "/v1/requery", "/v1/apply", "/v1/models/linreg/predict"} {
 		w := httptest.NewRecorder()
 		srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, target, &timedOutBody{}))
@@ -449,5 +453,164 @@ func TestServeBodyReadTimeout(t *testing.T) {
 		if body := w.Body.String(); strings.Contains(body, errBodyTimeout.Error()) || strings.Contains(body, "127.0.0.1") {
 			t.Errorf("POST %s: the response echoes the transport error: %s", target, body)
 		}
+	}
+}
+
+// newAppServer builds a Server whose batch also serves linreg (amount by
+// region) and chowliu (store, region) over a fresh running Session.
+func newAppServer(t *testing.T, adm AdmissionOptions) (*Server, *lmfao.Session) {
+	t.Helper()
+	db, queries := testBatch(t)
+	store, _ := db.AttrByName("store")
+	amount, _ := db.AttrByName("amount")
+	region, _ := db.AttrByName("region")
+	spec := lmfao.LinRegSpec{Categorical: []lmfao.AttrID{region}, Label: amount, Lambda: 1e-3}
+	mi := []lmfao.AttrID{store, region}
+	apps := &Apps{LinReg: &LinRegApp{Spec: spec}, ChowLiu: &ChowLiuApp{Attrs: mi}}
+	apps.LinReg.Win = Window{Lo: len(queries)}
+	queries = append(queries, lmfao.CovarBatch(spec)...)
+	apps.LinReg.Win.Hi = len(queries)
+	apps.ChowLiu.Win = Window{Lo: len(queries)}
+	queries = append(queries, lmfao.MIBatch(mi)...)
+	apps.ChowLiu.Win.Hi = len(queries)
+	sess, err := lmfao.NewSession(db, queries, lmfao.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sess.Close)
+	if _, err := sess.Run(); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(Config{DB: db, Maintainer: sess, Queries: queries, Apps: apps, Admission: adm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv, sess
+}
+
+// fitCached fits app through /fit and returns the response's cached flag.
+func fitCached(t *testing.T, srv *Server, app string) bool {
+	t.Helper()
+	w := do(srv, http.MethodPost, "/v1/models/"+app+"/fit", "", nil)
+	if w.Code != http.StatusOK {
+		t.Fatalf("fit %s = %d: %s", app, w.Code, w.Body)
+	}
+	var resp struct{ Cached bool }
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	return resp.Cached
+}
+
+// TestServeOneModelPerEpoch: /fit and /predict share one fitted model per
+// epoch vector, and a maintenance round invalidates it.
+func TestServeOneModelPerEpoch(t *testing.T) {
+	srv, sess := newAppServer(t, AdmissionOptions{})
+	if w := do(srv, http.MethodPost, "/v1/models/linreg/predict", `{"row":{"region":10}}`, nil); w.Code != http.StatusOK {
+		t.Fatalf("predict = %d: %s", w.Code, w.Body)
+	}
+	if !fitCached(t, srv, "linreg") {
+		t.Fatal("fit after predict at the same epoch re-fitted the model")
+	}
+	if _, err := sess.Apply(lmfao.Update{Relation: "sales", Inserts: []lmfao.Column{
+		lmfao.IntColumn([]int64{2}), lmfao.FloatColumn([]float64{10})}}); err != nil {
+		t.Fatal(err)
+	}
+	if fitCached(t, srv, "linreg") {
+		t.Fatal("fit after an apply reported the previous epoch's model as cached")
+	}
+	if first, second := fitCached(t, srv, "chowliu"), fitCached(t, srv, "chowliu"); first || !second {
+		t.Fatalf("chowliu fits at one epoch: cached %v then %v, want false then true", first, second)
+	}
+}
+
+// TestServeFitAdmission: a model fit pays the tenant's token from /fit and
+// /predict alike, and a predict on an application without a predictor is
+// 404 before it fits or takes a token.
+func TestServeFitAdmission(t *testing.T) {
+	clock := time.Unix(1e9, 0)
+	srv, sess := newAppServer(t, AdmissionOptions{
+		TenantRate:  0.001,
+		TenantBurst: 1,
+		now:         func() time.Time { return clock },
+	})
+	for _, app := range []string{"chowliu", "nosuch"} {
+		if w := do(srv, http.MethodPost, "/v1/models/"+app+"/predict", `{"row":{"region":10}}`, nil); w.Code != http.StatusNotFound {
+			t.Fatalf("predict %s = %d, want 404: %s", app, w.Code, w.Body)
+		}
+	}
+	if fitCached(t, srv, "linreg") {
+		t.Fatal("first fit reported cached")
+	}
+	if _, err := sess.Apply(lmfao.Update{Relation: "sales", Inserts: []lmfao.Column{
+		lmfao.IntColumn([]int64{2}), lmfao.FloatColumn([]float64{10})}}); err != nil {
+		t.Fatal(err)
+	}
+	w := do(srv, http.MethodPost, "/v1/models/linreg/predict", `{"row":{"region":10}}`, nil)
+	if w.Code != http.StatusTooManyRequests || w.Header().Get("Retry-After") == "" {
+		t.Fatalf("predict that must re-fit over rate = %d (Retry-After %q), want 429 with Retry-After: %s",
+			w.Code, w.Header().Get("Retry-After"), w.Body)
+	}
+}
+
+// TestServeMethodNotAllowed: a known path asked with another method is 405
+// with an Allow header naming the methods it serves.
+func TestServeMethodNotAllowed(t *testing.T) {
+	srv, _ := newTestServer(t, AdmissionOptions{})
+	w := do(srv, http.MethodDelete, "/v1/apply", "", nil)
+	if w.Code != http.StatusMethodNotAllowed || !strings.Contains(w.Header().Get("Allow"), http.MethodPost) {
+		t.Fatalf("DELETE /v1/apply = %d, Allow %q; want 405 allowing POST", w.Code, w.Header().Get("Allow"))
+	}
+	if w := do(srv, http.MethodGet, "/v1/nosuch", "", nil); w.Code != http.StatusNotFound {
+		t.Fatalf("GET /v1/nosuch = %d, want 404", w.Code)
+	}
+}
+
+// TestServeUnmatchedDelete: deleting a tuple the relation does not hold is
+// 409 and leaves the snapshot where it was, on a plain and a sharded
+// session.
+func TestServeUnmatchedDelete(t *testing.T) {
+	db, queries := testBatch(t)
+	sharded, err := lmfao.NewShardedSession(db, queries, lmfao.DefaultOptions(), lmfao.ShardOptions{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sharded.Close)
+	if _, err := sharded.Run(); err != nil {
+		t.Fatal(err)
+	}
+	plain, _ := newTestServer(t, AdmissionOptions{})
+	shardedSrv, err := NewServer(Config{DB: db, Maintainer: sharded, Queries: queries})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, srv := range map[string]*Server{"session": plain, "sharded": shardedSrv} {
+		t.Run(name, func(t *testing.T) {
+			w := do(srv, http.MethodPost, "/v1/apply", `{"updates":[{"relation":"sales","deletes":[[7,99]]}]}`, nil)
+			if w.Code != http.StatusConflict {
+				t.Fatalf("unmatched delete = %d, want 409: %s", w.Code, w.Body)
+			}
+			if e := do(srv, http.MethodGet, "/v1/epochs", "", nil).Header().Get("X-Lmfao-Epoch"); strings.Trim(e, "1,") != "" {
+				t.Fatalf("epochs after a refused delete = %q, want all 1", e)
+			}
+		})
+	}
+}
+
+// TestServeDiscreteWireValues: a key or categorical wire value that is not
+// an int64 is refused with 400, not truncated.
+func TestServeDiscreteWireValues(t *testing.T) {
+	srv, _ := newAppServer(t, AdmissionOptions{})
+	for _, rows := range []string{`[[1.5,1]]`, `[[1e20,2]]`, `[[-1e19,2]]`, `[[9223372036854775808,2]]`} {
+		body := `{"updates":[{"relation":"sales","inserts":` + rows + `}]}`
+		if w := do(srv, http.MethodPost, "/v1/apply", body, nil); w.Code != http.StatusBadRequest {
+			t.Fatalf("apply %s = %d, want 400: %s", rows, w.Code, w.Body)
+		}
+	}
+	if w := do(srv, http.MethodPost, "/v1/apply", `{"updates":[{"relation":"sales","inserts":[[-9223372036854775808,2.5]]}]}`, nil); w.Code != http.StatusOK {
+		t.Fatalf("apply of the least int64 key = %d, want 200: %s", w.Code, w.Body)
+	}
+	if w := do(srv, http.MethodPost, "/v1/models/linreg/predict", `{"row":{"region":1.5}}`, nil); w.Code != http.StatusBadRequest {
+		t.Fatalf("predict with a fractional region = %d, want 400: %s", w.Code, w.Body)
 	}
 }

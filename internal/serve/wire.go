@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"strconv"
@@ -164,30 +165,43 @@ func rowsToColumns(db *lmfao.Database, rel *data.Relation, rows [][]float64) ([]
 	if len(rows) == 0 {
 		return nil, nil
 	}
-	attrs := rel.Attrs
-	cols := make([]data.Column, len(attrs))
-	for c, id := range attrs {
-		if db.Attribute(id).Kind == data.Numeric {
-			vals := make([]float64, len(rows))
-			for i, row := range rows {
-				if len(row) != len(attrs) {
-					return nil, fmt.Errorf("row %d has %d values, schema has %d attributes", i, len(row), len(attrs))
-				}
-				vals[i] = row[c]
-			}
-			cols[c] = data.NewFloatColumn(vals)
-		} else {
-			vals := make([]int64, len(rows))
-			for i, row := range rows {
-				if len(row) != len(attrs) {
-					return nil, fmt.Errorf("row %d has %d values, schema has %d attributes", i, len(row), len(attrs))
-				}
-				vals[i] = int64(row[c])
-			}
-			cols[c] = data.NewIntColumn(vals)
+	for i, row := range rows {
+		if len(row) != len(rel.Attrs) {
+			return nil, fmt.Errorf("row %d has %d values, schema has %d attributes", i, len(row), len(rel.Attrs))
 		}
 	}
+	cols := make([]data.Column, len(rel.Attrs))
+	for c, id := range rel.Attrs {
+		vals := make([]float64, len(rows))
+		for i, row := range rows {
+			vals[i] = row[c]
+		}
+		col, err := wireColumn(db, id, vals)
+		if err != nil {
+			return nil, err
+		}
+		cols[c] = col
+	}
 	return cols, nil
+}
+
+// wireColumn types one attribute's wire values: a numeric attribute keeps
+// them, and a key or categorical one takes each as an int64, rejecting a
+// value that is not an integer or lies outside [-2^63, 2^63) rather than
+// truncating it.
+func wireColumn(db *lmfao.Database, id lmfao.AttrID, vals []float64) (data.Column, error) {
+	a := db.Attribute(id)
+	if a.Kind == data.Numeric {
+		return data.NewFloatColumn(vals), nil
+	}
+	ints := make([]int64, len(vals))
+	for i, x := range vals {
+		if x != math.Trunc(x) || x < -(1<<63) || x >= 1<<63 {
+			return data.Column{}, fmt.Errorf("attribute %q: %v is not an int64", a.Name, x)
+		}
+		ints[i] = int64(x)
+	}
+	return data.NewIntColumn(ints), nil
 }
 
 // viewToResponse renders one materialized view for the wire, capped at
@@ -274,8 +288,12 @@ func (b *recordingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// writeError writes the uniform error envelope.
+// writeError writes the uniform error envelope. A 429 carries
+// Retry-After: the refused work may be retried in a second.
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
+	if status == http.StatusTooManyRequests {
+		w.Header().Set("Retry-After", "1")
+	}
 	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 

@@ -62,10 +62,17 @@ check GET '/v1/lookup?query=99999&key=' 404
 # Ad-hoc requery (compact wire syntax).
 check POST /v1/requery 200 '{"queries":["smoke(SUM 1)"]}'
 check POST /v1/requery 400 '{"queries":["nonsense"]}'
+# A query that parses but does not validate (numeric group-by) is 400.
+check POST /v1/requery 400 '{"queries":["bad(inventoryunits; SUM 1)"]}'
 # Maintenance ingest: sync and async (Inventory: locn,dateid,ksn,units).
 check POST /v1/apply 200 '{"updates":[{"relation":"Inventory","inserts":[[1,1,1,5]]}]}'
 check POST '/v1/apply?mode=async' 202 '{"updates":[{"relation":"Inventory","inserts":[[1,1,2,5]]}]}'
 check POST /v1/apply 400 '{"updates":[{"relation":"NoSuch","inserts":[[1]]}]}'
+# A fractional key is refused, not truncated; a delete of an absent tuple
+# conflicts with the data; a wrong method is 405.
+check POST /v1/apply 400 '{"updates":[{"relation":"Inventory","inserts":[[1.5,1,1,5]]}]}'
+check POST /v1/apply 409 '{"updates":[{"relation":"Inventory","deletes":[[999999,1,1,5]]}]}'
+check DELETE /v1/apply 405
 # A body over the server's 8 MiB limit is refused with 413.
 BIG="$(mktemp)"
 { printf '{"updates":['; head -c 9000000 /dev/zero | tr '\0' ' '; printf ']}'; } >"$BIG"
@@ -87,13 +94,15 @@ if [ "$rc" -eq 28 ] || [ "$elapsed" -ge 25 ]; then
 else
   echo "ok: trickled body dropped after ${elapsed}s"
 fi
-# Applications: every fit endpoint, plus a predictor error path.
+# Applications: every fit endpoint, plus the predictor error paths.
 check POST /v1/models/linreg/fit 200
 check POST /v1/models/polyreg/fit 200
 check POST /v1/models/chowliu/fit 200
 check POST /v1/models/cube/fit 200
 check POST /v1/models/tree/fit 200
 check POST /v1/models/nosuch/fit 404
+check POST /v1/models/chowliu/predict 404
+check POST /v1/models/linreg/predict 400 '{"row":{}}'
 
 # Degraded read proof: the epoch header must be present on reads.
 if ! curl -si "$BASE/v1/results/0" | grep -qi '^X-Lmfao-Epoch:'; then
