@@ -68,25 +68,26 @@ func BuildCovarMatrix(eng *Engine, spec LinRegSpec) (*CovarMatrix, *BatchResult,
 	return cm, sn.Batch(), nil
 }
 
-// LearnLinearRegressionFrom trains a ridge model with batch gradient
-// descent (Armijo backtracking + Barzilai-Borwein steps) over the covar
-// matrix read from any Queryable serving CovarBatch(spec).
+// LearnLinearRegressionFrom trains a ridge model with Jacobi-preconditioned
+// conjugate gradient over the covar matrix read from any Queryable serving
+// CovarBatch(spec). A fit that stops at the iteration cap is returned with
+// Converged false, not as an error.
 func LearnLinearRegressionFrom(q Queryable, db *Database, spec LinRegSpec) (*LinRegModel, error) {
 	cm, err := BuildCovarMatrixFrom(q, db, spec)
 	if err != nil {
 		return nil, err
 	}
-	return linreg.LearnBGD(cm, spec, linreg.DefaultOptim())
+	return linreg.LearnCG(cm, spec, linreg.DefaultOptim())
 }
 
-// LearnLinearRegression trains a ridge model with batch gradient descent
-// over the covar matrix (the *Engine shim over LearnLinearRegressionFrom).
+// LearnLinearRegression trains a ridge model with conjugate gradient over
+// the covar matrix (the *Engine shim over LearnLinearRegressionFrom).
 func LearnLinearRegression(eng *Engine, spec LinRegSpec) (*LinRegModel, error) {
 	cm, _, err := BuildCovarMatrix(eng, spec)
 	if err != nil {
 		return nil, err
 	}
-	return linreg.LearnBGD(cm, spec, linreg.DefaultOptim())
+	return linreg.LearnCG(cm, spec, linreg.DefaultOptim())
 }
 
 // LearnLinearRegressionClosedFormFrom solves the ridge normal equations

@@ -370,9 +370,9 @@ func (h *harness) table4(names []string) error {
 		fmt.Fprintf(w, "\tLinear regression (materialized, 1 epoch; excl. join %s)\t%s\n",
 			fmtDur(tJoin), fmtDur(tTF))
 		// Equal-accuracy comparison: gradient descent over the flat data
-		// needs many epochs to reach the accuracy LMFAO's BGD reaches over
-		// the covar matrix (the paper notes TensorFlow "would require more
-		// epochs to converge to the solution of LMFAO").
+		// needs many epochs to reach the accuracy LMFAO's conjugate gradient
+		// reaches over the covar matrix (the paper notes TensorFlow "would
+		// require more epochs to converge to the solution of LMFAO").
 		tTFc, err := h.timeIt(func() error {
 			_, err := linreg.LearnMaterialized(flat, ds.DB, spec, 100, 1e-7)
 			return err

@@ -1,8 +1,9 @@
 // Retail forecasting (paper §4.2): learn a ridge linear regression model
 // predicting unit sales over the Favorita star schema — without ever
 // materializing the training dataset. The covar matrix is one aggregate
-// batch; batch gradient descent then converges over it, and the result is
-// checked against the closed-form solution (the MADlib proxy). Run with:
+// batch; preconditioned conjugate gradient then converges over it, and the
+// result is checked against the closed-form solution (the MADlib proxy). Run
+// with:
 //
 //	go run ./examples/retailforecast
 package main
@@ -44,14 +45,19 @@ func main() {
 	fmt.Printf("  batch: %d aggregates (+%d intermediates) in %d views, %d groups\n",
 		s.AppAggregates, s.IntermediateAggs, s.Views, s.Groups)
 
-	// Step 2: BGD with Armijo line search + Barzilai-Borwein steps.
+	// Step 2: Jacobi-preconditioned conjugate gradient over the covar matrix.
 	start = time.Now()
 	model, err := lmfao.LearnLinearRegression(eng, spec)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nBGD converged in %d iterations (%v), J(θ) = %.6g\n",
-		model.Iterations, time.Since(start), model.FinalLoss)
+	outcome := "converged"
+	if !model.Converged {
+		outcome = "stopped at the iteration cap"
+	}
+	// LearnLinearRegression runs the covar batch again before it fits.
+	fmt.Printf("\nconjugate gradient %s after %d iterations (batch + fit %v), J(θ) = %.6g\n",
+		outcome, model.Iterations, time.Since(start), model.FinalLoss)
 
 	closed, err := lmfao.LearnLinearRegressionClosedForm(eng, spec)
 	if err != nil {

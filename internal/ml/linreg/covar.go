@@ -1,11 +1,14 @@
 // Package linreg learns ridge linear regression models over the natural join
 // of a database without materializing it (paper §2, §4.2): the engine
 // computes the non-centered covariance matrix ("covar matrix") as one
-// aggregate batch, and batch gradient descent with Armijo backtracking line
-// search and Barzilai-Borwein step sizes optimizes the parameters over it —
-// the AC/DC optimizer the paper uses. A closed-form ridge solver (the MADlib
-// OLS proxy) and a materialize-then-iterate learner (the TensorFlow/scikit
-// proxy) serve as competitors and accuracy references.
+// aggregate batch, and Jacobi-preconditioned conjugate gradient minimizes
+// the ridge loss over it. The paper's AC/DC optimizer is batch gradient
+// descent with Armijo and Barzilai-Borwein steps over the same matrix; the
+// loss is an exact quadratic, so CG reaches its optimum in a few hundred
+// mat-vecs where that BGD stopped at its 2000-step cap well short of it. A
+// closed-form ridge solver (the MADlib OLS proxy) and a materialize-then-
+// iterate learner (the TensorFlow/scikit proxy) serve as competitors and
+// accuracy references.
 package linreg
 
 import (

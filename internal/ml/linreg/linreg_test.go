@@ -165,7 +165,7 @@ func TestBGDRecoversKnownModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := LearnBGD(cm, spec, DefaultOptim())
+	m, err := LearnCG(cm, spec, DefaultOptim())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestBGDMatchesClosedForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bgd, err := LearnBGD(cm, spec, OptimOptions{MaxIters: 5000, Tolerance: 1e-10, Step0: 1})
+	bgd, err := LearnCG(cm, spec, OptimOptions{MaxIters: 5000, Tolerance: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,6 +201,45 @@ func TestBGDMatchesClosedForm(t *testing.T) {
 	// loss values rather than raw parameters (one-hot collinearity).
 	if math.Abs(bgd.FinalLoss-cf.FinalLoss) > 1e-3*(1+math.Abs(cf.FinalLoss)) {
 		t.Fatalf("loss mismatch: BGD %g vs closed form %g", bgd.FinalLoss, cf.FinalLoss)
+	}
+}
+
+// TestOptimOptionsDefaultPerField checks that each zero field of
+// OptimOptions takes its default on its own, and that a fit stopped at the
+// cap says so.
+func TestOptimOptionsDefaultPerField(t *testing.T) {
+	db, spec := synthDB(t, 300, true, 0.5)
+	eng := newEng(t, db)
+	cm, _, err := BuildCovar(eng, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fit := func(opt OptimOptions) *Model {
+		t.Helper()
+		m, err := LearnCG(cm, spec, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	def := fit(DefaultOptim())
+	if !def.Converged {
+		t.Fatalf("default fit stopped at the cap after %d steps", def.Iterations)
+	}
+	if m := fit(OptimOptions{}); m.Iterations != def.Iterations || !m.Converged {
+		t.Fatalf("zero options: %d steps (converged %v), default %d", m.Iterations, m.Converged, def.Iterations)
+	}
+	// A caller's tolerance survives a zero MaxIters.
+	if m := fit(OptimOptions{Tolerance: 1e-2}); m.Iterations >= def.Iterations || !m.Converged {
+		t.Fatalf("Tolerance 1e-2: %d steps (converged %v), default 1e-12 took %d",
+			m.Iterations, m.Converged, def.Iterations)
+	}
+	// A caller's cap survives a zero Tolerance: it does not mean "never stop".
+	if m := fit(OptimOptions{MaxIters: 1000}); m.Iterations != def.Iterations || !m.Converged {
+		t.Fatalf("MaxIters 1000: %d steps (converged %v), default %d", m.Iterations, m.Converged, def.Iterations)
+	}
+	if m := fit(OptimOptions{MaxIters: 1}); m.Iterations != 1 || m.Converged {
+		t.Fatalf("MaxIters 1: %d steps, converged %v", m.Iterations, m.Converged)
 	}
 }
 
