@@ -1,6 +1,6 @@
 // Package linalg provides the small dense linear-algebra substrate used by
 // the learning applications: symmetric linear solves for ridge normal
-// equations and basic vector helpers. Only the stdlib is used.
+// equations and an in-place AXPY. Only the stdlib is used.
 package linalg
 
 import (
@@ -105,28 +105,9 @@ func Solve(a *Matrix, b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// Dot returns ⟨a, b⟩.
-func Dot(a, b []float64) float64 {
-	s := 0.0
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
-// Norm2 returns ‖a‖₂.
-func Norm2(a []float64) float64 { return math.Sqrt(Dot(a, a)) }
-
 // AXPY computes y += alpha·x in place.
 func AXPY(alpha float64, x, y []float64) {
 	for i := range x {
 		y[i] += alpha * x[i]
-	}
-}
-
-// Scale multiplies x by alpha in place.
-func Scale(alpha float64, x []float64) {
-	for i := range x {
-		x[i] *= alpha
 	}
 }

@@ -171,11 +171,13 @@ type fitMeta struct {
 	Cached bool     `json:"cached"`
 }
 
-// linregModelWire renders a fitted linear-regression model.
+// linregModelWire renders a fitted linear-regression model. Converged is
+// false when the solver stopped at its iteration cap short of the optimum.
 type linregModelWire struct {
 	Features  []string  `json:"features"`
 	Theta     []float64 `json:"theta"`
 	FinalLoss float64   `json:"finalLoss"`
+	Converged bool      `json:"converged"`
 	fitMeta
 }
 
@@ -224,7 +226,7 @@ func renderModel(db *lmfao.Database, m any, meta fitMeta, maxRows int) any {
 		for i, f := range m.Features {
 			names[i] = f.Name
 		}
-		return linregModelWire{names, m.Theta, m.FinalLoss, meta}
+		return linregModelWire{names, m.Theta, m.FinalLoss, m.Converged, meta}
 	case *lmfao.PolyModel:
 		return polyModelWire{len(m.Monomials), m.Theta, meta}
 	case *lmfao.TreeModel:

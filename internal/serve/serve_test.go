@@ -524,6 +524,33 @@ func TestServeOneModelPerEpoch(t *testing.T) {
 	}
 }
 
+// TestServeLinRegFitReportsConvergence: a linreg /fit response says
+// whether the fit reached the optimum, so a client can tell a fit capped at
+// the solver's iteration limit from a converged one.
+func TestServeLinRegFitReportsConvergence(t *testing.T) {
+	srv, _ := newAppServer(t, AdmissionOptions{})
+	w := do(srv, http.MethodPost, "/v1/models/linreg/fit", "", nil)
+	if w.Code != http.StatusOK {
+		t.Fatalf("fit = %d: %s", w.Code, w.Body)
+	}
+	var resp struct {
+		Converged *bool `json:"converged"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Converged == nil || !*resp.Converged {
+		t.Fatalf("fit response lacks converged=true: %s", w.Body)
+	}
+	capped, err := json.Marshal(renderModel(nil, &lmfao.LinRegModel{Theta: []float64{1}}, fitMeta{}, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(capped), `"converged":false`) {
+		t.Fatalf("a capped model renders as %s", capped)
+	}
+}
+
 // TestServeFitAdmission: a model fit pays the tenant's token from /fit and
 // /predict alike, and a predict on an application without a predictor is
 // 404 before it fits or takes a token.
