@@ -8,7 +8,6 @@ var (
 	_ Maintainer = (*Session)(nil)
 	_ Maintainer = (*ShardedSession)(nil)
 	_ Maintainer = (*DurableSession)(nil)
-	_ Maintainer = (*DurableShardedSession)(nil)
 
 	_ Queryable = (*Snapshot)(nil)
 	_ Queryable = (*ShardedSnapshot)(nil)

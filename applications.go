@@ -16,7 +16,7 @@ import (
 //   - a From variant taking a Queryable — the primary path. The Queryable
 //     must serve the application's canonical batch (the matching *Batch
 //     constructor), so the same call re-fits a model from a one-shot run
-//     (RunQueryable), a live Session snapshot, or a merged ShardedSnapshot
+//     (RunQueryable) or a live Session snapshot, merged across its shards,
 //     without recomputing a single aggregate. Combine several applications'
 //     batches in one session and carve windows with SubQueryable.
 //   - an *Engine shim keeping the pre-serving-API signature: it runs the
@@ -182,14 +182,14 @@ func DefaultTreeSpec(task TreeTask, label AttrID) TreeSpec {
 //
 // Unlike the other From entry points, db is consulted for DATA, not just
 // metadata: candidate split thresholds are bucketed from db's continuous
-// base columns (tree.Thresholds). Behind an unsharded Session, db is the
+// base columns (tree.Thresholds). Behind a one-shard Session, db is the
 // session's live database and thresholds track the stream. Behind a
-// ShardedSession — which copies its source database — an un-maintained
-// source db yields thresholds bucketed from construction-time values while
-// node statistics reflect the live shards: still a valid CART tree, but
-// its candidate grid can differ from a from-scratch recompute. Mirror the
-// update stream into db (or re-derive one) when exact recompute parity
-// matters.
+// session of more than one shard — which copies its source database — an
+// un-maintained source db yields thresholds bucketed from construction-time
+// values while node statistics reflect the live shards: still a valid CART
+// tree, but its candidate grid can differ from a from-scratch recompute.
+// Mirror the update stream into db (or re-derive one) when exact recompute
+// parity matters.
 func LearnDecisionTreeFrom(q Queryable, db *Database, spec TreeSpec) (*TreeModel, error) {
 	rq, ok := q.(Requerier)
 	if !ok {

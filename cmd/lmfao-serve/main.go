@@ -1,8 +1,8 @@
 // Command lmfao-serve runs the network serving tier: an HTTP/JSON server
 // exposing the full serving contract — snapshot reads, ad-hoc requeries,
 // the five application workloads, and maintenance ingest with admission
-// control — over one maintainer, selectable between the in-memory session,
-// the sharded session, and their WAL-backed durable variants.
+// control — over one session of -shards shards, WAL-backed under -durable
+// when it is set.
 //
 //	lmfao-serve -dataset retailer -scale 0.01 -shards 4
 //	lmfao-serve -dataset retailer -durable /var/lib/lmfao   # WAL-backed
@@ -53,8 +53,8 @@ func main() {
 		scale   = flag.Float64("scale", 0.01, "dataset scale factor")
 		seed    = flag.Int64("seed", 2019, "dataset generator seed")
 		threads = flag.Int("threads", 0, "engine threads (0 = engine default)")
-		shards  = flag.Int("shards", 1, "shard count (1 = unsharded session)")
-		durable = flag.String("durable", "", "WAL directory; non-empty selects the durable session (recovers existing state)")
+		shards  = flag.Int("shards", 1, "shard count; a recovered -durable directory must hold as many")
+		durable = flag.String("durable", "", "WAL directory; non-empty logs every shard there (recovers existing state)")
 		rate    = flag.Float64("tenant-rate", 0, "per-tenant expensive-request rate limit, req/s (0 = unlimited)")
 		burst   = flag.Int("tenant-burst", 8, "per-tenant token-bucket burst")
 		maxRq   = flag.Int("max-requeries", 2, "max concurrent requeries/refinements")
@@ -139,32 +139,29 @@ func run(addr, dataset string, scale float64, seed int64, threads, shards int, d
 	return nil
 }
 
-// newMaintainer selects the serving backend: plain or sharded session, WAL
-// backed when durableDir is set (recovering from the directory if it
-// already holds a checkpoint or log).
-func newMaintainer(db *lmfao.Database, queries []*lmfao.Query, opts lmfao.Options, shards int, durableDir string) (lmfao.Maintainer, string, error) {
+// newMaintainer builds the serving session over shards shards, logged
+// under durableDir when it is set. A durableDir that already holds state is
+// recovered instead, with the shard count its manifest records, which must
+// equal shards.
+func newMaintainer(db *lmfao.Database, queries []*lmfao.Query, opts lmfao.Options, shards int, durableDir string) (*lmfao.Session, string, error) {
+	so := lmfao.ShardOptions{Shards: shards}
 	switch {
-	case durableDir == "" && shards <= 1:
-		s, err := lmfao.NewSession(db, queries, opts)
-		return s, "session", err
 	case durableDir == "":
-		s, err := lmfao.NewShardedSession(db, queries, opts, lmfao.ShardOptions{Shards: shards})
-		return s, fmt.Sprintf("sharded session (%d shards)", shards), err
-	case shards <= 1:
-		if hasState(durableDir) {
-			s, err := lmfao.RecoverSession(durableDir, db, queries, opts, lmfao.DurableOptions{})
-			return s, "durable session (recovered)", err
-		}
-		s, err := lmfao.NewDurableSession(db, queries, opts, lmfao.DurableOptions{}, durableDir)
-		return s, "durable session", err
-	default:
-		if hasState(durableDir) {
-			s, err := lmfao.RecoverShardedSession(durableDir, db, queries, opts, lmfao.DurableOptions{})
-			return s, fmt.Sprintf("durable sharded session (recovered, %d shards)", shards), err
-		}
-		s, err := lmfao.NewDurableShardedSession(db, queries, opts, lmfao.ShardOptions{Shards: shards}, lmfao.DurableOptions{}, durableDir)
-		return s, fmt.Sprintf("durable sharded session (%d shards)", shards), err
+		s, err := lmfao.NewShardedSession(db, queries, opts, so)
+		return s, fmt.Sprintf("session (%d shards)", shards), err
+	case !hasState(durableDir):
+		s, err := lmfao.NewDurableShardedSession(db, queries, opts, so, lmfao.DurableOptions{}, durableDir)
+		return s, fmt.Sprintf("durable session (%d shards)", shards), err
 	}
+	s, err := lmfao.RecoverSession(durableDir, db, queries, opts, lmfao.DurableOptions{})
+	if err != nil {
+		return nil, "", err
+	}
+	if s.NumShards() != shards {
+		s.Close()
+		return nil, "", fmt.Errorf("-shards %d disagrees with the %d shards recorded in %s", shards, s.NumShards(), durableDir)
+	}
+	return s, fmt.Sprintf("durable session (recovered, %d shards)", s.NumShards()), nil
 }
 
 // hasState reports whether dir already holds durable session state.

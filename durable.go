@@ -1,11 +1,12 @@
 package lmfao
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"slices"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/data"
@@ -15,11 +16,12 @@ import (
 )
 
 // DurableOptions configure the write-ahead logging and checkpointing of a
-// DurableSession. The zero value is a sound production default:
+// logged session. The zero value is a sound production default:
 // fsync-on-commit, a checkpoint every DefaultCheckpointEvery updates, two
 // checkpoints retained.
 type DurableOptions struct {
-	// CheckpointEvery checkpoints after this many logged updates (0 =
+	// CheckpointEvery checkpoints every shard after this many routed
+	// updates, counted at the session across shards (0 =
 	// DefaultCheckpointEvery; negative disables automatic checkpoints —
 	// Close and explicit Checkpoint calls still write them). Recovery
 	// re-applies at most this many log records past the newest checkpoint,
@@ -36,7 +38,7 @@ type DurableOptions struct {
 	SyncEvery int
 }
 
-// DefaultCheckpointEvery is the automatic checkpoint interval, in logged
+// DefaultCheckpointEvery is the automatic checkpoint interval, in routed
 // updates, used when DurableOptions.CheckpointEvery is zero.
 const DefaultCheckpointEvery = 256
 
@@ -53,144 +55,126 @@ func (o DurableOptions) norm() DurableOptions {
 func walDir(dir string) string  { return filepath.Join(dir, "wal") }
 func ckptDir(dir string) string { return filepath.Join(dir, "checkpoint") }
 
-// DurableSession is a Session whose maintained state survives process
-// death: every update is appended to a write-ahead log (internal/wal) and
-// fsynced BEFORE it mutates the session, and the full maintained state —
-// base relations, materialized view DAG, version vector — is checkpointed
-// on a configurable interval. After a crash, RecoverSession rebuilds the
-// identical session from the newest valid checkpoint plus a replay of the
-// log suffix through the normal Apply path; the kill-and-recover oracle in
-// internal/oracletest proves the recovered state bit-exact against an
-// uninterrupted twin at arbitrary crash points.
-//
-// DurableSession implements Maintainer. It is a Session whose writer
-// carries the log: all maintenance calls funnel through that one writer
-// goroutine, which owns the log-one/apply-one interleaving invariant — the
-// durable log is always exactly the sequence of updates the session
-// attempted, in order, so replay reproduces the live apply sequence
-// verbatim. Reads are untouched: Snapshot/Head are the wrapped Session's
-// lock-free snapshot publication.
-//
-// A WAL write failure (a real I/O error, or an injected crash in tests)
-// wedges the session: the failed update was not made durable and is not
-// applied, and every later maintenance call returns the same error. Recover
-// from the directory; the in-memory session is disposable by design.
-type DurableSession struct {
-	sess *Session
-	log  *wal.Log
-	dir  string
-	opts DurableOptions
+// DurableSession is an alias of Session, kept for callers that name the
+// result type of NewDurableSession, NewDurableShardedSession and
+// RecoverSession: sessions that write ahead (see Durability on Session).
+type DurableSession = Session
 
-	// sinceCkpt counts logged updates since the last checkpoint (writer
-	// goroutine only); wedged holds the sticky failure that wedged the
-	// writer, stored only by it and observable from any goroutine.
-	sinceCkpt int
-	wedged    atomic.Pointer[error]
-
-	// failCkpt arms the pre-fsync checkpoint crash point (testing).
-	failCkpt atomic.Bool
+// shardManifest is the durable record of a session's partitioning
+// (dir/MANIFEST.json), without which a recovery could not re-partition the
+// pristine database identically. One shard records no fact relation or key.
+type shardManifest struct {
+	Shards int      `json:"shards"`
+	Fact   string   `json:"fact,omitempty"`
+	Key    []AttrID `json:"key,omitempty"`
 }
 
-// NewDurableSession builds a maintained session over db whose updates are
+func manifestPath(dir string) string { return filepath.Join(dir, "MANIFEST.json") }
+
+// shardDir is shard i's directory of a session of n shards: dir itself for
+// one shard, dir/shard-i otherwise.
+func shardDir(dir string, i, n int) string {
+	if n == 1 {
+		return dir
+	}
+	return filepath.Join(dir, fmt.Sprintf("shard-%d", i))
+}
+
+// holdsState reports whether dir holds a manifest or a one-shard log.
+func holdsState(dir string) bool {
+	_, err := os.Stat(manifestPath(dir))
+	_, werr := os.Stat(walDir(dir))
+	return err == nil || werr == nil
+}
+
+// NewDurableSession builds a one-shard session over db whose updates are
 // write-ahead logged under dir (created if missing; must not already hold
 // durable session state — use RecoverSession for that). The database is
-// adopted like NewSession's: the session owns it for its lifetime, and Run
-// reorders each base relation's rows into its plan order. Call Run once to
-// materialize and write the initial checkpoint, then stream updates through
-// Apply/ApplyAsync.
+// adopted like NewSession's. Call Run once to materialize and write the
+// initial checkpoint, then stream updates through Apply/ApplyAsync.
 func NewDurableSession(db *Database, queries []*Query, opts Options, dopts DurableOptions, dir string) (*DurableSession, error) {
-	d, ck, err := openDurable(dir, db, queries, opts, dopts)
-	if err != nil {
-		return nil, err
-	}
-	if d.log.LastLSN() > 0 || ck != nil {
-		d.log.Abort()
-		return nil, fmt.Errorf("lmfao: %s already holds durable session state; use RecoverSession", dir)
-	}
-	return d, nil
+	return NewDurableShardedSession(db, queries, opts, ShardOptions{Shards: 1}, dopts, dir)
 }
 
-// openDurable builds a session over db whose writer logs to dir, and
-// returns it with dir's newest valid checkpoint. Opening the log truncates
-// any torn or corrupt tail to the last committed prefix.
-func openDurable(dir string, db *Database, queries []*Query, opts Options, dopts DurableOptions) (*DurableSession, *wal.Checkpoint, error) {
-	sess, err := NewSession(db, queries, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	ck, err := wal.LatestCheckpoint(ckptDir(dir))
-	if err != nil {
-		return nil, nil, err
-	}
-	dopts = dopts.norm()
-	log, err := wal.Open(walDir(dir), wal.Options{SegmentBytes: dopts.SegmentBytes, SyncEvery: dopts.SyncEvery})
-	if err != nil {
-		return nil, nil, err
-	}
-	d := &DurableSession{sess: sess, log: log, dir: dir, opts: dopts}
-	sess.w.dur = d
-	return d, ck, nil
+// NewDurableShardedSession builds a session of so.Shards shards over db,
+// as NewShardedSession does, whose shards write ahead under dir — dir
+// itself for one shard, dir/shard-i otherwise — and records the
+// partitioning in dir/MANIFEST.json. dir must not already hold a manifest
+// or a one-shard log; use RecoverSession for that.
+func NewDurableShardedSession(db *Database, queries []*Query, opts Options, so ShardOptions, dopts DurableOptions, dir string) (*DurableSession, error) {
+	return newSession(db, queries, engines(opts), so, dir, dopts, false)
 }
 
 // RecoverSession rebuilds a durable session from dir after a crash or a
-// clean Close. The caller supplies the PRISTINE initial state — the same
-// database contents, query batch and options the session was originally
-// created with (the pristine-database contract): the plan is rebuilt over
-// the pristine base statistics, which pins it to the exact plan the
-// checkpointed views were materialized under (a session plans once, at
-// construction, and runs only that plan), and every checkpointed view is
-// checked against it before the checkpoint's relation contents are
-// restored in place. The WAL is opened (truncating
+// clean Close. Its manifest fixes the shard count and partitioning (a dir
+// without one but with a log holds a one-shard session; a dir with neither
+// is an error). The caller supplies the PRISTINE
+// initial state — the same database contents, query batch and options the
+// session was originally created with (the pristine-database contract):
+// the manifest re-partitions the pristine base exactly as creation did, and
+// each shard's plan is rebuilt over its pristine base statistics, which
+// pins it to the exact plan the checkpointed views were materialized under
+// (a shard plans once, at construction, and runs only that plan). Every
+// checkpointed view is checked against it before the checkpoint's relation
+// contents are restored in place. Each shard's WAL is opened (truncating
 // any torn or corrupt tail to the last committed prefix) and the records
-// past the checkpoint replay through the normal Apply path, one update per
-// record — the same call sequence the original session executed. With no
-// valid checkpoint the session recomputes from the pristine base and
-// replays the whole log.
+// past its checkpoint replay through the normal apply path, one update per
+// record — the same call sequence the original shard executed. With no
+// valid checkpoint the shard recomputes from the pristine base and replays
+// its whole log. The checkpoint interval resumes from the replayed records.
 func RecoverSession(dir string, db *Database, queries []*Query, opts Options, dopts DurableOptions) (*DurableSession, error) {
-	d, ck, err := openDurable(dir, db, queries, opts, dopts)
-	if err != nil {
-		return nil, err
-	}
-	if d.sinceCkpt, err = replay(d.sess, ck, d.log); err != nil {
-		d.log.Abort()
-		return nil, err
-	}
-	return d, nil
+	return newSession(db, queries, engines(opts), ShardOptions{}, dir, dopts, true)
 }
 
-// replay installs ck (or, with none, recomputes from the pristine base)
-// and replays the log records past it, returning how many it replayed.
-func replay(sess *Session, ck *wal.Checkpoint, log *wal.Log) (int, error) {
-	var after uint64
-	if ck != nil {
-		if err := restoreCheckpoint(sess, ck); err != nil {
+// openLog gives sh a log under dir: a fresh one, or with recover the one
+// there, replayed past dir's newest valid checkpoint — installed first, or
+// with none, a recompute from the pristine base. It returns the number of
+// records replayed.
+func (sh *shard) openLog(dir string, dopts DurableOptions, recover bool) (replayed int, err error) {
+	var ck *wal.Checkpoint
+	if recover {
+		if ck, err = wal.LatestCheckpoint(ckptDir(dir)); err != nil {
 			return 0, err
 		}
-		after = ck.LSN
-		log.AdvanceLSN(ck.LSN)
-	} else if _, err := sess.Run(); err != nil {
+	}
+	if sh.log, err = wal.Open(walDir(dir), wal.Options{SegmentBytes: dopts.SegmentBytes, SyncEvery: dopts.SyncEvery}); err != nil {
 		return 0, err
 	}
-	replayed := 0
-	err := log.Replay(after, func(rec wal.Record) error {
-		replayed++
-		// An apply error here is the deterministic re-play of a failure the
-		// live session already saw and continued past (its later rounds kept
-		// logging), so replay continues to the next record just as the live
-		// stream did.
-		_, _ = sess.Apply(rec.Delta)
-		return nil
-	})
+	sh.dir, sh.keep = dir, dopts.CheckpointKeep
+	var after uint64
+	switch {
+	case !recover:
+		return 0, nil
+	case ck != nil:
+		after, err = ck.LSN, sh.restoreCheckpoint(ck)
+		sh.log.AdvanceLSN(after)
+	default:
+		_, err = sh.stageRun(nil)
+	}
+	if err == nil {
+		err = sh.log.Replay(after, func(rec wal.Record) error {
+			replayed++
+			// An apply error here is the deterministic re-play of a failure
+			// the live session already saw and continued past (its later
+			// rounds kept logging), so replay continues to the next record
+			// just as the live stream did.
+			_, _ = sh.apply([]Update{rec.Delta})
+			return nil
+		})
+	}
+	if err != nil {
+		_ = sh.log.Abort()
+	}
 	return replayed, err
 }
 
-// restoreCheckpoint installs ck onto a freshly built session over the
+// restoreCheckpoint installs ck onto a freshly built shard over the
 // pristine database, whose plan was built at construction over pristine
 // statistics: it checks every checkpointed view against that plan, then
 // restores relation contents in their checkpointed sort orders, then
 // publishes the checkpointed view DAG as the session's current result.
-func restoreCheckpoint(sess *Session, ck *wal.Checkpoint) error {
-	plan := sess.plan
+func (sh *shard) restoreCheckpoint(ck *wal.Checkpoint) error {
+	plan := sh.plan
 	if len(ck.Views) != len(plan.Views) {
 		return fmt.Errorf("lmfao: checkpoint holds %d views but the plan builds %d — recover with the session's original queries and options", len(ck.Views), len(plan.Views))
 	}
@@ -205,7 +189,7 @@ func restoreCheckpoint(sess *Session, ck *wal.Checkpoint) error {
 		}
 	}
 	missing := map[string]*data.Relation{}
-	for _, rel := range durableRelations(sess.eng) {
+	for _, rel := range durableRelations(sh.eng) {
 		missing[rel.Name] = rel
 	}
 	for _, rs := range ck.Relations {
@@ -224,7 +208,7 @@ func restoreCheckpoint(sess *Session, ck *wal.Checkpoint) error {
 	// An LMFAOCK2 checkpoint restores every base already in its plan order,
 	// so this sorts nothing; the arrival-order bases of an LMFAOCK1 one are
 	// sorted here, once.
-	if err := sess.eng.SortBases(plan); err != nil {
+	if err := sh.eng.SortBases(plan); err != nil {
 		return err
 	}
 	for qi, vid := range plan.OutputView {
@@ -238,7 +222,10 @@ func restoreCheckpoint(sess *Session, ck *wal.Checkpoint) error {
 	if err != nil {
 		return err
 	}
-	sess.restoreResult(res)
+	sh.writerMu.Lock()
+	defer sh.writerMu.Unlock()
+	sh.res = res
+	sh.publishLocked(res, nil)
 	return nil
 }
 
@@ -279,140 +266,145 @@ func durableRelations(eng *Engine) []*data.Relation {
 	return rels
 }
 
-// checkpoint durably snapshots the session's current state. Writer-only.
-// It syncs the log first (a checkpoint must never cover unsynced records),
-// captures the relations' contents and versions plus the maintained view
-// DAG, writes the checkpoint file atomically, then prunes old files.
-func (d *DurableSession) checkpoint() error {
-	if err := d.Wedged(); err != nil {
-		return err
+// checkpoint durably snapshots the shard's current state. Writer-only; a
+// no-op on an unlogged shard. It syncs the log first (a checkpoint must
+// never cover unsynced records), captures the relations' contents and
+// versions plus the maintained view DAG, writes the checkpoint file
+// atomically, then prunes old files.
+func (sh *shard) checkpoint() error {
+	if sh.log == nil {
+		return nil
 	}
-	s := d.sess
-	if s.res == nil {
-		// A failed round left no maintained state; the next Run/Apply
+	if err := sh.wedged.Load(); err != nil {
+		return *err
+	}
+	if sh.res == nil {
+		// A failed round left no maintained state; the next round
 		// recomputes and the checkpoint retries on the following interval.
 		return nil
 	}
-	if err := d.log.Sync(); err != nil {
-		d.wedge(err)
+	if err := sh.log.Sync(); err != nil {
+		sh.wedge(err)
 		return err
 	}
 	ck := &wal.Checkpoint{
-		LSN:      d.log.LastLSN(),
-		Versions: ivm.CaptureVersions(s.eng.DB()),
-		Views:    s.res.Materialized,
+		LSN:      sh.log.LastLSN(),
+		Versions: ivm.CaptureVersions(sh.eng.DB()),
+		Views:    sh.res.Materialized,
 	}
-	for _, rel := range durableRelations(s.eng) {
+	for _, rel := range durableRelations(sh.eng) {
 		ck.Relations = append(ck.Relations, wal.RelationState{Name: rel.Name, Version: rel.Version(),
 			Order: rel.SortOrder(), Cols: rel.Cols})
 	}
-	if err := wal.WriteCheckpoint(ckptDir(d.dir), ck, d.failCkpt.Swap(false)); err != nil {
+	if err := wal.WriteCheckpoint(ckptDir(sh.dir), ck, sh.failCkpt.Swap(false)); err != nil {
 		if errors.Is(err, wal.ErrInjectedCrash) {
-			d.wedge(err)
+			sh.wedge(err)
 		}
 		return err
 	}
-	d.sinceCkpt = 0
 	// The checkpoint is durable and recorded; pruning is cleanup. What it
 	// cannot remove now it retries after the next checkpoint, and it never
 	// fails the round that committed.
-	_ = wal.PruneCheckpoints(ckptDir(d.dir), d.opts.CheckpointKeep)
+	_ = wal.PruneCheckpoints(ckptDir(sh.dir), sh.keep)
 	return nil
 }
 
-// Run (re)computes the batch from scratch, publishes it and writes a
-// checkpoint covering it, so a session is recoverable from the moment its
-// first Run returns.
-func (d *DurableSession) Run() (Queryable, error) {
-	if err := (<-d.sess.w.call(&job{stage: newStagedRun(1)})).Err; err != nil {
-		return nil, err
+// wedge records the sticky failure that wedged the shard (writer only).
+func (sh *shard) wedge(err error) { sh.wedged.Store(&err) }
+
+// Wedged returns the sticky error that wedged a shard's log, or nil while
+// every shard is healthy. A wedged shard fails every further maintenance
+// call with the same error while published snapshots stay readable;
+// recover from the directory. Safe for concurrent use (the serving tier
+// maps a wedged maintainer to 503).
+func (s *Session) Wedged() error {
+	for _, sh := range s.shards {
+		if err := sh.wedged.Load(); err != nil {
+			return *err
+		}
 	}
-	return d.sess.Snapshot(), nil
+	return nil
 }
 
-// Apply logs and applies the updates (log-before-apply, one update at a
-// time) and returns the maintenance stats, exactly like Session.Apply plus
-// durability: when Apply returns, every committed update is fsynced in the
-// WAL (per the SyncEvery policy).
-func (d *DurableSession) Apply(updates ...Update) ([]*ApplyStats, error) {
-	res := <-d.ApplyAsync(updates...)
-	return res.Stats, res.Err
+// Dir returns the durable state directory ("" for an unlogged session).
+func (s *Session) Dir() string { return s.dir }
+
+// LastLSN returns the LSN of shard 0's last durably committed log record
+// (0 before the first logged update and on an unlogged session; after
+// recovery, the position the recovered state reflects). Safe from any
+// goroutine.
+func (s *Session) LastLSN() uint64 {
+	if l := s.shards[0].log; l != nil {
+		return l.LastLSN()
+	}
+	return 0
 }
 
-// ApplyAsync is Apply on the writer without waiting: the returned channel
-// delivers the round's result once it commits (or fails). Rounds commit in
-// submission order — the writer is the single writer.
-func (d *DurableSession) ApplyAsync(updates ...Update) <-chan ApplyResult {
-	return d.sess.ApplyAsync(updates...)
-}
-
-// Checkpoint forces a durable checkpoint of the current state, regardless
-// of the automatic interval.
-func (d *DurableSession) Checkpoint() error {
-	return (<-d.sess.w.call(&job{ckpt: true})).Err
-}
-
-// Snapshot returns the latest committed snapshot (see Session.Snapshot);
-// reads are identical to an unlogged session's.
-func (d *DurableSession) Snapshot() Queryable { return d.sess.Snapshot() }
-
-// Head returns the latest committed snapshot as a concrete *Snapshot (see
-// Session.Head).
-func (d *DurableSession) Head() *Snapshot { return d.sess.Head() }
-
-// Session returns the wrapped Session for reads and introspection. Writing
-// through it directly (Apply/Run) would bypass the log and break the
-// recovery invariant.
-func (d *DurableSession) Session() *Session { return d.sess }
-
-// LastLSN returns the LSN of the last durably committed log record (0
-// before the first logged update; after recovery, the position the
-// recovered state reflects). Safe from any goroutine.
-func (d *DurableSession) LastLSN() uint64 { return d.log.LastLSN() }
-
-// Dir returns the durable state directory.
-func (d *DurableSession) Dir() string { return d.dir }
-
-// Wait blocks until every maintenance call accepted so far has finished.
-func (d *DurableSession) Wait() { d.sess.Wait() }
-
-// Close drains accepted work, writes a final checkpoint, syncs and closes
-// the log, and stops the writer. Further maintenance calls fail; published
-// snapshots stay readable. Idempotent.
-func (d *DurableSession) Close() {
-	d.sess.w.close(&job{ckpt: true, res: newAsyncResult(1), shard: -1}, false)
-}
-
-// Kill is Close without the final checkpoint or log sync — the shutdown of
-// a simulated crash (testing): only what the fsync policy already
-// committed survives on disk. Accepted-but-unprocessed jobs still drain
-// through the writer (their effect is in-memory only and discarded).
-// Idempotent with Close.
-func (d *DurableSession) Kill() { d.sess.w.close(nil, true) }
-
-// CrashAfterAppends arms the WAL writer's injected-crash point: the next n
+// CrashAfterAppends arms shard 0's injected WAL crash point: the next n
 // appends succeed, then the following one writes a torn frame prefix and
-// wedges the session with wal.ErrInjectedCrash — the on-disk state of a
+// wedges the shard with wal.ErrInjectedCrash — the on-disk state of a
 // process dying mid-append. Fault injection for crash-recovery testing.
-func (d *DurableSession) CrashAfterAppends(n int) { d.log.CrashAfterAppends(n) }
+func (s *Session) CrashAfterAppends(n int) { s.shards[0].log.CrashAfterAppends(n) }
 
-// wedge records the sticky failure that wedged the session (writer only).
-func (d *DurableSession) wedge(err error) { d.wedged.Store(&err) }
+// CrashNextCheckpoint arms shard 0's checkpoint crash point: the next
+// checkpoint writes its bytes but dies before fsync/rename, leaving only a
+// stale .tmp file recovery ignores, and wedges the shard. Fault injection
+// for crash-recovery testing.
+func (s *Session) CrashNextCheckpoint() { s.shards[0].failCkpt.Store(true) }
 
-// Wedged returns the sticky error that wedged the session, or nil while it
-// is healthy. A wedged session fails every further maintenance call with
-// the same error while its published snapshots stay readable; recover from
-// the directory. Safe for concurrent use (the serving tier maps a wedged
-// maintainer to 503).
-func (d *DurableSession) Wedged() error {
-	if err := d.wedged.Load(); err != nil {
-		return *err
+// writeManifest durably records m in dir.
+func writeManifest(dir string, m shardManifest) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
 	}
-	return nil
+	b, err := json.Marshal(m)
+	if err != nil {
+		return err
+	}
+	// Write-tmp / fsync / rename: the rename publishes atomically, but only
+	// the Sync guarantees the bytes behind the new name survive a crash —
+	// os.WriteFile alone could publish an empty or torn manifest.
+	tmp := manifestPath(dir) + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(append(b, '\n'))
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, manifestPath(dir)); err != nil {
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
-// CrashNextCheckpoint arms the checkpoint crash point: the next checkpoint
-// writes its bytes but dies before fsync/rename, leaving only a stale .tmp
-// file recovery ignores, and wedges the session. Fault injection for
-// crash-recovery testing.
-func (d *DurableSession) CrashNextCheckpoint() { d.failCkpt.Store(true) }
+// readManifest reads dir's manifest; a dir without one holds one shard.
+func readManifest(dir string) (shardManifest, error) {
+	var m shardManifest
+	b, err := os.ReadFile(manifestPath(dir))
+	if os.IsNotExist(err) {
+		return shardManifest{Shards: 1}, nil
+	}
+	if err != nil {
+		return m, err
+	}
+	if err := json.Unmarshal(b, &m); err != nil {
+		return m, fmt.Errorf("lmfao: corrupt shard manifest: %w", err)
+	}
+	if m.Shards < 1 || m.Shards > 1 && m.Fact == "" {
+		return m, fmt.Errorf("lmfao: corrupt shard manifest: %+v", m)
+	}
+	return m, nil
+}

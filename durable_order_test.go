@@ -170,21 +170,21 @@ func checkRecovered(t *testing.T, got, want *Session) {
 			t.Fatalf("view %d differs from the uninterrupted twin", i)
 		}
 	}
-	for _, rel := range got.eng.DB().Relations() {
-		twin := want.eng.DB().Relation(rel.Name)
+	for _, rel := range got.Engine().DB().Relations() {
+		twin := want.Engine().DB().Relation(rel.Name)
 		if !slices.Equal(rel.SortOrder(), twin.SortOrder()) || !blocksIdentical(rel.Cols, twin.Cols) {
 			t.Fatalf("relation %q: recovered rows (order %v) differ from the twin's (order %v)", rel.Name, rel.SortOrder(), twin.SortOrder())
 		}
 	}
 	plan := gh.Batch().Plan
-	for _, n := range got.eng.Tree().Nodes {
+	for _, n := range got.Engine().Tree().Nodes {
 		if n.IsBag() {
 			continue
 		}
 		if order := plan.AttrOrder[n.ID]; !n.Rel.SortedBy(order) {
 			t.Fatalf("relation %q is sorted by %v, not its plan order %v", n.Rel.Name, n.Rel.SortOrder(), order)
 		}
-		for _, o := range moo.SortedCopyOrders(got.eng, n.Rel) {
+		for _, o := range moo.SortedCopyOrders(got.Engine(), n.Rel) {
 			if n.Rel.SortedBy(o) {
 				t.Fatalf("relation %q: the engine holds a sorted copy in %v, an order the base has", n.Rel.Name, o)
 			}
@@ -535,7 +535,7 @@ func TestRecoveryTieOrderOfOtherCopies(t *testing.T) {
 	if _, err := d.Session().Head().Requery(adhoc); err != nil {
 		t.Fatal(err)
 	}
-	if len(moo.SortedCopyOrders(d.Session().eng, rel)) == 0 {
+	if len(moo.SortedCopyOrders(d.Engine(), rel)) == 0 {
 		t.Fatal("the requery read no sorted copy of F")
 	}
 	ins := InsertRows("F", IntColumn([]int64{1}), IntColumn([]int64{1}), FloatColumn([]float64{1}))

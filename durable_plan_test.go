@@ -86,7 +86,7 @@ func TestRecoverAfterRootMoves(t *testing.T) {
 	if _, err := d.Run(); err != nil {
 		t.Fatal(err)
 	}
-	root := d.Session().plan.Roots[0]
+	root := d.shards[0].plan.Roots[0]
 	for x := 10; x < 60; x += 10 {
 		b, c := planPinRows(x, x+10)
 		if _, err := d.Apply(InsertRows("S", IntColumn(b), IntColumn(c))); err != nil {

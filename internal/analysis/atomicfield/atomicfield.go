@@ -1,8 +1,8 @@
 // Package atomicfield checks that struct fields published through
 // sync/atomic are never read or written plainly.
 //
-// The engine's snapshot publication protocol (Session.snap, the durable
-// session's wedge mirror) hinges on every cross-goroutine handoff going
+// The engine's snapshot publication protocol (a session shard's snap and
+// its wedge mirror) hinges on every cross-goroutine handoff going
 // through an atomic operation: one plain load of a
 // published pointer is a data race the randomized oracles only catch if a
 // scheduler interleaving happens to trip it. The analyzer makes the

@@ -2,7 +2,7 @@ package data
 
 import "fmt"
 
-// Hash partitioning for sharded maintenance (lmfao.ShardedSession): the fact
+// Hash partitioning for sharded maintenance (lmfao.NewShardedSession): the fact
 // relation of a schema is split into N shards on a join key, every other
 // relation is replicated, and each shard database is maintained by an
 // independent writer. The helpers here are the single source of truth for

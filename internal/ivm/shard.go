@@ -4,7 +4,7 @@ import "strings"
 
 // ShardVector is the version metadata of a sharded maintained state: one
 // VersionVector per shard, indexed by shard id. A merged sharded snapshot
-// (lmfao.ShardedSession.Snapshot) is pinned to a ShardVector — each
+// (lmfao.Session.Snapshot) is pinned to a ShardVector — each
 // component identifies the base state its shard's views reflect, exactly as
 // a single session's snapshot is pinned to one VersionVector. Consistency is
 // per shard: component s is a genuine committed state of shard s, but

@@ -10,10 +10,10 @@ import (
 // add, column by column — hidden tuple-count columns included, so the merged
 // view carries exactly the counts a single evaluation over the union of the
 // partitions would have produced. This is the read-side merge behind sharded
-// maintenance (lmfao.ShardedSession): each shard evaluates the same query
-// over its partition of the fact data, and because every join tuple of the
-// full database lives in exactly one shard, summing per-shard aggregates
-// over the unioned group set reconstructs the unsharded result.
+// maintenance (an lmfao.Session of N > 1 shards): each shard evaluates the
+// same query over its partition of the fact data, and because every join
+// tuple of the full database lives in exactly one shard, summing per-shard
+// aggregates over the unioned group set reconstructs the unsharded result.
 //
 // All parts must share one schema (same group-by attributes in the same
 // order, same stride, same sort layout); nil or empty parts are skipped.

@@ -280,7 +280,7 @@ func TestDurableSessionRejectsReuse(t *testing.T) {
 	h.finish(rec, "reuse")
 }
 
-// shardedDurableFixture builds a DurableShardedSession plus an unsharded
+// shardedDurableFixture builds a two-shard logged session plus an unsharded
 // twin over clones of one generated database.
 type shardedDurableFixture struct {
 	t        *testing.T
@@ -293,7 +293,7 @@ type shardedDurableFixture struct {
 	pristine *data.Database
 	twinDB   *data.Database
 	twin     *lmfao.Session
-	dur      *lmfao.DurableShardedSession
+	dur      *lmfao.DurableSession
 	updates  []lmfao.Update
 }
 
@@ -361,7 +361,7 @@ func TestDurableShardedKillRecover(t *testing.T) {
 			}
 		}
 
-		rec, err := lmfao.RecoverShardedSession(f.dir, f.pristine, f.queries, f.opts, f.dopts)
+		rec, err := lmfao.RecoverSession(f.dir, f.pristine, f.queries, f.opts, f.dopts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -489,7 +489,7 @@ func TestDurableShardedKillRecover(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		rec, err := lmfao.RecoverShardedSession(f.dir, f.pristine, f.queries, f.opts, f.dopts)
+		rec, err := lmfao.RecoverSession(f.dir, f.pristine, f.queries, f.opts, f.dopts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,7 @@
 // Package serve is the network serving tier: it exposes the full serving
 // contract — snapshot reads, Requery refinement, the five application
 // workloads, and maintenance ingest — over HTTP/JSON, against any
-// lmfao.Maintainer (Session, ShardedSession, or their durable variants).
+// lmfao.Maintainer (a Session of any shard count, logged or not).
 //
 // The design mirrors the layered engine underneath. Reads
 // (/v1/results, /v1/lookup, metadata) hit the latest published snapshot —
@@ -153,7 +153,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // handleMeta describes the schema, the served batch and registered apps.
 func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
 	resp := metaResponse{Apps: s.apps.Names(), Shards: 1}
-	if sn, ok := s.snapshot().(*lmfao.ShardedSnapshot); ok {
+	if sn, ok := s.snapshot().(*lmfao.Snapshot); ok {
 		resp.Shards = sn.NumShards()
 	}
 	for _, rel := range s.db.Relations() {
@@ -199,8 +199,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"shedded":        s.shedded.Load(),
 		"pendingApplies": s.adm.pendingApplies(),
 	}
-	if st, ok := s.m.(interface{ Stats() lmfao.ShardedStats }); ok {
-		resp["maintainer"] = st.Stats()
+	if sess, ok := s.m.(*lmfao.Session); ok {
+		resp["maintainer"] = sess.Stats()
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -441,7 +441,7 @@ func (s *Server) writeApplyError(w http.ResponseWriter, err error) {
 		writeError(w, http.StatusServiceUnavailable, "maintainer closed: %v", err)
 		return
 	}
-	if dw, ok := s.m.(interface{ Wedged() error }); ok && dw.Wedged() != nil {
+	if sess, ok := s.m.(*lmfao.Session); ok && sess.Wedged() != nil {
 		writeError(w, http.StatusServiceUnavailable, "maintainer wedged: %v", err)
 		return
 	}

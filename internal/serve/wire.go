@@ -314,13 +314,10 @@ func parseKeyCSV(s string) ([]int64, error) {
 	return out, nil
 }
 
-// epochsOf extracts the publication epochs of a Queryable: per-shard for a
-// merged sharded snapshot, a single element otherwise.
+// epochsOf extracts the per-shard publication epochs of a session
+// snapshot (nil for any other Queryable).
 func epochsOf(q lmfao.Queryable) []uint64 {
-	switch sn := q.(type) {
-	case *lmfao.Snapshot:
-		return []uint64{sn.Epoch()}
-	case *lmfao.ShardedSnapshot:
+	if sn, ok := q.(*lmfao.Snapshot); ok {
 		return sn.Epochs()
 	}
 	return nil

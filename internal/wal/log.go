@@ -23,7 +23,7 @@ type segment struct {
 
 // Log is a single-writer, global-ordered write-ahead log of base-relation
 // deltas. All mutating methods (Append, Sync, Close, Abort) must be called
-// from one goroutine — the DurableSession worker; LastLSN and
+// from one goroutine — the logged session shard's writer; LastLSN and
 // CrashAfterAppends are safe from any goroutine.
 type Log struct {
 	dir  string
@@ -300,7 +300,7 @@ func (l *Log) Close() error {
 }
 
 // Abort closes the active segment WITHOUT a final sync — the shutdown path
-// of a simulated crash (DurableSession.Kill), leaving on disk only what the
+// of a simulated crash (lmfao.Session.Kill), leaving on disk only what the
 // sync policy already committed.
 func (l *Log) Abort() error {
 	return l.f.Close()

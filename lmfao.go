@@ -31,18 +31,19 @@
 //
 // Beyond the paper's static pipeline, computed batches stay fresh under
 // base-data updates: Session maintains the view DAG incrementally and
-// serves lock-free snapshots while maintenance runs, and ShardedSession
-// scales maintenance throughput further by hash-partitioning the fact
-// relation across independent per-shard writers whose snapshots merge on
-// read.
+// serves lock-free snapshots while maintenance runs; with more than one
+// shard (NewShardedSession) it scales maintenance throughput further by
+// hash-partitioning the fact relation across independent per-shard writers
+// whose snapshots merge on read, and with a log directory
+// (NewDurableSession, RecoverSession) it survives a crash.
 //
 // # Serving API
 //
 // Two small interfaces tie the layers together. Queryable is the read side
 // — one immutable batch of results, whether from a one-shot engine run
-// (RunQueryable), a Session snapshot or a merged ShardedSession snapshot —
-// and Maintainer is the write/serve side (Run, Apply, ApplyAsync, Snapshot,
-// Wait, Close), satisfied by both session kinds. Every application has a
+// (RunQueryable) or a Session snapshot merged across its shards — and
+// Maintainer is the write/serve side (Run, Apply, ApplyAsync, Snapshot,
+// Wait, Close), satisfied by Session over any shard count. Every application has a
 // From entry point over Queryable, so a model re-fits from a live session
 // between maintenance rounds with zero aggregate recomputation:
 //

@@ -4,7 +4,12 @@
 # Builds lmfao-serve, starts it on a small retailer dataset, hits every
 # endpoint class asserting the expected status, and shuts the server down
 # cleanly with SIGTERM. Exits non-zero on the first failed assertion or an
-# unclean shutdown.
+# unclean shutdown. Arguments pass through to lmfao-serve, so
+#
+#	sh scripts/serve_smoke.sh -shards 2 -durable "$DIR"
+#
+# smokes a two-shard WAL-backed session, and a second run over the same
+# directory smokes its recovery.
 set -eu
 
 ADDR="127.0.0.1:18467"
@@ -14,7 +19,7 @@ LOG="$(mktemp)"
 
 go build -o "$BIN" ./cmd/lmfao-serve
 
-"$BIN" -dataset retailer -scale 0.002 -addr "$ADDR" >"$LOG" 2>&1 &
+"$BIN" -dataset retailer -scale 0.002 -addr "$ADDR" "$@" >"$LOG" 2>&1 &
 PID=$!
 trap 'kill "$PID" 2>/dev/null || true' EXIT
 

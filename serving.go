@@ -10,18 +10,18 @@ import (
 
 // This file defines the serving API: the read/write contract every layer of
 // the system publishes and every application consumes. The read side is
-// Queryable — satisfied by *Snapshot, *ShardedSnapshot and the one-shot
-// adapter RunQueryable returns — and the write/serve side is Maintainer,
-// satisfied by *Session, *ShardedSession, *DurableSession and
-// *DurableShardedSession. Application entry points
+// Queryable — satisfied by *Snapshot, whether a session published it or
+// RunQueryable wrapped a one-shot run — and the write/serve side is
+// Maintainer, satisfied by *Session over any shard count, logged or not.
+// Application entry points
 // (BuildCovarMatrixFrom, LearnDecisionTreeFrom, …) take a Queryable, so a
 // model can be re-fit from a live session between maintenance rounds with
 // the exact code path that fits it from a one-shot engine run.
 
 // Queryable is the read side of the serving API: one immutable, committed
 // batch of group-by aggregate results, independent of how it was computed —
-// a one-shot Engine run (RunQueryable), a Session snapshot, or a merged
-// ShardedSession snapshot. Its method set is the full read contract:
+// a one-shot Engine run (RunQueryable) or a Session snapshot, merged across
+// its shards. Its method set is the full read contract:
 //
 //	NumQueries() int
 //	Result(queryIdx int) *Result
@@ -63,24 +63,23 @@ type Queryable interface {
 // reads categories in row order and fails on rows out of order). The
 // decision-tree learner (LearnDecisionTreeFrom) needs it: every tree level
 // issues a new batch conditioned on its nodes' ancestor splits, which no
-// precomputed snapshot can answer. Snapshot and ShardedSnapshot implement
-// it by running the batch on their session's engine(s), serialized with
-// maintenance (per shard), so a requery never races the writer — but it
-// reflects the writer's current base data, which may be newer than the
-// snapshot's pinned Versions. Quiesce updates (ShardedSession.Wait, or
-// simply between synchronous Apply calls) when the refinement must agree
-// with the snapshot exactly. RunQueryable's adapter implements it by
-// running on the wrapped engine directly.
+// precomputed snapshot can answer. A session's Snapshot implements it by
+// running the batch on every shard's engine, serialized with that shard's
+// maintenance, so a requery never races a writer — but it reflects the
+// writers' current base data, which may be newer than the snapshot's
+// pinned Versions. Quiesce updates (Session.Wait, or simply between
+// synchronous Apply calls) when the refinement must agree with the
+// snapshot exactly. RunQueryable's snapshot implements it by running on
+// the wrapped engine directly.
 type Requerier interface {
 	// Requery evaluates a fresh batch behind the Queryable.
 	Requery(queries []*Query) ([]*Result, error)
 }
 
-// Maintainer is the write/serve side of the serving API — the uniform
-// contract over *Session (one writer), *ShardedSession (N partitioned
-// writers), *DurableSession (one logged writer) and *DurableShardedSession
-// (N logged writers), so serving-tier code never special-cases the shard
-// count or durability. Its method set:
+// Maintainer is the write/serve side of the serving API — the contract
+// *Session satisfies over N ≥ 1 shard writers, logged or not, so
+// serving-tier code never special-cases the shard count or durability. Its
+// method set:
 //
 //	Run() (Queryable, error)
 //	Apply(updates ...Update) ([]*ApplyStats, error)
@@ -140,10 +139,9 @@ func RunQueryable(eng *Engine, queries []*Query) (*Snapshot, error) {
 	if versions == nil {
 		versions = ivm.CaptureVersions(eng.DB())
 	}
-	return &Snapshot{epoch: 1, res: res, versions: versions,
-		requery: func(qs []*query.Query) (*moo.BatchResult, error) {
-			return eng.Run(qs)
-		}}, nil
+	return newPart(1, res, versions, func(qs []*query.Query) (*moo.BatchResult, error) {
+		return eng.Run(qs)
+	}), nil
 }
 
 // SubQueryable restricts q to the half-open query-index window [lo, hi):

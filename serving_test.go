@@ -169,6 +169,9 @@ func TestShardedSnapshotZeroShards(t *testing.T) {
 	if got := len(sn.Epochs()); got != 0 {
 		t.Fatalf("Epochs length = %d, want 0", got)
 	}
+	if sn.Epoch() != 0 || sn.Batch() != nil || sn.VersionVector() != nil {
+		t.Fatalf("part accessors of a snapshot with no parts: epoch %d, batch %v, versions %v", sn.Epoch(), sn.Batch(), sn.VersionVector())
+	}
 }
 
 // TestNewShardedSessionRejectsBadShardCount pins the constructor guard.

@@ -6,11 +6,9 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/ivm"
 	"repro/internal/moo"
-	"repro/internal/query"
 )
 
 // Update describes one batch of inserts and deletes against a base relation
@@ -30,116 +28,43 @@ type ApplyStats struct {
 	Incremental bool
 }
 
-// Snapshot is one published, immutable version of a session's batch results:
-// the materialized output views of every query plus the base-relation
-// version vector they reflect. Snapshots are safe for unrestricted
-// concurrent use — the read path performs no locking and no mutation — and
-// stay fully readable while (and after) the session's writer publishes
-// newer snapshots. A snapshot's memory is reclaimed by the garbage collector
-// once no reader holds it; consecutive snapshots share unchanged view
-// storage, so holding an old snapshot pins only what actually differed.
-//
-// Snapshot implements Queryable (and Requerier, when produced by a Session
-// or RunQueryable): it is the unsharded read side of the serving API.
-//
-// lmfao:immutable-after-publish
-type Snapshot struct {
-	epoch    uint64
-	res      *moo.BatchResult
-	versions VersionVector
-	// requery evaluates a fresh ad-hoc batch behind this snapshot
-	// (Requerier); sessions install a hook that serializes with the writer.
-	// It returns the full batch result (not just the visible views) so the
-	// sharded merge path can reach the support views monoid queries need.
-	requery func([]*query.Query) (*moo.BatchResult, error)
-}
-
-// Epoch returns the snapshot's publication sequence number: 1 for the first
-// Run, strictly increasing with every committed maintenance round. Epochs
-// order snapshots of one session; they carry no cross-session meaning.
-func (sn *Snapshot) Epoch() uint64 { return sn.epoch }
-
-// Versions returns the snapshot's version metadata in the serving API's
-// uniform shape: a one-element ShardVector holding the base-relation
-// version vector the snapshot reflects (an unsharded snapshot has exactly
-// one writer). The vector is shared and must be treated as read-only; for
-// typed single-writer access use VersionVector.
-func (sn *Snapshot) Versions() ShardVector { return ShardVector{sn.versions} }
-
-// VersionVector returns the base-relation version vector the snapshot
-// reflects. The returned map is shared and must be treated as read-only.
-func (sn *Snapshot) VersionVector() VersionVector { return sn.versions }
-
-// Batch returns the underlying batch result (read-only: the views it holds
-// are shared with other snapshots and with the maintenance layer).
-func (sn *Snapshot) Batch() *BatchResult { return sn.res }
-
-// NumQueries returns the number of queries in the session batch.
-func (sn *Snapshot) NumQueries() int { return len(sn.res.Results) }
-
-// Result returns query queryIdx's materialized output (batch order), or nil
-// for an index outside the batch. The view carries a trailing hidden
-// tuple-count column after the query's aggregates; it is shared across
-// snapshots and must not be mutated.
-func (sn *Snapshot) Result(queryIdx int) *Result {
-	if queryIdx < 0 || queryIdx >= len(sn.res.Results) {
-		return nil
-	}
-	return sn.res.Results[queryIdx]
-}
-
-// Lookup returns the aggregate values for one group of query queryIdx (key
-// values in the output's group-by order, which sorts attributes by ID), or
-// ok=false if the group is absent or the index is outside the batch. It is
-// a lock-free binary search over the output's sorted key columns and trims
-// the hidden tuple-count column, so the returned row has exactly the
-// query's aggregates in query order.
-func (sn *Snapshot) Lookup(queryIdx int, key ...int64) ([]float64, bool) {
-	return visibleRow(sn.res.Plan, queryIdx, sn.Result(queryIdx), key)
-}
-
-// visibleRow returns the row of group key in query qi's output v, trimmed
-// to the query's aggregates (no hidden columns), or ok=false if absent or v
-// is nil.
-func visibleRow(plan *core.Plan, qi int, v *moo.ViewData, key []int64) ([]float64, bool) {
-	if v == nil {
-		return nil, false
-	}
-	i := v.Lookup(key...)
-	if i < 0 {
-		return nil, false
-	}
-	out := make([]float64, plan.VisibleCols(qi))
-	for c := range out {
-		out[c] = v.Val(i, c)
-	}
-	return out, true
-}
-
-// Requery evaluates a fresh ad-hoc batch over the database behind this
-// snapshot (the Requerier hook; LearnDecisionTreeFrom depends on it). For
-// session-published snapshots the batch runs on the session's engine,
-// serialized with maintenance — it never races the writer, but it reflects
-// the session's current base data, which may be newer than this snapshot's
-// pinned Versions; quiesce updates when exact agreement matters. Snapshots
-// from RunQueryable run on the wrapped engine directly.
-func (sn *Snapshot) Requery(queries []*Query) ([]*Result, error) {
-	if sn.requery == nil {
-		return nil, fmt.Errorf("lmfao: snapshot has no requery hook")
-	}
-	res, err := sn.requery(queries)
-	if err != nil {
-		return nil, err
-	}
-	return res.Results, nil
-}
-
 // ApplyResult delivers an ApplyAsync outcome: the per-update maintenance
 // stats and the first error, exactly as the equivalent Apply call would have
 // returned them.
 type ApplyResult struct {
 	Stats []*ApplyStats
 	Err   error
+}
+
+// ShardOptions configures NewShardedSession and NewDurableShardedSession.
+type ShardOptions struct {
+	// Shards is the number of partitions (and independent shard writers).
+	// Must be at least 1. One shard partitions nothing: the session adopts
+	// its database, as NewSession does, and Relation and Key are ignored.
+	Shards int
+	// Relation names the fact relation to hash-partition. Empty selects the
+	// largest relation in the database — the fact table in every
+	// star/snowflake schema this engine targets.
+	Relation string
+	// Key lists the discrete attributes the fact relation is hash-partitioned
+	// on (data.ShardOf over the tuple's values). Nil selects the first
+	// attribute in the fact's schema order that is discrete and shared with
+	// another relation — a join key, so co-partitioned groups stay
+	// shard-local where possible.
+	Key []AttrID
+}
+
+// ShardedStats are a session's cumulative fan-out counters, reporting how
+// much batching the per-shard queues achieved: Enqueued counts shard-local
+// updates handed to the shard writers (after routing), Applied the updates
+// actually applied after coalescing, Rounds the maintenance rounds that
+// covered them. Enqueued/Rounds is the average batch size the coalescing
+// achieved.
+type ShardedStats struct {
+	Shards   int
+	Enqueued int64
+	Applied  int64
+	Rounds   int64
 }
 
 // Session keeps a query batch's materialized view DAG alive across base-data
@@ -159,25 +84,6 @@ type ApplyResult struct {
 // core.CountColName); aggregate columns keep their query order, so
 // applications indexing columns by aggregate position are unaffected.
 //
-// # Concurrency: snapshot-isolated serving
-//
-// The session follows an MVCC-lite publication protocol. Maintenance
-// (Run/Apply/ApplyAsync) is the WRITE side: calls are serialized by an
-// internal mutex, so the session has one logical writer at a time; the
-// engine, database and join tree backing a session must not be mutated or
-// scanned by anything else while it lives (do not share an engine between
-// sessions). Serving is the READ side: any number of goroutines may call
-// Snapshot at any time — a single atomic pointer load — and query the
-// returned Snapshot freely while maintenance runs. Apply builds maintained
-// views as fresh immutable values and publishes each committed round
-// atomically; published snapshots are never patched in place, so a reader
-// observes either the previous round or the next one, never a partial
-// state.
-//
-// A failed maintenance round leaves the last committed snapshot published
-// (readers keep serving the older, still-consistent version) and forces the
-// writer's next round to recompute from scratch.
-//
 // Aggregates outside the sum-product semiring — MIN, MAX, COUNT DISTINCT,
 // top-k (MonoidAgg) — survive deletes too: the planner compiles each one to
 // an internal count-valued support view that the delta machinery maintains
@@ -185,311 +91,521 @@ type ApplyResult struct {
 // a re-fold of exactly that group's monoid columns (see internal/monoid and
 // the assembly layer in internal/moo).
 //
-// A session has exactly one logical writer; ApplyAsync rounds queue on the
-// session's writer, one goroutine started by the first of them, and commit
-// in call order. When maintenance throughput on one writer becomes the
-// bottleneck, ShardedSession partitions the fact relation across N
-// independent sessions and merges their snapshots on read; DurableSession
-// adds a write-ahead log to the writer. All implement the Maintainer
-// contract (Run / Apply / ApplyAsync / Snapshot / Wait / Close), so
-// serving-tier code never special-cases the shard count.
+// # Shards
+//
+// A session runs over N ≥ 1 shards, each an independent maintained state
+// with its own engine, join tree and writer goroutine. With one shard the
+// session adopts its database and routes, copies and merges nothing. With
+// N > 1 the fact relation is hash-partitioned on a join key into N shard
+// databases (dimension relations replicated; the source database is copied,
+// not adopted). Updates fan out by key — a fact update routes each tuple to
+// its hash shard, any other update broadcasts to every shard — and queued
+// updates coalesce per shard, amortizing per-round overhead under
+// high-rate streams. Snapshots merge the shards' parts on read (Snapshot).
+//
+// The per-shard accessors Engine, LastLSN, CrashAfterAppends and
+// CrashNextCheckpoint describe shard 0; Shard(i) reaches the others.
+//
+// # Durability
+//
+// A session built with a log directory (NewDurableSession,
+// NewDurableShardedSession, RecoverSession) survives process death: every
+// update is appended to its shard's write-ahead log (internal/wal) and
+// fsynced BEFORE it mutates the shard — log-one/apply-one, so the log is
+// always exactly the sequence of updates the shard attempted, in order, and
+// logged shards never coalesce — and each shard's full maintained state is
+// checkpointed on the DurableOptions interval, by Run, Checkpoint and
+// Close. RecoverSession rebuilds the identical session from the newest
+// valid checkpoints plus a replay of the log suffixes; the kill-and-recover
+// oracle in internal/oracletest proves recovery bit-exact against an
+// uninterrupted twin at arbitrary crash points. A log write failure wedges
+// the session (Wedged): the failed update is neither durable nor applied,
+// and every later maintenance call returns the same error.
+//
+// # Concurrency: snapshot-isolated serving
+//
+// Maintenance (Run/Apply/ApplyAsync/Checkpoint) is the WRITE side: each
+// call is routed and enqueued under one mutex, so every shard's writer
+// receives calls in one order and commits them in that order. The engines,
+// databases and join trees backing a session must not be mutated or
+// scanned by anything else while it lives (do not share an engine between
+// sessions). Serving is the READ side: any number of goroutines may call
+// Snapshot at any time — one atomic pointer load per shard — and query the
+// returned Snapshot freely while maintenance runs. Apply builds maintained
+// views as fresh immutable values and publishes each committed round per
+// shard atomically; published snapshots are never patched in place. Across
+// shards a snapshot is a vector of per-shard states (Versions returns the
+// matching ShardVector), not a single global prefix: while a broadcast
+// (dimension) update is mid-fan-out, some shards may reflect it before
+// others. Fact-only streams have no such window. Call Wait (or use the
+// synchronous Apply) before Snapshot to observe a fully drained state.
+//
+// A failed maintenance round leaves the shard's last committed snapshot
+// published and forces its next round to recompute from scratch.
+//
+// Session implements the Maintainer contract.
 type Session struct {
-	eng *Engine
-	// plan is the batch's plan, built once at construction over the
-	// adopted database: every recompute executes it, and recovery checks a
-	// checkpoint's views against it, so a plan decision that follows
-	// statistics (roots, attribute orders) never moves under updates.
-	plan *core.Plan
+	shards []*shard
+	// key and factSchema route fact updates on N > 1 shards: the partition
+	// key and a detached zero-row copy of the fact relation, so routing
+	// never reads the live shard instances. Nil for one shard.
+	key        []AttrID
+	factSchema *data.Relation
+	dir        string
 
-	// writerMu serializes the maintenance side. The read side never takes
-	// it: snapshot acquisition is the atomic load below.
-	writerMu sync.Mutex
-	// res is the writer-private maintained state (nil forces the next
-	// round to recompute). It usually aliases snap's batch result.
-	res *moo.BatchResult
-	// epoch counts publications; writer-private (published inside the
-	// Snapshot, read by readers from there).
-	epoch uint64
-	snap  atomic.Pointer[Snapshot]
+	// mu orders enqueueing against Close and guards closed and sinceCkpt.
+	mu     sync.Mutex
+	closed bool
+	// every is the automatic checkpoint interval in routed updates (≤ 0
+	// for none, and always for an unlogged session); sinceCkpt counts the
+	// routed updates accepted since the last checkpoint round.
+	every     int
+	sinceCkpt int
 
-	// w queues the session's asynchronous work and holds its Close gate.
-	w writer
+	enqueued atomic.Int64
 }
+
+// ShardedSession is an alias of Session, kept for callers that name
+// NewShardedSession's result type.
+type ShardedSession = Session
 
 // NewSession builds an engine over db with TrackCounts enabled and prepares
-// a maintainable session for the query batch, planning it once over db's
-// current statistics. The session adopts db: Run reorders each base
-// relation's rows into its join-tree node's plan order (the order the scans
-// read, so the base is the only copy of its rows), and later updates keep
-// that order. NewSession itself reorders nothing.
+// a maintainable one-shard session for the query batch, planning it once
+// over db's current statistics. The session adopts db: Run reorders each
+// base relation's rows into its join-tree node's plan order (the order the
+// scans read, so the base is the only copy of its rows), and later updates
+// keep that order. NewSession itself reorders nothing.
 func NewSession(db *Database, queries []*Query, opts Options) (*Session, error) {
-	opts.TrackCounts = true
-	eng, err := moo.NewEngine(db, opts)
-	if err != nil {
-		return nil, err
-	}
-	return NewSessionWithEngine(eng, queries)
+	return NewShardedSession(db, queries, opts, ShardOptions{Shards: 1})
 }
 
-// NewSessionWithEngine wraps an existing engine; its options must have
-// TrackCounts set. The engine becomes part of the session's write side: it
-// must not be used concurrently with the session's maintenance calls, and
-// its database is adopted as NewSession's is.
+// NewSessionWithEngine wraps an existing engine in a one-shard session; its
+// options must have TrackCounts set. The engine becomes part of the
+// session's write side: it must not be used concurrently with the session's
+// maintenance calls, and its database is adopted as NewSession's is.
 func NewSessionWithEngine(eng *Engine, queries []*Query) (*Session, error) {
-	if !eng.Options().TrackCounts {
-		return nil, fmt.Errorf("lmfao: session engine needs Options.TrackCounts")
+	return newSession(eng.DB(), queries, func(*Database) (*Engine, error) { return eng, nil }, ShardOptions{Shards: 1}, "", DurableOptions{}, false)
+}
+
+// NewShardedSession prepares a session of so.Shards shards over the query
+// batch: with more than one, it partitions db per so (fact hash-partitioned,
+// everything else replicated) and leaves db itself as it is. Each shard
+// gets its own engine and join tree, built with opts (TrackCounts enabled).
+func NewShardedSession(db *Database, queries []*Query, opts Options, so ShardOptions) (*ShardedSession, error) {
+	return newSession(db, queries, engines(opts), so, "", DurableOptions{}, false)
+}
+
+// engines returns the shard engine constructor over opts, with
+// TrackCounts enabled as maintenance needs.
+func engines(opts Options) func(*Database) (*Engine, error) {
+	opts.TrackCounts = true
+	return func(db *Database) (*Engine, error) { return moo.NewEngine(db, opts) }
+}
+
+// newSession is the one constructor behind every preset. It adopts db for
+// one shard or partitions it per so, builds each shard's engine with mk and
+// plans the batch on it. With a non-empty dir every shard also gets a log
+// under dir — for one shard dir itself, else dir/shard-i — with recover
+// replaying the state there, whose manifest then fixes the partitioning in
+// place of so, and without it refusing a dir that already holds state.
+func newSession(db *Database, queries []*Query, mk func(*Database) (*Engine, error), so ShardOptions, dir string, dopts DurableOptions, recover bool) (*Session, error) {
+	m := shardManifest{Shards: so.Shards}
+	var err error
+	switch {
+	case recover && !holdsState(dir):
+		err = fmt.Errorf("lmfao: %s holds no durable session state", dir)
+	case recover:
+		m, err = readManifest(dir)
+	case so.Shards < 1:
+		err = fmt.Errorf("lmfao: session needs at least 1 shard, got %d", so.Shards)
+	case dir != "" && holdsState(dir):
+		err = fmt.Errorf("lmfao: %s already holds durable session state; use RecoverSession", dir)
+	case so.Shards > 1:
+		m.Fact, m.Key, err = resolveShardFact(db, so)
 	}
-	if len(queries) == 0 {
-		return nil, fmt.Errorf("lmfao: empty session batch")
+	s, dbs := &Session{dir: dir}, []*Database{db}
+	if err == nil && m.Shards > 1 {
+		dbs, err = data.PartitionDatabase(db, m.Fact, m.Key, m.Shards)
 	}
-	plan, err := eng.PlanBatch(queries)
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{eng: eng, plan: plan}
-	s.w.sess = s
+	if m.Shards > 1 {
+		s.key, s.factSchema = append([]AttrID(nil), m.Key...), db.Relation(m.Fact).GatherRows(nil)
+	}
+	dopts = dopts.norm()
+	for i, sdb := range dbs {
+		sh, err := newShard(sdb, queries, mk)
+		if err == nil && dir != "" {
+			var replayed int
+			replayed, err = sh.openLog(shardDir(dir, i, len(dbs)), dopts, recover)
+			s.sinceCkpt += replayed
+		}
+		if err != nil {
+			s.shutdown(true)
+			return nil, shardErr(i, len(dbs), err)
+		}
+		sh.coalesce = dir == "" && len(dbs) > 1
+		s.shards = append(s.shards, sh)
+	}
+	if dir != "" && !recover {
+		err = writeManifest(dir, m)
+	}
+	if err != nil {
+		s.shutdown(true)
+		return nil, err
+	}
+	if dir != "" {
+		s.every = dopts.CheckpointEvery
+	}
 	return s, nil
 }
 
-// Engine returns the session's engine (write side: see the concurrency
-// contract on Session).
-func (s *Session) Engine() *Engine { return s.eng }
+// resolveShardFact applies ShardOptions' defaulting rules: pick the fact
+// relation (largest when unnamed) and the shard key (first discrete join
+// attribute when unset).
+func resolveShardFact(db *Database, so ShardOptions) (string, []AttrID, error) {
+	fact := db.Relation(so.Relation)
+	if so.Relation == "" {
+		for _, r := range db.Relations() {
+			if fact == nil || r.Len() > fact.Len() {
+				fact = r
+			}
+		}
+	}
+	if fact == nil {
+		return "", nil, fmt.Errorf("lmfao: sharded session: no fact relation %q in the database", so.Relation)
+	}
+	key := so.Key
+	if key == nil {
+		key = defaultShardKey(db, fact)
+		if key == nil {
+			return "", nil, fmt.Errorf("lmfao: sharded session: relation %q has no discrete attribute to shard on", fact.Name)
+		}
+	}
+	return fact.Name, key, nil
+}
+
+// defaultShardKey picks the first discrete fact attribute (schema order)
+// shared with another relation — a join key — falling back to the first
+// discrete attribute.
+func defaultShardKey(db *Database, fact *data.Relation) []AttrID {
+	var firstDiscrete []AttrID
+	for _, a := range fact.Attrs {
+		c, _ := fact.Col(a)
+		if !c.IsInt() {
+			continue
+		}
+		if firstDiscrete == nil {
+			firstDiscrete = []AttrID{a}
+		}
+		for _, r := range db.Relations() {
+			if r.Name != fact.Name && r.HasAttr(a) {
+				return []AttrID{a}
+			}
+		}
+	}
+	return firstDiscrete
+}
+
+// shardErr names shard i in err when the session has more than one.
+func shardErr(i, shards int, err error) error {
+	if err == nil || shards == 1 {
+		return err
+	}
+	return fmt.Errorf("lmfao: shard %d: %w", i, err)
+}
+
+// Engine returns shard 0's engine (write side: see the concurrency contract
+// on Session).
+func (s *Session) Engine() *Engine { return s.shards[0].eng }
+
+// Session returns s itself, kept for callers that reach a durable
+// session's reads through it.
+func (s *Session) Session() *Session { return s }
+
+// Shard returns shard i as a one-shard session (s itself when it has one
+// shard) — read it (Head, Engine) freely. Writing through it directly
+// bypasses routing and the session's checkpoint interval: fact tuples must
+// still reach the shard they hash to. Closing it stops that shard's writer
+// only.
+func (s *Session) Shard(i int) *Session {
+	sh := s.shards[i]
+	if len(s.shards) == 1 {
+		return s
+	}
+	return &Session{shards: []*shard{sh}, dir: sh.dir}
+}
+
+// NumShards returns the shard count.
+func (s *Session) NumShards() int { return len(s.shards) }
+
+// FactRelation returns the name of the hash-partitioned relation ("" for
+// one shard).
+func (s *Session) FactRelation() string {
+	if s.factSchema == nil {
+		return ""
+	}
+	return s.factSchema.Name
+}
+
+// ShardKey returns the attributes the fact relation is partitioned on (nil
+// for one shard).
+func (s *Session) ShardKey() []AttrID { return append([]AttrID(nil), s.key...) }
+
+// Stats returns the cumulative fan-out counters.
+func (s *Session) Stats() ShardedStats {
+	st := ShardedStats{Shards: len(s.shards), Enqueued: s.enqueued.Load()}
+	for _, sh := range s.shards {
+		st.Applied += sh.applied.Load()
+		st.Rounds += sh.rounds.Load()
+	}
+	return st
+}
 
 // Snapshot returns the latest committed snapshot as a Queryable, or nil
-// before the first Run. The call is lock-free (one atomic pointer load) and
-// never blocks on in-flight maintenance; the returned snapshot stays valid
-// and immutable regardless of later maintenance rounds. For the concrete
-// *Snapshot (Epoch, VersionVector, Batch) use Head.
+// before Run has completed on every shard. The call is lock-free and never
+// blocks on in-flight maintenance; the returned snapshot stays valid and
+// immutable regardless of later maintenance rounds. For the concrete
+// *Snapshot (Epoch, VersionVector, Batch, Shard) use Head.
 func (s *Session) Snapshot() Queryable {
-	if sn := s.snap.Load(); sn != nil {
+	if sn := s.Head(); sn != nil {
 		return sn
 	}
 	return nil
 }
 
 // Head returns the latest committed snapshot as a concrete *Snapshot (nil
-// before the first Run) — Snapshot with typed access to Epoch,
-// VersionVector and Batch. Same lock-free publication contract.
-func (s *Session) Head() *Snapshot { return s.snap.Load() }
-
-// publishLocked commits res as the next snapshot, pinned to versions (nil
-// falls back to res.Versions, then to a fresh capture). Caller holds
-// writerMu.
-//
-// lmfao:requires writerMu
-func (s *Session) publishLocked(res *moo.BatchResult, versions VersionVector) {
-	if versions == nil {
-		versions = res.Versions
+// before Run has completed on every shard): one atomic load per shard, and
+// for one shard nothing else.
+func (s *Session) Head() *Snapshot {
+	if len(s.shards) == 1 {
+		return s.shards[0].snap.Load()
 	}
-	if versions == nil {
-		versions = ivm.CaptureVersions(s.eng.DB())
+	parts := make([]*Snapshot, len(s.shards))
+	for i, sh := range s.shards {
+		if parts[i] = sh.snap.Load(); parts[i] == nil {
+			return nil
+		}
 	}
-	s.epoch++
-	s.snap.Store(&Snapshot{epoch: s.epoch, res: res, versions: versions, requery: s.requeryLocked})
+	return &Snapshot{parts: parts}
 }
 
-// requeryLocked is the Requery hook installed on every published snapshot:
-// it runs an ad-hoc batch on the session's engine under the writer mutex,
-// so requeries serialize with maintenance and with each other.
-//
-// lmfao:acquires writerMu
-func (s *Session) requeryLocked(queries []*query.Query) (*moo.BatchResult, error) {
-	s.writerMu.Lock()
-	defer s.writerMu.Unlock()
-	return s.eng.Run(queries)
-}
-
-// Run (re)computes the batch from scratch under the session's plan, caches
-// the full view DAG and publishes it as a new snapshot, which it returns.
-//
-// lmfao:acquires writerMu
-func (s *Session) Run() (Queryable, error) {
-	s.writerMu.Lock()
-	defer s.writerMu.Unlock()
-	if s.w.closed.Load() {
-		return nil, errSessionClosed
-	}
-	if _, err := s.runLocked(nil); err != nil {
-		return nil, err
-	}
-	return s.snap.Load(), nil
-}
-
-// errSessionClosed is returned by maintenance calls after Close.
-var errSessionClosed = errors.New("lmfao: session is closed")
-
-// restoreResult installs a recovered batch result as the session's current
-// maintained state and publishes it, pinned to the result's version vector.
-// WAL recovery (RecoverSession) calls it after restoring a checkpoint's
-// base relations and views onto a session built over the pristine database;
-// subsequent Apply calls maintain the restored state exactly as if the
-// session had computed it itself.
-//
-// lmfao:acquires writerMu
-func (s *Session) restoreResult(res *moo.BatchResult) {
-	s.writerMu.Lock()
-	defer s.writerMu.Unlock()
-	s.res = res
-	s.publishLocked(res, nil)
-}
-
-// runLocked is Run's body without the lock or the closed gate: a full
-// recompute that replaces the maintained state and publishes it — if vote,
-// given the recompute's outcome, approves (nil approves every success). On
-// a veto the maintained state is untouched: the recompute changes no base
-// contents, only the order of the rows (SortBases), which no maintained
-// view depends on, and internal caches.
-//
-// lmfao:requires writerMu
-func (s *Session) runLocked(vote func(error) bool) (bool, error) {
-	res, err := s.eng.RunOwned(s.plan)
-	ok := err == nil
-	if vote != nil {
-		ok = vote(err)
-	}
-	if ok {
-		s.res = res
-		s.publishLocked(res, nil)
-	}
-	return ok, err
-}
-
-// stageRun is a writer stage job's recompute: runLocked under the writer
-// mutex, with the all-or-nothing vote of a sharded Run (approval implies
-// success), so a failed shard never leaves readers with a mix of
-// recomputed and stale shard components.
-//
-// lmfao:acquires writerMu
-func (s *Session) stageRun(vote func(error) bool) (bool, error) {
-	s.writerMu.Lock()
-	defer s.writerMu.Unlock()
-	return s.runLocked(vote)
-}
-
-// Result returns the latest published batch result (nil before the first
-// Run) — Snapshot().Batch() without the version metadata. Like a snapshot,
-// the returned result is immutable and safe to read concurrently with
-// maintenance.
+// Result returns shard 0's latest published batch result (nil before the
+// first Run) — Head().Batch() without the version metadata. Like a
+// snapshot, the returned result is immutable and safe to read concurrently
+// with maintenance.
 func (s *Session) Result() *BatchResult {
-	if sn := s.snap.Load(); sn != nil {
+	if sn := s.shards[0].snap.Load(); sn != nil {
 		return sn.res
 	}
 	return nil
 }
 
-// Apply applies the updates to the base relations and maintains the cached
-// result, one update at a time (interleaving mutation and maintenance keeps
-// multi-relation batches exact: each delta is evaluated against the state
-// its predecessors produced). Every committed round is published as a new
-// snapshot before the next update is touched, so concurrent readers walk
-// through the same intermediate states a single-threaded caller would
-// observe. Relations the maintenance layer cannot handle incrementally
-// trigger one full recompute instead.
+// errSessionClosed is returned by maintenance calls after Close.
+var errSessionClosed = errors.New("lmfao: session is closed")
+
+// Run computes the batch from scratch on every shard (in parallel, each
+// behind the updates its writer accepted earlier) and returns the new
+// snapshot; it can be called again to force a full recompute everywhere.
+// Each shard plans once, at construction, and every Run executes that plan.
 //
-// lmfao:acquires writerMu
+// Run is atomic across shards: each shard's writer stages its recomputed
+// result, and the shards publish only when all of them succeeded, so a
+// failed Run changes nothing observable. On a logged session each shard
+// then checkpoints, so the session is recoverable from the moment its
+// first Run returns.
+func (s *Session) Run() (Queryable, error) {
+	if err := (<-s.submit(s.perShard(job{stage: newStagedRun(len(s.shards))}), true)).Err; err != nil {
+		return nil, err
+	}
+	return s.Snapshot(), nil
+}
+
+// Apply is ApplyAsync plus the wait: it applies the updates to the base
+// relations and maintains the cached results, and when it returns every
+// involved shard has committed (and, on a logged session, fsynced per the
+// SyncEvery policy) its slice, so Snapshot reflects all of them. Each shard
+// applies its updates one at a time (each delta is evaluated against the
+// state its predecessors produced) and publishes every committed round
+// before it touches the next, so concurrent readers walk through the same
+// intermediate states a single-threaded caller would observe. Relations the
+// maintenance layer cannot handle incrementally trigger one full recompute
+// instead.
 func (s *Session) Apply(updates ...Update) ([]*ApplyStats, error) {
-	s.writerMu.Lock()
-	defer s.writerMu.Unlock()
-	if s.w.closed.Load() {
-		return nil, errSessionClosed
-	}
-	return s.applyLocked(updates)
+	res := <-s.ApplyAsync(updates...)
+	return res.Stats, res.Err
 }
 
-// apply is Apply without the closed gate, for the writer's jobs: rounds
-// accepted before Close drain through here and commit, while new calls
-// fail at the gate.
+// ApplyAsync routes the updates and enqueues each shard's slice behind
+// every earlier call's, returning a buffered channel that delivers one
+// result when every involved shard has finished. Readers keep serving the
+// last committed snapshot throughout. Per shard, updates commit (and log)
+// in call order; across shards there is no global order (see the
+// consistency contract on Session). On more than one unlogged shard, queued
+// updates of consecutive calls may be coalesced per shard (see
+// coalesceUpdates), so the delivered Stats describe the maintenance rounds
+// that covered this call's updates. On a logged session, a call that
+// crosses the checkpoint interval also checkpoints every shard behind its
+// round — whatever the round's outcome — and delivers after them.
 //
-// lmfao:acquires writerMu
-func (s *Session) apply(updates []Update) ([]*ApplyStats, error) {
-	s.writerMu.Lock()
-	defer s.writerMu.Unlock()
-	return s.applyLocked(updates)
-}
-
-// applyLocked is Apply's body without the lock or the closed gate.
-//
-// lmfao:requires writerMu
-func (s *Session) applyLocked(updates []Update) ([]*ApplyStats, error) {
-	out := make([]*ApplyStats, 0, len(updates))
-	for _, u := range updates {
-		if err := s.eng.DB().ApplyDelta(u); err != nil {
-			return out, err
-		}
-		if s.res == nil {
-			// The first Run below sees the mutated base — but a relation
-			// folded into a materialized hypertree bag must still sync the
-			// bag, which only tracks its members through maintenance.
-			if err := s.eng.SyncBagMember(u); err != nil {
-				return out, err
-			}
-			continue
-		}
-		res, st, err := s.eng.Apply(s.res, u)
-		switch {
-		case err == nil:
-			switch {
-			case res != s.res:
-				s.res = res
-				s.publishLocked(res, nil)
-			case !u.Empty():
-				// The base mutated but the maintained views are unchanged
-				// (e.g. a bag-member delta whose expansion joins nothing):
-				// re-publish the same views pinned to the new version
-				// vector, so the latest snapshot always advertises the base
-				// state the completed round reflects.
-				s.publishLocked(res, ivm.CaptureVersions(s.eng.DB()))
-			default:
-				// A truly empty update commits nothing; skip the no-op
-				// publication so epochs track real commits.
-			}
-			out = append(out, &ApplyStats{ApplyStats: *st, Incremental: true})
-		case errors.Is(err, moo.ErrNotIncremental):
-			if _, err := s.runLocked(nil); err != nil {
-				return out, err
-			}
-			out = append(out, &ApplyStats{ApplyStats: moo.ApplyStats{Relation: u.Relation,
-				Inserted: u.InsertRows(), Deleted: u.DeleteRows()}, Incremental: false})
-		default:
-			// The base is already mutated; the cached result no longer
-			// matches it. Drop the writer's cache so the next Run/Apply
-			// recomputes instead of merging into stale views. The last
-			// committed snapshot stays published for readers.
-			s.res = nil
-			return out, err
-		}
-	}
-	if s.res == nil {
-		if _, err := s.runLocked(nil); err != nil {
-			return out, err
-		}
-	}
-	return out, nil
-}
-
-// ApplyAsync queues Apply(updates...) on the session's writer goroutine and
-// returns a buffered channel that delivers the single result when the round
-// finishes. Readers keep serving the last committed snapshot throughout and
-// observe the new one as soon as it is published. Rounds commit in call
-// order, one round per call (no coalescing), interleaved with synchronous
-// Run/Apply calls in lock order.
+// Error contract: a delivered Err means at least one of THIS call's updates
+// did not commit on some shard — calls whose updates all landed in failed
+// rounds' committed prefixes receive Err == nil even when a later queued
+// update broke a round. A failed update is not atomic ACROSS shards: an
+// update whose tuples route to several shards can commit its slice on some
+// shards and fail on another (a delete block whose missing tuple hashes to
+// one shard, say). Do not blindly re-submit a failed multi-shard update;
+// reconcile against Snapshot() first, or keep delete batches shard-local
+// (single-key batches route to one shard by construction).
 func (s *Session) ApplyAsync(updates ...Update) <-chan ApplyResult {
-	return s.w.call(&job{updates: updates})
+	perShard, err := routeUpdates(s.factSchema, s.key, len(s.shards), updates)
+	if err != nil {
+		return failedCall(err)
+	}
+	var jobs []*job
+	for i, list := range perShard {
+		if list != nil || len(perShard) == 1 {
+			jobs = append(jobs, &job{updates: list, shard: i})
+		}
+	}
+	return s.submit(jobs, false)
 }
 
-// Wait blocks until every ApplyAsync round accepted so far has finished
-// (committed or failed). Synchronous Apply calls need no Wait — they return
-// after committing. Concurrent ApplyAsync callers make the drained
-// condition a moving target: quiesce producers first.
-func (s *Session) Wait() { s.w.pending.Wait() }
+// Checkpoint forces one checkpoint round, regardless of the automatic
+// interval: every shard checkpoints behind all accepted work. It is a no-op
+// on an unlogged session.
+func (s *Session) Checkpoint() error {
+	return (<-s.submit(s.perShard(job{ckpt: true}), true)).Err
+}
 
-// Close permanently stops the maintenance side after draining: rounds
-// already accepted by ApplyAsync commit first, then the writer goroutine
-// exits and further Run/Apply/ApplyAsync calls fail, while every published
-// snapshot (and Result) stays fully readable — including its Requery hook,
-// which only needs the engine, not the writer. Close is idempotent and safe
-// to call concurrently with readers.
-func (s *Session) Close() { s.w.close(nil, false) }
+// Wait blocks until every maintenance call accepted so far has finished
+// (committed or failed) on every shard. Concurrent ApplyAsync callers make
+// the drained condition a moving target: quiesce producers first.
+func (s *Session) Wait() {
+	for _, sh := range s.shards {
+		sh.pending.Wait()
+	}
+}
+
+// Close permanently stops the maintenance side after draining: work already
+// accepted commits first, a logged session then writes a final checkpoint
+// on every shard and closes its logs, and the writer goroutines exit.
+// Further Run/Apply/ApplyAsync calls fail with ErrSessionClosed, while
+// every published snapshot stays fully readable — including its Requery
+// hook, which only needs the engine, not the writer. Close is idempotent and
+// safe to call concurrently with readers.
+func (s *Session) Close() { s.shutdown(false) }
+
+// Kill is Close without the final checkpoints or log syncs — the shutdown
+// of a simulated whole-process crash (testing): only what the fsync policy
+// already committed survives on disk. Accepted-but-unprocessed jobs still
+// drain through the writers (their effect is in-memory only and
+// discarded). Idempotent with Close.
+func (s *Session) Kill() { s.shutdown(true) }
+
+// perShard returns one copy of j per shard.
+func (s *Session) perShard(j job) []*job {
+	jobs := make([]*job, len(s.shards))
+	for i := range jobs {
+		c := j
+		c.shard = i
+		jobs[i] = &c
+	}
+	return jobs
+}
+
+// submit is the session's one accept gate: it enqueues a call's jobs unless
+// the session is closed. ck marks a call whose jobs checkpoint every shard
+// (when logged), which restarts the interval; a call of update jobs that
+// crosses the interval gets one checkpoint job per shard behind its round.
+//
+// lmfao:acquires mu
+func (s *Session) submit(jobs []*job, ck bool) <-chan ApplyResult {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return failedCall(errSessionClosed)
+	}
+	for _, j := range jobs {
+		s.sinceCkpt += len(j.updates)
+	}
+	if !ck && s.every > 0 && s.sinceCkpt >= s.every {
+		jobs, ck = append(jobs, s.perShard(job{ckpt: true})...), true
+	}
+	if ck {
+		s.sinceCkpt = 0
+	}
+	return s.enqueueLocked(jobs)
+}
+
+// enqueueLocked hands jobs to their shard writers as the parts of one
+// result and returns its channel; mu serializes it, so every shard's queue
+// receives calls in one order.
+//
+// lmfao:requires mu
+func (s *Session) enqueueLocked(jobs []*job) <-chan ApplyResult {
+	r := &asyncResult{remaining: len(jobs), shards: len(s.shards), ch: make(chan ApplyResult, 1)}
+	if len(jobs) == 0 {
+		r.ch <- ApplyResult{}
+	}
+	for _, j := range jobs {
+		j.res = r
+		s.enqueued.Add(int64(len(j.updates)))
+		s.shards[j.shard].submit(j)
+	}
+	return r.ch
+}
+
+// shutdown is Close, or on kill the shutdown of a simulated whole-process
+// crash: no final checkpoints, logs abandoned with only what the fsync
+// policy committed.
+func (s *Session) shutdown(kill bool) {
+	s.mu.Lock()
+	already := s.closed
+	s.closed = true
+	if !already && !kill && s.Dir() != "" {
+		// The final checkpoint round, drained by the closes below.
+		s.enqueueLocked(s.perShard(job{ckpt: true}))
+	}
+	s.mu.Unlock()
+	if already {
+		return
+	}
+	for _, sh := range s.shards {
+		sh.close(kill)
+	}
+}
+
+// routeUpdates splits one call's updates into per-shard update lists,
+// preserving relative order: fact updates partition tuple-by-tuple via
+// data.RouteDelta, every other update is broadcast to all shards (dimension
+// relations are replicated). Shards left untouched by every update get a nil
+// list; one shard gets the updates as they are.
+func routeUpdates(factSchema *data.Relation, key []AttrID, shards int, updates []Update) ([][]Update, error) {
+	if shards == 1 {
+		return [][]Update{updates}, nil
+	}
+	perShard := make([][]Update, shards)
+	for _, u := range updates {
+		if u.Relation == factSchema.Name {
+			routed, err := data.RouteDelta(factSchema, u, key, shards)
+			if err != nil {
+				return nil, err
+			}
+			for sh, ru := range routed {
+				if !ru.Empty() {
+					perShard[sh] = append(perShard[sh], ru)
+				}
+			}
+		} else {
+			for sh := range perShard {
+				perShard[sh] = append(perShard[sh], u)
+			}
+		}
+	}
+	return perShard, nil
+}
 
 // InsertRows builds an insert-only update.
 func InsertRows(relation string, cols ...Column) Update {

@@ -15,10 +15,10 @@ func delU(rel string, keys []int64, vals []float64) Update {
 }
 
 // TestShardedRunPartialFailureAtomic pins the staged-publish contract of
-// ShardedSession.Run: when one shard's recompute fails, NO shard publishes —
-// the merged head keeps serving the pre-Run epochs and values instead of
-// mixing recomputed shards with stale ones. The failing shard is injected by
-// closing one shard session directly: its stageRun then fails
+// a multi-shard Session.Run: when one shard's recompute fails, NO shard
+// publishes — the merged head keeps serving the pre-Run epochs and values
+// instead of mixing recomputed shards with stale ones. The failing shard is
+// injected by closing one shard's writer directly: its stage job then fails
 // deterministically with errSessionClosed while its already-published
 // snapshot stays readable for the post-failure assertions.
 func TestShardedRunPartialFailureAtomic(t *testing.T) {
@@ -54,11 +54,11 @@ func TestShardedRunPartialFailureAtomic(t *testing.T) {
 		t.Fatal("scalar lookup failed on first snapshot")
 	}
 
-	// Inject a failing shard: close shard 1's session, so its stageRun
+	// Inject a failing shard: close shard 1's writer, so its stage job
 	// errors while shard 0's succeeds. Before the staged-publish fix, shard
 	// 0 published its recompute before Run returned the error, leaving the
 	// head a mix of epoch 3 (shard 0) and epoch 2 (shard 1).
-	s.sessions[1].Close()
+	s.shards[1].close(false)
 	if _, err := s.Run(); err == nil {
 		t.Fatal("Run with a failing shard did not error")
 	}

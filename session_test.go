@@ -360,8 +360,110 @@ func TestSessionRunKeepsKernels(t *testing.T) {
 		if hit := after.Hits != before.Hits; hit != (round > 0) {
 			t.Fatalf("round %d: Apply after Run hit the kernel cache: %v (%+v -> %+v)", round, hit, before, after)
 		}
-		if sess.Result().Plan != sess.plan {
+		if sess.Result().Plan != sess.shards[0].plan {
 			t.Fatalf("round %d: the session published a result of another plan", round)
 		}
+	}
+}
+
+// TestOneShardPresetsAgree pins that every one-shard preset builds the same
+// session: NewSession, NewShardedSession with Shards: 1 and
+// NewDurableSession, fed one update stream (a failing delete included),
+// publish bit-identical snapshots — epochs, version vectors and every
+// materialized view, hidden counts included — after each call.
+func TestOneShardPresetsAgree(t *testing.T) {
+	mk := func(name string) *Session {
+		db, store, amount, region := sessionFixture(t)
+		queries := []*Query{
+			NewQuery("byregion", []AttrID{region}, Count(), Sum(amount)),
+			NewQuery("total", nil, Sum(amount)),
+		}
+		queries[1].MonoidAggs = []MonoidAgg{MinOf(store), MaxOf(store)}
+		var s *Session
+		var err error
+		switch name {
+		case "session":
+			s, err = NewSession(db, queries, DefaultOptions())
+		case "sharded":
+			s, err = NewShardedSession(db, queries, DefaultOptions(), ShardOptions{Shards: 1})
+		case "durable":
+			s, err = NewDurableSession(db, queries, DefaultOptions(), DurableOptions{CheckpointEvery: 2}, t.TempDir())
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		t.Cleanup(s.Close)
+		if s.NumShards() != 1 || s.Engine().DB() != db {
+			t.Fatalf("%s: %d shards, database adopted: %v", name, s.NumShards(), s.Engine().DB() == db)
+		}
+		if _, err := s.Run(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return s
+	}
+	names := []string{"session", "sharded", "durable"}
+	sessions := make([]*Session, len(names))
+	for i, name := range names {
+		sessions[i] = mk(name)
+	}
+	stream := [][]Update{
+		{InsertRows("sales", IntColumn([]int64{0, 2}), FloatColumn([]float64{7, 8}))},
+		{DeleteRows("sales", IntColumn([]int64{1}), FloatColumn([]float64{3}))},
+		{DeleteRows("sales", IntColumn([]int64{2}), FloatColumn([]float64{999}))}, // fails
+		{InsertRows("stores", IntColumn([]int64{3}), IntColumn([]int64{30})),
+			InsertRows("sales", IntColumn([]int64{3, 3}), FloatColumn([]float64{1, 2}))},
+		{},
+	}
+	for step, updates := range stream {
+		var wantErr bool
+		for i, s := range sessions {
+			_, err := s.Apply(updates...)
+			if i == 0 {
+				wantErr = err != nil
+			} else if (err != nil) != wantErr {
+				t.Fatalf("step %d: %s error %v, session's error? %v", step, names[i], err, wantErr)
+			}
+		}
+		want := sessions[0].Head()
+		for i, s := range sessions[1:] {
+			got := s.Head()
+			if got.Epoch() != want.Epoch() || !got.VersionVector().Equal(want.VersionVector()) {
+				t.Fatalf("step %d: %s at epoch %d %v, session at %d %v", step, names[i+1],
+					got.Epoch(), got.VersionVector(), want.Epoch(), want.VersionVector())
+			}
+			gm, wm := got.Batch().Materialized, want.Batch().Materialized
+			for v := range wm {
+				if (gm[v] == nil) != (wm[v] == nil) || gm[v] != nil && string(gm[v].AppendBinary(nil)) != string(wm[v].AppendBinary(nil)) {
+					t.Fatalf("step %d: %s view %d differs from the session's", step, names[i+1], v)
+				}
+			}
+			for q := 0; q < want.NumQueries(); q++ {
+				if string(got.Result(q).AppendBinary(nil)) != string(want.Result(q).AppendBinary(nil)) {
+					t.Fatalf("step %d: %s query %d differs from the session's", step, names[i+1], q)
+				}
+			}
+		}
+	}
+}
+
+// TestOneShardHeadAllocatesNothing pins that reading a one-shard session's
+// snapshot is one atomic load: no routing, copying or merging, so no
+// allocation.
+func TestOneShardHeadAllocatesNothing(t *testing.T) {
+	db, _, amount, region := sessionFixture(t)
+	s, err := NewSession(db, []*Query{NewQuery("byregion", []AttrID{region}, Sum(amount))}, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var sn *Snapshot
+	if allocs := testing.AllocsPerRun(100, func() { sn = s.Head() }); allocs != 0 || sn == nil {
+		t.Fatalf("Head allocated %v times per call (snapshot %v)", allocs, sn)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { sn = s.Head().Shard(0) }); allocs != 0 || sn != s.Head() {
+		t.Fatalf("Head().Shard(0) allocated %v times per call", allocs)
 	}
 }
