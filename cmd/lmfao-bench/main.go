@@ -288,8 +288,7 @@ func (h *harness) figure5(names []string) error {
 		{"+compilation", moo.Options{Compiled: true, Threads: 1}},
 		{"+multi-output", moo.Options{Compiled: true, MultiOutput: true, Threads: 1}},
 		{"+multi-root", moo.Options{Compiled: true, MultiOutput: true, MultiRoot: true, Threads: 1}},
-		{"+parallel", moo.Options{Compiled: true, MultiOutput: true, MultiRoot: true,
-			Threads: moo.DefaultOptions().Threads, DomainParallelRows: 16384}},
+		{"+parallel", moo.DefaultOptions()},
 	}
 	w := h.newTab()
 	fmt.Fprintln(w, "level\t"+strings.Join(names, "\t"))

@@ -232,7 +232,7 @@ func TestAblationLevelsAgreeOnFavorita(t *testing.T) {
 		{Compiled: true, Threads: 1},
 		{Compiled: true, MultiOutput: true, Threads: 1},
 		{Compiled: true, MultiOutput: true, MultiRoot: true, Threads: 1},
-		{Compiled: true, MultiOutput: true, MultiRoot: true, Threads: 4, DomainParallelRows: 64},
+		{Compiled: true, MultiOutput: true, MultiRoot: true, Threads: 4},
 	}
 	var ref []*moo.ViewData
 	for vi, opts := range variants {

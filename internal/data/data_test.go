@@ -236,15 +236,6 @@ func TestDistinctCount(t *testing.T) {
 	}
 }
 
-func TestRowFloats(t *testing.T) {
-	_, rel := testDB(t)
-	row := make([]float64, 3)
-	rel.RowFloats(0, row)
-	if row[0] != 2 || row[1] != 7 || row[2] != 1.5 {
-		t.Fatalf("RowFloats = %v", row)
-	}
-}
-
 func TestForEachRange(t *testing.T) {
 	vals := []int64{1, 1, 1, 3, 3, 7}
 	var got [][3]int64
@@ -259,9 +250,6 @@ func TestForEachRange(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("range %d: got %v want %v", i, got[i], want[i])
 		}
-	}
-	if n := CountRanges(vals, 0, len(vals)); n != 3 {
-		t.Fatalf("CountRanges = %d", n)
 	}
 }
 

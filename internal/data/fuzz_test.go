@@ -151,60 +151,6 @@ func FuzzTSVDict(f *testing.F) {
 	})
 }
 
-// FuzzSplitRelation checks that splitting by an arbitrary predicate-driven
-// tape always partitions the rows: no panic, train+test = whole, schema
-// preserved.
-func FuzzSplitRelation(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5}, byte(2))
-	f.Add([]byte{}, byte(1))
-	f.Add([]byte{0, 0, 0}, byte(0))
-	f.Fuzz(func(t *testing.T, vals []byte, mod byte) {
-		db := NewDatabase()
-		k := db.Attr("k", Key)
-		m := db.Attr("m", Numeric)
-		ints := make([]int64, len(vals))
-		floats := make([]float64, len(vals))
-		for i, v := range vals {
-			ints[i] = int64(v)
-			floats[i] = float64(v) / 2
-		}
-		rel := NewRelation("r", []AttrID{k, m},
-			[]Column{NewIntColumn(ints), NewFloatColumn(floats)})
-		if err := db.AddRelation(rel); err != nil {
-			t.Fatal(err)
-		}
-		div := int64(mod)%5 + 1
-		train, test, err := SplitRelation(rel, k, func(v int64) bool { return v%div == 0 })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if train.Len()+test.Len() != rel.Len() {
-			t.Fatalf("split lost rows: %d + %d != %d", train.Len(), test.Len(), rel.Len())
-		}
-		if len(train.Attrs) != len(rel.Attrs) || len(test.Attrs) != len(rel.Attrs) {
-			t.Fatal("split changed schema")
-		}
-		for _, half := range []*Relation{train, test} {
-			kc, _ := half.Col(k)
-			held := half == test
-			for i := 0; i < half.Len(); i++ {
-				if (kc.Ints[i]%div == 0) != held {
-					t.Fatalf("row %d landed in the wrong half", i)
-				}
-			}
-		}
-		// Splitting the database must keep the other relation count intact
-		// and hand back the held-out rows.
-		trainDB, heldOut, err := SplitDatabase(db, "r", k, func(v int64) bool { return v%div == 0 })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := trainDB.Relation("r").Len() + heldOut.Len(); got != rel.Len() {
-			t.Fatalf("database split lost rows: %d != %d", got, rel.Len())
-		}
-	})
-}
-
 // FuzzRelationDelta drives a relation with arbitrary delta tapes: append and
 // delete batches must keep the relation consistent (length bookkeeping,
 // version monotonicity) and failed deletes must leave it untouched.

@@ -301,10 +301,3 @@ func (r *Relation) DistinctCount(id AttrID) int {
 	r.distinctMu.Unlock()
 	return len(seen)
 }
-
-// RowFloats copies row i into dst as float64s in schema order.
-func (r *Relation) RowFloats(i int, dst []float64) {
-	for j, c := range r.Cols {
-		dst[j] = c.Float(i)
-	}
-}

@@ -117,28 +117,6 @@ func Build(db *data.Database, opts ...Option) (*Tree, error) {
 	return t, nil
 }
 
-// BuildFromRelations is Build restricted to a subset of db's relations.
-func BuildFromRelations(db *data.Database, rels []*data.Relation, opts ...Option) (*Tree, error) {
-	sub := data.NewDatabase()
-	// Reuse db's attribute registry by re-registering in ID order; AttrIDs
-	// are database-global so the IDs carry over verbatim.
-	for i := 0; i < db.NumAttrs(); i++ {
-		a := db.Attribute(data.AttrID(i))
-		sub.Attr(a.Name, a.Kind)
-	}
-	for _, r := range rels {
-		if err := sub.AddRelation(r); err != nil {
-			return nil, err
-		}
-	}
-	t, err := Build(sub, opts...)
-	if err != nil {
-		return nil, err
-	}
-	t.DB = db
-	return t, nil
-}
-
 // spanningTree connects nodes via a maximum-weight spanning tree where the
 // weight of an edge is the number of shared attributes. For acyclic schemas
 // this yields a valid join tree (Bernstein–Goodman). Disconnected schemas

@@ -386,21 +386,6 @@ func TestPathAttrs(t *testing.T) {
 	}
 }
 
-func TestBuildFromRelations(t *testing.T) {
-	db := chainDB(t, 5, 5, 11)
-	rels := db.Relations()[:2]
-	tree, err := BuildFromRelations(db, rels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tree.Nodes) != 2 {
-		t.Fatalf("nodes = %d", len(tree.Nodes))
-	}
-	if tree.DB != db {
-		t.Fatal("tree not rebound to original database")
-	}
-}
-
 // Property: random star schemas are acyclic and build valid trees.
 func TestRandomStarSchemas(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))

@@ -35,23 +35,6 @@ func (m *Matrix) Clone() *Matrix {
 	return out
 }
 
-// MulVec computes m·x.
-func (m *Matrix) MulVec(x []float64) ([]float64, error) {
-	if len(x) != m.Cols {
-		return nil, fmt.Errorf("linalg: dimension mismatch %d vs %d", len(x), m.Cols)
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		s := 0.0
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, v := range x {
-			s += row[j] * v
-		}
-		out[i] = s
-	}
-	return out, nil
-}
-
 // Solve solves A·x = b by Gaussian elimination with partial pivoting,
 // destroying neither input. A must be square.
 func Solve(a *Matrix, b []float64) ([]float64, error) {

@@ -100,13 +100,13 @@ func TestSolveRandomRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ax, err := a.MulVec(x)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for i := range b {
-			if math.Abs(ax[i]-b[i]) > 1e-8 {
-				t.Fatalf("residual %g at %d", ax[i]-b[i], i)
+			ax := 0.0
+			for j, v := range x {
+				ax += a.At(i, j) * v
+			}
+			if math.Abs(ax-b[i]) > 1e-8 {
+				t.Fatalf("residual %g at %d", ax-b[i], i)
 			}
 			if a.At(i, 0) != aCopy.At(i, 0) || b[i] != bCopy[i] {
 				t.Fatal("Solve mutated its inputs")
@@ -121,12 +121,5 @@ func TestVectorHelpers(t *testing.T) {
 	AXPY(2, a, y)
 	if y[2] != 7 {
 		t.Fatalf("AXPY = %v", y)
-	}
-}
-
-func TestMulVecDimMismatch(t *testing.T) {
-	a := NewMatrix(2, 2)
-	if _, err := a.MulVec([]float64{1}); err == nil {
-		t.Fatal("dimension mismatch accepted")
 	}
 }

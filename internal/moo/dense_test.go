@@ -70,8 +70,8 @@ func scannedGroup(t *testing.T, e *Engine, plan *core.Plan, g *core.Group, produ
 // or run-built, and no run builder there sorts at finalize; no group's dense
 // slots and run stores exceed its budget, a view whose box alone exceeds it
 // is hashed, and outputs are bit-identical
-// with one and two threads (and, for the count-only mi batch, with the Sales
-// scan split across threads, whose dense parts merge inside one shared box).
+// with one and two threads (every scan is cut into the same morsels, whose
+// dense parts merge inside one shared box in morsel order).
 func TestDenseBuildersTaken(t *testing.T) {
 	ds, batches := favoritaGroupBy(t)
 	oversized, dense := 0, 0
@@ -86,10 +86,6 @@ func TestDenseBuildersTaken(t *testing.T) {
 		two := DefaultOptions()
 		two.Threads = 2
 		variants := []Options{two}
-		if name == "mi" {
-			two.DomainParallelRows = 1024
-			variants = append(variants, two)
-		}
 		for _, o := range variants {
 			got, err := NewEngineWithTree(ds.DB, ds.Tree, o).Run(queries)
 			if err != nil {
@@ -152,8 +148,8 @@ func TestDenseBuildersTaken(t *testing.T) {
 }
 
 // TestRunBuildersTaken pins that views keyed by a prefix of the scan order
-// are built in place: on favorita's mi and cube batches, with the Sales scan
-// split across two threads, some builders that run at Sales are run-built,
+// are built in place: on favorita's mi and cube batches, with the Sales
+// scan's morsels on two threads, some builders that run at Sales are run-built,
 // in scan order and not, and each such view is bit-identical to the
 // one-thread engine's, strictly sorted, and is the store itself, with no
 // copy, whenever every store row is used.
@@ -167,7 +163,7 @@ func TestRunBuildersTaken(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts.Threads, opts.DomainParallelRows = 2, 1024
+		opts.Threads = 2
 		e := NewEngineWithTree(ds.DB, ds.Tree, opts)
 		for _, g := range want.Plan.Groups {
 			gp, builders := scannedGroup(t, e, want.Plan, g, want.Materialized)

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -27,12 +28,12 @@ type Options struct {
 	// plan time (the Go analogue of the paper's code generation layer);
 	// disabled, factors are interpreted per call.
 	Compiled bool
-	// Threads bounds task parallelism across view groups and domain
-	// parallelism within large scans. 1 disables parallelism.
+	// Threads bounds the goroutines that run view groups (task
+	// parallelism) and that take a scan's morsels (domain parallelism:
+	// every full scan is cut into at most four morsels by its data,
+	// whatever Threads is). The result is the same, bit for bit, for every
+	// value; 1 runs everything on the calling goroutine.
 	Threads int
-	// DomainParallelRows is the minimum relation size for splitting one
-	// group scan across threads.
-	DomainParallelRows int
 	// TrackCounts adds a hidden tuple-count aggregate to every view so the
 	// result can be incrementally maintained via Apply (see internal/ivm).
 	// Output views gain a trailing core.CountColName column.
@@ -47,18 +48,17 @@ func DefaultOptions() Options {
 		t = 4
 	}
 	return Options{
-		MultiRoot:          true,
-		MultiOutput:        true,
-		Compiled:           true,
-		Threads:            t,
-		DomainParallelRows: 65536,
+		MultiRoot:   true,
+		MultiOutput: true,
+		Compiled:    true,
+		Threads:     t,
 	}
 }
 
 // ACDCOptions is the all-optimizations-off configuration, the paper's proxy
 // for the AC/DC predecessor system.
 func ACDCOptions() Options {
-	return Options{Threads: 1, DomainParallelRows: 1 << 30}
+	return Options{Threads: 1}
 }
 
 // Engine evaluates batches of group-by aggregate queries over a database's
@@ -134,9 +134,6 @@ func NewEngine(db *data.Database, opts Options) (*Engine, error) {
 func NewEngineWithTree(db *data.Database, tree *jointree.Tree, opts Options) *Engine {
 	if opts.Threads < 1 {
 		opts.Threads = 1
-	}
-	if opts.DomainParallelRows <= 0 {
-		opts.DomainParallelRows = 65536
 	}
 	return &Engine{db: db, tree: tree, opts: opts,
 		sortCache: map[sortKey]*sortEntry{}, kernels: map[kernelKey]*maintKernel{}}
@@ -367,84 +364,102 @@ func (e *Engine) runGroup(plan *core.Plan, g *core.Group, produced []*ViewData) 
 	if err != nil {
 		return err
 	}
-	for i, v := range gp.views {
-		produced[v.ID] = builders[i].finalize(gp.targets[i])
-	}
+	gp.finalize(produced, builders)
 	return nil
 }
 
-// scanGroup runs gp's scan over its bound relation, domain-parallel when it
-// is large enough, and returns the views' builders, merged but not
-// finalized. A scalar output gets its row even when no tuple joins.
-func (e *Engine) scanGroup(gp *groupPlan, produced []*ViewData) ([]*viewBuilder, error) {
-	n := gp.rel.Len()
-	if e.opts.Threads > 1 && gp.L > 0 && n >= e.opts.DomainParallelRows {
-		return e.runDomainParallel(gp, produced, n, true)
+// finalize publishes the views of gp's builders into produced.
+func (gp *groupPlan) finalize(produced []*ViewData, builders []*viewBuilder) {
+	for i, v := range gp.views {
+		produced[v.ID] = builders[i].finalize(gp.targets[i])
 	}
-	dense, wins := gp.layouts(produced, nil, []int{0, n})
-	ctx, err := newExecCtx(gp, produced, true, dense, wins[0])
-	if err != nil {
-		return nil, err
-	}
-	ctx.run(0, n)
-	return ctx.builders, nil
 }
 
-// runDomainParallel splits the scan at top-attribute value boundaries across
-// threads and merges the per-thread partial outputs (paper: "LMFAO
-// partitions the largest input relations and allocates a thread per
-// partition").
-func (e *Engine) runDomainParallel(gp *groupPlan, produced []*ViewData, n int, scalarInit bool) ([]*viewBuilder, error) {
-	col := gp.rel.MustCol(gp.order[0]).Ints
-	var bounds []int
-	data.ForEachRange(col, 0, n, func(_ int64, l, _ int) {
-		bounds = append(bounds, l)
-	})
-	bounds = append(bounds, n)
-	threads := e.opts.Threads
-	if threads > len(bounds)-1 {
-		threads = len(bounds) - 1
+// scanGroup runs gp's scan over its bound relation (scanMorsels) and returns
+// the views' builders, merged but not finalized. A scalar output gets its row
+// even when no tuple joins.
+func (e *Engine) scanGroup(gp *groupPlan, produced []*ViewData) ([]*viewBuilder, error) {
+	var ctxs []*execCtx
+	return e.scanMorsels(gp, produced, &ctxs, true)
+}
+
+// maxMorsels bounds the morsels a full scan is cut into: the paper's four
+// threads, and DefaultOptions' cap.
+const maxMorsels = 4
+
+// morsels cuts the rows of gp.rel, sorted by gp.order, into at most
+// maxMorsels non-empty runs of whole top-attribute values, balancing rows
+// (paper: "LMFAO partitions the largest input relations and allocates a
+// thread per partition"), and returns their bounds: 0, then each morsel's
+// end. The cut depends on the data alone.
+func (gp *groupPlan) morsels() []int {
+	n := gp.rel.Len()
+	if gp.L == 0 || n == 0 {
+		return []int{0, n}
 	}
-	// Assign contiguous top-level ranges to chunks, balancing rows.
-	chunkStarts := make([]int, 0, threads+1)
-	target := n / threads
-	next := 0
-	for t := 0; t < threads; t++ {
-		chunkStarts = append(chunkStarts, bounds[next])
-		want := bounds[next] + target
-		for next < len(bounds)-1 && bounds[next] < want {
+	var starts []int
+	data.ForEachRange(gp.rel.MustCol(gp.order[0]).Ints, 0, n, func(_ int64, l, _ int) {
+		starts = append(starts, l)
+	})
+	starts = append(starts, n)
+	m := min(maxMorsels, len(starts)-1)
+	bounds, next := []int{0}, 0
+	for len(bounds) < m {
+		want := bounds[len(bounds)-1] + n/m
+		for next < len(starts)-1 && starts[next] < want {
 			next++
 		}
-	}
-	chunkStarts = append(chunkStarts, n)
-
-	dense, wins := gp.layouts(produced, nil, chunkStarts)
-	ctxs := make([]*execCtx, 0, threads)
-	var wg sync.WaitGroup
-	for t := 0; t < threads; t++ {
-		lo, hi := chunkStarts[t], chunkStarts[t+1]
-		if lo >= hi {
-			continue
+		if starts[next] == n {
+			break
 		}
-		ctx, err := newExecCtx(gp, produced, scalarInit && t == 0, dense, wins[t])
-		if err != nil {
+		bounds = append(bounds, starts[next])
+	}
+	return append(bounds, n)
+}
+
+// scanMorsels runs gp's full scan over its bound relation, cut into morsels:
+// min(Threads, morsels) goroutines take them in turn, each through one of the
+// contexts in *ctxs (grown to that many, and rebound to produced). Every
+// morsel builds its own partial views; they merge into morsel 0's builders in
+// morsel order, so the bits do not depend on Threads. scalarInit gives a
+// scalar output its row even when no tuple joins.
+func (e *Engine) scanMorsels(gp *groupPlan, produced []*ViewData, ctxs *[]*execCtx, scalarInit bool) ([]*viewBuilder, error) {
+	bounds := gp.morsels()
+	dense, wins := gp.layouts(produced, nil, bounds)
+	parts := make([][]*viewBuilder, len(bounds)-1)
+	workers := min(e.opts.Threads, len(parts))
+	for len(*ctxs) < workers {
+		*ctxs = append(*ctxs, newExecCtx(gp))
+	}
+	for _, c := range (*ctxs)[:workers] {
+		if err := c.bind(produced); err != nil {
 			return nil, err
 		}
-		ctxs = append(ctxs, ctx)
+	}
+	var next atomic.Int32
+	take := func(c *execCtx) {
+		for t := int(next.Add(1)) - 1; t < len(parts); t = int(next.Add(1)) - 1 {
+			c.newBuilders(scalarInit && t == 0, dense, wins[t])
+			c.run(bounds[t], bounds[t+1])
+			parts[t] = c.builders
+		}
+	}
+	var wg sync.WaitGroup
+	for _, c := range (*ctxs)[1:workers] {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ctx.run(lo, hi)
+			take(c)
 		}()
 	}
+	take((*ctxs)[0])
 	wg.Wait()
-	out := ctxs[0].builders
-	for _, ctx := range ctxs[1:] {
-		for i := range out {
-			out[i].merge(ctx.builders[i])
+	for _, p := range parts[1:] {
+		for i, b := range parts[0] {
+			b.merge(p[i])
 		}
 	}
-	return out, nil
+	return parts[0], nil
 }
 
 // orderID interns a scan order: equal orders get the same small id, so

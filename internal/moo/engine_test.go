@@ -166,8 +166,8 @@ var optionVariants = []struct {
 	{"compiled", Options{Compiled: true, Threads: 1}},
 	{"multiout", Options{Compiled: true, MultiOutput: true, Threads: 1}},
 	{"multiroot", Options{Compiled: true, MultiOutput: true, MultiRoot: true, Threads: 1}},
-	{"parallel", Options{Compiled: true, MultiOutput: true, MultiRoot: true, Threads: 3, DomainParallelRows: 4}},
-	{"interp-full", Options{MultiOutput: true, MultiRoot: true, Threads: 2, DomainParallelRows: 4}},
+	{"parallel", Options{Compiled: true, MultiOutput: true, MultiRoot: true, Threads: 3}},
+	{"interp-full", Options{MultiOutput: true, MultiRoot: true, Threads: 2}},
 }
 
 // checkBatch runs the batch under every option variant and compares each

@@ -7,7 +7,7 @@ import (
 	"repro/internal/data"
 )
 
-// execCtx holds the per-thread mutable state of one multi-output scan: the
+// execCtx holds the per-goroutine mutable state of one multi-output scan: the
 // register file the group plan's flat program runs against, running sums,
 // input binds and output builders. Running sums and emissions have two walks
 // over the same tables: check-free when every slot read is bound and the
@@ -52,22 +52,12 @@ type execCtx struct {
 	vbuf     []float64 // per-entry products of the emission in progress
 }
 
-// newExecCtx returns a context for one execution of gp, its builders laid
-// out by its chunk's run windows wins and by dense (groupPlan.layouts).
-func newExecCtx(gp *groupPlan, produced []*ViewData, scalarInit bool, dense []*denseLayout, wins []runWindow) (*execCtx, error) {
+// newExecCtx returns a context for executions of gp, with no inputs bound
+// (bind) and no builders (newBuilders).
+func newExecCtx(gp *groupPlan) *execCtx {
 	c := &execCtx{gp: gp}
 	c.inViews = make([]*ViewData, len(gp.inputs))
-	for i, in := range gp.inputs {
-		vd := produced[in.id]
-		if vd == nil {
-			return nil, fmt.Errorf("moo: input view %d of group %d not yet produced", in.id, gp.group.ID)
-		}
-		c.inViews[i] = vd
-	}
 	c.orderCols = make([][]int64, gp.L)
-	for d, a := range gp.order {
-		c.orderCols[d] = gp.rel.MustCol(a).Ints
-	}
 	c.curVals = lineAligned[int64](gp.L)
 	c.reg = lineAligned[float64](gp.nreg)
 	c.reg[0] = 1
@@ -99,13 +89,13 @@ func newExecCtx(gp *groupPlan, produced []*ViewData, scalarInit bool, dense []*d
 	c.bindKey = lineAligned[int64](gp.L)
 	c.crow = lineAligned[int32](len(gp.inputs))
 	c.vbuf = lineAligned[float64](len(gp.emits))
-	c.builders = make([]*viewBuilder, len(gp.views))
-	c.newBuilders(scalarInit, dense, wins)
-	return c, nil
+	return c
 }
 
-// newBuilders gives the context fresh builders laid out by wins and dense.
+// newBuilders gives the context fresh builders laid out by wins and dense,
+// in a new slice: the last execution's builders stay with their holder.
 func (c *execCtx) newBuilders(scalarInit bool, dense []*denseLayout, wins []runWindow) {
+	c.builders = make([]*viewBuilder, len(c.gp.views))
 	for i, v := range c.gp.views {
 		if wins[i].store != nil {
 			c.builders[i] = newViewBuilder(v.GroupBy, len(v.Cols), false, nil)
@@ -124,14 +114,12 @@ func (c *execCtx) newBuilders(scalarInit bool, dense []*denseLayout, wins []runW
 // batch_groupby ran ~1.3× slower than with this layout.
 func lineAligned[T any](n int) []T { return make([]T, n, (n/64+1)*64) }
 
-// reset rebinds the context for another execution of the same group plan —
-// the kernel path's alternative to reallocating a context per Apply. Input
-// views and order columns are re-resolved (the plan-shape-dependent
+// bind points the context at produced's input views and gp.rel's order
+// columns for another execution of the same group plan, and clears the id
+// indirection until the caller installs one. The plan-shape-dependent
 // register, running-sum and bind arrays keep their storage: scan re-zeroes
-// R/P levels on entry, and every register is recomputed before it is read),
-// builders start fresh, and the id indirection is cleared until the caller
-// installs one.
-func (c *execCtx) reset(produced []*ViewData, scalarInit bool, dense []*denseLayout, wins []runWindow) error {
+// R/P levels on entry, and every register is recomputed before it is read.
+func (c *execCtx) bind(produced []*ViewData) error {
 	gp := c.gp
 	for i, in := range gp.inputs {
 		vd := produced[in.id]
@@ -144,14 +132,13 @@ func (c *execCtx) reset(produced []*ViewData, scalarInit bool, dense []*denseLay
 		c.orderCols[d] = gp.rel.MustCol(a).Ints
 	}
 	c.ids = nil
-	c.newBuilders(scalarInit, dense, wins)
 	return nil
 }
 
 // layouts picks each view's addressing for one execution of gp over the
-// rows ids, or over the sorted rows [0, n) split into chunks at bounds
-// (bounds[0] = 0, the last bound n; one chunk per execution context). It
-// returns per view a dense layout or nil, and per chunk and view a run
+// rows ids, or over the sorted rows [0, n) cut into morsels at bounds
+// (bounds[0] = 0, the last bound n; one builder set per morsel). It
+// returns per view a dense layout or nil, and per morsel and view a run
 // window, whose store is nil for views not built in runs.
 //
 // One budget covers every view: the bytes of the 8-byte values the scan
@@ -163,7 +150,7 @@ func (c *execCtx) reset(produced []*ViewData, scalarInit bool, dense []*denseLay
 //   - Run stores then take what is left, on scans without ids: a view keyed
 //     by a prefix of the scan order (runLen) gets a store sized to the
 //     distinct key prefixes of the scanned rows, charged its key and value
-//     bytes, one window per chunk. Chunks split at the first order
+//     bytes, one window per morsel. Morsels split at the first order
 //     attribute, so no key is in two of them. The view drops its box, or
 //     keeps it when its sort order is not the scan's: finalize walks the box
 //     to order the store, as it walks a dense builder's slots, and sorts the
@@ -262,7 +249,7 @@ func (gp *groupPlan) runLen(vi int) (k int, sorted bool) {
 	return k, true
 }
 
-// prefixCounts returns, per chunk [bounds[t], bounds[t+1]) of the sorted
+// prefixCounts returns, per morsel [bounds[t], bounds[t+1]) of the sorted
 // scan relation, the number of distinct k-prefixes of its order attributes
 // for k = 0..maxK (index k).
 func (gp *groupPlan) prefixCounts(bounds []int, maxK int) [][]int {
@@ -272,7 +259,7 @@ func (gp *groupPlan) prefixCounts(bounds []int, maxK int) [][]int {
 	}
 	out := make([][]int, len(bounds)-1)
 	for t := range out {
-		// first[d] counts the rows after the chunk's first whose first
+		// first[d] counts the rows after the morsel's first whose first
 		// differing order attribute is d: each starts a new k-prefix for
 		// every k > d.
 		first := make([]int, maxK+1)
@@ -299,7 +286,7 @@ func (gp *groupPlan) prefixCounts(bounds []int, maxK int) [][]int {
 // keyBoxes returns each view's key box for a scan of gp.rel's n rows, or of
 // the rows ids: over the emit groups writing the view, the union of each key
 // part's source — a bound part's scanned order-column values (the whole
-// relation without ids: domain-parallel parts share one box), a carried
+// relation without ids: the morsels' parts share one box), a carried
 // part's range as its input view recorded it.
 func (gp *groupPlan) keyBoxes(produced []*ViewData, ids []int32, n int) [][]keySpan {
 	bound := make([]keySpan, gp.L)

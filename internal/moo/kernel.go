@@ -57,7 +57,7 @@ type maintKernel struct {
 	// happens exactly once across the whole delta stream.
 	boundRel *data.Relation
 	boundVer int64
-	ctx      *execCtx
+	ctxs     []*execCtx // the morsel contexts of runFull; runBound uses ctxs[0]
 	idbuf    []int32
 }
 
@@ -138,20 +138,17 @@ func (k *maintKernel) runBound(produced []*ViewData, ids []int32, n int) error {
 		n = len(ids)
 	}
 	dense, wins := k.gp.layouts(produced, ids, []int{0, n})
-	if k.ctx == nil || k.ctx.gp != k.gp {
-		ctx, err := newExecCtx(k.gp, produced, false, dense, wins[0])
-		if err != nil {
-			return err
-		}
-		k.ctx = ctx
-	} else if err := k.ctx.reset(produced, false, dense, wins[0]); err != nil {
+	if k.ctxs == nil {
+		k.ctxs = []*execCtx{newExecCtx(k.gp)}
+	}
+	c := k.ctxs[0]
+	if err := c.bind(produced); err != nil {
 		return err
 	}
-	k.ctx.ids = ids
-	k.ctx.run(0, n)
-	for i, v := range k.gp.views {
-		produced[v.ID] = k.ctx.builders[i].finalize(k.gp.targets[i])
-	}
+	c.newBuilders(false, dense, wins[0])
+	c.ids = ids
+	c.run(0, n)
+	k.gp.finalize(produced, c.builders)
 	return nil
 }
 
@@ -348,26 +345,20 @@ func (k *maintKernel) runIDBatch(e *Engine, sc *scanCache, produced []*ViewData,
 }
 
 // runFull is the unrestricted fallback, scanning the engine's cached sorted
-// copy of the base relation — domain-parallel for large relations, like
-// Run's own scans.
+// copy of the base relation in morsels, like Run's own scans, through the
+// kernel's reused morsel contexts.
 func (k *maintKernel) runFull(e *Engine, produced []*ViewData, base *data.Relation) error {
 	sorted, err := e.sortedRel(base, k.gp.order)
 	if err != nil {
 		return err
 	}
 	k.bind(sorted)
-	n := sorted.Len()
-	if e.opts.Threads > 1 && k.gp.L > 0 && n >= e.opts.DomainParallelRows {
-		builders, err := e.runDomainParallel(k.gp, produced, n, false)
-		if err != nil {
-			return err
-		}
-		for i, v := range k.gp.views {
-			produced[v.ID] = builders[i].finalize(k.gp.targets[i])
-		}
-		return nil
+	builders, err := e.scanMorsels(k.gp, produced, &k.ctxs, false)
+	if err != nil {
+		return err
 	}
-	return k.runBound(produced, nil, n)
+	k.gp.finalize(produced, builders)
+	return nil
 }
 
 // runDeltaScans evaluates the at-delta kernel over the inserted and deleted

@@ -1,6 +1,7 @@
 package moo
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -232,21 +233,12 @@ func TestExecuteCyclicDepsNoDeadlock(t *testing.T) {
 	}
 }
 
-// TestDomainParallelRowsBoundaries pins the normalization of the option's
-// degenerate values and checks correctness when the threshold sits exactly
-// at, below, and above the relation size — including the one-row and
-// single-top-value extremes of the range splitter.
-func TestDomainParallelRowsBoundaries(t *testing.T) {
+// TestDomainParallelThreadsSweep checks every Threads value from 1 to 4
+// against the baseline: each runs the same morsels of every scan, on one to
+// four goroutines.
+func TestDomainParallelThreadsSweep(t *testing.T) {
 	db, js, vs := schedDB(t)
 	queries := schedQueries(js, vs)
-
-	// Normalization: non-positive thresholds fall back to the default.
-	for _, dpr := range []int{0, -5} {
-		eng := NewEngineWithTree(db, mustTree(t, db), Options{Threads: 2, DomainParallelRows: dpr})
-		if got := eng.Options().DomainParallelRows; got != 65536 {
-			t.Fatalf("DomainParallelRows %d normalized to %d, want 65536", dpr, got)
-		}
-	}
 
 	base, err := baseline.New(db)
 	if err != nil {
@@ -256,13 +248,12 @@ func TestDomainParallelRowsBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := db.Relation("R0").Len()
-	for _, dpr := range []int{1, n - 1, n, n + 1, 1 << 30} {
+	for threads := 1; threads <= 4; threads++ {
 		eng := NewEngineWithTree(db, mustTree(t, db),
-			Options{MultiRoot: true, MultiOutput: true, Compiled: true, Threads: 4, DomainParallelRows: dpr})
+			Options{MultiRoot: true, MultiOutput: true, Compiled: true, Threads: threads})
 		res, err := eng.Run(queries)
 		if err != nil {
-			t.Fatalf("DomainParallelRows=%d: %v", dpr, err)
+			t.Fatalf("Threads=%d: %v", threads, err)
 		}
 		for qi := range queries {
 			compareResults(t, queries[qi].Name, res.Results[qi], want[qi])
@@ -270,8 +261,40 @@ func TestDomainParallelRowsBoundaries(t *testing.T) {
 	}
 }
 
-// TestDomainParallelTinyRelations forces domain parallelism onto relations
-// with 0 and 1 rows: the splitter must handle empty ranges and a single
+// TestMorselCut pins the cut of a sorted scan: at most four non-empty
+// morsels, each ending where a top-attribute value does, a morsel closing at
+// the first value boundary n/m rows past its start (m the morsel count).
+func TestMorselCut(t *testing.T) {
+	for _, tc := range []struct {
+		runs []int // rows per top-attribute value, in sorted order
+		want []int
+	}{
+		{nil, []int{0, 0}},
+		{[]int{5}, []int{0, 5}},
+		{[]int{3, 2}, []int{0, 3, 5}},
+		{[]int{10, 10, 10, 10, 10, 10, 10, 10}, []int{0, 20, 40, 60, 80}},
+		{[]int{1, 1, 1, 1, 1, 1, 1, 1}, []int{0, 2, 4, 6, 8}},
+		{[]int{2, 2, 2, 2, 8}, []int{0, 4, 8, 16}},
+		{[]int{90, 5, 5}, []int{0, 90, 100}},
+	} {
+		db := data.NewDatabase()
+		a := db.Attr("a", data.Key)
+		var vals []int64
+		for v, rows := range tc.runs {
+			for i := 0; i < rows; i++ {
+				vals = append(vals, int64(v))
+			}
+		}
+		gp := &groupPlan{rel: data.NewRelation("T", []data.AttrID{a}, []data.Column{data.NewIntColumn(vals)}),
+			order: []data.AttrID{a}, L: 1}
+		if got := gp.morsels(); !slices.Equal(got, tc.want) {
+			t.Fatalf("runs %v: morsel bounds %v, want %v", tc.runs, got, tc.want)
+		}
+	}
+}
+
+// TestDomainParallelTinyRelations cuts relations with 0 and 1 rows into
+// morsels on four threads: the cut must handle empty ranges and a single
 // top-level run.
 func TestDomainParallelTinyRelations(t *testing.T) {
 	for _, rows := range []int{0, 1} {
@@ -295,7 +318,7 @@ func TestDomainParallelTinyRelations(t *testing.T) {
 			query.NewQuery("s", nil, query.SumAgg(m)),
 		}
 		eng := NewEngineWithTree(db, mustTree(t, db),
-			Options{MultiOutput: true, Compiled: true, Threads: 4, DomainParallelRows: 1})
+			Options{MultiOutput: true, Compiled: true, Threads: 4})
 		res, err := eng.Run(queries)
 		if err != nil {
 			t.Fatalf("rows=%d: %v", rows, err)

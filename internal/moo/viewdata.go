@@ -377,7 +377,7 @@ func (b *viewBuilder) useRun(w runWindow) {
 }
 
 // denseLayout addresses a key box: per GroupBy column its low bound, extent
-// hi − lo and slot multiplier. A view's domain-parallel builders share it.
+// hi − lo and slot multiplier. A view's morsel builders share it.
 type denseLayout struct {
 	cols []denseCol
 	size int
@@ -543,8 +543,8 @@ func (b *viewBuilder) add(row int32, col int, val float64) {
 }
 
 // merge folds other into b by key, summing aggregates. Used to combine
-// per-thread partial outputs of domain-parallel scans (one shared layout),
-// in chunk order. Run builders hold disjoint keys in one store: finalize
+// the partial outputs of a scan's morsels (one shared layout), in morsel
+// order. Run builders hold disjoint keys in one store: finalize
 // appends other's rows after b's.
 func (b *viewBuilder) merge(other *viewBuilder) {
 	if b.win.store != nil {
@@ -643,7 +643,7 @@ func (v *ViewData) slotPerm(dl *denseLayout) []int32 {
 }
 
 // closeRuns publishes the run store of b and of the builders merged into it:
-// each window's rows move down over the unused rows before it, in chunk
+// each window's rows move down over the unused rows before it, in morsel
 // order, which keeps them in scan order, and a store not sorted in it is
 // reordered in place. A store left with unused rows (keys that met no join
 // tuple) is then copied to exact size, as a hashed builder would hold no row

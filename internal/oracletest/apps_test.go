@@ -215,7 +215,7 @@ func TestAppsQueryableParity(t *testing.T) {
 			batch, c, p, m, d := combinedBatch(s.DB, sp)
 
 			opts := moo.Options{MultiRoot: true, MultiOutput: true, Compiled: true,
-				Threads: 1 + int(seed%2), DomainParallelRows: 8}
+				Threads: 1 + int(seed%2)}
 			sess, err := lmfao.NewSession(s.DB, batch, opts)
 			if err != nil {
 				t.Fatal(err)

@@ -41,7 +41,7 @@ func TestConcurrentSnapshotOracle(t *testing.T) {
 			}
 			queries := GenQueries(rng, s)
 			opts := moo.Options{MultiRoot: true, MultiOutput: true, Compiled: true,
-				Threads: 1 + int(seed%3), DomainParallelRows: 8}
+				Threads: 1 + int(seed%3)}
 			runConcurrentOracle(t, rng, s, queries, opts, readers, rounds, 6, nil)
 		})
 	}

@@ -45,6 +45,13 @@ type durableHarness struct {
 
 func newDurableHarness(t *testing.T, seed int64, dopts lmfao.DurableOptions) *durableHarness {
 	t.Helper()
+	return newDurableHarnessWith(t, seed, dopts, moo.Options{MultiRoot: true, MultiOutput: true, Compiled: true, Threads: 1})
+}
+
+// newDurableHarnessWith is newDurableHarness with both sessions built under
+// opts.
+func newDurableHarnessWith(t *testing.T, seed int64, dopts lmfao.DurableOptions, opts moo.Options) *durableHarness {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	s, err := GenSchema(rng)
 	if err != nil {
@@ -59,7 +66,6 @@ func newDurableHarness(t *testing.T, seed int64, dopts lmfao.DurableOptions) *du
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := moo.Options{MultiRoot: true, MultiOutput: true, Compiled: true, Threads: 1}
 	twin, err := lmfao.NewSession(twinDB, queries, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -264,6 +270,22 @@ func TestDurableKillRecover(t *testing.T) {
 		h.dur.Kill()
 		rec := h.recoverAndResync()
 		h.finish(rec, "smalldeltalogcap")
+	})
+
+	t.Run("otherthreads", func(t *testing.T) {
+		// Recovery under another Threads value than the session ran with,
+		// both ways: every scan takes the same morsels whatever Threads is,
+		// so the recovered session matches its twin bit for bit.
+		for _, threads := range [][2]int{{1, 4}, {4, 1}} {
+			label := fmt.Sprintf("threads%dto%d", threads[0], threads[1])
+			h := newDurableHarnessWith(t, 509, lmfao.DurableOptions{CheckpointEvery: 4, SyncEvery: 1},
+				moo.Options{MultiRoot: true, MultiOutput: true, Compiled: true, Threads: threads[0]})
+			h.drive(11)
+			h.dur.Kill()
+			h.opts.Threads = threads[1]
+			rec := h.recoverAndResync()
+			h.finish(rec, label)
+		}
 	})
 }
 

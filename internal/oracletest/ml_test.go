@@ -75,7 +75,7 @@ func TestMLLinRegMaintained(t *testing.T) {
 			}
 			batch := linreg.CovarBatch(spec)
 			opts := moo.Options{MultiRoot: true, MultiOutput: true, Compiled: true,
-				Threads: 1 + int(seed%2), DomainParallelRows: 8}
+				Threads: 1 + int(seed%2)}
 			sess, err := lmfao.NewSession(s.DB, batch, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -125,7 +125,7 @@ func TestMLChowLiuMaintained(t *testing.T) {
 			attrs := s.Discrete[:nAttrs]
 			batch := chowliu.MIBatch(attrs)
 			opts := moo.Options{MultiRoot: true, MultiOutput: true, Compiled: true,
-				Threads: 1 + int(seed%3), DomainParallelRows: 8}
+				Threads: 1 + int(seed%3)}
 			sess, err := lmfao.NewSession(s.DB, batch, opts)
 			if err != nil {
 				t.Fatal(err)

@@ -39,8 +39,8 @@ func EngineVariants() map[string]moo.Options {
 	return map[string]moo.Options{
 		"1thread-compiled": {MultiRoot: true, MultiOutput: true, Compiled: true, Threads: 1},
 		"1thread-interp":   {MultiRoot: true, MultiOutput: true, Threads: 1},
-		"nthread-compiled": {MultiRoot: true, MultiOutput: true, Compiled: true, Threads: 4, DomainParallelRows: 4},
-		"nthread-interp":   {MultiRoot: true, MultiOutput: true, Threads: 3, DomainParallelRows: 2},
+		"nthread-compiled": {MultiRoot: true, MultiOutput: true, Compiled: true, Threads: 4},
+		"nthread-interp":   {MultiRoot: true, MultiOutput: true, Threads: 3},
 		"acdc":             {Threads: 1},
 	}
 }

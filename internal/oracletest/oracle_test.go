@@ -73,7 +73,6 @@ func TestIVMSynthetic(t *testing.T) {
 			opts := moo.Options{MultiRoot: true, MultiOutput: true, Compiled: true, Threads: 1}
 			if seed%2 == 1 {
 				opts.Threads = 3
-				opts.DomainParallelRows = 4
 			}
 			sessionSteps(t, rng, s.DB, queries, opts, 5, 12, Exact)
 		})
@@ -245,7 +244,6 @@ func TestIVMBagUpdateStream(t *testing.T) {
 			opts := moo.Options{MultiRoot: true, MultiOutput: true, Compiled: true, Threads: 1}
 			if seed%3 == 2 {
 				opts.Threads = 3
-				opts.DomainParallelRows = 4
 			}
 			sess, err := lmfao.NewSession(s.DB, queries, opts)
 			if err != nil {

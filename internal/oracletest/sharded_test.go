@@ -63,7 +63,7 @@ func TestShardedSessionOracle(t *testing.T) {
 			}
 			queries := GenQueries(rng, s)
 			opts := moo.Options{MultiRoot: true, MultiOutput: true, Compiled: true,
-				Threads: 1 + int(seed%3), DomainParallelRows: 8,
+				Threads:     1 + int(seed%3),
 				TrackCounts: true}
 
 			clone, err := cloneDatabase(s.DB)

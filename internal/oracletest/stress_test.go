@@ -17,7 +17,7 @@ func TestIVMStressMany(t *testing.T) {
 				t.Fatal(err)
 			}
 			queries := GenQueries(rng, s)
-			opts := moo.Options{MultiRoot: true, MultiOutput: true, Compiled: seed%2 == 0, Threads: 1 + int(seed%4), DomainParallelRows: 4}
+			opts := moo.Options{MultiRoot: true, MultiOutput: true, Compiled: seed%2 == 0, Threads: 1 + int(seed%4)}
 			sessionSteps(t, rng, s.DB, queries, opts, 6, 15, Exact)
 		})
 	}
