@@ -49,7 +49,15 @@ func favoritaGroupBy(t *testing.T) (*datagen.Dataset, map[string][]*query.Query)
 // does (Engine.scanGroup), returning the plan and the builders that ran.
 func scannedGroup(t *testing.T, e *Engine, plan *core.Plan, g *core.Group, produced []*ViewData) (*groupPlan, []*viewBuilder) {
 	t.Helper()
-	gp, err := compileGroup(plan, g, true)
+	gp := boundGroup(t, e, plan, g)
+	return gp, scanBound(t, e, gp, produced)
+}
+
+// boundGroup compiles group g of plan as e does and binds it to e's sorted
+// relation.
+func boundGroup(t *testing.T, e *Engine, plan *core.Plan, g *core.Group) *groupPlan {
+	t.Helper()
+	gp, err := compileGroup(plan, g, e.opts.Compiled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +65,18 @@ func scannedGroup(t *testing.T, e *Engine, plan *core.Plan, g *core.Group, produ
 		t.Fatal(err)
 	}
 	gp.resolveLeafCols()
+	return gp
+}
+
+// scanBound runs the scan of the bound plan gp over produced
+// (Engine.scanGroup) and returns the builders that ran.
+func scanBound(t *testing.T, e *Engine, gp *groupPlan, produced []*ViewData) []*viewBuilder {
+	t.Helper()
 	builders, err := e.scanGroup(gp, produced)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return gp, builders
+	return builders
 }
 
 // TestDenseBuildersTaken pins that the dense path is actually taken — a

@@ -459,38 +459,41 @@ func (c *execCtx) bindInput(ii int) {
 }
 
 // computeSlots evaluates the slot registers of depth d (or the global slots
-// for d == -1) and counts the unbound lookups.
+// for d == -1) and counts the unbound lookups. A lookup run is filled by one
+// copy from its input's bound row, or marked unbound as a whole.
 func (c *execCtx) computeSlots(d int) {
-	specs := c.gp.globalSlots
-	if d >= 0 {
-		specs = c.gp.depthSlots[d]
-	}
-	base := c.gp.regBase[d+1]
-	unbound := 0
-	for i := range specs {
-		s := &specs[i]
-		r := base + i
-		switch s.kind {
-		case localSlot:
-			x := float64(c.curVals[d])
+	gp := c.gp
+	if locals := gp.locals[d+1]; len(locals) > 0 {
+		specs, base := gp.depthSlots[d], gp.regBase[d+1]
+		x := float64(c.curVals[d])
+		for _, i := range locals {
+			s := &specs[i]
 			if s.fn != nil {
-				c.reg[r] = s.fn(x)
+				c.reg[base+i] = s.fn(x)
 				continue
 			}
 			p := 1.0
 			for _, f := range s.factors {
 				p *= f.Eval(x)
 			}
-			c.reg[r] = p
-		case lookupSlot:
-			c.ok[r] = c.bindOK[s.input]
-			if !c.ok[r] {
-				unbound++
-				continue
-			}
-			vd := c.inViews[s.input]
-			c.reg[r] = vd.Vals[int(c.binds[s.input][0])*vd.Stride+s.col]
+			c.reg[base+i] = p
 		}
+	}
+	unbound := 0
+	for _, l := range gp.lookups[d+1] {
+		// A run's flags are written together, so its first tells all.
+		bound := c.bindOK[l.input]
+		if ok := c.ok[l.reg:][:l.n]; ok[0] != bound {
+			for i := range ok {
+				ok[i] = bound
+			}
+		}
+		if !bound {
+			unbound += l.n
+			continue
+		}
+		vd := c.inViews[l.input]
+		copy(c.reg[l.reg:][:l.n], vd.Vals[int(c.binds[l.input][0])*vd.Stride+l.col:])
 	}
 	if d < 0 {
 		c.unb[0] = unbound
@@ -545,9 +548,10 @@ func (c *execCtx) computeLeaf(lo, hi int) {
 // emit flushes one emission group: the output row is resolved once per
 // group-by context and per combination of carried-view entries. Which walk
 // runs, and whether any entry is present, depends on the context alone. The
-// checked walk skips entries whose running sum is absent or whose prefix
-// registers are unbound, and no row is created when no entry is present (a
-// group-by key exists only for join tuples).
+// check-free walk adds the group's runs when it has them (emitRuns), else
+// its entries; the checked walk skips entries whose running sum is absent or
+// whose prefix registers are unbound, and no row is created when no entry is
+// present (a group-by key exists only for join tuples).
 //
 // lmfao:pre-publish
 func (c *execCtx) emit(gi int) {
@@ -568,6 +572,30 @@ func (c *execCtx) emit(gi int) {
 		return
 	}
 	rs, reg, coef := c.R[g.regDepth+1], c.reg, g.coef
+	if !checked && g.runs != nil {
+		b := c.builders[g.view]
+		vals := b.vd.Vals[int(b.row(key))*b.vd.Stride:]
+		for _, r := range g.runs {
+			v := vals[r.col:][:r.n]
+			switch {
+			case r.byReg:
+				x := rs[r.sfx]
+				for i, y := range reg[r.reg:][:r.n] {
+					v[i] += x * y
+				}
+			case r.reg == 0:
+				for i, x := range rs[r.sfx:][:r.n] {
+					v[i] += x
+				}
+			default:
+				y := reg[r.reg]
+				for i, x := range rs[r.sfx:][:r.n] {
+					v[i] += x * y
+				}
+			}
+		}
+		return
+	}
 	cols, sfx, pre, _ := g.arrays()
 	n := len(coef)
 	sfx = sfx[:n]

@@ -40,3 +40,7 @@ func (e *Engine) KernelScanShape(p *core.Plan, changed int, st ivm.Step) (ScanSh
 	}
 	return shapeOf(k.gp), nil
 }
+
+// CheckScanRuns scans every group of res's plan with and without its
+// compiled runs and fails unless both give the same bits (checkScanRuns).
+var CheckScanRuns = checkScanRuns

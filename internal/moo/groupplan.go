@@ -2,6 +2,7 @@ package moo
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -45,6 +46,13 @@ type slotSpec struct {
 type slotRef struct {
 	depth int
 	idx   int
+}
+
+// lookupRun is n lookup slots in consecutive registers reg… that read
+// consecutive aggregate columns col… of one input's bound row, so one copy
+// fills them.
+type lookupRun struct {
+	reg, n, input, col int
 }
 
 type leafSlot struct {
@@ -159,6 +167,12 @@ type emitGroup struct {
 	prog []int32
 	coef []float64
 
+	// runs, when non-nil, is the check-free walk of a group without carried
+	// views whose coefficients are all 1 and whose second prefix column is
+	// register 0 (emitRuns): the program cut into runs over consecutive
+	// columns.
+	runs []emitRun
+
 	// carriedInputs lists the carried views (by input index) whose entries
 	// are enumerated.
 	carriedInputs []int
@@ -209,6 +223,10 @@ type groupPlan struct {
 	regBase []int
 	nreg    int
 	chains  [][]chainTab // [d] → arity classes of suffixes[d]
+	// lookups[d+1] are depth d's lookup slots cut into runs and locals[d+1]
+	// its local slots' indices (index 0: the global slots, all lookups).
+	lookups [][]lookupRun
+	locals  [][]int
 
 	emits       []emitSpec
 	emitGroups  []emitGroup
@@ -335,12 +353,45 @@ func compileGroup(p *core.Plan, g *core.Group, compiled bool) (*groupPlan, error
 		gp.regBase[d+1] = gp.nreg
 		gp.nreg += len(gp.depthSlots[d])
 	}
+	gp.buildSlotRuns()
 	gp.buildEmitGroups(gp.buildChains())
 	return gp, nil
 }
 
 // reg returns the register holding slot r.
 func (gp *groupPlan) reg(r slotRef) int32 { return int32(gp.regBase[r.depth+1] + r.idx) }
+
+// buildSlotRuns cuts the global slots and each depth's slots into maximal
+// lookup runs (lookups) and lists each depth's local slots (locals). Slots
+// keep their registers: runs are found, not made, by the order in which
+// registerTerm interns lookups.
+func (gp *groupPlan) buildSlotRuns() {
+	gp.lookups = make([][]lookupRun, gp.L+1)
+	gp.locals = make([][]int, gp.L+1)
+	for d := -1; d < gp.L; d++ {
+		specs := gp.globalSlots
+		if d >= 0 {
+			specs = gp.depthSlots[d]
+		}
+		var runs []lookupRun
+		for i, s := range specs {
+			if s.kind == localSlot {
+				gp.locals[d+1] = append(gp.locals[d+1], i)
+				continue
+			}
+			r := int(gp.reg(slotRef{depth: d, idx: i}))
+			if k := len(runs) - 1; k >= 0 {
+				l := &runs[k]
+				if l.input == s.input && l.reg+l.n == r && l.col+l.n == s.col {
+					l.n++
+					continue
+				}
+			}
+			runs = append(runs, lookupRun{reg: r, n: 1, input: s.input, col: s.col})
+		}
+		gp.lookups[d+1] = runs
+	}
+}
 
 // buildEmitGroups batches emissions sharing (view, regDepth, key sources,
 // carried views), registers the groups at their depths and lays out each
@@ -408,6 +459,58 @@ func (gp *groupPlan) buildEmitGroups(sid [][]int32) {
 			ccol[j*n+i] = int32(cr.col)
 		}
 	}
+	for gi := range gp.emitGroups {
+		gp.emitGroups[gi].runs = gp.emitGroups[gi].unitRuns()
+	}
+}
+
+// unitRuns cuts g's program into runs (emitRuns) when its check-free walk
+// multiplies by 1 only where it may skip it: no carried views, every
+// coefficient 1 and the second prefix column register 0. It returns nil
+// otherwise.
+func (g *emitGroup) unitRuns() []emitRun {
+	col, sfx, pre, _ := g.arrays()
+	n := len(g.coef)
+	if g.w != 2 || len(g.carriedInputs) != 0 || slices.ContainsFunc(g.coef, func(c float64) bool { return c != 1 }) ||
+		slices.ContainsFunc(pre[n:], func(r int32) bool { return r != 0 }) {
+		return nil
+	}
+	return emitRuns(col, sfx, pre[:n])
+}
+
+// emitRun is a stretch of n emission entries writing consecutive output
+// columns col… of a group with unit coefficients and one prefix register.
+// Along it either the running sum steps, column col+i getting R[sfx+i] ×
+// reg[reg], or the register does (byReg), column col+i getting R[sfx] ×
+// reg[reg+i]. Skipping the entries' multiplications by exactly 1 (the
+// coefficient, the padding register and register 0) leaves every sum's
+// operands and order, so the bits, unchanged: x × 1 = x in IEEE arithmetic.
+type emitRun struct {
+	col, sfx, reg, n int32
+	byReg            bool
+}
+
+// emitRuns cuts an emission program, given as its column, running-sum and
+// first prefix register arrays, into maximal runs, greedily in entry order:
+// an entry extends the last run when it writes the next column and steps
+// the running sum or the register by one as the run does. Runs keep the
+// entry order, so a column written twice is written in the same order.
+func emitRuns(col, sfx, pre []int32) []emitRun {
+	var runs []emitRun
+	for i := range col {
+		if k := len(runs) - 1; k >= 0 && col[i] == runs[k].col+runs[k].n {
+			r := &runs[k]
+			bySum := sfx[i] == sfx[i-1]+1 && pre[i] == pre[i-1]
+			byReg := sfx[i] == sfx[i-1] && pre[i] == pre[i-1]+1
+			if bySum && (r.n == 1 || !r.byReg) || byReg && (r.n == 1 || r.byReg) {
+				r.byReg = byReg
+				r.n++
+				continue
+			}
+		}
+		runs = append(runs, emitRun{col: col[i], sfx: sfx[i], reg: pre[i], n: 1})
+	}
+	return runs
 }
 
 // registerTerm decomposes one product aggregate into slots, a suffix chain

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -56,6 +57,53 @@ func newTestServer(t *testing.T, adm AdmissionOptions) (*Server, *lmfao.Session)
 	return srv, sess
 }
 
+// checkNoLeaks fails t if, once its server and session are closed, a
+// goroutine with a frame of this package or of the root package still runs.
+// It registers its check as t's first cleanup, so the check runs after
+// every later cleanup (session closes) and after t's subtests; it waits up
+// to two seconds for goroutines that are already on their way out. The
+// tests of this package do not run in parallel, so every goroutine found is
+// t's own. Call it first.
+func checkNoLeaks(t *testing.T) {
+	t.Helper()
+	t.Cleanup(func() {
+		leaked := leakedGoroutines()
+		for deadline := time.Now().Add(2 * time.Second); len(leaked) > 0 && time.Now().Before(deadline); {
+			time.Sleep(10 * time.Millisecond)
+			leaked = leakedGoroutines()
+		}
+		if len(leaked) > 0 {
+			t.Errorf("%d goroutines still run after the server and session closed:\n\n%s", len(leaked), strings.Join(leaked, "\n\n"))
+		}
+	})
+}
+
+// leakedGoroutines returns the stacks of the goroutines, other than the
+// caller's, that have a frame of this package or of the root package, or
+// were started from one.
+func leakedGoroutines() []string {
+	buf := make([]byte, 64<<10)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	var leaked []string
+	for _, g := range strings.Split(string(buf), "\n\n")[1:] { // [0] is the caller
+		for _, line := range strings.Split(g, "\n") {
+			fn := strings.TrimPrefix(line, "created by ")
+			if strings.HasPrefix(fn, "repro.") || strings.HasPrefix(fn, "repro/internal/serve.") {
+				leaked = append(leaked, g)
+				break
+			}
+		}
+	}
+	return leaked
+}
+
 // do runs one request through the server.
 func do(srv *Server, method, target, body string, hdr map[string]string) *httptest.ResponseRecorder {
 	var r *http.Request
@@ -73,6 +121,7 @@ func do(srv *Server, method, target, body string, hdr map[string]string) *httpte
 }
 
 func TestServeReadEndpoints(t *testing.T) {
+	checkNoLeaks(t)
 	srv, _ := newTestServer(t, AdmissionOptions{})
 	for _, target := range []string{"/healthz", "/v1/meta", "/v1/epochs", "/v1/versions", "/v1/stats", "/v1/results/0", "/v1/results/1", "/v1/lookup?query=0&key="} {
 		w := do(srv, http.MethodGet, target, "", nil)
@@ -96,6 +145,7 @@ func TestServeReadEndpoints(t *testing.T) {
 // TestServeBeforeFirstRun pins the one 503 the read path can produce: the
 // maintainer has never published a snapshot.
 func TestServeBeforeFirstRun(t *testing.T) {
+	checkNoLeaks(t)
 	db, queries := testBatch(t)
 	sess, err := lmfao.NewSession(db, queries, lmfao.DefaultOptions())
 	if err != nil {
@@ -121,6 +171,7 @@ func TestServeBeforeFirstRun(t *testing.T) {
 // 404 before they can reach Snapshot.Lookup/Result (which would answer
 // only a miss or a nil view).
 func TestServeOutOfRangeIndices(t *testing.T) {
+	checkNoLeaks(t)
 	srv, _ := newTestServer(t, AdmissionOptions{})
 	for _, target := range []string{
 		"/v1/results/99", "/v1/results/-1",
@@ -139,6 +190,7 @@ func TestServeOutOfRangeIndices(t *testing.T) {
 }
 
 func TestServeApplySync(t *testing.T) {
+	checkNoLeaks(t)
 	srv, _ := newTestServer(t, AdmissionOptions{})
 	w := do(srv, http.MethodPost, "/v1/apply", `{"updates":[{"relation":"sales","inserts":[[2,10]]}]}`, nil)
 	if w.Code != http.StatusOK {
@@ -181,6 +233,7 @@ func TestServeApplySync(t *testing.T) {
 // against the final committed base data — keeps serving with the last
 // published epoch.
 func TestServeClosedMaintainer(t *testing.T) {
+	checkNoLeaks(t)
 	srv, sess := newTestServer(t, AdmissionOptions{})
 	sess.Close()
 	w := do(srv, http.MethodPost, "/v1/apply", `{"updates":[{"relation":"sales","inserts":[[2,10]]}]}`, nil)
@@ -205,6 +258,7 @@ func TestServeClosedMaintainer(t *testing.T) {
 // wedges the durable session; the serve tier maps every later write to 503
 // while reads keep serving the last published snapshot.
 func TestServeWedgedDurable(t *testing.T) {
+	checkNoLeaks(t)
 	db, queries := testBatch(t)
 	d, err := lmfao.NewDurableSession(db, queries, lmfao.DefaultOptions(), lmfao.DurableOptions{}, t.TempDir())
 	if err != nil {
@@ -239,6 +293,7 @@ func TestServeWedgedDurable(t *testing.T) {
 // tier is saturated, a ?fresh=1 read is NOT refused — it degrades to the
 // last published snapshot, 200, with the staleness headers set.
 func TestServeShedFreshRead(t *testing.T) {
+	checkNoLeaks(t)
 	srv, _ := newTestServer(t, AdmissionOptions{MaxRequeries: 1})
 
 	// A fresh read with a free slot really refreshes.
@@ -290,6 +345,7 @@ func TestServeShedFreshRead(t *testing.T) {
 // tenant's explicit requeries get 429 while its fresh reads degrade to the
 // snapshot, and other tenants are unaffected.
 func TestServeTenantRateLimit(t *testing.T) {
+	checkNoLeaks(t)
 	clock := time.Unix(1e9, 0)
 	srv, _ := newTestServer(t, AdmissionOptions{
 		TenantRate:  0.001, // effectively no refill within the test
@@ -347,6 +403,7 @@ func (m *stubMaintainer) Close()                    {}
 // rounds are 202, a full backlog is 429 with Retry-After, and slots free up
 // when rounds commit.
 func TestServeAsyncApplyBackpressure(t *testing.T) {
+	checkNoLeaks(t)
 	db, queries := testBatch(t)
 	sess, err := lmfao.NewSession(db, queries, lmfao.DefaultOptions())
 	if err != nil {
@@ -386,6 +443,7 @@ func TestServeAsyncApplyBackpressure(t *testing.T) {
 // queries evaluate behind the snapshot, and bad syntax or a query that
 // does not validate (a numeric group-by) is a 400.
 func TestServeRequeryEndpoint(t *testing.T) {
+	checkNoLeaks(t)
 	srv, _ := newTestServer(t, AdmissionOptions{})
 	w := do(srv, http.MethodPost, "/v1/requery", `{"queries":["by_region(region; SUM amount)"]}`, nil)
 	if w.Code != http.StatusOK {
@@ -412,6 +470,7 @@ func TestServeRequeryEndpoint(t *testing.T) {
 // TestServeBodyLimit pins the outcome of a bad body on every endpoint that
 // decodes one: over maxBodyBytes is 413, malformed JSON is 400.
 func TestServeBodyLimit(t *testing.T) {
+	checkNoLeaks(t)
 	srv, _ := newTestServer(t, AdmissionOptions{})
 	srv.apps = &Apps{LinReg: &LinRegApp{}} // registers the predict route's application
 	oversized := `{"updates":[` + strings.Repeat(" ", maxBodyBytes) + `]}`
@@ -442,6 +501,7 @@ func (b *timedOutBody) Read(p []byte) (int, error) {
 // TestServeBodyReadTimeout: a body the read deadline cuts off is answered
 // with 408 and a fixed message that does not carry the transport error.
 func TestServeBodyReadTimeout(t *testing.T) {
+	checkNoLeaks(t)
 	srv, _ := newTestServer(t, AdmissionOptions{})
 	srv.apps = &Apps{LinReg: &LinRegApp{}}
 	for _, target := range []string{"/v1/lookup", "/v1/requery", "/v1/apply", "/v1/models/linreg/predict"} {
@@ -505,6 +565,7 @@ func fitCached(t *testing.T, srv *Server, app string) bool {
 // TestServeOneModelPerEpoch: /fit and /predict share one fitted model per
 // epoch vector, and a maintenance round invalidates it.
 func TestServeOneModelPerEpoch(t *testing.T) {
+	checkNoLeaks(t)
 	srv, sess := newAppServer(t, AdmissionOptions{})
 	if w := do(srv, http.MethodPost, "/v1/models/linreg/predict", `{"row":{"region":10}}`, nil); w.Code != http.StatusOK {
 		t.Fatalf("predict = %d: %s", w.Code, w.Body)
@@ -528,6 +589,7 @@ func TestServeOneModelPerEpoch(t *testing.T) {
 // whether the fit reached the optimum, so a client can tell a fit capped at
 // the solver's iteration limit from a converged one.
 func TestServeLinRegFitReportsConvergence(t *testing.T) {
+	checkNoLeaks(t)
 	srv, _ := newAppServer(t, AdmissionOptions{})
 	w := do(srv, http.MethodPost, "/v1/models/linreg/fit", "", nil)
 	if w.Code != http.StatusOK {
@@ -555,6 +617,7 @@ func TestServeLinRegFitReportsConvergence(t *testing.T) {
 // /predict alike, and a predict on an application without a predictor is
 // 404 before it fits or takes a token.
 func TestServeFitAdmission(t *testing.T) {
+	checkNoLeaks(t)
 	clock := time.Unix(1e9, 0)
 	srv, sess := newAppServer(t, AdmissionOptions{
 		TenantRate:  0.001,
@@ -583,6 +646,7 @@ func TestServeFitAdmission(t *testing.T) {
 // TestServeMethodNotAllowed: a known path asked with another method is 405
 // with an Allow header naming the methods it serves.
 func TestServeMethodNotAllowed(t *testing.T) {
+	checkNoLeaks(t)
 	srv, _ := newTestServer(t, AdmissionOptions{})
 	w := do(srv, http.MethodDelete, "/v1/apply", "", nil)
 	if w.Code != http.StatusMethodNotAllowed || !strings.Contains(w.Header().Get("Allow"), http.MethodPost) {
@@ -597,6 +661,7 @@ func TestServeMethodNotAllowed(t *testing.T) {
 // 409 and leaves the snapshot where it was, on a plain and a sharded
 // session.
 func TestServeUnmatchedDelete(t *testing.T) {
+	checkNoLeaks(t)
 	db, queries := testBatch(t)
 	sharded, err := lmfao.NewShardedSession(db, queries, lmfao.DefaultOptions(), lmfao.ShardOptions{Shards: 2})
 	if err != nil {
@@ -627,6 +692,7 @@ func TestServeUnmatchedDelete(t *testing.T) {
 // TestServeDiscreteWireValues: a key or categorical wire value that is not
 // an int64 is refused with 400, not truncated.
 func TestServeDiscreteWireValues(t *testing.T) {
+	checkNoLeaks(t)
 	srv, _ := newAppServer(t, AdmissionOptions{})
 	for _, rows := range []string{`[[1.5,1]]`, `[[1e20,2]]`, `[[-1e19,2]]`, `[[9223372036854775808,2]]`} {
 		body := `{"updates":[{"relation":"sales","inserts":` + rows + `}]}`
