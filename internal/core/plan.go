@@ -70,6 +70,8 @@ type Plan struct {
 	OutputView []int
 	Groups     []*Group
 	// GroupDeps[g] lists the group IDs that must finish before group g.
+	// A group may depend only on earlier groups (lower IDs): groupViews
+	// numbers groups wave by wave, and the engine rejects any other graph.
 	GroupDeps [][]int
 	// Provenance[v] holds the sorted join-tree node IDs whose base
 	// relations feed view v (all nodes for output views). A delta against

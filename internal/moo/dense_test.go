@@ -46,7 +46,7 @@ func favoritaGroupBy(t *testing.T) (*datagen.Dataset, map[string][]*query.Query)
 
 // scannedGroup compiles group g of plan, binds it to e's sorted relation and
 // runs its scan over the materialized inputs produced the way the engine
-// does (Engine.scanGroup), returning the plan and the builders that ran.
+// does (Engine.runGroup), returning the plan and the builders that ran.
 func scannedGroup(t *testing.T, e *Engine, plan *core.Plan, g *core.Group, produced []*ViewData) (*groupPlan, []*viewBuilder) {
 	t.Helper()
 	gp := boundGroup(t, e, plan, g)
@@ -68,11 +68,14 @@ func boundGroup(t *testing.T, e *Engine, plan *core.Plan, g *core.Group) *groupP
 	return gp
 }
 
-// scanBound runs the scan of the bound plan gp over produced
-// (Engine.scanGroup) and returns the builders that ran.
+// scanBound runs the scan of the bound plan gp over produced, holding a busy
+// slot as Engine.runGroup does, and returns the builders that ran.
 func scanBound(t *testing.T, e *Engine, gp *groupPlan, produced []*ViewData) []*viewBuilder {
 	t.Helper()
-	builders, err := e.scanGroup(gp, produced)
+	var ctxs []*execCtx
+	e.busy <- struct{}{}
+	builders, err := e.scanMorsels(gp, produced, &ctxs, true)
+	<-e.busy
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,11 +28,12 @@ type Options struct {
 	// plan time (the Go analogue of the paper's code generation layer);
 	// disabled, factors are interpreted per call.
 	Compiled bool
-	// Threads bounds the goroutines that run view groups (task
-	// parallelism) and that take a scan's morsels (domain parallelism:
-	// every full scan is cut into at most four morsels by its data,
-	// whatever Threads is). The result is the same, bit for bit, for every
-	// value; 1 runs everything on the calling goroutine.
+	// Threads bounds the goroutines that compute for the engine at once,
+	// across concurrent Run and Apply calls: they run view groups whose
+	// inputs are ready (task parallelism) and take a scan's morsels (domain
+	// parallelism: every full scan is cut into at most four morsels by its
+	// data, whatever Threads is). The result is the same, bit for bit, for
+	// every value.
 	Threads int
 	// TrackCounts adds a hidden tuple-count aggregate to every view so the
 	// result can be incrementally maintained via Apply (see internal/ivm).
@@ -67,6 +68,12 @@ type Engine struct {
 	db   *data.Database
 	tree *jointree.Tree
 	opts Options
+	// busy holds one slot per goroutine computing for the engine, Threads
+	// in all: a goroutine compiles or scans a group, or runs a kernel's full
+	// scan, only while it holds a slot (acquired by a send, released by a
+	// receive). A goroutine never waits for a slot while it holds one, so
+	// every slot holder runs to completion and no wait for a slot is stuck.
+	busy chan struct{}
 
 	mu sync.Mutex
 	// sortCache holds the engine's persistent sorted copies, one per (base
@@ -111,7 +118,7 @@ type sortKey struct {
 // indexes, so compiled kernels resolve semi-join probes against the same
 // copy and the same indexes across Apply calls. A copy whose base changed
 // without the engine seeing the change is rebuilt on its next read
-// (sortedRel). mu serializes bringing the copy forward: Run's worker pool
+// (sortedRel). mu serializes bringing the copy forward: the groups of a Run
 // may ask for one copy from several goroutines.
 type sortEntry struct {
 	mu      sync.Mutex
@@ -135,7 +142,7 @@ func NewEngineWithTree(db *data.Database, tree *jointree.Tree, opts Options) *En
 	if opts.Threads < 1 {
 		opts.Threads = 1
 	}
-	return &Engine{db: db, tree: tree, opts: opts,
+	return &Engine{db: db, tree: tree, opts: opts, busy: make(chan struct{}, opts.Threads),
 		sortCache: map[sortKey]*sortEntry{}, kernels: map[kernelKey]*maintKernel{}}
 }
 
@@ -258,93 +265,48 @@ func (e *Engine) RunPlan(plan *core.Plan) (*BatchResult, error) {
 	return res, nil
 }
 
-// execute runs the plan's groups respecting the dependency graph, in
-// parallel when Threads > 1.
+// execute runs the plan's groups on one goroutine each. A group's goroutine
+// waits for the groups it depends on, then for a busy slot; it runs the
+// group unless an earlier group has failed.
 func (e *Engine) execute(plan *core.Plan) ([]*ViewData, error) {
-	produced := make([]*ViewData, len(plan.Views))
-	if e.opts.Threads <= 1 {
-		for _, g := range plan.Groups {
-			if err := e.runGroup(plan, g, produced); err != nil {
-				return nil, err
+	n := len(plan.Groups)
+	for g, deps := range plan.GroupDeps {
+		for _, d := range deps {
+			if d < 0 || d >= g {
+				return nil, fmt.Errorf("moo: group %d depends on group %d of %d, not an earlier one (cyclic dependency graph)", g, d, n)
 			}
 		}
-		return produced, nil
 	}
-
-	// Task parallelism: a worker pool over the group DAG.
-	n := len(plan.Groups)
-	indeg := make([]int, n)
-	dependents := make([][]int, n)
-	for g, deps := range plan.GroupDeps {
-		indeg[g] = len(deps)
-		for _, d := range deps {
-			dependents[d] = append(dependents[d], g)
-		}
+	produced := make([]*ViewData, len(plan.Views))
+	done := make([]chan struct{}, n)
+	errs := make([]error, n)
+	var failed atomic.Bool
+	for g := range done {
+		done[g] = make(chan struct{})
 	}
-	ready := make(chan int, n)
-	scheduled := 0
-	for g := 0; g < n; g++ {
-		if indeg[g] == 0 {
-			ready <- g
-			scheduled++
-		}
-	}
-	if scheduled == 0 {
-		return nil, fmt.Errorf("moo: no runnable groups among %d (cyclic dependency graph)", n)
-	}
-	var (
-		mu        sync.Mutex
-		firstErr  error
-		doneCount int
-		closed    bool
-		wg        sync.WaitGroup
-	)
-	workers := e.opts.Threads
-	if workers > n {
-		workers = n
-	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	for g, grp := range plan.Groups {
 		go func() {
-			defer wg.Done()
-			for g := range ready {
-				err := e.runGroup(plan, plan.Groups[g], produced)
-				mu.Lock()
-				if err != nil && firstErr == nil {
-					firstErr = err
-				}
-				doneCount++
-				// Enqueue dependents only while the channel is open: another
-				// worker's error may have closed it while this group was
-				// still running, and a send would panic.
-				if err == nil && !closed {
-					for _, d := range dependents[g] {
-						indeg[d]--
-						if indeg[d] == 0 {
-							ready <- d
-							scheduled++
-						}
-					}
-				}
-				// Close when finished or wedged: an error skips the failed
-				// group's dependents, and a malformed dependency graph can
-				// strand groups — in both cases every scheduled group being
-				// done means no further progress is possible, and leaving
-				// the channel open would park the workers forever.
-				if (doneCount == n || doneCount == scheduled || firstErr != nil) && !closed {
-					closed = true
-					close(ready)
-				}
-				mu.Unlock()
+			defer close(done[g])
+			for _, d := range plan.GroupDeps[g] {
+				<-done[d]
+			}
+			e.busy <- struct{}{}
+			defer func() { <-e.busy }()
+			if failed.Load() {
+				return
+			}
+			if errs[g] = e.runGroup(plan, grp, produced); errs[g] != nil {
+				failed.Store(true)
 			}
 		}()
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	for g := range done {
+		<-done[g]
 	}
-	if doneCount != n {
-		return nil, fmt.Errorf("moo: executed %d of %d groups (stalled dependency graph)", doneCount, n)
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	return produced, nil
 }
@@ -360,7 +322,8 @@ func (e *Engine) runGroup(plan *core.Plan, g *core.Group, produced []*ViewData) 
 		return err
 	}
 	gp.resolveLeafCols()
-	builders, err := e.scanGroup(gp, produced)
+	var ctxs []*execCtx
+	builders, err := e.scanMorsels(gp, produced, &ctxs, true)
 	if err != nil {
 		return err
 	}
@@ -373,14 +336,6 @@ func (gp *groupPlan) finalize(produced []*ViewData, builders []*viewBuilder) {
 	for i, v := range gp.views {
 		produced[v.ID] = builders[i].finalize(gp.targets[i])
 	}
-}
-
-// scanGroup runs gp's scan over its bound relation (scanMorsels) and returns
-// the views' builders, merged but not finalized. A scalar output gets its row
-// even when no tuple joins.
-func (e *Engine) scanGroup(gp *groupPlan, produced []*ViewData) ([]*viewBuilder, error) {
-	var ctxs []*execCtx
-	return e.scanMorsels(gp, produced, &ctxs, true)
 }
 
 // maxMorsels bounds the morsels a full scan is cut into: the paper's four
@@ -417,10 +372,12 @@ func (gp *groupPlan) morsels() []int {
 	return append(bounds, n)
 }
 
-// scanMorsels runs gp's full scan over its bound relation, cut into morsels:
-// min(Threads, morsels) goroutines take them in turn, each through one of the
-// contexts in *ctxs (grown to that many, and rebound to produced). Every
-// morsel builds its own partial views; they merge into morsel 0's builders in
+// scanMorsels runs gp's full scan over its bound relation, cut into morsels.
+// The caller holds a busy slot and takes morsels through (*ctxs)[0]; up to
+// min(Threads, morsels)-1 helpers each take them through their own context
+// of *ctxs (grown to that many, and rebound to produced) once they get a free
+// slot, and give up when the caller has taken the last one. Every morsel
+// builds its own partial views; they merge into morsel 0's builders in
 // morsel order, so the bits do not depend on Threads. scalarInit gives a
 // scalar output its row even when no tuple joins.
 func (e *Engine) scanMorsels(gp *groupPlan, produced []*ViewData, ctxs *[]*execCtx, scalarInit bool) ([]*viewBuilder, error) {
@@ -444,15 +401,22 @@ func (e *Engine) scanMorsels(gp *groupPlan, produced []*ViewData, ctxs *[]*execC
 			parts[t] = c.builders
 		}
 	}
+	taken := make(chan struct{})
 	var wg sync.WaitGroup
 	for _, c := range (*ctxs)[1:workers] {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			take(c)
+			select {
+			case e.busy <- struct{}{}:
+				take(c)
+				<-e.busy
+			case <-taken:
+			}
 		}()
 	}
 	take((*ctxs)[0])
+	close(taken)
 	wg.Wait()
 	for _, p := range parts[1:] {
 		for i, b := range parts[0] {

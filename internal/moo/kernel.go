@@ -346,14 +346,16 @@ func (k *maintKernel) runIDBatch(e *Engine, sc *scanCache, produced []*ViewData,
 
 // runFull is the unrestricted fallback, scanning the engine's cached sorted
 // copy of the base relation in morsels, like Run's own scans, through the
-// kernel's reused morsel contexts.
+// kernel's reused morsel contexts, while it holds a busy slot.
 func (k *maintKernel) runFull(e *Engine, produced []*ViewData, base *data.Relation) error {
 	sorted, err := e.sortedRel(base, k.gp.order)
 	if err != nil {
 		return err
 	}
 	k.bind(sorted)
+	e.busy <- struct{}{}
 	builders, err := e.scanMorsels(k.gp, produced, &k.ctxs, false)
+	<-e.busy
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,10 @@
 package moo
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -57,8 +61,9 @@ func schedQueries(js, vs []data.AttrID) []*query.Query {
 	}
 }
 
-// runExecuteWithTimeout guards against the historical failure mode: a failing
-// group must surface an error, never park the worker pool forever.
+// runExecuteWithTimeout runs execute and fails the test if it does not
+// return: a failing group must surface an error, and no goroutine may wait
+// forever for a slot.
 func runExecuteWithTimeout(t *testing.T, e *Engine, plan *core.Plan) error {
 	t.Helper()
 	done := make(chan error, 1)
@@ -70,46 +75,47 @@ func runExecuteWithTimeout(t *testing.T, e *Engine, plan *core.Plan) error {
 	case err := <-done:
 		return err
 	case <-time.After(30 * time.Second):
-		t.Fatal("execute deadlocked on a failing group")
+		t.Fatal("execute deadlocked")
 		return nil
 	}
 }
 
+// sabotagedPlan plans queries for e and sabotages a mid-DAG view: a factor
+// over an attribute its node's relation does not carry makes compileGroup
+// fail.
+func sabotagedPlan(t *testing.T, e *Engine, queries []*query.Query) *core.Plan {
+	t.Helper()
+	plan, err := core.BuildPlan(e.Tree(), queries, core.PlanOptions{MultiRoot: true, MultiOutput: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Groups) < 3 {
+		t.Fatalf("want ≥3 groups for a meaningful DAG, got %d", len(plan.Groups))
+	}
+	victim := plan.Views[plan.Groups[1].Views[0]]
+	node := plan.Tree.Nodes[victim.From]
+	for id := 0; id < e.DB().NumAttrs(); id++ {
+		if !node.HasAttr(data.AttrID(id)) {
+			victim.Aggs[0].Factors = append(victim.Aggs[0].Factors, query.IdentF(data.AttrID(id)))
+			return plan
+		}
+	}
+	t.Fatal("no alien attribute found")
+	return nil
+}
+
 // TestExecuteFailingGroupNoDeadlock sabotages one view so its group fails to
-// compile, and checks the parallel scheduler drains cleanly with the error
-// under several thread counts.
+// compile, and checks the scheduler drains cleanly with the error under
+// several thread counts.
 func TestExecuteFailingGroupNoDeadlock(t *testing.T) {
 	db, js, vs := schedDB(t)
 	queries := schedQueries(js, vs)
-	for _, threads := range []int{2, 3, 8} {
+	for _, threads := range []int{1, 2, 3, 8} {
 		eng, err := NewEngine(db, Options{MultiRoot: true, MultiOutput: true, Compiled: true, Threads: threads})
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, err := core.BuildPlan(eng.Tree(), queries, core.PlanOptions{MultiRoot: true, MultiOutput: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(plan.Groups) < 3 {
-			t.Fatalf("want ≥3 groups for a meaningful DAG, got %d", len(plan.Groups))
-		}
-		// Sabotage a mid-DAG view: a factor over an attribute its node's
-		// relation does not carry makes compileGroup fail.
-		victim := plan.Views[plan.Groups[1].Views[0]]
-		node := plan.Tree.Nodes[victim.From]
-		var alien data.AttrID = -1
-		for id := 0; id < db.NumAttrs(); id++ {
-			if !node.HasAttr(data.AttrID(id)) {
-				alien = data.AttrID(id)
-				break
-			}
-		}
-		if alien < 0 {
-			t.Fatal("no alien attribute found")
-		}
-		victim.Aggs[0].Factors = append(victim.Aggs[0].Factors, query.IdentF(alien))
-
-		err = runExecuteWithTimeout(t, eng, plan)
+		err = runExecuteWithTimeout(t, eng, sabotagedPlan(t, eng, queries))
 		if err == nil {
 			t.Fatalf("threads=%d: sabotaged plan executed without error", threads)
 		}
@@ -188,48 +194,51 @@ func TestExecuteFailFastWhileGroupInFlight(t *testing.T) {
 	}
 }
 
-// TestExecuteCyclicDepsNoDeadlock feeds execute a dependency graph with a
-// cycle (unreachable from groupViews, but execute must not hang on it).
+// TestExecuteCyclicDepsNoDeadlock feeds execute dependency graphs with a
+// cycle (unreachable from groupViews, but execute must reject them, not hang
+// or run them) at one and four threads.
 func TestExecuteCyclicDepsNoDeadlock(t *testing.T) {
 	db, js, vs := schedDB(t)
 	queries := schedQueries(js, vs)
-	eng, err := NewEngine(db, Options{MultiRoot: true, MultiOutput: true, Compiled: true, Threads: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := core.BuildPlan(eng.Tree(), queries, core.PlanOptions{MultiRoot: true, MultiOutput: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := len(plan.Groups)
-	if n < 3 {
-		t.Fatalf("want ≥3 groups, got %d", n)
-	}
+	for _, threads := range []int{1, 4} {
+		eng, err := NewEngine(db, Options{MultiRoot: true, MultiOutput: true, Compiled: true, Threads: threads})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := core.BuildPlan(eng.Tree(), queries, core.PlanOptions{MultiRoot: true, MultiOutput: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(plan.Groups)
+		if n < 3 {
+			t.Fatalf("want ≥3 groups, got %d", n)
+		}
 
-	// Full cycle: no group can start.
-	full := make([][]int, n)
-	for g := range full {
-		full[g] = []int{(g + 1) % n}
-	}
-	orig := plan.GroupDeps
-	plan.GroupDeps = full
-	if err := runExecuteWithTimeout(t, eng, plan); err == nil {
-		t.Fatal("fully cyclic dependency graph executed without error")
-	}
+		// Full cycle: no group can start.
+		full := make([][]int, n)
+		for g := range full {
+			full[g] = []int{(g + 1) % n}
+		}
+		orig := plan.GroupDeps
+		plan.GroupDeps = full
+		if err := runExecuteWithTimeout(t, eng, plan); err == nil {
+			t.Fatalf("threads=%d: fully cyclic dependency graph executed without error", threads)
+		}
 
-	// Partial cycle: some progress, then a wedge.
-	partial := make([][]int, n)
-	for g := 1; g < n; g++ {
-		partial[g] = append([]int(nil), orig[g]...)
-	}
-	partial[n-1] = append(partial[n-1], n-1) // self-dependency wedges the tail
-	plan.GroupDeps = partial
-	err = runExecuteWithTimeout(t, eng, plan)
-	if err == nil {
-		t.Fatal("partially cyclic dependency graph executed without error")
-	}
-	if !strings.Contains(err.Error(), "stalled") && !strings.Contains(err.Error(), "cyclic") {
-		t.Fatalf("unexpected error: %v", err)
+		// Partial cycle: some progress, then a wedge.
+		partial := make([][]int, n)
+		for g := 1; g < n; g++ {
+			partial[g] = append([]int(nil), orig[g]...)
+		}
+		partial[n-1] = append(partial[n-1], n-1) // self-dependency wedges the tail
+		plan.GroupDeps = partial
+		err = runExecuteWithTimeout(t, eng, plan)
+		if err == nil {
+			t.Fatalf("threads=%d: partially cyclic dependency graph executed without error", threads)
+		}
+		if !strings.Contains(err.Error(), "cyclic") {
+			t.Fatalf("threads=%d: unexpected error: %v", threads, err)
+		}
 	}
 }
 
@@ -344,4 +353,116 @@ func mustTree(t *testing.T, db *data.Database) *jointree.Tree {
 		t.Fatal(err)
 	}
 	return tree
+}
+
+// TestBusySlotsReleased runs, at Threads 1 to 4 and 64, a batch, a stream of
+// deltas whose Apply full-scans a step, a sabotaged batch and a batch on one
+// free slot. After each, every busy slot is free and the goroutines are back
+// to their starting count: a scan helper that finds no free slot leaves when
+// its caller has taken the last morsel. No kernel holds more than maxMorsels
+// contexts, at most one goroutine per group and maxMorsels-1 helpers per
+// group run, and every view equals Threads 1's bit for bit.
+func TestBusySlotsReleased(t *testing.T) {
+	start := runtime.NumGoroutine()
+	settled := func(label string, e *Engine) {
+		t.Helper()
+		if n := len(e.busy); n != 0 {
+			t.Fatalf("%s: %d busy slots still held", label, n)
+		}
+		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > start; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines, %d at start", label, runtime.NumGoroutine(), start)
+			}
+		}
+	}
+	var want [2][]*ViewData // Threads 1's views after the batch and after the deltas
+	for _, threads := range []int{1, 2, 3, 4, 64} {
+		db, js, vs := schedDB(t)
+		queries := schedQueries(js, vs)
+		eng, err := NewEngine(db, Options{MultiRoot: true, MultiOutput: true, Compiled: true, Threads: threads, TrackCounts: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop, peak := make(chan struct{}), make(chan int)
+		go func() {
+			most := 0
+			for {
+				select {
+				case <-stop:
+					peak <- most
+					return
+				default:
+					most = max(most, runtime.NumGoroutine())
+					runtime.Gosched()
+				}
+			}
+		}()
+		res, err := eng.Run(queries)
+		close(stop)
+		if most, bound := <-peak, start+1+len(res.Plan.Groups)*maxMorsels; most > bound {
+			t.Fatalf("threads=%d: %d goroutines during Run, want at most %d", threads, most, bound)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		settled(fmt.Sprintf("threads=%d Run", threads), eng)
+		views := [2][]*ViewData{res.Materialized}
+
+		rng := rand.New(rand.NewSource(11))
+		fullScans := 0
+		for step := 0; step < 6; step++ {
+			d := resampleDelta(rng, db.Relation("R0"))
+			if err := db.ApplyDelta(d); err != nil {
+				t.Fatal(err)
+			}
+			var st *ApplyStats
+			if res, st, err = eng.Apply(res, d); err != nil {
+				t.Fatalf("threads=%d step %d: %v", threads, step, err)
+			}
+			fullScans += st.FullScanGroups
+			settled(fmt.Sprintf("threads=%d Apply %d", threads, step), eng)
+		}
+		if fullScans == 0 {
+			t.Fatalf("threads=%d: no Apply step full-scanned", threads)
+		}
+		for key, k := range eng.kernels {
+			if len(k.ctxs) > maxMorsels {
+				t.Fatalf("threads=%d: kernel %+v holds %d contexts", threads, key, len(k.ctxs))
+			}
+		}
+		views[1] = res.Materialized
+
+		if threads == 1 {
+			want = views
+		}
+		for stage := range views {
+			for id, v := range views[stage] {
+				w := want[stage][id]
+				sameView(t, fmt.Sprintf("threads=%d stage %d view %d", threads, stage, id), v, w)
+				for i := range w.Vals[:w.rows*w.Stride] {
+					if math.Float64bits(v.Vals[i]) != math.Float64bits(w.Vals[i]) {
+						t.Fatalf("threads=%d stage %d view %d: value %d is %v, want %v", threads, stage, id, i, v.Vals[i], w.Vals[i])
+					}
+				}
+			}
+		}
+
+		if _, err := eng.RunPlan(sabotagedPlan(t, eng, queries)); err == nil {
+			t.Fatalf("threads=%d: sabotaged plan executed without error", threads)
+		}
+		settled(fmt.Sprintf("threads=%d sabotaged Run", threads), eng)
+
+		// With every slot but one held elsewhere, no helper finds a free
+		// slot: each must leave once its caller has taken the last morsel.
+		for range threads - 1 {
+			eng.busy <- struct{}{}
+		}
+		if err := runExecuteWithTimeout(t, eng, res.Plan); err != nil {
+			t.Fatalf("threads=%d: %v", threads, err)
+		}
+		for range threads - 1 {
+			<-eng.busy
+		}
+		settled(fmt.Sprintf("threads=%d Run on one free slot", threads), eng)
+	}
 }
