@@ -1,9 +1,6 @@
 package data
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Delta describes one batch of changes against a named base relation:
 // inserted and deleted tuples in the relation's schema order. Deletes are
@@ -120,19 +117,6 @@ func (r *Relation) Append(cols []Column) error { return r.ApplyDelta(Delta{Inser
 // on the first delete. The surviving rows close the gaps in place, keeping
 // their order (and so a sort order).
 func (r *Relation) DeleteRows(cols []Column) error { return r.ApplyDelta(Delta{Deletes: cols}) }
-
-// packRow appends the packed encoding of row i across cols: int64 values
-// verbatim, floats by their IEEE bits (exact-match semantics).
-func packRow(buf []byte, cols []Column, i int) []byte {
-	for _, c := range cols {
-		if c.IsInt() {
-			buf = AppendKey(buf, c.Ints[i])
-		} else {
-			buf = AppendKey(buf, int64(math.Float64bits(c.Floats[i])))
-		}
-	}
-	return buf
-}
 
 // copyBlock deep-copies a column block. Every copied column is non-nil,
 // even when empty, so its kind stays detectable.

@@ -2,6 +2,7 @@ package data
 
 import (
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -9,25 +10,25 @@ import (
 // (internal/ivm, moo.Engine.Apply): when a delta at one join-tree node
 // propagates to a view at an unchanged node, only the base rows whose
 // join-key values appear among the delta's keys can contribute to the
-// view's delta. A KeyIndex answers "which rows hold this key tuple?" by
-// binary search, turning the maintenance scan at an unchanged node from
-// O(|R|) into O(|delta keys| log |R| + |matching rows|). The same structure
-// locates the victims of a delete (Relation.DeleteRows).
+// view's delta. A KeyIndex answers "which rows hold these key tuples?" by
+// one galloping walk over an ascending key list (walk.seek), turning the
+// maintenance scan at an unchanged node from O(|R|) into O(|delta keys|
+// log(|R|/|delta keys|) + |matching rows|). The same walk locates the
+// victims and landing points of a mutation (patch.go).
 
 // KeyIndex maps key tuples over a fixed attribute list to the ascending row
 // ids of its relation holding them. It is one postings array: every row id,
 // ordered by (key, id), searched by comparing integer key columns — no
-// per-key allocation, no string hashing. An index whose attribute list is a
-// prefix of the relation's own sort order needs no postings at all: the rows
-// themselves are in (key, id) order.
+// per-key allocation, no string, no hashing. An index whose attribute list
+// is a prefix of the relation's own sort order needs no postings at all:
+// the rows themselves are in (key, id) order.
 //
 // An index belongs to its relation and is kept current by the relation's
 // mutations (ApplyDelta, Append, DeleteRows), which patch the postings in
-// place — positions shift monotonically, so one remap pass plus O(|delta|)
-// searched edits bring it forward (see patch.go). Lookups read the
+// place — positions shift monotonically, so one remap pass plus one walk
+// placing the inserts bring it forward (see patch.go). Lookups read the
 // relation's rows, so like row reads they must not race with the relation's
-// single writer, and slices returned by Rows are invalidated by the next
-// mutation.
+// single writer.
 type KeyIndex struct {
 	rel   *Relation
 	attrs []AttrID
@@ -50,103 +51,120 @@ func (ix *KeyIndex) row(i int) int32 {
 	return ix.perm[i]
 }
 
-// cmpSlot compares the key of the row at slot i with key.
-func (ix *KeyIndex) cmpSlot(i int, key []int64) int {
-	r := ix.row(i)
-	for j, c := range ix.cols {
-		if v := ix.rel.Cols[c].Ints[r]; v != key[j] {
-			return cmpLess(v < key[j])
-		}
-	}
-	return 0
+// walk is one walk over an index: a search of ascending targets, each from
+// the previous answer. It reads the postings and the key columns of the
+// relation's rows once, so a comparison costs one load per key column.
+type walk struct {
+	cols [][]int64 // cols[j] is the relation's column of attrs[j]
+	perm []int32   // the postings; nil for a positional index
+	n    int
 }
 
-// span returns the slot range [lo, hi) whose rows hold key.
-func (ix *KeyIndex) span(key []int64) (lo, hi int) {
-	n := ix.rel.n
-	lo, hi = 0, n
-	for lo < hi {
+// walk starts a walk over ix, taking buf's storage for the column list.
+func (ix *KeyIndex) walk(buf [][]int64) walk {
+	w := walk{cols: buf[:0], n: ix.rel.n}
+	for _, c := range ix.cols {
+		w.cols = append(w.cols, ix.rel.Cols[c].Ints)
+	}
+	if !ix.positional {
+		w.perm = ix.perm
+	}
+	return w
+}
+
+// below reports whether the entry at slot i — (its row's key, its row) —
+// is below (tuple t of keys, row): keys holds one column per index
+// attribute, in index order.
+func (w *walk) below(i int, keys [][]int64, t, row int32) bool {
+	r := int32(i)
+	if w.perm != nil {
+		r = w.perm[i]
+	}
+	for j, col := range w.cols {
+		if v, x := col[r], keys[j][t]; v != x {
+			return v < x
+		}
+	}
+	return r < row
+}
+
+// seek returns the first slot at or after from whose entry is not below
+// (tuple t of keys, row). It gallops forward 1, 2, 4, … slots and then
+// binary-searches the last step, so a walk seeking ascending targets from
+// each previous answer costs O(log gap) per target: O(m log(n/m)) for m
+// targets over n slots, instead of m searches over the whole index. Row 0
+// finds the first slot of the tuple's key, math.MaxInt32 the slot just past
+// it.
+func (w *walk) seek(from int, keys [][]int64, t, row int32) int {
+	n := w.n
+	if from >= n || !w.below(from, keys, t, row) {
+		return from
+	}
+	// Slot lo is below the target; find a slot hi that is not (or n).
+	lo, step := from, 1
+	hi := lo + step
+	for hi < n && w.below(hi, keys, t, row) {
+		lo, step = hi, step<<1
+		hi = lo + step
+	}
+	hi = min(hi, n)
+	for lo++; lo < hi; {
 		mid := int(uint(lo+hi) >> 1)
-		if ix.cmpSlot(mid, key) < 0 {
+		if w.below(mid, keys, t, row) {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo == n || ix.cmpSlot(lo, key) != 0 {
-		return lo, lo
+	return lo
+}
+
+// span returns the slot range [lo, hi) whose rows hold tuple t of keys,
+// searching from slot from on: a walk over ascending tuples passes each
+// answer's hi as the next from.
+func (w *walk) span(from int, keys [][]int64, t int32) (lo, hi int) {
+	lo = w.seek(from, keys, t, 0)
+	return lo, w.seek(lo, keys, t, math.MaxInt32)
+}
+
+// AppendRows appends to dst the row ids holding any key tuple of keys —
+// tuple t is (keys[0][t], keys[1][t], …) over the index's attributes, the
+// tuples strictly ascending — each tuple's ids ascending, tuples in order.
+// It is one galloping walk over the postings; a tuple list of another arity
+// matches nothing.
+func (ix *KeyIndex) AppendRows(dst []int32, keys [][]int64) []int32 {
+	if len(keys) != len(ix.cols) || len(keys) == 0 {
+		return dst
 	}
-	// Key runs are short next to the relation: gallop to the end of the run
-	// (the shape of RangeEnd) instead of a second full-width binary search.
-	step, i := 1, lo+1
-	for i < n && ix.cmpSlot(i, key) == 0 {
-		i += step
-		step <<= 1
-	}
-	l, h := i-step, min(i, n)
-	for l < h {
-		mid := int(uint(l+h) >> 1)
-		if ix.cmpSlot(mid, key) == 0 {
-			l = mid + 1
-		} else {
-			h = mid
+	var buf [4][]int64
+	w, hi := ix.walk(buf[:]), 0
+	for t := range len(keys[0]) {
+		var lo int
+		lo, hi = w.span(hi, keys, int32(t))
+		if !ix.positional {
+			dst = append(dst, ix.perm[lo:hi]...)
+			continue
 		}
-	}
-	return lo, l
-}
-
-// lookup returns the slot range [lo, hi) whose rows hold the packed key
-// tuple (see AppendKey); a tuple of another arity matches nothing.
-func (ix *KeyIndex) lookup(packed string) (lo, hi int) {
-	if len(packed) != 8*len(ix.attrs) {
-		return 0, 0
-	}
-	var kb [8]int64
-	key := kb[:0]
-	if len(ix.attrs) > len(kb) {
-		key = make([]int64, 0, len(ix.attrs))
-	}
-	key = key[:len(ix.attrs)]
-	UnpackKey(packed, key)
-	return ix.span(key)
-}
-
-// Rows returns the ascending row ids holding the packed key tuple, or nil.
-// The slice may be shared with the index: it must not be mutated, and it is
-// invalidated by the relation's next mutation.
-func (ix *KeyIndex) Rows(packed string) []int32 {
-	lo, hi := ix.lookup(packed)
-	if lo == hi {
-		return nil
-	}
-	if !ix.positional {
-		return ix.perm[lo:hi]
-	}
-	rows := make([]int32, hi-lo)
-	for i := range rows {
-		rows[i] = int32(lo + i)
-	}
-	return rows
-}
-
-// AppendRows appends the ascending row ids holding the packed key tuple to
-// dst — Rows without the shared slice, for callers that gather the ids of
-// several probes into one buffer.
-func (ix *KeyIndex) AppendRows(dst []int32, packed string) []int32 {
-	lo, hi := ix.lookup(packed)
-	if !ix.positional {
-		return append(dst, ix.perm[lo:hi]...)
-	}
-	for i := lo; i < hi; i++ {
-		dst = append(dst, int32(i))
+		for i := lo; i < hi; i++ {
+			dst = append(dst, int32(i))
+		}
 	}
 	return dst
 }
 
-// Count returns the number of rows holding the packed key tuple.
-func (ix *KeyIndex) Count(packed string) int {
-	lo, hi := ix.lookup(packed)
-	return hi - lo
+// Count returns the number of rows AppendRows would append.
+func (ix *KeyIndex) Count(keys [][]int64) int {
+	if len(keys) != len(ix.cols) || len(keys) == 0 {
+		return 0
+	}
+	var buf [4][]int64
+	w, total, hi := ix.walk(buf[:]), 0, 0
+	for t := range len(keys[0]) {
+		var lo int
+		lo, hi = w.span(hi, keys, int32(t))
+		total += hi - lo
+	}
+	return total
 }
 
 // NumKeys returns the number of distinct key tuples, counted by one pass

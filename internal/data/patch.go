@@ -3,17 +3,20 @@ package data
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 )
 
 // Physical design under updates. A relation's rows, a sorted copy of them and
 // every key index are kept current by one operation, mutate — a copy takes
 // each delta its base takes (Relation.ApplyDelta on both) — whose cost is
-// proportional to the delta: O(|δ| log |R|) searching to find what the delta
-// touches, then allocation-free linear passes (memmove between the touched
-// positions) over the affected arrays. Nothing is re-sorted or re-hashed —
-// the full sort survives only as the base case, building a structure that
-// has no previous state to patch (SortedCopy, the first KeyIndex call).
+// proportional to the delta: one galloping walk per structure over the
+// delta's tuples, sorted once, finds what the delta touches (walk.seek,
+// O(|δ| log(|R|/|δ|))), then allocation-free linear passes (memmove between
+// the touched positions) over the affected arrays. Nothing is re-sorted or
+// re-hashed — the full sort survives only as the base case, building a
+// structure that has no previous state to patch (SortedCopy, the first
+// KeyIndex call).
 //
 // The invariant that makes a patched structure equal, element for element,
 // to a freshly built one is the tie order: among rows equal on the sort (or
@@ -91,10 +94,11 @@ func compactCoords(at, del []int32) []int32 {
 // remapTable fills buf (grown to n) with where each surviving row moves
 // under a patch of n rows: the row at old position p lands at p minus the
 // deletes in front of it plus the inserts landing at or in front of it. del
-// are the ascending removed positions (their own slots are left
-// meaningless), at the ascending old positions inserts land in front of.
-// The table is what brings a postings array forward in one pass: positions
-// shift monotonically, so entries of equal key keep their order.
+// are the ascending removed positions, which map to -1, at the ascending
+// old positions inserts land in front of. The table is what brings a
+// postings array forward in one pass: positions shift monotonically, so
+// entries of equal key keep their order, and the entries that map to -1
+// are the victims'.
 func remapTable(buf []int32, n int, del, at []int32) []int32 {
 	if cap(buf) < n {
 		buf = make([]int32, n, n+n/8)
@@ -105,9 +109,11 @@ func remapTable(buf []int32, n int, del, at []int32) []int32 {
 		for a < len(at) && int(at[a]) <= p {
 			a++
 		}
-		buf[p] = int32(p - d + a)
 		if d < len(del) && int(del[d]) == p {
+			buf[p] = -1
 			d++
+		} else {
+			buf[p] = int32(p - d + a)
 		}
 	}
 	return buf
@@ -136,9 +142,11 @@ var ErrUnmatchedDelete = errors.New("delete tuples have no matching row")
 // findVictims resolves each tuple of the delete block to the position of one
 // distinct matching row — the first matches in row order, as a scan of the
 // whole relation would pick them — and returns the positions ascending. The
-// tuples are grouped by locator key; each group's candidate rows (one index
-// probe) are walked once. Any tuple without a remaining match is an error
-// and nothing has been touched.
+// tuples are grouped by locator key, and the groups, in key order, are
+// found by one galloping walk over the locator. Each group's tuples are
+// sorted by full row, and its candidate rows are streamed in row order
+// against them. Any tuple without a remaining match is an error and nothing
+// has been touched.
 func (r *Relation) findVictims(dels []Column, nd int) ([]int32, error) {
 	if nd == 0 {
 		return nil, nil
@@ -151,28 +159,32 @@ func (r *Relation) findVictims(dels []Column, nd int) ([]int32, error) {
 	ids := identityIDs(nd)
 	SortIDs(ids, keyCols)
 	victims := make([]int32, 0, nd)
-	key := make([]int64, len(keyCols))
-	want := make(map[string]int)
-	var buf []byte
+	// taken[i] counts the rows matched by the run of equal tuples that
+	// starts at ids[i].
+	taken := make([]int32, nd)
+	var buf [4][]int64
+	w, hi := loc.walk(buf[:]), 0
 	for g := 0; g < nd; {
 		h := g + 1
 		for h < nd && sameRowKey(keyCols, ids[g], ids[h]) {
 			h++
 		}
-		fillKey(key, keyCols, ids[g])
-		// Count the group's tuples by packed row and stream the candidate
-		// rows (ascending) against the counts: the first matches win.
-		clear(want)
-		for _, t := range ids[g:h] {
-			buf = packRow(buf[:0], dels, int(t))
-			want[string(buf)]++
-		}
-		lo, hi := loc.span(key)
-		for s, left := lo, h-g; s < hi && left > 0; s++ {
+		var lo int
+		lo, hi = w.span(hi, keyCols, ids[g])
+		group := ids[g:h]
+		slices.SortFunc(group, func(x, y int32) int { return cmpRows(dels, x, dels, y) })
+		for s, left := lo, len(group); s < hi && left > 0; s++ {
 			row := loc.row(s)
-			buf = packRow(buf[:0], r.Cols, int(row))
-			if c := want[string(buf)]; c > 0 {
-				want[string(buf)] = c - 1
+			a := firstEqual(group, dels, r.Cols, row)
+			if a < 0 {
+				continue
+			}
+			run := 1
+			for a+run < len(group) && cmpRows(dels, group[a], dels, group[a+run]) == 0 {
+				run++
+			}
+			if c := &taken[g+a]; int(*c) < run {
+				*c++
 				victims = append(victims, row)
 				left--
 			}
@@ -186,11 +198,38 @@ func (r *Relation) findVictims(dels []Column, nd int) ([]int32, error) {
 	return victims, nil
 }
 
-// fillKey copies row's values of the key columns into key.
-func fillKey(key []int64, keyCols [][]int64, row int32) {
-	for j, kc := range keyCols {
-		key[j] = kc[row]
+// firstEqual returns the index of the first tuple of group — rows of the
+// block dels, sorted by cmpRows — equal to row y of cols, or -1.
+func firstEqual(group []int32, dels, cols []Column, y int32) int {
+	lo, hi, at := 0, len(group), -1
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		switch c := cmpRows(dels, group[mid], cols, y); {
+		case c < 0:
+			lo = mid + 1
+		case c == 0:
+			at, hi = mid, mid
+		default:
+			hi = mid
+		}
 	}
+	return at
+}
+
+// cmpRows compares row x of block a with row y of block b, both laid out in
+// the relation's schema order, column by column: integers by value, floats
+// by bit pattern, so equality is the full-row equality deletes match by.
+func cmpRows(a []Column, x int32, b []Column, y int32) int {
+	for c := range a {
+		if a[c].IsInt() {
+			if v, w := a[c].Ints[x], b[c].Ints[y]; v != w {
+				return cmpLess(v < w)
+			}
+		} else if v, w := math.Float64bits(a[c].Floats[x]), math.Float64bits(b[c].Floats[y]); v != w {
+			return cmpLess(v < w)
+		}
+	}
+	return 0
 }
 
 func sameRowKey(keyCols [][]int64, x, y int32) bool {
@@ -206,7 +245,8 @@ func sameRowKey(keyCols [][]int64, x, y int32) bool {
 // relation appends them behind the last row in block order. A sorted one
 // merges them in sort order: the block's tuples are stably sorted by the
 // relation's sort order and each lands behind the last existing row not
-// greater than it. src[k] is the block tuple landing k-th, at[k] the
+// greater than it, found by one galloping walk from the previous tuple's
+// landing point. src[k] is the block tuple landing k-th, at[k] the
 // pre-mutation position it lands in front of (ascending; r.n = the end).
 func (r *Relation) landing(ins []Column, ni int) (src, at []int32, err error) {
 	if ni == 0 {
@@ -226,84 +266,58 @@ func (r *Relation) landing(ins []Column, ni int) (src, at []int32, err error) {
 	}
 	keyCols := pos.keyCols(ins)
 	SortIDs(src, keyCols)
-	key := make([]int64, len(keyCols))
+	var buf [4][]int64
+	w, hi := pos.walk(buf[:]), 0
 	for k, t := range src {
-		if k > 0 && sameRowKey(keyCols, src[k-1], t) {
-			at[k] = at[k-1]
-			continue
-		}
-		fillKey(key, keyCols, t)
-		_, hi := pos.span(key)
+		hi = w.seek(hi, keyCols, t, math.MaxInt32)
 		at[k] = int32(hi)
 	}
 	return src, at, nil
 }
 
-// indexPatch is what a mutation does to one postings array: the slots of the
-// victims' entries, and for the added rows their slots (in the coordinates
-// after the removal) and final row ids.
+// indexPatch is what a mutation adds to one postings array: the added
+// rows' slots, in the coordinates before the removal, and their final row
+// ids. The victims' entries need no search: the remap pass that brings the
+// postings forward finds them (remapTable maps them to -1).
 type indexPatch struct {
-	ix   *KeyIndex
-	del  []int32
-	at   []int32
-	vals []int32
+	ix    *KeyIndex
+	slots []int32
+	vals  []int32
 }
 
-// planIndex locates a mutation's edits in ix's postings while the rows are
-// still in their pre-mutation places: each victim's entry by searching for
-// (its key, its position), each added row's slot by searching for (its key,
+// planIndex locates a mutation's inserts in ix's postings while the rows are
+// still in their pre-mutation places: each added row's slot at (its key,
 // the position it lands in front of) — entries of equal key are ordered by
 // position, so the added row goes behind exactly the rows it lands behind.
+// The inserts are put in postings order and found by one galloping walk.
 //
 // lmfao:requires keyIdxMu
-func (r *Relation) planIndex(ix *KeyIndex, del []int32, ins []Column, src, at, final []int32) indexPatch {
+func (r *Relation) planIndex(ix *KeyIndex, ins []Column, src, at, final []int32) indexPatch {
 	p := indexPatch{ix: ix}
-	// slot returns the first slot whose (key, row) is not below (key, row).
-	slot := func(key []int64, row int32) int32 {
-		lo, hi := 0, len(ix.perm)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			c := ix.cmpSlot(mid, key)
-			if c < 0 || (c == 0 && ix.perm[mid] < row) {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		return int32(lo)
+	if len(src) == 0 {
+		return p
 	}
-	key := make([]int64, len(ix.cols))
-	if len(del) > 0 {
-		p.del = make([]int32, len(del))
-		own := ix.keyCols(r.Cols)
-		for i, v := range del {
-			fillKey(key, own, v)
-			p.del[i] = slot(key, v)
+	// Landing ranks ordered by (index key, rank), hence by (index key,
+	// at[rank]): the order their entries take in the postings.
+	keyCols := ix.keyCols(ins)
+	rankKeys := make([][]int64, len(keyCols))
+	for j, kc := range keyCols {
+		rk := make([]int64, len(src))
+		for k, t := range src {
+			rk[k] = kc[t]
 		}
-		slices.Sort(p.del)
+		rankKeys[j] = rk
 	}
-	if len(src) > 0 {
-		// Landing ranks ordered by (index key, rank): the order their
-		// entries take in the postings.
-		keyCols := ix.keyCols(ins)
-		rankKeys := make([][]int64, len(keyCols))
-		for j, kc := range keyCols {
-			rk := make([]int64, len(src))
-			for k, t := range src {
-				rk[k] = kc[t]
-			}
-			rankKeys[j] = rk
-		}
-		ranks := identityIDs(len(src))
-		SortIDs(ranks, rankKeys)
-		slots := make([]int32, len(src))
-		p.vals = make([]int32, len(src))
-		for i, k := range ranks {
-			fillKey(key, rankKeys, k)
-			slots[i] = slot(key, at[k])
-			p.vals[i] = final[k]
-		}
-		p.at = compactCoords(slots, p.del)
+	ranks := identityIDs(len(src))
+	SortIDs(ranks, rankKeys)
+	p.slots = make([]int32, len(src))
+	p.vals = make([]int32, len(src))
+	var buf [4][]int64
+	w, s := ix.walk(buf[:]), 0
+	for i, k := range ranks {
+		s = w.seek(s, rankKeys, k, at[k])
+		p.slots[i] = int32(s)
+		p.vals[i] = final[k]
 	}
 	return p
 }
@@ -337,7 +351,7 @@ func (r *Relation) mutate(dels, ins []Column) error {
 	var patches []indexPatch
 	for _, ix := range r.keyIdx {
 		if !ix.positional {
-			patches = append(patches, r.planIndex(ix, del, ins, src, at, final))
+			patches = append(patches, r.planIndex(ix, ins, src, at, final))
 		}
 	}
 
@@ -358,11 +372,15 @@ func (r *Relation) mutate(dels, ins []Column) error {
 	if len(patches) > 0 {
 		r.remap = remapTable(r.remap, n, del, at)
 		for _, p := range patches {
-			perm := p.ix.perm
+			perm, victims := p.ix.perm, make([]int32, 0, nd)
 			for i, row := range perm {
-				perm[i] = r.remap[row]
+				m := r.remap[row]
+				if m < 0 {
+					victims = append(victims, int32(i))
+				}
+				perm[i] = m
 			}
-			p.ix.perm = splice(perm, p.del, p.at, p.vals)
+			p.ix.perm = splice(perm, victims, compactCoords(p.slots, victims), p.vals)
 		}
 	}
 	return nil

@@ -499,7 +499,7 @@ func TestRelayoutDropsPatchedState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix2 == ix || !slices.Equal(ix2.Rows(PackKey(4)), []int32{1}) {
+	if ix2 == ix || !slices.Equal(rowsOf(ix2, 4), []int32{1}) {
 		t.Fatal("index after Restore does not describe the restored rows")
 	}
 	if err := rel.SortBy([]AttrID{rel.Attrs[1]}); err != nil {

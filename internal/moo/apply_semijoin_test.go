@@ -1,10 +1,8 @@
 package moo
 
 import (
-	"fmt"
 	"math/rand"
-	"sort"
-	"strings"
+	"reflect"
 	"testing"
 
 	"repro/internal/baseline"
@@ -297,84 +295,153 @@ func TestApplyBagDeltaJoinsNothing(t *testing.T) {
 	compareResults(t, "bya", res2.Results[0], want[0])
 }
 
-// TestProbeSetEncoding pins the probe tags and subset cache key of a probe
-// set with two semi-join signatures to their canonical bytes: each tag is
-// the signature's attribute list formatted "%v\x00" followed by the packed
-// delta key, and the key concatenates the sorted tags, each prefixed by its
-// decimal length and ':'.
-func TestProbeSetEncoding(t *testing.T) {
-	db, ids := starDB(t, 50, 11)
-	opts := DefaultOptions()
-	opts.TrackCounts = true
-	eng, err := NewEngine(db, opts)
-	if err != nil {
-		t.Fatal(err)
+// keyView builds a finalized view over groupBy holding the given key rows.
+func keyView(groupBy []data.AttrID, rows ...[]int64) *ViewData {
+	b := newViewBuilder(groupBy, 1, false, nil)
+	for _, r := range rows {
+		b.row(r)
 	}
-	plan, err := eng.PlanBatch(starQueries(ids))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched, err := ivm.Analyze(plan, eng.Tree().NodeByRelation("D1").ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st ivm.Step
-	for _, s := range sched.Steps {
-		if s.SemiJoinAttrs != nil {
-			st = s
-		}
-	}
-	if st.SemiJoinAttrs == nil {
-		t.Fatal("no restricted step to specialize")
-	}
-	// Two delta inputs with distinct signatures: the dimension views keyed
-	// by k1 and by k2.
-	deltas := make([]*ViewData, len(plan.Views))
-	st.DeltaInputs, st.SemiJoinAttrs = nil, nil
-	keys := map[data.AttrID][]int64{ids["k1"]: {5, 3}, ids["k2"]: {7, 3}}
-	for _, v := range plan.Views {
-		if len(v.GroupBy) != 1 || keys[v.GroupBy[0]] == nil || v.IsOutput() || deltas[v.ID] != nil {
-			continue
-		}
-		a := v.GroupBy[0]
-		b := newViewBuilder(v.GroupBy, len(v.Cols), false, nil)
-		for _, k := range keys[a] {
-			b.row([]int64{k})
-		}
-		deltas[v.ID] = b.finalize(nil)
-		st.DeltaInputs = append(st.DeltaInputs, v.ID)
-		st.SemiJoinAttrs = append(st.SemiJoinAttrs, []data.AttrID{a})
-		delete(keys, a)
-	}
-	if len(st.DeltaInputs) != 2 {
-		t.Fatalf("found %d delta inputs, want 2", len(st.DeltaInputs))
-	}
-	k, err := eng.kernelFor(plan, eng.Tree().NodeByRelation("D1").ID, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probes, ckey := k.probeSet(deltas)
+	return b.finalize(nil)
+}
 
-	var want []string
-	for i, in := range st.DeltaInputs {
-		for r := 0; r < deltas[in].NumRows(); r++ {
-			want = append(want, fmt.Sprintf("%v\x00", st.SemiJoinAttrs[i])+string(data.AppendKey(nil, deltas[in].KeyAt(r, 0))))
+// probeKernel is a kernel whose step reads deltas[i] for each i of inputs,
+// probing on attrs[i] (the view's first group-by column): all probeSet and
+// subsetFor read of a kernel.
+func probeKernel(e *Engine, inputs []int, attrs ...[]data.AttrID) *maintKernel {
+	k := &maintKernel{gp: &groupPlan{}, st: ivm.Step{DeltaInputs: inputs, SemiJoinAttrs: attrs}}
+	for _, a := range attrs {
+		k.probePos = append(k.probePos, []int{0})
+		k.attrIDs = append(k.attrIDs, e.orderID(a))
+	}
+	return k
+}
+
+// TestProbeSetKeys pins the integer probe set: each delta view's keys are
+// projected onto the probe positions, sorted and deduplicated; a step's key
+// lists come one per attribute list, lists over the same attributes as
+// their union; and equal probe sets from two steps of one round, built from
+// the same or from equal views, share one subset entry.
+func TestProbeSetKeys(t *testing.T) {
+	db, ids := starDB(t, 50, 11)
+	eng, err := NewEngine(db, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	k1, k2 := []data.AttrID{ids["k1"]}, []data.AttrID{ids["k2"]}
+
+	// Projection: onto a prefix of the sort order (no sort) and onto a
+	// later position or a permutation (sorted), duplicates dropped.
+	v := keyView([]data.AttrID{ids["k1"], ids["k2"]}, []int64{1, 9}, []int64{3, 9}, []int64{1, 7}, []int64{2, 7})
+	for _, c := range []struct {
+		pos  []int
+		want [][]int64
+	}{
+		{[]int{0}, [][]int64{{1, 2, 3}}},
+		{[]int{1}, [][]int64{{7, 9}}},
+		{[]int{1, 0}, [][]int64{{7, 7, 9, 9}, {1, 2, 1, 3}}},
+		{[]int{0, 1}, [][]int64{{1, 1, 2, 3}, {7, 9, 7, 9}}},
+	} {
+		if got := probeKeys(v, c.pos); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("probeKeys on %v = %v, want %v", c.pos, got, c.want)
 		}
 	}
-	sort.Strings(want)
-	wantKey := ""
-	for _, tag := range want {
-		wantKey += fmt.Sprintf("%d:", len(tag)) + tag
+
+	deltas := []*ViewData{
+		keyView(k1, []int64{5}, []int64{3}),
+		keyView(k2, []int64{7}, []int64{3}),
+		keyView(k1, []int64{3}, []int64{5}), // equal to deltas[0], another view
+		keyView(k1, []int64{5}, []int64{4}),
+		nil, // an input with no delta probes nothing
 	}
-	if len(probes) != len(want) {
-		t.Fatalf("%d probes, want %d", len(probes), len(want))
+	keysOf := func(ps []*keySet) [][]int64 {
+		var out [][]int64
+		for _, ks := range ps {
+			out = append(out, ks.keys[0])
+		}
+		return out
 	}
-	for i, p := range probes {
-		if p.tag != want[i] || !strings.HasSuffix(p.tag, p.key) {
-			t.Errorf("probe %d: tag %q key %q, want tag %q", i, p.tag, p.key, want[i])
+	sc := newScanCache(eng)
+	// Key lists come in interned-id order, whatever the input order.
+	first, second := []int64{3, 5}, []int64{3, 7}
+	if eng.orderID(k1) > eng.orderID(k2) {
+		first, second = second, first
+	}
+	ps := sc.probeSet(probeKernel(eng, []int{1, 0, 4}, k2, k1, k2), deltas)
+	if got := keysOf(ps); !reflect.DeepEqual(got, [][]int64{first, second}) {
+		t.Fatalf("probe set %v, want %v", got, [][]int64{first, second})
+	}
+	// Inputs over the same attributes merge: equal lists into the first
+	// one, different ones into their union.
+	ps = sc.probeSet(probeKernel(eng, []int{0, 2}, k1, k1), deltas)
+	if len(ps) != 1 || ps[0] != sc.keys[keysKey{view: deltas[0], attrs: eng.orderID(k1)}] {
+		t.Fatalf("equal key lists over one attribute list did not collapse: %v", keysOf(ps))
+	}
+	ps = sc.probeSet(probeKernel(eng, []int{0, 3}, k1, k1), deltas)
+	if got := keysOf(ps); !reflect.DeepEqual(got, [][]int64{{3, 4, 5}}) {
+		t.Fatalf("union %v, want [[3 4 5]]", got)
+	}
+
+	// Sharing: two steps with equal probe sets — one through equal views —
+	// get one entry; a different set gets its own.
+	rel := db.Relation("F")
+	a, err := sc.subsetFor(probeKernel(eng, []int{0, 1}, k1, k2), rel, deltas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := sc.subsetFor(probeKernel(eng, []int{1, 2}, k2, k1), rel, deltas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := sc.subsetFor(probeKernel(eng, []int{3}, k1), rel, deltas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != b || a == c || len(sc.subsets[rel]) != 2 {
+		t.Fatalf("subset entries: a==b %v, a==c %v, %d entries", a == b, a == c, len(sc.subsets[rel]))
+	}
+	// The entry counts the rows each key list matches.
+	want := 0
+	for r := 0; r < rel.Len(); r++ {
+		if x := rel.MustCol(ids["k1"]).Ints[r]; x == 3 || x == 5 {
+			want++
+		}
+		if x := rel.MustCol(ids["k2"]).Ints[r]; x == 3 || x == 7 {
+			want++
 		}
 	}
-	if ckey != wantKey {
-		t.Errorf("subset key %q, want %q", ckey, wantKey)
+	if a.total != want {
+		t.Fatalf("subset total %d, want %d", a.total, want)
+	}
+}
+
+// TestProbeSetAllocs pins that building a round's probe sets allocates per
+// delta input, not per delta row: ten times the rows costs the same number
+// of allocations. Both sizes take data.SortIDs' radix path, whose scratch is
+// a fixed number of allocations.
+func TestProbeSetAllocs(t *testing.T) {
+	db, ids := starDB(t, 50, 11)
+	eng, err := NewEngine(db, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	k1, k2 := []data.AttrID{ids["k1"]}, []data.AttrID{ids["k2"]}
+	allocs := func(rows int) float64 {
+		var a, b, pair [][]int64
+		for r := 0; r < rows; r++ {
+			a = append(a, []int64{int64(r)})
+			b = append(b, []int64{int64(2 * r)})
+			pair = append(pair, []int64{int64(r % 7), int64(r)})
+		}
+		deltas := []*ViewData{keyView(k1, a...), keyView(k2, b...), keyView(k1, b...),
+			keyView([]data.AttrID{ids["k0"], ids["k1"]}, pair...)}
+		k := probeKernel(eng, []int{0, 1, 2, 3}, k1, k2, k1, k1)
+		k.probePos[3] = []int{1} // not a prefix of the view's order: sorted
+		return testing.AllocsPerRun(20, func() {
+			newScanCache(eng).probeSet(k, deltas)
+		})
+	}
+	small, large := allocs(2000), allocs(20000)
+	if small != large {
+		t.Fatalf("probe sets allocate %v times for 2,000 rows per input, %v for 20,000", small, large)
 	}
 }

@@ -3,8 +3,6 @@ package moo
 import (
 	"fmt"
 	"slices"
-	"strconv"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/data"
@@ -22,15 +20,17 @@ import (
 // and a cache hit always returns a kernel compiled for it.
 //
 // Restricted scans run row-id-batched: the semi-join candidate row ids are
-// gathered once per (relation, semi-join signature) and shared across every
-// kernel of the Apply round through a scanCache. The batch is kept as its
-// defining probe set; each kernel resolves it against the join-key index of
-// the engine's persistent per-order sorted copy of the base and walks the
+// gathered once per (relation, probe set) and shared across every kernel of
+// the Apply round through a scanCache. A probe set is integer key columns:
+// each delta view's distinct keys on its semi-join attributes, projected,
+// sorted and deduplicated once per round (keySet). Each kernel resolves the
+// set against the join-key index of the engine's persistent per-order sorted
+// copy of the base, by one galloping walk per key list, and walks the
 // matched positions ascending through the id indirection (execCtx.ids): a
 // restricted scan over an unchanged base costs one integer sort, never a
-// gather, stable sort or subset copy. Sorted copies of large at-delta tuple
-// blocks are shared per scan order the same way; small blocks run the
-// indirection against the unsorted block directly.
+// gather, stable sort or subset copy, and builds no string. Sorted copies
+// of large at-delta tuple blocks are shared per scan order the same way;
+// small blocks run the indirection against the unsorted block directly.
 //
 // Every strategy visits rows in the same stable order as a scan of the whole
 // sorted relation — selecting a subset of a stably sorted sequence preserves
@@ -46,10 +46,11 @@ type maintKernel struct {
 	st ivm.Step
 	// probePos[i] holds, for delta input st.DeltaInputs[i], the positions of
 	// the semi-join probe attributes in that view's group-by — resolved at
-	// compile time from the logical plan instead of per Apply; attrTags[i]
-	// prefixes the canonical tag of each of that input's probes (probeSet).
+	// compile time from the logical plan instead of per Apply; attrIDs[i] is
+	// those attributes' interned id (Engine.orderID), by which probe sets
+	// order and compare their key lists.
 	probePos [][]int
-	attrTags []string
+	attrIDs  []int
 
 	// boundRel/boundVer pin the relation the leaf closures were composed
 	// against; rebinding only happens when the scan target changes. For
@@ -90,10 +91,10 @@ func (e *Engine) kernelFor(plan *core.Plan, changed int, st ivm.Step) (*maintKer
 	k = &maintKernel{gp: gp, st: st}
 	if st.SemiJoinAttrs != nil {
 		k.probePos = make([][]int, len(st.DeltaInputs))
-		k.attrTags = make([]string, len(st.DeltaInputs))
+		k.attrIDs = make([]int, len(st.DeltaInputs))
 		for i, in := range st.DeltaInputs {
 			attrs := st.SemiJoinAttrs[i]
-			k.attrTags[i] = fmt.Sprintf("%v\x00", attrs)
+			k.attrIDs[i] = e.orderID(attrs)
 			groupBy := plan.Views[in].GroupBy
 			pos := make([]int, len(attrs))
 			for j, a := range attrs {
@@ -162,28 +163,33 @@ func (k *maintKernel) runBound(produced []*ViewData, ids []int32, n int) error {
 const idScanMaxRows = 256
 
 // scanCache shares scan materializations across the kernels of one Apply
-// round: sorted copies of delta tuple blocks (per scan order) and semi-join
-// row-id batches (per semi-join signature). Sharing them across the groups
-// of a multi-group plan is where kernel compilation pays. The cache lives for a single Apply call on the engine's
-// single-writer path — entries never survive a base-relation mutation.
+// round: sorted copies of delta tuple blocks (per scan order), the probe
+// keys of each delta view (per semi-join attribute list) and semi-join
+// row-id batches (per relation and probe set). Sharing them across the
+// groups of a multi-group plan is where kernel compilation pays. The cache
+// lives for a single Apply call on the engine's single-writer path — entries
+// never survive a base-relation mutation.
 //
-// Every map is keyed by a comparable struct (pointers, an interned order id,
-// the probe-set string the round already built), so a hit allocates nothing.
+// The maps are keyed by comparable structs (pointers, interned ids), and a
+// subset is found by comparing probe sets' key lists, so a hit allocates
+// nothing.
 type scanCache struct {
-	e       *Engine
-	sorted  map[sortKey]*data.Relation
-	subsets map[subsetKey]*subsetEntry
+	e      *Engine
+	sorted map[sortKey]*data.Relation
+	keys   map[keysKey]*keySet
+	// subsets lists each relation's row-id batches, found by probe set.
+	subsets map[*data.Relation][]*subsetEntry
 	// positions memoizes a subset's sorted scan positions per (subset,
 	// sorted copy): kernels at the same node share one scan order, so the
 	// probe resolution and integer sort run once, not per group.
 	positions map[positionsKey][]int32
+	probeBuf  []*keySet // probeSet's scratch
 }
 
-// subsetKey identifies a semi-join row-id batch: the scanned relation and
-// the canonical encoding of the probe set (maintKernel.probeSet).
-type subsetKey struct {
-	rel    *data.Relation
-	probes string
+// keysKey identifies a delta view's probe keys on one attribute list.
+type keysKey struct {
+	view  *ViewData
+	attrs int // interned attribute list (Engine.orderID)
 }
 
 // positionsKey identifies a batch's resolved scan positions on one sorted
@@ -197,7 +203,8 @@ func newScanCache(e *Engine) *scanCache {
 	return &scanCache{
 		e:         e,
 		sorted:    map[sortKey]*data.Relation{},
-		subsets:   map[subsetKey]*subsetEntry{},
+		keys:      map[keysKey]*keySet{},
+		subsets:   map[*data.Relation][]*subsetEntry{},
 		positions: map[positionsKey][]int32{},
 	}
 }
@@ -218,59 +225,131 @@ func (sc *scanCache) sortedBlock(rel *data.Relation, order []data.AttrID) (*data
 }
 
 // subsetEntry is one shared semi-join row-id batch, kept in probe form: the
-// unique (attrs, key) lookups that select the subset, plus the matched row
-// total. Consumers resolve the probes against the join-key index of whichever
-// sorted copy they scan, so the entry itself is scan-order agnostic.
+// key lists that select the subset, plus the matched row total. Consumers
+// resolve the probes against the join-key index of whichever sorted copy
+// they scan, so the entry itself is scan-order agnostic.
 type subsetEntry struct {
-	probes   []probeReq
+	probes   []*keySet
 	total    int  // matched rows across probes (before cross-signature dedup)
 	fallback bool // subset covers most of the relation: callers full-scan
 }
 
-// probeReq is one unique (semi-join attrs, delta key) pair to look up in the
-// scanned relation's join-key index. tag is the canonical form used for
-// dedup and cache keying; key is the raw index lookup key.
-type probeReq struct {
+// keySet is one key list of a probe set: distinct key tuples over attrs,
+// ascending, one column per attribute (tuple t is keys[0][t], keys[1][t],
+// …) — the form data.KeyIndex walks.
+type keySet struct {
 	attrs []data.AttrID
-	tag   string
-	key   string
+	id    int // attrs interned (Engine.orderID)
+	keys  [][]int64
 }
 
-// probeSet collects the unique probe pairs of k's step against the current
-// delta views, sorted canonically (duplicates are adjacent after the sort
-// and dropped there), plus an unambiguous joined cache key
-// (length-prefixed — raw key bytes may contain any delimiter). The subset a
-// step scans is fully determined by (relation, probe set), so steps whose
-// delta views carry the same join keys — the common case, since every dirty
-// view at a node derives from the same base delta — share one gathered
-// subset regardless of which views they consume.
-func (k *maintKernel) probeSet(deltas []*ViewData) ([]probeReq, string) {
-	var probes []probeReq
-	var buf []byte
+// equal reports whether two key lists hold the same tuples over the same
+// attributes.
+func (ks *keySet) equal(o *keySet) bool {
+	return ks == o || ks.id == o.id && slices.EqualFunc(ks.keys, o.keys, slices.Equal[[]int64])
+}
+
+// probeKeys projects dv's rows onto the group-by positions pos and returns
+// the distinct tuples ascending. When pos is a prefix of dv's sort order the
+// projection is already sorted.
+func probeKeys(dv *ViewData, pos []int) [][]int64 {
+	src := make([][]int64, len(pos))
+	for j, p := range pos {
+		src[j] = dv.Keys[p]
+	}
+	return distinctTuples(src, len(pos) <= len(dv.order) && slices.Equal(pos, dv.order[:len(pos)]))
+}
+
+// distinctTuples returns the distinct tuples of the columns cols ascending,
+// in fresh columns. Unless sorted says they already ascend (up to
+// duplicates), they are sorted by data.SortIDs; duplicates are then
+// adjacent and dropped.
+func distinctTuples(cols [][]int64, sorted bool) [][]int64 {
+	n := len(cols[0])
+	var ids []int32
+	if !sorted {
+		ids = make([]int32, n)
+		for i := range ids {
+			ids[i] = int32(i)
+		}
+		data.SortIDs(ids, cols)
+	}
+	out := make([][]int64, len(cols))
+	for j := range out {
+		out[j] = make([]int64, 0, n)
+	}
+	for i := 0; i < n; i++ {
+		r := i
+		if ids != nil {
+			r = int(ids[i])
+		}
+		if i > 0 && sameTuple(cols, r, out) {
+			continue
+		}
+		for j, c := range cols {
+			out[j] = append(out[j], c[r])
+		}
+	}
+	return out
+}
+
+// sameTuple reports whether row r of cols equals the last tuple of out.
+func sameTuple(cols [][]int64, r int, out [][]int64) bool {
+	for j, c := range cols {
+		if c[r] != out[j][len(out[j])-1] {
+			return false
+		}
+	}
+	return true
+}
+
+// unionKeys returns the union of two key lists over the same attributes.
+func unionKeys(a, b *keySet) *keySet {
+	if a.equal(b) {
+		return a
+	}
+	cat := make([][]int64, len(a.keys))
+	for j, c := range a.keys {
+		cat[j] = append(slices.Clip(c), b.keys[j]...)
+	}
+	return &keySet{attrs: a.attrs, id: a.id, keys: distinctTuples(cat, false)}
+}
+
+// probeSet returns the key lists k's step probes with against the current
+// delta views: one per semi-join attribute list, in interned-id order, where
+// delta inputs over the same attributes contribute the union of their keys.
+// Each delta view's keys are built on the round's first request for them.
+// The subset a step scans is fully determined by (relation, probe set), so
+// steps whose delta views carry the same join keys — the common case, since
+// every dirty view at a node derives from the same base delta — share one
+// gathered subset regardless of which views they consume. The returned
+// slice is scratch, valid until the next call.
+func (sc *scanCache) probeSet(k *maintKernel, deltas []*ViewData) []*keySet {
+	ps := sc.probeBuf[:0]
 	for i, in := range k.st.DeltaInputs {
 		dv := deltas[in]
 		if dv == nil || dv.NumRows() == 0 {
 			continue
 		}
-		attrs, attrsTag := k.st.SemiJoinAttrs[i], k.attrTags[i]
-		pos := k.probePos[i]
-		for r := 0; r < dv.NumRows(); r++ {
-			buf = buf[:0]
-			for _, p := range pos {
-				buf = data.AppendKey(buf, dv.KeyAt(r, p))
-			}
-			tag := attrsTag + string(buf)
-			probes = append(probes, probeReq{attrs: attrs, tag: tag, key: tag[len(attrsTag):]})
+		key := keysKey{view: dv, attrs: k.attrIDs[i]}
+		ks, ok := sc.keys[key]
+		if !ok {
+			ks = &keySet{attrs: k.st.SemiJoinAttrs[i], id: k.attrIDs[i], keys: probeKeys(dv, k.probePos[i])}
+			sc.keys[key] = ks
 		}
+		ps = append(ps, ks)
 	}
-	slices.SortFunc(probes, func(a, b probeReq) int { return strings.Compare(a.tag, b.tag) })
-	probes = slices.CompactFunc(probes, func(a, b probeReq) bool { return a.tag == b.tag })
-	var ck []byte
-	for _, p := range probes {
-		ck = strconv.AppendInt(ck, int64(len(p.tag)), 10)
-		ck = append(append(ck, ':'), p.tag...)
+	slices.SortStableFunc(ps, func(a, b *keySet) int { return a.id - b.id })
+	out := ps[:0]
+	for _, ks := range ps {
+		if n := len(out); n > 0 && out[n-1].id == ks.id {
+			out[n-1] = unionKeys(out[n-1], ks)
+			continue
+		}
+		out = append(out, ks)
 	}
-	return probes, string(ck)
+	sc.probeBuf = out
+	return out
 }
 
 // subsetFor resolves the shared row-id batch for k's step against rel,
@@ -279,20 +358,21 @@ func (k *maintKernel) probeSet(deltas []*ViewData) ([]probeReq, string) {
 // rows as rel, whose indexes the restricted scan uses anyway — so the base
 // relation needs no join-key index of its own.
 func (sc *scanCache) subsetFor(k *maintKernel, rel *data.Relation, deltas []*ViewData) (*subsetEntry, error) {
-	probes, ckey := k.probeSet(deltas)
-	key := subsetKey{rel: rel, probes: ckey}
-	if se, ok := sc.subsets[key]; ok {
-		return se, nil
+	probes := sc.probeSet(k, deltas)
+	for _, se := range sc.subsets[rel] {
+		if slices.EqualFunc(se.probes, probes, (*keySet).equal) {
+			return se, nil
+		}
 	}
 	sorted, err := sc.e.sortedRel(rel, k.gp.order)
 	if err != nil {
 		return nil, err
 	}
-	se, err := gatherIDs(sorted, probes)
+	se, err := gatherIDs(sorted, slices.Clone(probes))
 	if err != nil {
 		return nil, err
 	}
-	sc.subsets[key] = se
+	sc.subsets[rel] = append(sc.subsets[rel], se)
 	return se, nil
 }
 
@@ -305,11 +385,11 @@ func (k *maintKernel) runIDs(produced []*ViewData, rel *data.Relation, ids []int
 }
 
 // runIDBatch executes the restricted scan over a shared row-id batch against
-// the engine's persistent sorted copy of the base: the batch's probes
-// resolve against the sorted copy's own join-key index (persistent and
-// patched under deltas, like the copy; a plain binary search when the probe
-// attributes lead the scan order) to scan positions, which one integer sort
-// plus a dedup pass put in scan order — no per-delta gather, stable sort or
+// the engine's persistent sorted copy of the base: each key list of the
+// batch resolves, by one galloping walk, against the sorted copy's own
+// join-key index (persistent and patched under deltas, like the copy;
+// positional when the probe attributes lead the scan order) to scan
+// positions, which one integer sort plus a dedup pass put in scan order — no per-delta gather, stable sort or
 // subset copy. Selecting a subset of a stably sorted sequence preserves its
 // relative order, so the retained rows are visited exactly as a full scan of
 // the sorted copy would visit them.
@@ -327,7 +407,7 @@ func (k *maintKernel) runIDBatch(e *Engine, sc *scanCache, produced []*ViewData,
 			if err != nil {
 				return err
 			}
-			pos = ix.AppendRows(pos, p.key)
+			pos = ix.AppendRows(pos, p.keys)
 		}
 		slices.Sort(pos)
 		// Probes with distinct attr signatures can match the same row; the
@@ -406,23 +486,20 @@ func (k *maintKernel) runDeltaBlock(sc *scanCache, produced []*ViewData, rel *da
 	return k.runBound(produced, nil, sorted.Len())
 }
 
-// gatherIDs sizes the probe set against rel's join-key index and decides
+// gatherIDs sizes the probe set against rel's join-key indexes and decides
 // between the restricted and full-scan strategy. No row ids are materialized
 // here: consumers resolve the probes against the sorted copy they scan
 // (runIDBatch), whose key indexes persist across Apply calls. fallback is
 // set when the subset would cover more than half of the relation (counting
 // pre-dedup matches): callers should full-scan instead.
-func gatherIDs(rel *data.Relation, probes []probeReq) (*subsetEntry, error) {
+func gatherIDs(rel *data.Relation, probes []*keySet) (*subsetEntry, error) {
 	total := 0
 	for _, p := range probes {
 		ix, err := rel.KeyIndex(p.attrs)
 		if err != nil {
 			return nil, err
 		}
-		total += ix.Count(p.key)
+		total += ix.Count(p.keys)
 	}
-	if 2*total > rel.Len() {
-		return &subsetEntry{fallback: true}, nil
-	}
-	return &subsetEntry{probes: probes, total: total}, nil
+	return &subsetEntry{probes: probes, total: total, fallback: 2*total > rel.Len()}, nil
 }

@@ -73,7 +73,7 @@ func TestSortedRelPatchedNotRebuilt(t *testing.T) {
 		gotIx, _ := got.KeyIndex([]data.AttrID{ids["k1"]})
 		wantIx, _ := want.KeyIndex([]data.AttrID{ids["k1"]})
 		for k := int64(0); k < 8; k++ {
-			if !reflect.DeepEqual(gotIx.Rows(data.PackKey(k)), wantIx.Rows(data.PackKey(k))) {
+			if !reflect.DeepEqual(gotIx.AppendRows(nil, [][]int64{{k}}), wantIx.AppendRows(nil, [][]int64{{k}})) {
 				t.Fatalf("step %d: patched index differs from a fresh build at key %d", step, k)
 			}
 		}
